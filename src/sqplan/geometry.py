@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +199,59 @@ def surface_samples(sq: Superquadric, n: int) -> np.ndarray:
     om = np.linspace(-np.pi, np.pi, n, endpoint=False)
     ee, oo = np.meshgrid(eta, om, indexing="ij")
     return surface_point(sq, np.stack([ee, oo], axis=-1)).reshape(-1, sq.dim)
+
+
+def _dual_exponent(e: float) -> float:
+    """Hoelder conjugate of the shape norm's exponent 2/e: q = 2/(2 - e)."""
+    return math.inf if e >= EPS_MAX else 2.0 / (2.0 - e)
+
+
+def _lq_gradient(x: float, y: float, q: float):
+    """(||(x, y)||_q, d/dx, d/dy) for two scalars; q = inf takes a vertex.
+
+    Both components are divided by max(|x|, |y|) before any power, so large
+    q neither overflows nor underflows the largest term.
+    """
+    m = max(abs(x), abs(y))
+    if m == 0.0:
+        return 0.0, 0.0, 0.0
+    if q == math.inf:
+        if abs(x) >= abs(y):
+            return m, math.copysign(1.0, x), 0.0
+        return m, 0.0, math.copysign(1.0, y)
+    norm = m * ((abs(x) / m) ** q + (abs(y) / m) ** q) ** (1.0 / q)
+    return (norm, math.copysign((abs(x) / norm) ** (q - 1.0), x),
+            math.copysign((abs(y) / norm) ** (q - 1.0), y))
+
+
+def support_map(sq: Superquadric):
+    """Closed-form support function of the shape: world direction -> world point.
+
+    With p = 2/eps the shape is the unit ball of the norm
+    ||(||(x/a1, y/a2)||_p2, z/a3)||_p1 (a single p-norm in 2D), so the point
+    farthest along d is a * grad N*(a * d_local), where N* is the dual norm
+    ||(||(c1, c2)||_q2, c3)||_q1 with q = 2/(2 - eps). The pose's rotation is
+    fetched once, when the map is made.
+    """
+    rot = sq.pose.rotation_matrix()
+    pos, a = sq.center, sq.axes
+    if sq.dim == 2:
+        q = _dual_exponent(sq.eps[0])
+
+        def local(c):
+            return np.array(_lq_gradient(*c.tolist(), q)[1:])
+    else:
+        q1, q2 = _dual_exponent(sq.eps[0]), _dual_exponent(sq.eps[1])
+
+        def local(c):
+            x, y, z = c.tolist()
+            r, g_x, g_y = _lq_gradient(x, y, q2)
+            _, g_r, g_z = _lq_gradient(r, z, q1)
+            return np.array([g_r * g_x, g_r * g_y, g_z])
+
+    def support(d):
+        return rot @ (a * local(a * (d @ rot))) + pos
+    return support
 
 
 def expand(sq: Superquadric, margin: float) -> Superquadric:

@@ -168,12 +168,13 @@ def project_terminal(point, graph: RoadmapGraph) -> int:
     """Insert the terminal into the graph; returns its node id.
 
     The closest point on the closest live edge becomes a projection node
-    (splitting that edge); a stub edge links the terminal to it. A terminal
-    already on the graph reuses the existing node.
+    (splitting that edge); a stub edge links the terminal to it. Stubs of
+    terminals projected earlier are not candidates: they carry no clearance.
+    A terminal already on the graph reuses the existing node.
     """
     q = np.asarray(point, dtype=float)
     live = [(k, e) for k, e in enumerate(graph.edges)
-            if graph.adjacency[e.u].get(e.v) == k]
+            if e.kind != "stub" and graph.adjacency[e.u].get(e.v) == k]
     if not live:
         raise RuntimeError("cannot project onto an empty graph")
 

@@ -23,7 +23,7 @@ DEFAULT_PARAMS = {
     "h": None,          # bridging distance (m); None -> 2% of world diagonal
     "dmp_basis": 25,    # forcing-term basis functions per degree of freedom
     "dt": None,         # rollout step (s); None -> duration / 400
-    "n_samples": None,  # demonstration samples; None -> max(200, 40 per waypoint)
+    "n_samples": None,  # demonstration samples; None -> max(400, 100 per waypoint)
     "bridging": True,   # add short bridging edges between nearby graph nodes
     "seed": 0,          # seed forwarded to stochastic helpers (none currently)
 }
@@ -344,19 +344,6 @@ def generate_benchmark(name: str, seed: int = 0) -> Scenario:
 # --------------------------------------------------------------- metrics
 
 
-def _sample_grid(sq: Superquadric, n: int):
-    """Parametric surface samples together with their angle parameters."""
-    from .geometry import surface_point
-    if sq.dim == 2:
-        om = np.linspace(-np.pi, np.pi, n, endpoint=False)
-        return om[:, None], surface_point(sq, om)
-    eta = np.linspace(-np.pi / 2.0, np.pi / 2.0, n)
-    om = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    ee, oo = np.meshgrid(eta, om, indexing="ij")
-    params = np.stack([ee.ravel(), oo.ravel()], axis=1)
-    return params, surface_point(sq, params.reshape(-1, 2)).reshape(-1, sq.dim)
-
-
 def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
                             obstacles: list[Superquadric]) -> float:
     """Minimum distance from the oriented robot to any original obstacle.
@@ -364,7 +351,7 @@ def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
     Candidate (pose, obstacle) pairs are ranked with surface-sample k-d tree
     distances (plus bounding-sphere pruning); only pairs whose coarse value
     could beat the minimum, given the sampling resolution, are refined with
-    the exact closest-point optimizer.
+    the exact closest-pair solver.
     """
     if not obstacles:
         return float("inf")
@@ -373,42 +360,31 @@ def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
             else np.unique(np.linspace(0, n_poses - 1, 256).astype(int)))
     res_r = 256 if robot.dim == 2 else 16
     res_o = 1024 if robot.dim == 2 else 24
-    oparams, otrees = [], []
-    for o in obstacles:
-        params, pts = _sample_grid(o, res_o)
-        oparams.append(params)
-        otrees.append(cKDTree(pts))
-    rparams, _ = _sample_grid(robot, res_r)
+    otrees = [cKDTree(surface_samples(o, res_o)) for o in obstacles]
     posed = [robot_pose_at(robot, trajectory.positions[i],
                            trajectory.orientations[i]) for i in keep]
 
     # coarse sampling overestimates the true distance by at most the largest
     # nearest-neighbor spacing of either sample set
     slack = 0.0
-    for shape, res in [(o, res_o) for o in obstacles] + [(posed[0], res_r)]:
-        pts = surface_samples(shape, res)
-        d, _ = cKDTree(pts).query(pts, k=2)
+    for tree in otrees + [cKDTree(surface_samples(posed[0], res_r))]:
+        d, _ = tree.query(tree.data, k=2)
         slack = max(slack, float(np.max(d[:, 1])))
 
     coarse = np.full((len(posed), len(obstacles)), np.inf)
-    nearest = {}
     best_coarse = np.inf
     for i, shape in enumerate(posed):
         pts = surface_samples(shape, res_r)
         for j, obs in enumerate(obstacles):
             if pair_lower_bound(shape, obs) > best_coarse + slack:
                 continue
-            d, idx = otrees[j].query(pts)
-            order = np.argsort(d)[:4]
-            coarse[i, j] = float(d[order[0]])
-            nearest[i, j] = np.concatenate(
-                [rparams[order], oparams[j][idx[order]]], axis=1)
+            coarse[i, j] = float(otrees[j].query(pts)[0].min())
             best_coarse = min(best_coarse, coarse[i, j])
 
-    # refine in ascending coarse order, seeding the descent with the nearest
-    # sample parameters; the exact minimum found so far prunes the rest.
-    # Refinement is capped: poses riding a constant-clearance corridor all
-    # tie at the minimum, and the cap bounds the error by the sampling slack
+    # refine in ascending coarse order; the exact minimum found so far prunes
+    # the rest. Refinement is capped: poses riding a constant-clearance
+    # corridor all tie at the minimum, and the cap bounds the error by the
+    # sampling slack
     best = np.inf
     refined = 0
     for idx in np.argsort(coarse, axis=None):
@@ -416,12 +392,7 @@ def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
         if coarse[i, j] - slack >= best or refined >= 64:
             break
         refined += 1
-        pair = closest_pair(posed[i], obstacles[j], starts=nearest[i, j])
-        d = pair.distance
-        if (inside_outside(posed[i], pair.p_j) <= 0.0
-                or inside_outside(obstacles[j], pair.p_i) <= 0.0):
-            d = 0.0
-        best = min(best, d)
+        best = min(best, closest_pair(posed[i], obstacles[j]).distance)
     return float(best)
 
 

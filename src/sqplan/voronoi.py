@@ -7,13 +7,11 @@ points, and each cluster's cell is the world box clipped by its halfspaces.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import Superquadric, expand, inside_outside, surface_samples
+from .geometry import Superquadric, expand
 from .polytope import (
     EmptyIntersectionError,
     GEOM_TOL,
@@ -26,9 +24,6 @@ from .polytope import (
 )
 from .proximity import (ClosestPair, OVERLAP_TOL, closest_pair, overlaps,
                         pair_lower_bound)
-
-COARSE_SAMPLES_2D = 256
-COARSE_SAMPLES_3D = 24  # grid resolution per angle
 
 
 class ClusterInconsistencyError(RuntimeError):
@@ -97,7 +92,6 @@ class Diagram:
     clusters: list[Cluster]
     hyperplanes: list[Hyperplane]
     cells: list[PolytopeCell]
-    precompute_s: float = 0.0
 
 
 class _UnionFind:
@@ -120,8 +114,10 @@ def build_clusters(expanded_obstacles: list[Superquadric],
                    pairs: dict[tuple[int, int], ClosestPair] | None = None) -> list[Cluster]:
     """Connected components of the pairwise overlap relation.
 
-    Cluster ids are assigned by lowest member index. A precomputed closest-pair
-    map may be supplied; missing pairs are treated via bounding-sphere pruning.
+    Cluster ids are assigned by lowest member index. Every pair that the
+    bounding spheres do not prune gets an exact closest-pair solve; when a
+    `pairs` map is supplied, its entries are reused and new solves are
+    cached in it.
     """
     n = len(expanded_obstacles)
     uf = _UnionFind(n)
@@ -129,15 +125,9 @@ def build_clusters(expanded_obstacles: list[Superquadric],
         for j in range(i + 1, n):
             if pairs is not None and (i, j) in pairs:
                 pr = pairs[(i, j)]
+            elif pair_lower_bound(expanded_obstacles[i], expanded_obstacles[j]) > 0.0:
+                continue
             else:
-                if pair_lower_bound(expanded_obstacles[i], expanded_obstacles[j]) > 0.0:
-                    continue
-                verdict = _overlap_certificate(expanded_obstacles[i],
-                                               expanded_obstacles[j])
-                if verdict is not None:
-                    if verdict:
-                        uf.union(i, j)
-                    continue
                 pr = closest_pair(expanded_obstacles[i], expanded_obstacles[j])
                 if pairs is not None:
                     pairs[(i, j)] = pr
@@ -150,88 +140,42 @@ def build_clusters(expanded_obstacles: list[Superquadric],
             for cid, (_, members) in enumerate(sorted(groups.items()))]
 
 
-def _coarse_surface(sq: Superquadric) -> np.ndarray:
-    n = COARSE_SAMPLES_2D if sq.dim == 2 else COARSE_SAMPLES_3D
-    return surface_samples(sq, n)
-
-
-def _sample_slack(pts: np.ndarray) -> float:
-    """Largest nearest-neighbor spacing: bound on coarse distance error."""
-    d, _ = cKDTree(pts).query(pts, k=2)
-    return float(np.max(d[:, 1]))
-
-
-def _overlap_certificate(sq_i: Superquadric, sq_j: Superquadric) -> bool | None:
-    """Cheap overlap decision from surface samples; None when inconclusive.
-
-    Containment of samples or centers proves overlap; a coarse surface
-    distance exceeding the sampling slack proves separation. Only the
-    remaining near-touching pairs need the exact optimizer.
-    """
-    a, b = _coarse_surface(sq_i), _coarse_surface(sq_j)
-    if (inside_outside(sq_i, sq_j.center) <= OVERLAP_TOL
-            or inside_outside(sq_j, sq_i.center) <= OVERLAP_TOL
-            or np.any(inside_outside(sq_i, b) <= OVERLAP_TOL)
-            or np.any(inside_outside(sq_j, a) <= OVERLAP_TOL)):
-        return True
-    slack = max(_sample_slack(a), _sample_slack(b))
-    if float(cKDTree(a).query(b)[0].min()) > slack:
-        return False
-    return None
-
-
 def separating_hyperplane(ci: Cluster, cj: Cluster, shapes: list[Superquadric],
                           pairs: dict[tuple[int, int], ClosestPair] | None = None) -> Hyperplane:
     """Maximum-margin hyperplane between two clusters.
 
-    The witness pair is the minimum-distance pair over all member cross pairs;
-    candidate member pairs are ranked by coarse surface sampling before the
-    exact optimizer runs, so distant pairs are skipped deterministically.
+    The witness pair is the minimum-distance pair over all member cross
+    pairs. Cross pairs are visited in ascending order of a lower bound on
+    their distance (the cached distance, else the bounding-sphere bound), and
+    the search stops once that bound reaches the best distance found.
     """
     if ci.id == cj.id:
         raise ValueError("clusters must be distinct")
-    cross = [(i, j) for i in ci.members for j in cj.members]
-    coarse = []
-    slack = 0.0
-    for i, j in cross:
-        key = (min(i, j), max(i, j))
-        if pairs is not None and key in pairs:
-            coarse.append(pairs[key].distance)
-            continue
-        a, b = _coarse_surface(shapes[i]), _coarse_surface(shapes[j])
-        slack = max(slack, _sample_slack(a), _sample_slack(b))
-        d = float(cKDTree(a).query(b)[0].min())
-        coarse.append(d)
-    coarse = np.asarray(coarse)
-    best: ClosestPair | None = None
-    for k in np.argsort(coarse, kind="stable"):
-        i, j = cross[k]
-        # coarse distances overestimate by at most the sampling slack, so
-        # once the running best beats that bound no later pair can win
-        if best is not None and coarse[k] - slack > best.distance:
+    pairs = {} if pairs is None else pairs
+    cross = [(min(i, j), max(i, j)) for i in ci.members for j in cj.members]
+    bounds = [pairs[key].distance if key in pairs
+              else pair_lower_bound(shapes[key[0]], shapes[key[1]])
+              for key in cross]
+    best, best_key = None, None
+    for k in np.argsort(bounds, kind="stable"):
+        if best is not None and bounds[k] >= best.distance:
             break
-        if best is not None and pair_lower_bound(shapes[i], shapes[j]) > best.distance:
-            continue
-        key = (min(i, j), max(i, j))
-        if pairs is not None and key in pairs:
-            pr = pairs[key]
-        else:
-            pr = closest_pair(shapes[min(i, j)], shapes[max(i, j)])
-            if pairs is not None:
-                pairs[key] = pr
-        p_i, p_j = (pr.p_i, pr.p_j) if i < j else (pr.p_j, pr.p_i)
-        cand = ClosestPair(p_i, p_j, pr.distance, pr.converged)
-        if best is None or cand.distance < best.distance:
-            best = cand
-    assert best is not None
-    if best.distance <= 1e-9:
+        key = cross[k]
+        if key not in pairs:
+            pairs[key] = closest_pair(shapes[key[0]], shapes[key[1]])
+        if best is None or pairs[key].distance < best.distance:
+            best, best_key = pairs[key], key
+    if best.distance <= OVERLAP_TOL:
         raise ClusterInconsistencyError(
             f"clusters {ci.id} and {cj.id} touch (witness distance {best.distance:.3e}); "
             "they should have been merged"
         )
-    n = (best.p_i - best.p_j) / best.distance
-    mid = 0.5 * (best.p_i + best.p_j)
-    return Hyperplane(n, float(n @ mid), ci.id, cj.id, best.p_i, best.p_j)
+    # orient the witnesses so p_i lies on cluster ci
+    p_i, p_j = ((best.p_i, best.p_j) if best_key[0] in ci.members
+                else (best.p_j, best.p_i))
+    n = (p_i - p_j) / best.distance
+    mid = 0.5 * (p_i + p_j)
+    return Hyperplane(n, float(n @ mid), ci.id, cj.id, p_i, p_j)
 
 
 def build_cell(ci: Cluster, planes: list[Hyperplane], world_lo, world_hi,
@@ -297,7 +241,6 @@ def _add_box_halfspaces(half, lo, hi, dim):
 def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
                   world_lo, world_hi) -> Diagram:
     """Full pipeline: expand, cluster, hyperplanes, cells."""
-    t0 = time.perf_counter()
     dim = robot.dim
     if any(o.dim != dim for o in obstacles):
         raise ValueError("robot and obstacles must share a dimension")
@@ -327,7 +270,7 @@ def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
     lo = np.asarray(world_lo, dtype=float)
     hi = np.asarray(world_hi, dtype=float)
     return Diagram(dim, lo, hi, robot, list(obstacles), grown, clusters,
-                   hyperplanes, cells, precompute_s=time.perf_counter() - t0)
+                   hyperplanes, cells)
 
 
 def cell_of_point(diagram: Diagram, point) -> int | None:

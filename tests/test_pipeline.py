@@ -90,3 +90,15 @@ def test_trajectory_endpoints_match_terminals():
                        atol=1e-9)
     assert np.allclose(result.trajectory.positions[-1], scn.goal.position,
                        atol=1e-3 * scn.world_diagonal)
+
+
+def test_goal_is_not_projected_onto_start_stub():
+    # the goal's closest roadmap edge used to be the start's terminal stub,
+    # which has no clearance: the raw demonstration went through a pillar
+    scn = generate_benchmark("pillars3d")
+    scn.start = RigidPose.create([2.244, 4.341, 4.379])
+    scn.goal = RigidPose.create([1.328, 7.700, 5.645])
+    result = plan(scn)
+    assert result.success
+    for node in result.path[1:-1]:
+        assert result.graph.node_kinds[node] != "terminal"

@@ -1,20 +1,22 @@
 import numpy as np
+import pytest
 from scipy.spatial import cKDTree
 
-from sqplan.geometry import Superquadric, surface_samples
+from sqplan import proximity
+from sqplan.geometry import Superquadric, inside_outside, surface_samples
 from sqplan.proximity import (batch_closest_pairs, closest_pair, overlaps,
                               pair_lower_bound, point_distance)
 
 
-def random_sq(rng, dim, center_range=3.0):
+def random_sq(rng, dim, center_range=3.0, eps_range=(0.4, 1.6)):
     center = rng.uniform(-center_range, center_range, dim)
     if dim == 2:
-        return Superquadric.create(rng.uniform(0.4, 1.6, 1),
+        return Superquadric.create(rng.uniform(*eps_range, 1),
                                    np.sort(rng.uniform(0.3, 1.2, 2)),
                                    center, rng.uniform(-np.pi, np.pi, 1))
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    return Superquadric.create(rng.uniform(0.4, 1.6, 2),
+    return Superquadric.create(rng.uniform(*eps_range, 2),
                                np.sort(rng.uniform(0.3, 1.2, 3)),
                                center, rng.uniform(0.0, np.pi) * axis)
 
@@ -59,12 +61,71 @@ def test_random_pairs_match_sampling_oracle():
             assert abs(pair.distance - oracle) / oracle <= 1e-3
 
 
-def test_closest_pair_accepts_seed_starts():
+def test_closest_pair_equal_circles():
     a = Superquadric.create([1.0], [0.5, 0.5], [0.0, 0.0])
     b = Superquadric.create([1.0], [0.5, 0.5], [3.0, 0.0])
-    starts = np.array([[0.1, np.pi - 0.1], [-0.2, np.pi + 0.2]])
-    pair = closest_pair(a, b, starts=starts)
+    pair = closest_pair(a, b)
     assert abs(pair.distance - 2.0) <= 1e-9
+    assert pair.converged
+
+
+@pytest.mark.parametrize("dim, eps", [(2, 0.1), (2, 2.0), (3, 0.1), (3, 2.0)])
+def test_eps_clamp_ends_match_sampling_oracle(dim, eps):
+    """Boxes (eps = 0.1) and diamonds (eps = 2.0) against dense samples.
+
+    The sampled distance can only overestimate the true one, by at most the
+    sample spacing. The witnesses must lie on their surfaces, and every
+    sample of each shape must stay on its own side of the slab that the
+    witnesses span, which certifies that no closer pair exists.
+    """
+    rng = np.random.default_rng(11)
+    n, count = (20000, 6) if dim == 2 else (120, 4)
+    for _ in range(count):
+        while True:
+            a = random_sq(rng, dim, eps_range=(eps, eps))
+            b = random_sq(rng, dim, eps_range=(eps, eps))
+            pair = closest_pair(a, b)
+            if pair.distance > 0.1:
+                break
+        assert pair.converged
+        pa, pb = surface_samples(a, n), surface_samples(b, n)
+        d, _ = cKDTree(pa).query(pb)
+        spacing = max(float(np.max(cKDTree(p).query(p, k=2)[0][:, 1]))
+                      for p in (pa, pb))
+        assert pair.distance <= d.min() + 1e-9
+        assert d.min() - pair.distance <= spacing
+        assert abs(inside_outside(a, pair.p_i)) <= 1e-6
+        assert abs(inside_outside(b, pair.p_j)) <= 1e-6
+        normal = (pair.p_j - pair.p_i) / pair.distance
+        assert np.max(pa @ normal) <= pair.p_i @ normal + 1e-9
+        assert np.min(pb @ normal) >= pair.p_j @ normal - 1e-9
+
+
+def test_contained_shape_has_distance_zero():
+    for outer, inner in (
+            (Superquadric.create([0.3], [1.0, 2.0], [0.5, 0.5], [0.4]),
+             Superquadric.create([1.5], [0.1, 0.2], [0.6, 0.3], [1.0])),
+            (Superquadric.create([0.3, 1.0], [1.0, 1.5, 2.0], [0.5, 0.5, 0.5]),
+             Superquadric.create([2.0, 0.1], [0.1, 0.2, 0.3], [0.6, 0.4, 0.7],
+                                 [0.3, -0.2, 0.9]))):
+        for a, b in ((outer, inner), (inner, outer)):
+            pair = closest_pair(a, b)
+            assert pair.distance == 0.0 and pair.converged
+            assert overlaps(a, b, pair)
+            assert overlaps(a, b)
+
+
+def test_iteration_cap_reports_nonconvergence(monkeypatch):
+    a = Superquadric.create([0.7, 1.3], [0.4, 0.7, 1.1], [0.0, 0.0, 0.0],
+                            [0.3, 0.5, -0.2])
+    b = Superquadric.create([1.2, 0.6], [0.3, 0.8, 1.0], [3.0, 1.0, 0.5],
+                            [-0.4, 0.1, 0.7])
+    full = closest_pair(a, b)
+    monkeypatch.setattr(proximity, "MAX_ITER", 2)
+    capped = closest_pair(a, b)
+    assert not capped.converged
+    assert full.converged
+    assert capped.distance >= full.distance
 
 
 def test_overlaps_detects_witness_and_containment():

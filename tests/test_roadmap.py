@@ -132,3 +132,17 @@ def test_bridging_connects_near_vertices():
     bridged = build_graph(diagram, h=2.0)
     assert len(bridged.live_edges()) >= len(sparse.live_edges())
     assert any(e.kind == "bridge" for e in bridged.live_edges())
+
+
+def test_project_terminal_skips_stub_edges():
+    g = RoadmapGraph(2)
+    a = g.add_node([0.0, 0.0], "cell")
+    b = g.add_node([4.0, 0.0], "cell")
+    g.add_edge(a, b, "cell")
+    start = project_terminal([1.0, 3.0], g)
+    # closer to the start's stub (x = 1) than to the cell edge (y = 0)
+    goal = project_terminal([1.5, 2.5], g)
+    proj = next(v for v in g.adjacency[goal])
+    assert g.node_kinds[proj] == "projection"
+    assert np.allclose(g.nodes[proj], [1.5, 0.0], atol=1e-12)
+    assert start not in g.adjacency[goal]
