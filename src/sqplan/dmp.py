@@ -2,8 +2,9 @@
 
 Pose waypoints are splined into a time-indexed demonstration, one DMP per
 degree of freedom is fitted with locally weighted regression, and the rollout
-is validated for collisions against the original obstacles (falling back to
-the raw demonstration if the smoothed path cuts a corner too tightly).
+is validated for collisions against the original obstacles with a sampled,
+chunk-batched test (falling back to the raw demonstration if the smoothed path
+cuts a corner too tightly).
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .geometry import Superquadric, inside_outside, surface_samples
-from .poses import PoseWaypoint, robot_pose_at
-from .proximity import pair_lower_bound
+from .geometry import (RigidPose, Superquadric, inside_outside,
+                       inside_outside_local, surface_samples)
+from .poses import PoseWaypoint, robot_rotations
 
 ALPHA_Z = 25.0
 BETA_Z = ALPHA_Z / 4.0  # critical damping
@@ -231,6 +232,15 @@ def fit_lwr(demo: Demonstration, p: int = DEFAULT_BASIS) -> DMPModel:
                     demo.dim, forcing_scale)
 
 
+def _forcing(model: DMPModel, x: np.ndarray) -> np.ndarray:
+    """Forcing term at phases x, (N,) -> (N, K)."""
+    psi = x[:, None] - model.centers
+    psi *= psi
+    psi *= -model.widths
+    np.exp(psi, out=psi)
+    return (psi @ model.weights.T) / np.sum(psi, axis=1)[:, None] * x[:, None] * model.scale()
+
+
 def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     """Integrate the canonical and transformation systems (RK4) start to goal.
 
@@ -239,6 +249,10 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     integration continues (up to one extra duration) until the state settles
     within a small fraction of the start-goal span. The appended samples are
     nearly unforced critically damped motion straight to the goal.
+
+    The forcing term depends on time only, so it is evaluated with array
+    operations at every RK4 stage time of the whole grid (up to twice the
+    duration) before the one state loop, which stops once the state settles.
     """
     tau = model.duration
     if dt <= 0.0 or dt > tau / 10.0:
@@ -246,46 +260,42 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     times = np.arange(0.0, tau, dt)
     if tau - times[-1] > 1e-12:
         times = np.append(times, tau)
-    k = model.u_start.shape[0]
-    scale = model.scale()
+    n_main = len(times)
+    settle = [float(times[-1])]
+    while settle[-1] < 2.0 * tau - 1e-12:
+        settle.append(settle[-1] + min(dt, 2.0 * tau - settle[-1]))
+    t0 = np.concatenate([times[:-1], settle[:-1]])
+    h = np.concatenate([np.diff(times), np.diff(settle)])
+    stage_t = np.stack([t0, t0 + h / 2, t0 + h], axis=-1)
+
+    # one stage column at a time keeps a single (N, P) activation array live
+    x = np.exp(-model.alpha_x * stage_t / tau)
+    forcing = np.stack([_forcing(model, x[:, s]) for s in range(3)], axis=1)
+
     span = float(np.linalg.norm(model.u_goal - model.u_start))
     settle_tol = 1e-4 * span + 1e-12
 
-    def deriv(t, y, z):
-        x = np.exp(-model.alpha_x * t / tau)
-        psi = np.exp(-model.widths * (x - model.centers) ** 2)
-        f = (model.weights @ psi) / np.sum(psi) * x * scale
+    def deriv(y, z, f):
         return z / tau, (model.alpha_z * (model.beta_z * (model.u_goal - y) - z) + f) / tau
 
     y = model.u_start.astype(float).copy()
-    z = np.zeros(k)
-    out = np.empty((len(times), k))
+    z = np.zeros_like(y)
+    out = np.empty((len(t0) + 1, len(y)))
     out[0] = y
-    for i in range(1, len(times)):
-        t0, h = times[i - 1], times[i] - times[i - 1]
-        k1y, k1z = deriv(t0, y, z)
-        k2y, k2z = deriv(t0 + h / 2, y + h / 2 * k1y, z + h / 2 * k1z)
-        k3y, k3z = deriv(t0 + h / 2, y + h / 2 * k2y, z + h / 2 * k2z)
-        k4y, k4z = deriv(t0 + h, y + h * k3y, z + h * k3z)
-        y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        z = z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-        out[i] = y
-
-    times = list(times)
-    out = list(out)
-    t = times[-1]
-    while np.linalg.norm(y - model.u_goal) > settle_tol and t < 2.0 * tau - 1e-12:
-        h = min(dt, 2.0 * tau - t)
-        k1y, k1z = deriv(t, y, z)
-        k2y, k2z = deriv(t + h / 2, y + h / 2 * k1y, z + h / 2 * k1z)
-        k3y, k3z = deriv(t + h / 2, y + h / 2 * k2y, z + h / 2 * k2z)
-        k4y, k4z = deriv(t + h, y + h * k3y, z + h * k3z)
-        y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        z = z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-        t += h
-        times.append(t)
-        out.append(y)
-    return _to_trajectory(np.array(times), np.array(out), model.dim)
+    n = 1
+    for i, (hi, (f1, f2, f4)) in enumerate(zip(h, forcing)):
+        if i + 1 >= n_main and np.linalg.norm(y - model.u_goal) <= settle_tol:
+            break
+        k1y, k1z = deriv(y, z, f1)
+        k2y, k2z = deriv(y + hi / 2 * k1y, z + hi / 2 * k1z, f2)
+        k3y, k3z = deriv(y + hi / 2 * k2y, z + hi / 2 * k2z, f2)
+        k4y, k4z = deriv(y + hi * k3y, z + hi * k3z, f4)
+        y = y + hi / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        z = z + hi / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
+        out[n] = y
+        n += 1
+    all_times = np.concatenate([times, settle[1:]])
+    return _to_trajectory(all_times[:n], out[:n], model.dim)
 
 
 def _to_trajectory(times, samples, dim, smoothed=True) -> PoseTrajectory:
@@ -299,29 +309,64 @@ def demonstration_trajectory(demo: Demonstration) -> PoseTrajectory:
 
 # ------------------------------------------------------------ collision check
 
+CHUNK = 32  # poses checked per array pass; bounds the batch's memory
+# A superquadric lies inside its local bounding box, so a point with any
+# |local coordinate| beyond its semi-axis is outside and needs no fractional
+# powers. The relative slack keeps every point whose rounded implicit value
+# could still reach <= 0.
+BOX_SLACK = 1.0 + 1e-9
 
-def _poses_collide(robot: Superquadric, obstacle: Superquadric,
-                   robot_pts: np.ndarray, obstacle_pts: np.ndarray) -> bool:
-    if pair_lower_bound(robot, obstacle) > 0.0:
-        return False
-    if np.any(inside_outside(robot, obstacle_pts) <= 0.0):
-        return True
-    if np.any(inside_outside(obstacle, robot_pts) <= 0.0):
-        return True
-    return bool(inside_outside(robot, obstacle.center) <= 0.0
-                or inside_outside(obstacle, robot.center) <= 0.0)
+
+def _in_box(sq: Superquadric, local: np.ndarray) -> np.ndarray:
+    """Mask of (..., dim) shape-frame points inside the slackened box."""
+    inside = np.abs(local) <= sq.axes * BOX_SLACK
+    # and-ing coordinate slices beats a reduce over the short last axis
+    for k in range(1, sq.dim):
+        inside[..., 0] &= inside[..., k]
+    return inside[..., 0]
 
 
 def trajectory_collides(trajectory: PoseTrajectory, robot: Superquadric,
                         obstacles: list[Superquadric]) -> bool:
-    """Surface-sampled collision test of the posed robot along the trajectory."""
-    res = 64 if robot.dim == 2 else 16
-    obstacle_pts = [surface_samples(o, res) for o in obstacles]
-    for i in range(len(trajectory.times)):
-        posed = robot_pose_at(robot, trajectory.positions[i], trajectory.orientations[i])
-        pts = surface_samples(posed, res)
-        for o, opts in zip(obstacles, obstacle_pts):
-            if _poses_collide(posed, o, pts, opts):
+    """Sampled, chunk-batched collision test of the posed robot along the trajectory.
+
+    A pose collides with an obstacle whose bounding sphere it reaches when a
+    robot surface sample or the robot centre lies inside the obstacle, or an
+    obstacle surface sample or the obstacle centre lies inside the robot
+    (implicit function <= 0). Poses are checked CHUNK at a time, each test as
+    one array operation over the chunk's poses.
+    """
+    dim = robot.dim
+    res = 64 if dim == 2 else 16
+    # body-frame samples plus the centre, whose posed image is the position
+    body = surface_samples(robot.with_pose(RigidPose.create(np.zeros(dim))), res)
+    body = np.vstack([body, np.zeros(dim)])
+    obstacle_pts = [np.vstack([surface_samples(o, res), o.center]) for o in obstacles]
+    reach = [robot.bounding_radius() + o.bounding_radius() for o in obstacles]
+    for start in range(0, len(trajectory.times), CHUNK):
+        pos = trajectory.positions[start:start + CHUNK]
+        near = [np.linalg.norm(pos - o.center, axis=1) - r <= 0.0
+                for o, r in zip(obstacles, reach)]
+        if not any(n.any() for n in near):
+            continue
+        rot = robot_rotations(dim, trajectory.orientations[start:start + CHUNK])
+        world = body @ np.swapaxes(rot, 1, 2)
+        world += pos[:, None, :]
+        for o, opts, n in zip(obstacles, obstacle_pts, near):
+            if not n.any():
+                continue
+            if not n.all():
+                world_n, pos_n, rot_n = world[n], pos[n], rot[n]
+            else:
+                world_n, pos_n, rot_n = world, pos, rot
+            # robot samples and centre in the obstacle
+            pts = world_n[_in_box(o, o.pose.inverse_transform(world_n))]
+            if np.any(inside_outside(o, pts) <= 0.0):
+                return True
+            # obstacle samples and centre in each pose's robot frame
+            local = (opts - pos_n[:, None, :]) @ rot_n
+            local = local[_in_box(robot, local)]
+            if np.any(inside_outside_local(robot, local) <= 0.0):
                 return True
     return False
 

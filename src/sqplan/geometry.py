@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,8 @@ class RigidPose:
 
     position: np.ndarray
     rotation: np.ndarray  # shape (1,) angle for 2D, (3,) rotation vector for 3D
+    _matrix: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @staticmethod
     def create(position, rotation=None) -> "RigidPose":
@@ -50,9 +52,13 @@ class RigidPose:
         return self.position.shape[0]
 
     def rotation_matrix(self) -> np.ndarray:
-        if self.dim == 2:
-            return rot2d(self.rotation[0])
-        return exp_so3(self.rotation)
+        """The pose's rotation matrix, computed once per pose (poses are not
+        mutated after creation) and shared read-only by every caller."""
+        if self._matrix is None:
+            r = rot2d(self.rotation[0]) if self.dim == 2 else exp_so3(self.rotation)
+            r.setflags(write=False)
+            self._matrix = r
+        return self._matrix
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Local -> world. Accepts (..., dim) arrays."""
@@ -144,8 +150,12 @@ def inside_outside(sq: Superquadric, points) -> np.ndarray:
     Accepts a single point or an (..., dim) array; returns matching shape.
     """
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    local = sq.pose.inverse_transform(pts)
+    f = inside_outside_local(sq, sq.pose.inverse_transform(pts))
+    return float(f) if pts.ndim == 1 else f
+
+
+def inside_outside_local(sq: Superquadric, local: np.ndarray) -> np.ndarray:
+    """The implicit function at (..., dim) points given in the shape's frame."""
     a = sq.axes
     if sq.dim == 2:
         e = sq.eps[0]
@@ -156,7 +166,7 @@ def inside_outside(sq: Superquadric, points) -> np.ndarray:
         xy = (np.abs(local[..., 0] / a[0]) ** (2.0 / e2)
               + np.abs(local[..., 1] / a[1]) ** (2.0 / e2))
         f = xy ** (e2 / e1) + np.abs(local[..., 2] / a[2]) ** (2.0 / e1) - 1.0
-    return float(f) if single else f
+    return f
 
 
 def surface_point(sq: Superquadric, angles) -> np.ndarray:

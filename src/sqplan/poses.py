@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import RigidPose, Superquadric
 from .roadmap import RoadmapGraph
-from .rotations import exp_so3, log_so3
+from .rotations import exp_so3, exp_so3_batch, log_so3
 
 PARALLEL_TOL = 1e-6
 
@@ -70,6 +70,23 @@ def robot_pose_at(robot: Superquadric, position, orientation) -> Superquadric:
         r = exp_so3(orientation) @ _AXIS_CONVENTION
         pose = RigidPose.create(position, log_so3(r))
     return robot.with_pose(pose)
+
+
+def robot_rotations(dim: int, orientations: np.ndarray) -> np.ndarray:
+    """(N, dim, dim) rotation matrices of the robot as robot_pose_at poses it.
+
+    Built in one array pass from (N, 1) angles or (N, 3) rotation vectors,
+    without the rotation-vector round trip of a RigidPose. In 2D the heading
+    is wrapped as RigidPose.create wraps it, so the matrices are the same.
+    """
+    orientations = np.asarray(orientations, dtype=float)
+    if dim == 3:
+        return exp_so3_batch(orientations) @ _AXIS_CONVENTION
+    theta = orientations[:, 0] - np.pi / 2.0  # local long axis is +y
+    theta = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi  # as wrap_angle
+    theta[theta == -np.pi] = np.pi
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def _fallback_normal(r1: np.ndarray) -> np.ndarray:

@@ -28,6 +28,26 @@ def exp_so3(rotvec: np.ndarray) -> np.ndarray:
     return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
 
 
+def exp_so3_batch(rotvecs: np.ndarray) -> np.ndarray:
+    """Rotation matrices of an (N, 3) stack of rotation vectors, (N, 3, 3).
+
+    Array form of exp_so3 with the same arithmetic, so each matrix equals
+    exp_so3 of its vector; exp_so3 stays the fast path for one vector.
+    """
+    v = np.asarray(rotvecs, dtype=float)
+    # v.v as a matmul rounds like np.linalg.norm of a single vector
+    theta = np.sqrt(v[:, None, :] @ v[:, :, None])
+    small = theta < 1e-12
+    x, y, z = (v / np.where(small, 1.0, theta)[:, 0]).T
+    k = np.zeros((len(v), 3, 3))
+    k[:, 0, 1], k[:, 0, 2] = -z, y
+    k[:, 1, 0], k[:, 1, 2] = z, -x
+    k[:, 2, 0], k[:, 2, 1] = -y, x
+    a = np.where(small, 1.0, np.sin(theta))
+    b = np.where(small, 0.5, 1.0 - np.cos(theta))
+    return np.eye(3) + a * k + b * (k @ k)
+
+
 def _check_rotation(r: np.ndarray, tol: float) -> None:
     if r.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")

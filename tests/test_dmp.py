@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from sqplan.dmp import (DMPModel, Demonstration, PoseTrajectory, _basis,
-                        demonstration_trajectory, fit_lwr,
+from sqplan.dmp import (CHUNK, DMPModel, Demonstration, PoseTrajectory,
+                        _basis, demonstration_trajectory, fit_lwr,
                         interpolate_waypoints, rollout, trajectory_collides,
                         validate_and_finalize)
-from sqplan.geometry import Superquadric, inside_outside
-from sqplan.poses import PoseWaypoint
+from sqplan.geometry import Superquadric, inside_outside, surface_samples
+from sqplan.poses import PoseWaypoint, robot_pose_at
+from sqplan.proximity import pair_lower_bound
 from sqplan.rotations import exp_so3
 
 
@@ -210,3 +211,213 @@ def test_validate_raw_collision_is_hard_error():
     traj = demonstration_trajectory(demo)
     with pytest.raises(RuntimeError):
         validate_and_finalize(traj, demo, robot, obstacles)
+
+
+# ------------------------------------------------- rollout reference
+
+
+def two_loop_rollout(model, dt):
+    """Reference rollout: the forcing term evaluated inside deriv at every RK4
+    stage, one loop up to the duration and a second settle loop after it."""
+    tau = model.duration
+    times = np.arange(0.0, tau, dt)
+    if tau - times[-1] > 1e-12:
+        times = np.append(times, tau)
+    k = model.u_start.shape[0]
+    scale = model.scale()
+    span = float(np.linalg.norm(model.u_goal - model.u_start))
+    settle_tol = 1e-4 * span + 1e-12
+
+    def deriv(t, y, z):
+        x = np.exp(-model.alpha_x * t / tau)
+        psi = np.exp(-model.widths * (x - model.centers) ** 2)
+        f = (model.weights @ psi) / np.sum(psi) * x * scale
+        return z / tau, (model.alpha_z * (model.beta_z * (model.u_goal - y) - z) + f) / tau
+
+    def step(t, h, y, z):
+        k1y, k1z = deriv(t, y, z)
+        k2y, k2z = deriv(t + h / 2, y + h / 2 * k1y, z + h / 2 * k1z)
+        k3y, k3z = deriv(t + h / 2, y + h / 2 * k2y, z + h / 2 * k2z)
+        k4y, k4z = deriv(t + h, y + h * k3y, z + h * k3z)
+        return (y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y),
+                z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z))
+
+    y = model.u_start.astype(float).copy()
+    z = np.zeros(k)
+    out = [y]
+    for i in range(1, len(times)):
+        y, z = step(times[i - 1], times[i] - times[i - 1], y, z)
+        out.append(y)
+    times = list(times)
+    t = times[-1]
+    while np.linalg.norm(y - model.u_goal) > settle_tol and t < 2.0 * tau - 1e-12:
+        h = min(dt, 2.0 * tau - t)
+        y, z = step(t, h, y, z)
+        t += h
+        times.append(t)
+        out.append(y)
+    return np.array(times), np.array(out)
+
+
+def test_rollout_matches_two_loop_reference():
+    rng = np.random.default_rng(0)
+    centers, widths = _basis(15)
+    for trial in range(8):
+        k = 3 if trial % 2 else 6
+        model = DMPModel(rng.normal(scale=[50.0, 300.0][trial % 2], size=(k, 15)),
+                         centers, widths, float(rng.uniform(0.5, 3.0)),
+                         rng.normal(size=k), rng.normal(size=k), 2 if k == 3 else 3)
+        dt = model.duration / int(rng.integers(20, 400))
+        times, samples = two_loop_rollout(model, dt)
+        traj = rollout(model, dt)
+        assert len(traj.times) == len(times)
+        assert np.array_equal(traj.times, times)
+        got = np.hstack([traj.positions, traj.orientations])
+        assert np.max(np.abs(got - samples)) <= 1e-12
+        # the state had not settled at the duration, and settled before 2x
+        assert model.duration + 1e-12 < times[-1] < 2.0 * model.duration - dt
+
+
+# --------------------------------------- batched validation vs per pose
+
+
+def per_pose_collides(trajectory, robot, obstacles):
+    """Reference validator: one posed robot and one obstacle at a time."""
+    res = 64 if robot.dim == 2 else 16
+    obstacle_pts = [surface_samples(o, res) for o in obstacles]
+    for i in range(len(trajectory.times)):
+        posed = robot_pose_at(robot, trajectory.positions[i], trajectory.orientations[i])
+        pts = surface_samples(posed, res)
+        for o, opts in zip(obstacles, obstacle_pts):
+            if pair_lower_bound(posed, o) > 0.0:
+                continue
+            if (np.any(inside_outside(posed, opts) <= 0.0)
+                    or np.any(inside_outside(o, pts) <= 0.0)
+                    or inside_outside(posed, o.center) <= 0.0
+                    or inside_outside(o, posed.center) <= 0.0):
+                return True
+    return False
+
+
+def line_trajectory(a, b, ori_a, ori_b, n):
+    s = np.linspace(0.0, 1.0, n)[:, None]
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    ori_a, ori_b = np.asarray(ori_a, float), np.asarray(ori_b, float)
+    return PoseTrajectory(np.linspace(0.0, 1.0, n), a + s * (b - a),
+                          ori_a + s * (ori_b - ori_a))
+
+
+def random_shape(rng, dim, lo, hi, position, aligned=False):
+    rotation = rng.uniform(-np.pi, np.pi, 1) if dim == 2 else rng.normal(size=3)
+    if aligned:
+        rotation = np.zeros_like(rotation)
+    return Superquadric.create(rng.uniform(0.1, 2.0, dim - 1),
+                               np.sort(rng.uniform(lo, hi, dim)), position, rotation)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batched_validation_matches_per_pose_loop(dim):
+    rng = np.random.default_rng(40 + dim)
+    k = 1 if dim == 2 else 3
+    decisions = []
+    for trial in range(24):
+        robot = random_shape(rng, dim, 0.05, 0.4, np.zeros(dim))
+        obstacles = [random_shape(rng, dim, 0.2, 1.2, rng.uniform(1.0, 5.0, dim))
+                     for _ in range(int(rng.integers(1, 4)))]
+        # lengths around chunk multiples, the last one not a multiple
+        n = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 17][trial % 5]
+        traj = line_trajectory(rng.uniform(0.0, 6.0, dim), rng.uniform(0.0, 6.0, dim),
+                               rng.normal(size=k), 3.0 * rng.normal(size=k), n)
+        got = trajectory_collides(traj, robot, obstacles)
+        assert got == per_pose_collides(traj, robot, obstacles)
+        decisions.append(got)
+    assert any(decisions) and not all(decisions)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batched_validation_matches_per_pose_loop_when_grazing(dim):
+    # a robot swept past an obstacle at offsets bracketing the first offset
+    # where the sampled test reports contact; axis-aligned shapes touch on
+    # the faces of their bounding boxes
+    rng = np.random.default_rng(7 + dim)
+    k = 1 if dim == 2 else 3
+    for aligned in (True, True, False, False, False):
+        robot = random_shape(rng, dim, 0.1, 0.4, np.zeros(dim))
+        obstacle = random_shape(rng, dim, 0.3, 1.0, np.zeros(dim), aligned)
+        ori = np.zeros(k) if aligned else rng.normal(size=k)
+        direction = np.zeros(dim)
+        direction[1] = 1.0
+
+        def traj(offset):
+            a, b = -2.0 * np.eye(dim)[0], 2.0 * np.eye(dim)[0]
+            return line_trajectory(a + offset * direction, b + offset * direction,
+                                   ori, ori, CHUNK + 9)
+
+        lo, hi = 0.0, 3.0  # colliding, clear
+        for _ in range(24):
+            mid = 0.5 * (lo + hi)
+            if per_pose_collides(traj(mid), robot, [obstacle]):
+                lo = mid
+            else:
+                hi = mid
+        for offset in (lo, hi, lo - 1e-9, hi + 1e-9, 0.5 * (lo + hi)):
+            t = traj(offset)
+            assert trajectory_collides(t, robot, [obstacle]) == \
+                per_pose_collides(t, robot, [obstacle])
+        assert trajectory_collides(traj(lo), robot, [obstacle])
+        assert not trajectory_collides(traj(hi), robot, [obstacle])
+
+
+def test_batched_validation_collision_only_in_last_chunk():
+    robot = Superquadric.create([1.0, 1.0], [0.1, 0.2, 0.4], np.zeros(3))
+    obstacle = Superquadric.create([0.5, 0.5], [0.5, 0.5, 0.5], [5.0, 0.0, 0.0])
+    clear = line_trajectory([0.0, 0.0, 0.0], [3.0, 0.0, 0.0],
+                            [0.0, 0.0, 0.0], [0.0, 0.3, 0.0], 3 * CHUNK)
+    tail = line_trajectory([3.5, 0.0, 0.0], [4.7, 0.0, 0.0],
+                           [0.0, 0.3, 0.0], [0.0, 0.3, 0.0], 5)
+    traj = PoseTrajectory(np.arange(3 * CHUNK + 5.0),
+                          np.vstack([clear.positions, tail.positions]),
+                          np.vstack([clear.orientations, tail.orientations]))
+    head = PoseTrajectory(traj.times[:3 * CHUNK], traj.positions[:3 * CHUNK],
+                          traj.orientations[:3 * CHUNK])
+    assert not trajectory_collides(head, robot, [obstacle])
+    assert not per_pose_collides(head, robot, [obstacle])
+    assert trajectory_collides(traj, robot, [obstacle])
+    assert per_pose_collides(traj, robot, [obstacle])
+
+
+@pytest.mark.parametrize("position, expected", [([0.0, 0.0], True),
+                                                ([3.0, 0.0], False)])
+def test_batched_validation_single_pose(position, expected):
+    robot = Superquadric.create([1.0], [0.1, 0.3], [0.0, 0.0])
+    obstacle = Superquadric.create([0.6], [0.4, 0.5], [0.5, 0.2])
+    traj = PoseTrajectory(np.zeros(1), np.array([position]), np.array([[0.4]]))
+    assert trajectory_collides(traj, robot, [obstacle]) is expected
+    assert per_pose_collides(traj, robot, [obstacle]) is expected
+
+
+def test_batched_validation_obstacle_enclosing_robot():
+    robot = Superquadric.create([1.0, 1.0], [0.1, 0.2, 0.3], np.zeros(3))
+    obstacle = Superquadric.create([1.0, 1.0], [3.0, 3.0, 3.0], np.zeros(3))
+    traj = line_trajectory([-0.5, 0.0, 0.0], [0.5, 0.2, 0.0],
+                           [0.0, 0.0, 0.0], [0.3, 0.0, 1.0], 5)
+    # no obstacle sample reaches the robot; its centre and samples lie inside
+    assert trajectory_collides(traj, robot, [obstacle])
+    assert per_pose_collides(traj, robot, [obstacle])
+
+
+@pytest.mark.parametrize("robot_at, obstacle_at", [
+    ([0.0, 0.0, 0.0], [0.4, 0.0, 0.0]),   # obstacle centre inside the robot
+    ([0.0, 0.0, 0.4], [0.0, 0.0, 0.0])])  # robot centre inside the obstacle
+def test_batched_validation_centre_tests_decide(robot_at, obstacle_at):
+    # two thin rods crossed (robot along x, obstacle along z) 0.4 from one
+    # rod's centre: rod samples lie 0.1, 0.31, 0.5, ... from their centre, so
+    # no surface sample of either is inside the other; only one centre is
+    robot = Superquadric.create([1.0, 1.0], [0.05, 0.05, 1.0], np.zeros(3))
+    obstacle = Superquadric.create([1.0, 1.0], [0.05, 0.05, 1.0], obstacle_at)
+    posed = robot_pose_at(robot, robot_at, np.zeros(3))
+    assert np.all(inside_outside(obstacle, surface_samples(posed, 16)) > 0.0)
+    assert np.all(inside_outside(posed, surface_samples(obstacle, 16)) > 0.0)
+    traj = PoseTrajectory(np.zeros(1), np.array([robot_at]), np.zeros((1, 3)))
+    assert trajectory_collides(traj, robot, [obstacle])
+    assert per_pose_collides(traj, robot, [obstacle])

@@ -20,6 +20,18 @@ def test_pose_roundtrip():
     assert np.allclose(back, pts, atol=1e-12)
 
 
+def test_rotation_matrix_cached_and_exact():
+    from sqplan.rotations import exp_so3, rot2d
+    pose3 = RigidPose.create([1.0, -2.0, 0.5], [0.3, -0.2, 0.9])
+    pose2 = RigidPose.create([1.0, -2.0], [2.5])
+    assert np.array_equal(pose3.rotation_matrix(), exp_so3(pose3.rotation))
+    assert np.array_equal(pose2.rotation_matrix(), rot2d(pose2.rotation[0]))
+    for pose in (pose2, pose3):
+        r = pose.rotation_matrix()
+        assert pose.rotation_matrix() is r
+        assert not r.flags.writeable
+
+
 def test_pose_validates_shapes():
     with pytest.raises(ValueError):
         RigidPose.create([1.0])

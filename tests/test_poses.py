@@ -3,7 +3,7 @@ import pytest
 
 from sqplan.geometry import Superquadric
 from sqplan.poses import (PoseWaypoint, frame_3d, heading_2d, plan_poses,
-                          robot_pose_at)
+                          robot_pose_at, robot_rotations)
 from sqplan.roadmap import RoadmapGraph
 from sqplan.rotations import exp_so3, rot2d
 
@@ -139,6 +139,22 @@ def test_plan_poses_2d_robot_pose_convention():
     r = posed.pose.rotation_matrix()
     long_world = r @ np.array([0.0, 1.0])
     assert np.allclose(np.abs(long_world), [1.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_robot_rotations_match_robot_pose_at(dim):
+    rng = np.random.default_rng(dim)
+    axes = [0.02, 0.06] if dim == 2 else [0.1, 0.2, 0.3]
+    robot = Superquadric.create(np.ones(dim - 1), axes, np.zeros(dim))
+    ori = rng.uniform(-4.0, 4.0, size=(30, 1 if dim == 2 else 3))
+    ori[0] = np.pi / 2.0 - np.pi  # heading that wraps to exactly -pi
+    want = np.stack([robot_pose_at(robot, np.zeros(dim), o).pose.rotation_matrix()
+                     for o in ori])
+    got = robot_rotations(dim, ori)
+    if dim == 2:
+        assert np.array_equal(got, want)
+    else:  # want went through a rotation-vector round trip
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_plan_poses_requires_two_nodes():

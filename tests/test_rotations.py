@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sqplan.rotations import (canonical_rotvec, exp_so3, hat, log_so3, rot2d,
-                              wrap_angle)
+from sqplan.rotations import (canonical_rotvec, exp_so3, exp_so3_batch, hat,
+                              log_so3, rot2d, wrap_angle)
 
 
 def random_rotvecs(rng, n):
@@ -24,6 +24,13 @@ def test_hat_antisymmetric():
     assert np.allclose(h, -h.T)
     w = np.array([1.0, 0.5, -0.25])
     assert np.allclose(h @ w, np.cross(v, w), atol=1e-15)
+
+
+def test_exp_batch_matches_single():
+    rng = np.random.default_rng(4)
+    vs = np.concatenate([random_rotvecs(rng, 20), 1e-13 * rng.normal(size=(5, 3)),
+                         np.zeros((1, 3))])
+    assert np.array_equal(exp_so3_batch(vs), np.stack([exp_so3(v) for v in vs]))
 
 
 def test_exp_identity_and_quarter_turn():
