@@ -9,6 +9,7 @@ cuts a corner too tightly).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,8 +242,31 @@ def _forcing(model: DMPModel, x: np.ndarray) -> np.ndarray:
     return (psi @ model.weights.T) / np.sum(psi, axis=1)[:, None] * x[:, None] * model.scale()
 
 
+def _rk4_maps(a: np.ndarray, h: np.ndarray):
+    """RK4 step maps of the linear system s' = A s + e2 b, one per step length.
+
+    One step of length h from state s, with input b1, b2, b4 at the step's
+    start, midpoint and end, is exactly P s + q1 b1 + q2 b2 + q4 b4. P and
+    Q = [q1, q2, q4] come from applying the RK4 stages to the unit vectors:
+    a: (2, 2), h: (M,) -> P (M, 2, 2), Q (M, 2, 3).
+    """
+    h = np.asarray(h, dtype=float)[:, None, None]
+    # columns: the two unit states, then the unit inputs b1, b2, b4, which
+    # enter the second row of the derivative
+    s = np.eye(2, 5)
+    e2b = np.zeros((3, 2, 5))
+    e2b[:, 1, 2:] = np.eye(3)
+    k1 = a @ s + e2b[0]
+    k2 = a @ (s + h / 2 * k1) + e2b[1]
+    k3 = a @ (s + h / 2 * k2) + e2b[1]
+    k4 = a @ (s + h * k3) + e2b[2]
+    step = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return step[..., :2], step[..., 2:]
+
+
 def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
-    """Integrate the canonical and transformation systems (RK4) start to goal.
+    """Integrate the canonical and transformation systems start to goal with
+    RK4, applied as a precomputed linear step map.
 
     After the nominal duration the forcing term has decayed with the phase
     but the state may still lag the goal by the residual fitting error, so
@@ -250,9 +274,12 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     within a small fraction of the start-goal span. The appended samples are
     nearly unforced critically damped motion straight to the goal.
 
-    The forcing term depends on time only, so it is evaluated with array
-    operations at every RK4 stage time of the whole grid (up to twice the
-    duration) before the one state loop, which stops once the state settles.
+    Per channel the state s = [y, z] obeys s' = A s + e2 b(t) with the same
+    A for every channel, and b depends on time only (the goal term plus the
+    forcing term). So one RK4 step is s <- P s + d: P is derived once per
+    distinct step length, and the increments d of the whole grid (up to
+    twice the duration) are array operations before the one state loop,
+    which stops once the state settles.
     """
     tau = model.duration
     if dt <= 0.0 or dt > tau / 10.0:
@@ -275,24 +302,25 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     span = float(np.linalg.norm(model.u_goal - model.u_start))
     settle_tol = 1e-4 * span + 1e-12
 
-    def deriv(y, z, f):
-        return z / tau, (model.alpha_z * (model.beta_z * (model.u_goal - y) - z) + f) / tau
+    goal = model.u_goal
+    a = np.array([[0.0, 1.0 / tau],
+                  [-model.alpha_z * model.beta_z / tau, -model.alpha_z / tau]])
+    lengths, which = np.unique(h, return_inverse=True)
+    step_maps, input_maps = _rk4_maps(a, lengths)
+    b = (model.alpha_z * model.beta_z * goal + forcing) / tau
+    increments = np.einsum("nij,njk->nik", input_maps[which], b)
 
-    y = model.u_start.astype(float).copy()
-    z = np.zeros_like(y)
-    out = np.empty((len(t0) + 1, len(y)))
-    out[0] = y
+    s = np.stack([model.u_start.astype(float), np.zeros(len(goal))])
+    out = np.empty((len(t0) + 1, len(goal)))
+    out[0] = s[0]
     n = 1
-    for i, (hi, (f1, f2, f4)) in enumerate(zip(h, forcing)):
-        if i + 1 >= n_main and np.linalg.norm(y - model.u_goal) <= settle_tol:
-            break
-        k1y, k1z = deriv(y, z, f1)
-        k2y, k2z = deriv(y + hi / 2 * k1y, z + hi / 2 * k1z, f2)
-        k3y, k3z = deriv(y + hi / 2 * k2y, z + hi / 2 * k2z, f2)
-        k4y, k4z = deriv(y + hi * k3y, z + hi * k3z, f4)
-        y = y + hi / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        z = z + hi / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-        out[n] = y
+    for i, (p, d) in enumerate(zip(step_maps[which], increments)):
+        if i + 1 >= n_main:
+            r = s[0] - goal
+            if math.sqrt(r @ r) <= settle_tol:
+                break
+        s = p @ s + d
+        out[n] = s[0]
         n += 1
     all_times = np.concatenate([times, settle[1:]])
     return _to_trajectory(all_times[:n], out[:n], model.dim)

@@ -12,8 +12,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import RigidPose, Superquadric, inside_outside, surface_samples
-from .proximity import closest_pair, pair_lower_bound
-from .poses import robot_pose_at
+from .proximity import closest_pair
+from .poses import robot_pose_at, robot_rotations
 from .dmp import PoseTrajectory
 
 BENCHMARK_NAMES = ("narrow2d", "t_block", "u_block",
@@ -355,30 +355,47 @@ def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
     """
     if not obstacles:
         return float("inf")
+    dim = robot.dim
     n_poses = len(trajectory.times)
     keep = (np.arange(n_poses) if n_poses <= 256
             else np.unique(np.linspace(0, n_poses - 1, 256).astype(int)))
-    res_r = 256 if robot.dim == 2 else 16
-    res_o = 1024 if robot.dim == 2 else 24
+    res_r = 256 if dim == 2 else 16
+    res_o = 1024 if dim == 2 else 24
     otrees = [cKDTree(surface_samples(o, res_o)) for o in obstacles]
-    posed = [robot_pose_at(robot, trajectory.positions[i],
-                           trajectory.orientations[i]) for i in keep]
+    body = surface_samples(robot.with_pose(RigidPose.create(np.zeros(dim))), res_r)
+    positions = trajectory.positions[keep]
+    rotations = robot_rotations(dim, trajectory.orientations[keep])
+
+    def posed_samples(i):
+        return body @ rotations[i].T + positions[i]
 
     # coarse sampling overestimates the true distance by at most the largest
     # nearest-neighbor spacing of either sample set
     slack = 0.0
-    for tree in otrees + [cKDTree(surface_samples(posed[0], res_r))]:
+    for tree in otrees + [cKDTree(posed_samples(0))]:
         d, _ = tree.query(tree.data, k=2)
         slack = max(slack, float(np.max(d[:, 1])))
 
-    coarse = np.full((len(posed), len(obstacles)), np.inf)
+    # bounding-sphere lower bounds of every (pose, obstacle) pair; d.d as a
+    # matmul rounds like the norm of one vector, as in pair_lower_bound
+    offsets = (positions[:, None, :] - np.array([o.center for o in obstacles]))[..., None]
+    lower = (np.sqrt(np.swapaxes(offsets, -1, -2) @ offsets)[..., 0, 0]
+             - robot.bounding_radius()
+             - np.array([o.bounding_radius() for o in obstacles]))
+
+    # a pair whose coarse value reaches best_coarse + slack sorts past the
+    # refinement break below, so it is pruned or left at inf
+    coarse = np.full((len(keep), len(obstacles)), np.inf)
     best_coarse = np.inf
-    for i, shape in enumerate(posed):
-        pts = surface_samples(shape, res_r)
-        for j, obs in enumerate(obstacles):
-            if pair_lower_bound(shape, obs) > best_coarse + slack:
+    for i in range(len(keep)):
+        if not np.any(lower[i] <= best_coarse + slack):
+            continue
+        pts = posed_samples(i)
+        for j, tree in enumerate(otrees):
+            bound = best_coarse + slack
+            if lower[i, j] > bound:
                 continue
-            coarse[i, j] = float(otrees[j].query(pts)[0].min())
+            coarse[i, j] = float(tree.query(pts, distance_upper_bound=bound)[0].min())
             best_coarse = min(best_coarse, coarse[i, j])
 
     # refine in ascending coarse order; the exact minimum found so far prunes
@@ -392,7 +409,8 @@ def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
         if coarse[i, j] - slack >= best or refined >= 64:
             break
         refined += 1
-        best = min(best, closest_pair(posed[i], obstacles[j]).distance)
+        shape = robot_pose_at(robot, positions[i], trajectory.orientations[keep[i]])
+        best = min(best, closest_pair(shape, obstacles[j]).distance)
     return float(best)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sqplan.dmp import (CHUNK, DMPModel, Demonstration, PoseTrajectory,
-                        _basis, demonstration_trajectory, fit_lwr,
+from sqplan.dmp import (ALPHA_Z, BETA_Z, CHUNK, DMPModel, Demonstration,
+                        PoseTrajectory, _basis, _rk4_maps,
+                        demonstration_trajectory, fit_lwr,
                         interpolate_waypoints, rollout, trajectory_collides,
                         validate_and_finalize)
 from sqplan.geometry import Superquadric, inside_outside, surface_samples
@@ -276,6 +277,63 @@ def test_rollout_matches_two_loop_reference():
         assert np.max(np.abs(got - samples)) <= 1e-12
         # the state had not settled at the duration, and settled before 2x
         assert model.duration + 1e-12 < times[-1] < 2.0 * model.duration - dt
+
+
+def test_rollout_short_last_steps_match_two_loop_reference():
+    # dt does not divide the duration, so the main phase ends on a short
+    # step; a zero start-goal span never settles, so the settle phase runs
+    # to 2x the duration and ends on a short step as well
+    rng = np.random.default_rng(3)
+    centers, widths = _basis(15)
+    start = rng.normal(size=3)
+    model = DMPModel(rng.normal(scale=50.0, size=(3, 15)), centers, widths, 1.0,
+                     start, start.copy(), 2, forcing_scale=np.ones(3))
+    dt = 0.03
+    times, samples = two_loop_rollout(model, dt)
+    traj = rollout(model, dt)
+    assert np.array_equal(traj.times, times)
+    got = np.hstack([traj.positions, traj.orientations])
+    assert np.max(np.abs(got - samples)) <= 1e-12
+    steps = np.diff(traj.times)
+    main = np.searchsorted(traj.times, model.duration)
+    assert traj.times[main] == model.duration and steps[main - 1] < dt - 1e-9
+    assert abs(traj.times[-1] - 2.0 * model.duration) <= 1e-12
+    assert steps[-1] < dt - 1e-9
+    # without forcing the state has settled at the duration: no settle step
+    model.weights[:] = 0.0
+    model.u_goal = start + 1.0
+    times, samples = two_loop_rollout(model, dt)
+    traj = rollout(model, dt)
+    assert np.array_equal(traj.times, times) and traj.times[-1] == model.duration
+    got = np.hstack([traj.positions, traj.orientations])
+    assert np.max(np.abs(got - samples)) <= 1e-12
+
+
+def test_rk4_maps_reproduce_one_explicit_step():
+    # s' = A s + e2 b with the DMP's A; inputs at the DMP's scale, where the
+    # goal term alpha_z * beta_z * g / tau dwarfs the state
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        tau = rng.uniform(0.2, 5.0)
+        a = np.array([[0.0, 1.0 / tau], [-ALPHA_Z * BETA_Z / tau, -ALPHA_Z / tau]])
+        h = rng.uniform(1e-4, 0.1 * tau, 4)
+        step_maps, input_maps = _rk4_maps(a, h)
+        assert step_maps.shape == (4, 2, 2) and input_maps.shape == (4, 2, 3)
+        for hm, p, q in zip(h, step_maps, input_maps):
+            s = rng.normal(size=(2, 5))
+            b1, b2, b4 = rng.normal(scale=100.0, size=(3, 5))
+
+            def deriv(s, b):
+                return a @ s + np.array([[0.0], [1.0]]) * b
+
+            k1 = deriv(s, b1)
+            k2 = deriv(s + hm / 2 * k1, b2)
+            k3 = deriv(s + hm / 2 * k2, b2)
+            k4 = deriv(s + hm * k3, b4)
+            ref = s + hm / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            got = p @ s + q @ np.stack([b1, b2, b4])
+            # a few roundings on each side: 8 ulps of the largest component
+            assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 # --------------------------------------- batched validation vs per pose

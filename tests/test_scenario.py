@@ -3,10 +3,13 @@ import os
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from sqplan.dmp import PoseTrajectory
-from sqplan.geometry import Superquadric, expand, inside_outside
-from sqplan.proximity import closest_pair, overlaps
+from sqplan.geometry import Superquadric, expand, inside_outside, surface_samples
+from sqplan.pipeline import plan
+from sqplan.poses import robot_pose_at
+from sqplan.proximity import closest_pair, overlaps, pair_lower_bound
 from sqplan.scenario import (BENCHMARK_NAMES, Scenario, ScenarioError,
                              compute_metrics, generate_benchmark,
                              load_scenario, load_trajectory,
@@ -175,3 +178,119 @@ def test_metrics_report_fields():
     assert np.isclose(report.arc_length_m, 0.02, atol=1e-12)
     assert report.min_distance_m > 0.0
     assert report.success and not report.fallback
+
+
+# ------------------------------------------- audit vs the per-pose routine
+
+
+def per_pose_min_distance(trajectory, robot, obstacles):
+    """Reference audit: each kept pose posed as a shape, pruned and ranked
+    one pair at a time. Returns (distance, pairs pruned, pairs refined)."""
+    n_poses = len(trajectory.times)
+    keep = (np.arange(n_poses) if n_poses <= 256
+            else np.unique(np.linspace(0, n_poses - 1, 256).astype(int)))
+    res_r = 256 if robot.dim == 2 else 16
+    res_o = 1024 if robot.dim == 2 else 24
+    otrees = [cKDTree(surface_samples(o, res_o)) for o in obstacles]
+    posed = [robot_pose_at(robot, trajectory.positions[i],
+                           trajectory.orientations[i]) for i in keep]
+    slack = 0.0
+    for tree in otrees + [cKDTree(surface_samples(posed[0], res_r))]:
+        d, _ = tree.query(tree.data, k=2)
+        slack = max(slack, float(np.max(d[:, 1])))
+    coarse = np.full((len(posed), len(obstacles)), np.inf)
+    best_coarse = np.inf
+    pruned = 0
+    for i, shape in enumerate(posed):
+        pts = surface_samples(shape, res_r)
+        for j, obs in enumerate(obstacles):
+            if pair_lower_bound(shape, obs) > best_coarse + slack:
+                pruned += 1
+                continue
+            coarse[i, j] = float(otrees[j].query(pts)[0].min())
+            best_coarse = min(best_coarse, coarse[i, j])
+    best = np.inf
+    refined = 0
+    for idx in np.argsort(coarse, axis=None):
+        i, j = divmod(int(idx), len(obstacles))
+        if coarse[i, j] - slack >= best or refined >= 64:
+            break
+        refined += 1
+        best = min(best, closest_pair(posed[i], obstacles[j]).distance)
+    return float(best), pruned, refined
+
+
+def wandering_trajectory(rng, dim, n, lo, hi):
+    """Smooth random path through [lo, hi]^dim with turning orientations."""
+    knots = rng.uniform(lo, hi, size=(5, dim))
+    s = np.linspace(0.0, 4.0, n)
+    positions = np.stack([np.interp(s, np.arange(5), knots[:, k])
+                          for k in range(dim)], axis=-1)
+    turns = rng.normal(scale=0.5, size=(5, 1 if dim == 2 else 3))
+    orientations = np.stack([np.interp(s, np.arange(5), turns[:, k])
+                             for k in range(turns.shape[1])], axis=-1)
+    return PoseTrajectory(np.linspace(0.0, 1.0, n), positions, orientations)
+
+
+@pytest.mark.parametrize("dim, n_poses", [(2, 40), (2, 300), (3, 60), (3, 300)])
+def test_audit_equals_per_pose_routine_on_random_scenes(dim, n_poses):
+    rng = np.random.default_rng([dim, n_poses])
+    robot = Superquadric.create(rng.uniform(0.3, 1.5, dim - 1),
+                                np.sort(rng.uniform(0.05, 0.2, dim)), np.zeros(dim))
+    obstacles = [Superquadric.create(rng.uniform(0.3, 1.8, dim - 1),
+                                     np.sort(rng.uniform(0.1, 0.3, dim)),
+                                     rng.uniform(0.0, 2.0, dim),
+                                     rng.normal(size=1 if dim == 2 else 3))
+                 for _ in range(4)]
+    for trial in range(3):
+        traj = wandering_trajectory(rng, dim, n_poses, 0.0, 2.0)
+        want, _, refined = per_pose_min_distance(traj, robot, obstacles)
+        assert refined > 0
+        assert min_trajectory_distance(traj, robot, obstacles) == want
+
+
+def test_audit_equals_per_pose_routine_when_spheres_prune():
+    # a far obstacle's bounding sphere never comes within the best coarse
+    # distance, so its pairs are skipped
+    robot = Superquadric.create([0.5], [0.05, 0.12], [0.0, 0.0])
+    obstacles = [Superquadric.create([1.0], [0.2, 0.3], [1.0, 0.5], [0.3]),
+                 Superquadric.create([0.4], [0.1, 0.2], [30.0, 30.0], [1.1])]
+    traj = PoseTrajectory(np.linspace(0.0, 1.0, 80),
+                          np.linspace([0.0, 0.0], [2.0, 0.1], 80),
+                          np.linspace([0.0], [1.5], 80))
+    want, pruned, _ = per_pose_min_distance(traj, robot, obstacles)
+    assert pruned >= 70
+    assert min_trajectory_distance(traj, robot, obstacles) == want
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_audit_equals_per_pose_routine_at_constant_clearance(dim):
+    # every pose ties with the minimum up to the sampling slack, so the
+    # refinement cap ends the search: in 2D the robot rides parallel to a
+    # long flat wall, in 3D a ball circles a ball
+    if dim == 2:
+        robot = Superquadric.create([1.0], [0.05, 0.1], [0.0, 0.0])
+        obstacle = Superquadric.create([0.2], [0.1, 4.0], [0.0, 0.0], [np.pi / 2])
+        positions = np.linspace([-2.0, 0.3], [2.0, 0.3], 200)
+    else:
+        robot = Superquadric.create([1.0, 1.0], [0.1, 0.1, 0.1], np.zeros(3))
+        obstacle = Superquadric.create([1.0, 1.0], [1.0, 1.0, 1.0], np.zeros(3))
+        angle = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+        positions = 1.5 * np.stack([np.cos(angle), np.sin(angle),
+                                    np.zeros(200)], axis=-1)
+    # a heading off the axes makes the ranking depend on the posed samples
+    traj = PoseTrajectory(np.linspace(0.0, 1.0, 200), positions,
+                          np.full((200, 1 if dim == 2 else 3), 0.3))
+    want, _, refined = per_pose_min_distance(traj, robot, [obstacle])
+    assert refined == 64
+    assert min_trajectory_distance(traj, robot, [obstacle]) == want
+
+
+@pytest.mark.parametrize("name", ["narrow2d", "pillars3d"])
+def test_audit_equals_per_pose_routine_on_reference_plans(name):
+    scn = generate_benchmark(name)
+    result = plan(scn)
+    assert result.success
+    want, _, _ = per_pose_min_distance(result.trajectory, scn.robot, scn.obstacles)
+    assert min_trajectory_distance(result.trajectory, scn.robot,
+                                   scn.obstacles) == want
