@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,13 +119,18 @@ class Superquadric:
 
 
 def _canonicalize_axes(a, e, pose):
-    """Sort semi-axes ascending, folding the axis relabeling into the rotation."""
+    """Sort semi-axes ascending, folding the axis relabeling into the rotation.
+
+    The pose keeps the exact matrix product with the signed permutation: one
+    rebuilt from the angle tilts an axis-aligned box by rounding (cos(pi/2) is
+    6e-17), which moves its support points along its flat faces."""
     order = np.argsort(a, kind="stable")
     if np.array_equal(order, np.arange(a.shape[0])):
         return a, pose
     if a.shape[0] == 2:
         theta = wrap_angle(pose.rotation[0] + np.pi / 2.0)
-        return a[order], RigidPose(pose.position, np.array([theta]))
+        return a[order], _with_matrix(RigidPose(pose.position, np.array([theta])),
+                                      pose.rotation_matrix() @ [[0.0, -1.0], [1.0, 0.0]])
     # 3D: axis relabeling must be a proper rotation that preserves the shape.
     # The first two local axes share an exponent and may be swapped freely;
     # moving the third axis only preserves the shape when the exponents match.
@@ -141,7 +145,13 @@ def _canonicalize_axes(a, e, pose):
     if np.linalg.det(m) < 0.0:
         m[:, 1] *= -1.0  # shapes are symmetric under axis negation
     r_new = pose.rotation_matrix() @ m
-    return a[order], RigidPose(pose.position, log_so3(r_new))
+    return a[order], _with_matrix(RigidPose(pose.position, log_so3(r_new)), r_new)
+
+
+def _with_matrix(pose: RigidPose, matrix: np.ndarray) -> RigidPose:
+    matrix.setflags(write=False)
+    pose._matrix = matrix
+    return pose
 
 
 def inside_outside(sq: Superquadric, points) -> np.ndarray:
@@ -211,57 +221,51 @@ def surface_samples(sq: Superquadric, n: int) -> np.ndarray:
     return surface_point(sq, np.stack([ee, oo], axis=-1)).reshape(-1, sq.dim)
 
 
-def _dual_exponent(e: float) -> float:
-    """Hoelder conjugate of the shape norm's exponent 2/e: q = 2/(2 - e)."""
-    return math.inf if e >= EPS_MAX else 2.0 / (2.0 - e)
+def dual_exponents(eps) -> np.ndarray:
+    """Hoelder conjugates q = 2/(2 - eps) of the exponents 2/eps; inf at eps = 2."""
+    e = np.asarray(eps, dtype=float)
+    return np.divide(2.0, 2.0 - e, out=np.full(e.shape, np.inf), where=e < EPS_MAX)
 
 
-def _lq_gradient(x: float, y: float, q: float):
-    """(||(x, y)||_q, d/dx, d/dy) for two scalars; q = inf takes a vertex.
+def _lq_gradients(xy, q):
+    """(||xy||_q, its gradient) over the last axis of (..., 2) pairs, elementwise;
+    where q = inf, a vertex.
 
     Both components are divided by max(|x|, |y|) before any power, so large
-    q neither overflows nor underflows the largest term.
+    q neither overflows nor underflows the largest term; (0, 0) maps to
+    zeros. At q = inf the powers leave 1 on the larger component; a tie takes x.
     """
-    m = max(abs(x), abs(y))
-    if m == 0.0:
-        return 0.0, 0.0, 0.0
-    if q == math.inf:
-        if abs(x) >= abs(y):
-            return m, math.copysign(1.0, x), 0.0
-        return m, 0.0, math.copysign(1.0, y)
-    norm = m * ((abs(x) / m) ** q + (abs(y) / m) ** q) ** (1.0 / q)
-    return (norm, math.copysign((abs(x) / norm) ** (q - 1.0), x),
-            math.copysign((abs(y) / norm) ** (q - 1.0), y))
+    a = np.abs(xy)
+    m = np.maximum(a[..., 0], a[..., 1])
+    r = (a / (m + (m == 0.0))[..., None]) ** q[..., None]
+    norm = m * (r[..., 0] + r[..., 1]) ** (1.0 / q)
+    g = (a / (norm + (norm == 0.0))[..., None]) ** (q - 1.0)[..., None]
+    g[..., 1] *= ~(np.isinf(q) & (a[..., 0] >= a[..., 1]))
+    return norm, np.copysign(g, xy)
 
 
-def support_map(sq: Superquadric):
-    """Closed-form support function of the shape: world direction -> world point.
+def support_points(rot, pos, axes, q, d) -> np.ndarray:
+    """Support points of stacked shapes along world directions d, elementwise.
 
-    With p = 2/eps the shape is the unit ball of the norm
-    ||(||(x/a1, y/a2)||_p2, z/a3)||_p1 (a single p-norm in 2D), so the point
-    farthest along d is a * grad N*(a * d_local), where N* is the dual norm
-    ||(||(c1, c2)||_q2, c3)||_q1 with q = 2/(2 - eps). The pose's rotation is
-    fetched once, when the map is made.
+    rot is (..., dim, dim); pos, axes and d are (..., dim); q is (..., dim - 1),
+    see `dual_exponents`. With p = 2/eps the shape is the unit ball of the
+    norm ||(||(x/a1, y/a2)||_p2, z/a3)||_p1 (a single p-norm in 2D), so the
+    point farthest along d is a * grad N*(a * d_local), where N* is the dual
+    norm ||(||(c1, c2)||_q2, c3)||_q1.
     """
-    rot = sq.pose.rotation_matrix()
-    pos, a = sq.center, sq.axes
-    if sq.dim == 2:
-        q = _dual_exponent(sq.eps[0])
-
-        def local(c):
-            return np.array(_lq_gradient(*c.tolist(), q)[1:])
-    else:
-        q1, q2 = _dual_exponent(sq.eps[0]), _dual_exponent(sq.eps[1])
-
-        def local(c):
-            x, y, z = c.tolist()
-            r, g_x, g_y = _lq_gradient(x, y, q2)
-            _, g_r, g_z = _lq_gradient(r, z, q1)
-            return np.array([g_r * g_x, g_r * g_y, g_z])
-
-    def support(d):
-        return rot @ (a * local(a * (d @ rot))) + pos
-    return support
+    dim = pos.shape[-1]
+    c = d[..., 0, None] * rot[..., 0, :]
+    for k in range(1, dim):
+        c = c + d[..., k, None] * rot[..., k, :]
+    c = c * axes
+    r, g = _lq_gradients(c[..., :2], q[..., -1])
+    if dim == 3:
+        _, g_rz = _lq_gradients(np.stack([r, c[..., 2]], axis=-1), q[..., 0])
+        g = np.concatenate([g * g_rz[..., :1], g_rz[..., 1:]], axis=-1)
+    g = g * axes
+    for k in range(dim):
+        pos = pos + rot[..., k] * g[..., k, None]
+    return pos
 
 
 def expand(sq: Superquadric, margin: float) -> Superquadric:
@@ -269,11 +273,3 @@ def expand(sq: Superquadric, margin: float) -> Superquadric:
     if margin < 0.0:
         raise ValueError(f"margin must be non-negative, got {margin}")
     return Superquadric(sq.eps, sq.axes + margin, sq.pose)
-
-
-def to_world(sq: Superquadric, local_point) -> np.ndarray:
-    return sq.pose.transform(local_point)
-
-
-def from_world(sq: Superquadric, world_point) -> np.ndarray:
-    return sq.pose.inverse_transform(world_point)

@@ -3,18 +3,21 @@
 Every shape is convex (eps in [0.1, 2]) and has a closed-form support map, so
 the distance between two shapes is the distance from the origin to their
 Minkowski difference, found by GJK (Gilbert, Johnson & Keerthi, IEEE J. Robot.
-Autom. 1988) with the signed-volumes distance subalgorithm (Montanari,
-Petrinic & Barbieri, ACM TOG 2017). 2D shapes run in the z = 0 plane.
+Autom. 1988). `closest_pairs` advances a whole batch of pairs at once: each
+iteration evaluates every active pair's support points in one array pass and
+runs Johnson's distance subalgorithm, in closed form, for all of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 # surface_point is not used here; perfbench's traced run patches this name
-from .geometry import Superquadric, support_map, surface_point  # noqa: F401
+from .geometry import (Superquadric, dual_exponents, support_points,  # noqa: F401
+                       surface_point)
 
 MAX_ITER = 100
 REL_TOL = 1e-12      # duality gap: stop when |v|^2 - v.w <= REL_TOL * |v|^2
@@ -36,137 +39,155 @@ class ClosestPair:
     converged: bool
 
 
-def _same_sign(a: float, b: float) -> bool:
-    return (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0)
+# Faces of the simplex [w, y1, y2, y3] that contain the newest support point w
+# (slot 0), as slot lists padded with slot 0: the vertex, the segments
+# (w, y_k), the triangles (w, y_j, y_k) and the tetrahedron. _PAD marks the
+# padding; _REAL[c] the faces made of real slots when c old points are real.
+_FACES = np.array([[0, 0, 0, 0], [0, 1, 0, 0], [0, 2, 0, 0], [0, 3, 0, 0],
+                   [0, 1, 2, 0], [0, 1, 3, 0], [0, 2, 3, 0], [0, 1, 2, 3]])
+_FACE_SIZE = np.array([1, 2, 2, 2, 3, 3, 3, 4])
+_PAD = np.arange(4) >= _FACE_SIZE[:, None]
+_REAL = _FACES.max(axis=1) <= np.arange(4)[:, None]
+_J, _K = np.array([1, 1, 2]), np.array([2, 3, 3])  # the triangles' edge pairs
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _s1d(y):
-    """Closest point of a segment to the origin: (kept rows, weights)."""
-    t = y[1] - y[0]
-    tt = float(t @ t)
-    u = 0.0 if tt == 0.0 else -float(y[0] @ t) / tt
-    if u <= 0.0:
-        return [0], np.ones(1)
-    if u >= 1.0:
-        return [1], np.ones(1)
-    return [0, 1], np.array([1.0 - u, u])
+def _dot(x, y):
+    """Sum over the last axis of x * y, one component after another."""
+    xy = x * y
+    out = xy[..., 0]
+    for c in range(1, xy.shape[-1]):
+        out = out + xy[..., c]
+    return out
 
 
-def _s2d(y):
-    """Closest point of a triangle to the origin: (kept rows, weights).
+def _cross(x, y):
+    """x cross y; for 2D vectors its z component, kept as a (..., 1) axis."""
+    if x.shape[-1] == 2:
+        return x[..., :1] * y[..., 1:] - x[..., 1:] * y[..., :1]
+    return x[..., _NEXT] * y[..., _PREV] - x[..., _PREV] * y[..., _NEXT]
 
-    The origin is projected onto the triangle's plane and its barycentric
-    weights are signed areas in the coordinate plane where the triangle's
-    projected area is largest; a negative weight sends the search to the
-    opposite edge.
+
+def _combine(lam, pts):
+    """Sum over the 4 slots k of lam[..., k] * pts[..., k, :]."""
+    t = lam[..., None] * pts
+    return t[..., 0, :] + t[..., 1, :] + t[..., 2, :] + t[..., 3, :]
+
+
+def _nearest_face(y, count):
+    """Johnson's distance subalgorithm over the faces that contain y[:, 0].
+
+    y is (m, 4, dim): the newest support point w, then the previous simplex,
+    of which `count` points are real. In exact arithmetic the closest point
+    of the new simplex lies on a face containing w. Each face's projection
+    of the origin is solved in closed form from the edges e_k = y_k - w and
+    triple products with the normals e_j x e_k; a face counts when all its
+    weights are positive, and the nearest such point wins, ties to the lower
+    face. Returns the face index, its weights, its point v and |v|^2.
     """
-    rows = y.tolist()
-    e1 = [b - a for a, b in zip(rows[0], rows[1])]
-    e2 = [c - a for a, c in zip(rows[0], rows[2])]
-    n = [e1[1] * e2[2] - e1[2] * e2[1], e1[2] * e2[0] - e1[0] * e2[2],
-         e1[0] * e2[1] - e1[1] * e2[0]]
-    k = max(range(3), key=lambda c: abs(n[c]))
-    mu = n[k]
-    areas = [0.0, 0.0, 0.0]
-    if mu != 0.0:
-        scale = sum(a * b for a, b in zip(rows[0], n)) / sum(c * c for c in n)
-        i, j = (k + 1) % 3, (k + 2) % 3
-        pi, pj = scale * n[i], scale * n[j]
-        for m in range(3):
-            b, c = rows[(m + 1) % 3], rows[(m + 2) % 3]
-            areas[m] = (b[i] - pi) * (c[j] - pj) - (c[i] - pi) * (b[j] - pj)
-        if all(_same_sign(mu, s) for s in areas):
-            return [0, 1, 2], np.array(areas) / mu
-    return _best_face(y, [m for m in range(3) if not _same_sign(mu, areas[m])],
-                      _s1d)
+    m = len(y)
+    z = y - y[:, :1]
+    z[:, 0] = y[:, 0]                                        # w, then e_1..e_3
+    dots = _dot(z[:, :, None], z[:, None, :])                # (m, 4, 4)
+    crosses = _cross(z[:, :, None], z[:, None, :])           # (m, 4, 4, 1 or 3)
+    # degenerate segments and triangles divide by NaN: NaN weights fail every test
+    ee, n = np.diagonal(dots, 0, 1, 2)[:, 1:], crosses[:, _J, _K]  # triangle normals
+    u = dots[:, 0, 1:] / -np.where(ee > 0.0, ee, np.nan)     # segments
+    nn = _dot(n, n)
+    nn = np.where(nn > 0.0, nn, np.nan)
+    l_j, l_k = _dot(n, crosses[:, _K, 0]) / nn, _dot(n, crosses[:, 0, _J]) / nn
+    weights = np.zeros((m, 8, 4))
+    weights[:, 0, 0] = 1.0
+    weights[:, 1:4, 0], weights[:, 1:4, 1] = 1.0 - u, u
+    weights[:, 4:7, 0], weights[:, 4:7, 1], weights[:, 4:7, 2] = 1.0 - l_j - l_k, l_j, l_k
+    if np.count_nonzero(count == 3):                         # tetrahedron
+        det = _dot(z[:, 1], n[:, 2])
+        mu = _dot(n, z[:, :1])[:, ::-1] / np.where(det != 0.0, det, np.nan)[:, None]
+        weights[:, 7, 1:] = mu * [-1.0, 1.0, -1.0]
+        weights[:, 7, 0] = 1.0 - weights[:, 7, 1] - weights[:, 7, 2] - weights[:, 7, 3]
+    v = _combine(weights, y[:, _FACES])                      # (m, 8, dim)
+    dist = _dot(v, v)
+    dist[~(_REAL[count] & ((weights > 0.0) | _PAD).all(axis=2))] = np.inf
+    face, rows = dist.argmin(axis=1), np.arange(m)
+    return face, weights[rows, face], v[rows, face], dist[rows, face]
 
 
-def _s3d(y):
-    """Closest point of a tetrahedron to the origin: (kept rows, weights).
+def closest_pairs(shapes_i: Sequence[Superquadric],
+                  shapes_j: Sequence[Superquadric]) -> list[ClosestPair]:
+    """Closest points between shapes_i[k] and shapes_j[k], for every k (GJK).
 
-    The origin's barycentric weights are signed volumes (cofactors of the
-    homogeneous vertex matrix); a weight whose sign differs from the total
-    volume sends the search to the opposite facet.
+    GJK runs on each Minkowski difference A - B from the direction between
+    the centres, all pairs together. A pair leaves the batch when a stop rule
+    fires: the duality gap closes to REL_TOL, the simplex encloses the origin
+    (dim + 1 vertices, or |v| below TOUCH_TOL times the simplex size), |v|
+    stops decreasing, or MAX_ITER is reached (then `converged` is False).
+    Witnesses are the simplex's weights applied to each shape's support
+    points. Every step is elementwise per pair, so a pair's result is bitwise
+    the same in any batch.
     """
-    vols = np.array([-np.linalg.det(y[[1, 2, 3]]), np.linalg.det(y[[0, 2, 3]]),
-                     -np.linalg.det(y[[0, 1, 3]]), np.linalg.det(y[[0, 1, 2]])])
-    total = float(vols.sum())
-    if all(_same_sign(total, s) for s in vols):
-        return [0, 1, 2, 3], vols / total
-    return _best_face(y, [m for m in range(4) if not _same_sign(total, vols[m])],
-                      _s2d)
+    sides = (shapes_i, shapes_j)
+    if len(shapes_i) != len(shapes_j) or len({s.dim for side in sides for s in side}) > 1:
+        raise ValueError("expected two equally long lists of shapes of one dimension")
+    n = len(shapes_i)
+    if n == 0:
+        return []
+    dim = shapes_i[0].dim
+    # (2, n, ...) arrays: [0] holds the i side, [1] the j side
+    shape = [np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
+             np.array([[s.center for s in side] for side in sides]),
+             np.array([[s.axes for s in side] for side in sides]),
+             dual_exponents([[s.eps for s in side] for side in sides])]
+    sign = np.array([-1.0, 1.0])[:, None, None]  # A along -v, B along v
+    v = shape[1][0] - shape[1][1]
+    v[~v.any(axis=1), 0] = 1.0
+    ab = support_points(*shape, sign * v)
+    simplex = np.repeat(ab[:, :, None], 4, axis=2)           # (2, m, 4 slots, dim)
+    lam = np.eye(4)[np.zeros(n, int)]                        # all weight on slot 0
+    ids, count, v = np.arange(n), np.ones(n, int), ab[0] - ab[1]
+    # each pair's final simplex, weights and flags, by pair index
+    end_simplex, end_lam = np.empty((2, n, 4, dim)), np.empty((n, 4))
+    enclosed_at, converged = np.zeros(n, bool), np.zeros(n, bool)
 
+    def finish(rows, simplex, lam, enclosed, done):
+        k = ids[rows]
+        end_simplex[:, k], end_lam[k] = simplex[:, rows], lam[rows]
+        enclosed_at[k], converged[k] = enclosed, done
 
-def _best_face(y, dropped, solve):
-    """Closest of the faces of y opposite each vertex in `dropped`."""
-    best = None
-    for m in dropped:
-        face = [r for r in range(len(y)) if r != m]
-        idx, lam = solve(y[face])
-        v = lam @ y[face][idx]
-        dist = float(v @ v)
-        if best is None or dist < best[0]:
-            best = (dist, [face[r] for r in idx], lam)
-    return best[1], best[2]
-
-
-_SUBALGORITHM = {2: _s1d, 3: _s2d, 4: _s3d}
-
-
-def _gjk(support_i, support_j, v, dim: int) -> ClosestPair:
-    """GJK on the Minkowski difference A - B, starting from direction v.
-
-    Witnesses are the simplex's barycentric weights applied to the support
-    points of each shape.
-    """
-    if not v.any():
-        v = np.eye(3)[0]
-    a, b = support_i(-v), support_j(v)
-    pts_i, pts_j, lam = a[None], b[None], np.ones(1)
-    v = a - b
-    converged = enclosed = False
     for _ in range(MAX_ITER):
-        a, b = support_i(-v), support_j(v)
-        vv = float(v @ v)
-        if vv - float(v @ (a - b)) <= REL_TOL * vv:
-            converged = True
+        ab = support_points(*shape, sign * v)
+        vv = _dot(v, v)
+        gap = vv - _dot(v, ab[0] - ab[1]) <= REL_TOL * vv
+        new = np.concatenate([ab[:, :, None], simplex[:, :, :3]], axis=2)
+        y = new[0] - new[1]
+        face, new_lam, new_v, new_vv = _nearest_face(y, count)
+        rows, slots = np.arange(len(v))[:, None], _FACES[face]
+        new_simplex = new[:, rows, slots]
+        enclosed = ~gap & ((_FACE_SIZE[face] == dim + 1)
+                           | (new_vv <= TOUCH_TOL**2 * _dot(y, y)[rows, slots].max(axis=1)))
+        stop = ~gap & (enclosed | (new_vv >= vv))  # or no decrease in floating point
+        n_gap, n_stop = np.count_nonzero(gap), np.count_nonzero(stop)
+        if n_gap:  # a pair stopped by the duality gap keeps its previous simplex
+            finish(gap, simplex, lam, False, True)
+        if n_stop:
+            finish(stop, new_simplex, new_lam, enclosed[stop], True)
+        if n_gap + n_stop == len(v):
             break
-        pts_i, pts_j = np.vstack([pts_i, a]), np.vstack([pts_j, b])
-        y = pts_i - pts_j
-        keep, lam = _SUBALGORITHM[len(y)](y)
-        pts_i, pts_j, y = pts_i[keep], pts_j[keep], y[keep]
-        v_new = lam @ y
-        size = float(np.max(np.einsum("ij,ij->i", y, y)))
-        if len(keep) == dim + 1 or float(v_new @ v_new) <= TOUCH_TOL**2 * size:
-            converged = enclosed = True
-            break
-        if float(v_new @ v_new) >= vv:
-            converged = True  # no further decrease in floating point
-            break
-        v = v_new
-    p_i, p_j = lam @ pts_i, lam @ pts_j
-    distance = 0.0 if enclosed else float(np.linalg.norm(p_i - p_j))
-    return ClosestPair(p_i[:dim], p_j[:dim], distance, converged)
-
-
-def _support3(sq: Superquadric):
-    """Support map in 3D coordinates; 2D shapes live in the z = 0 plane."""
-    support = support_map(sq)
-    if sq.dim == 3:
-        return support
-    return lambda d: np.append(support(d[:2]), 0.0)
-
-
-def _lift(x: np.ndarray) -> np.ndarray:
-    return x if x.shape[0] == 3 else np.append(x, 0.0)
+        if n_gap + n_stop:
+            go = ~(gap | stop)
+            ids, new_v, new_lam, face = ids[go], new_v[go], new_lam[go], face[go]
+            new_simplex, shape = new_simplex[:, go], [x[:, go] for x in shape]
+        v, simplex, lam, count = new_v, new_simplex, new_lam, _FACE_SIZE[face]
+    else:
+        finish(np.ones(len(ids), bool), simplex, lam, False, False)
+    p = _combine(end_lam, end_simplex)
+    distance = np.where(enclosed_at, 0.0, np.sqrt(_dot(p[0] - p[1], p[0] - p[1])))
+    return [ClosestPair(p_i, p_j, d, c) for p_i, p_j, d, c
+            in zip(p[0], p[1], distance.tolist(), converged.tolist())]
 
 
 def closest_pair(sq_i: Superquadric, sq_j: Superquadric) -> ClosestPair:
-    """Closest points between two superquadrics (GJK)."""
-    if sq_i.dim != sq_j.dim:
-        raise ValueError("shapes must have the same dimension")
-    return _gjk(_support3(sq_i), _support3(sq_j),
-                _lift(sq_i.center - sq_j.center), sq_i.dim)
+    """Closest points between two superquadrics; see `closest_pairs`."""
+    return closest_pairs([sq_i], [sq_j])[0]
 
 
 def overlaps(sq_i: Superquadric, sq_j: Superquadric,
@@ -182,34 +203,7 @@ def overlaps(sq_i: Superquadric, sq_j: Superquadric,
     return pair.distance <= OVERLAP_TOL
 
 
-def point_distance(point, sq: Superquadric):
-    """Closest shape point to a world point and the distance to it.
-
-    GJK against the point, whose support map is the point itself. A point
-    inside the shape reports distance 0 and itself as the closest point.
-    """
-    q = _lift(np.asarray(point, dtype=float))
-    pair = _gjk(_support3(sq), lambda d: q, _lift(sq.center) - q, sq.dim)
-    return pair.p_i, pair.distance
-
-
 def pair_lower_bound(sq_i: Superquadric, sq_j: Superquadric) -> float:
     """Cheap lower bound on surface distance from bounding spheres."""
     c = float(np.linalg.norm(sq_i.center - sq_j.center))
     return c - sq_i.bounding_radius() - sq_j.bounding_radius()
-
-
-def batch_closest_pairs(shapes: list[Superquadric], prune_above: float | None = None):
-    """Closest pairs over all index pairs, as {(i, j): ClosestPair} with i < j.
-
-    When prune_above is set, pairs whose bounding-sphere lower bound exceeds
-    it are skipped. The result is independent of evaluation order.
-    """
-    out = {}
-    n = len(shapes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if prune_above is not None and pair_lower_bound(shapes[i], shapes[j]) > prune_above:
-                continue
-            out[(i, j)] = closest_pair(shapes[i], shapes[j])
-    return out

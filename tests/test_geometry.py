@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sqplan.geometry import (EPS_MAX, EPS_MIN, RigidPose, Superquadric,
-                             expand, from_world, inside_outside, signed_pow,
-                             surface_point, surface_samples, to_world)
+                             expand, inside_outside, signed_pow,
+                             surface_point, surface_samples)
 
 
 def test_signed_pow():
@@ -30,6 +30,26 @@ def test_rotation_matrix_cached_and_exact():
         r = pose.rotation_matrix()
         assert pose.rotation_matrix() is r
         assert not r.flags.writeable
+
+
+def test_axis_relabeling_keeps_exact_rotation():
+    # axes given longest first are relabeled by a signed permutation; the
+    # matrix stays exact, so an axis-aligned box has exact face centres
+    from sqplan.proximity import closest_pair
+    from sqplan.rotations import exp_so3, rot2d
+    a = Superquadric.create([0.2], [0.055, 0.02], [0.0, 0.0])
+    b = Superquadric.create([0.2], [0.055, 0.02], [0.2, 0.0])
+    assert np.array_equal(a.pose.rotation_matrix(), [[0.0, -1.0], [1.0, 0.0]])
+    assert np.allclose(a.pose.rotation_matrix(), rot2d(a.pose.rotation[0]), atol=1e-15)
+    assert not a.pose.rotation_matrix().flags.writeable
+    pair = closest_pair(a, b)
+    assert np.allclose(pair.p_i, [0.055, 0.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(pair.p_j, [0.145, 0.0], rtol=0.0, atol=1e-15)
+    box = Superquadric.create([0.5, 0.5], [0.4, 0.2, 0.9], [0.0, 0.0, 0.0])
+    r = box.pose.rotation_matrix()
+    assert np.array_equal(np.abs(r), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.linalg.det(r) == 1.0
+    assert np.allclose(r, exp_so3(box.pose.rotation), atol=1e-12)
 
 
 def test_pose_validates_shapes():
@@ -105,7 +125,8 @@ def test_expand_contains_original():
 def test_world_local_roundtrip():
     sq = Superquadric.create([1.0], [0.2, 0.5], [2.0, -1.0], [0.7])
     local = np.array([0.1, -0.3])
-    assert np.allclose(from_world(sq, to_world(sq, local)), local, atol=1e-12)
+    assert np.allclose(sq.pose.inverse_transform(sq.pose.transform(local)), local,
+                       atol=1e-12)
 
 
 def test_bounding_radius_bounds_surface():

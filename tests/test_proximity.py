@@ -1,11 +1,16 @@
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from sqplan import proximity
-from sqplan.geometry import Superquadric, inside_outside, surface_samples
-from sqplan.proximity import (batch_closest_pairs, closest_pair, overlaps,
-                              pair_lower_bound, point_distance)
+from sqplan import proximity, voronoi
+from sqplan.geometry import EPS_MAX, Superquadric, inside_outside, surface_samples
+from sqplan.proximity import (ClosestPair, closest_pair, closest_pairs, overlaps,
+                              pair_lower_bound)
+from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
 
 
 def random_sq(rng, dim, center_range=3.0, eps_range=(0.4, 1.6)):
@@ -143,15 +148,6 @@ def test_overlaps_interpenetrating_boxes():
     assert overlaps(bar, stem, closest_pair(bar, stem))
 
 
-def test_point_distance():
-    sq = Superquadric.create([1.0], [0.5, 0.5], [0.0, 0.0])
-    p, d = point_distance(np.array([2.0, 0.0]), sq)
-    assert abs(d - 1.5) <= 1e-9
-    assert np.allclose(p, [0.5, 0.0], atol=1e-6)
-    _, d_in = point_distance(np.array([0.1, 0.0]), sq)
-    assert d_in <= 1e-9
-
-
 def test_pair_lower_bound_is_a_lower_bound():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -161,9 +157,284 @@ def test_pair_lower_bound_is_a_lower_bound():
         assert lb <= pair.distance + 1e-9
 
 
-def test_batch_closest_pairs_prunes():
+def test_closest_pairs_batch_of_neighbours():
     shapes = [Superquadric.create([1.0], [0.2, 0.2], [float(k), 0.0])
               for k in range(4)]
-    pairs = batch_closest_pairs(shapes, prune_above=0.7)
-    assert (0, 1) in pairs and abs(pairs[(0, 1)].distance - 0.6) <= 1e-6
-    assert (0, 3) not in pairs
+    keys = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    pairs = closest_pairs([shapes[i] for i, _ in keys], [shapes[j] for _, j in keys])
+    for (i, j), pair in zip(keys, pairs):
+        assert abs(pair.distance - (j - i - 0.4)) <= 1e-9 and pair.converged
+        assert np.allclose(pair.p_i, [i + 0.2, 0.0], atol=1e-6)
+        assert np.allclose(pair.p_j, [j - 0.2, 0.0], atol=1e-6)
+
+
+# ------------------------------------------------ one-pair reference GJK
+#
+# The scalar GJK that closest_pairs replaced: one pair per call, Python-float
+# support maps, and the signed-volumes subalgorithm (Montanari, Petrinic &
+# Barbieri, ACM TOG 2017) over every face, not only those that contain the
+# newest vertex. It reads the stop rules from proximity at call time.
+
+
+def _dual_exponent(e):
+    return math.inf if e >= EPS_MAX else 2.0 / (2.0 - e)
+
+
+def _lq_gradient(x, y, q):
+    """(||(x, y)||_q, d/dx, d/dy) for two scalars; q = inf takes a vertex."""
+    m = max(abs(x), abs(y))
+    if m == 0.0:
+        return 0.0, 0.0, 0.0
+    if q == math.inf:
+        if abs(x) >= abs(y):
+            return m, math.copysign(1.0, x), 0.0
+        return m, 0.0, math.copysign(1.0, y)
+    norm = m * ((abs(x) / m) ** q + (abs(y) / m) ** q) ** (1.0 / q)
+    return (norm, math.copysign((abs(x) / norm) ** (q - 1.0), x),
+            math.copysign((abs(y) / norm) ** (q - 1.0), y))
+
+
+def scalar_support(sq):
+    """World direction (3,) -> support point (3,); 2D shapes in z = 0."""
+    rot, pos, a = sq.pose.rotation_matrix(), sq.center, sq.axes
+    if sq.dim == 2:
+        q = _dual_exponent(sq.eps[0])
+
+        def local(c):
+            return np.array(_lq_gradient(*c.tolist(), q)[1:])
+    else:
+        q1, q2 = _dual_exponent(sq.eps[0]), _dual_exponent(sq.eps[1])
+
+        def local(c):
+            x, y, z = c.tolist()
+            r, g_x, g_y = _lq_gradient(x, y, q2)
+            _, g_r, g_z = _lq_gradient(r, z, q1)
+            return np.array([g_r * g_x, g_r * g_y, g_z])
+
+    def support(d):
+        p = rot @ (a * local(a * (d[:sq.dim] @ rot))) + pos
+        return np.append(p, 0.0) if sq.dim == 2 else p
+    return support
+
+
+def _same_sign(a, b):
+    return (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0)
+
+
+def _s1d(y):
+    t = y[1] - y[0]
+    tt = float(t @ t)
+    u = 0.0 if tt == 0.0 else -float(y[0] @ t) / tt
+    if u <= 0.0:
+        return [0], np.ones(1)
+    if u >= 1.0:
+        return [1], np.ones(1)
+    return [0, 1], np.array([1.0 - u, u])
+
+
+def _s2d(y):
+    rows = y.tolist()
+    e1 = [b - a for a, b in zip(rows[0], rows[1])]
+    e2 = [c - a for a, c in zip(rows[0], rows[2])]
+    n = [e1[1] * e2[2] - e1[2] * e2[1], e1[2] * e2[0] - e1[0] * e2[2],
+         e1[0] * e2[1] - e1[1] * e2[0]]
+    k = max(range(3), key=lambda c: abs(n[c]))
+    mu = n[k]
+    areas = [0.0, 0.0, 0.0]
+    if mu != 0.0:
+        scale = sum(a * b for a, b in zip(rows[0], n)) / sum(c * c for c in n)
+        i, j = (k + 1) % 3, (k + 2) % 3
+        pi, pj = scale * n[i], scale * n[j]
+        for m in range(3):
+            b, c = rows[(m + 1) % 3], rows[(m + 2) % 3]
+            areas[m] = (b[i] - pi) * (c[j] - pj) - (c[i] - pi) * (b[j] - pj)
+        if all(_same_sign(mu, s) for s in areas):
+            return [0, 1, 2], np.array(areas) / mu
+    return _best_face(y, [m for m in range(3) if not _same_sign(mu, areas[m])], _s1d)
+
+
+def _s3d(y):
+    vols = np.array([-np.linalg.det(y[[1, 2, 3]]), np.linalg.det(y[[0, 2, 3]]),
+                     -np.linalg.det(y[[0, 1, 3]]), np.linalg.det(y[[0, 1, 2]])])
+    total = float(vols.sum())
+    if all(_same_sign(total, s) for s in vols):
+        return [0, 1, 2, 3], vols / total
+    return _best_face(y, [m for m in range(4) if not _same_sign(total, vols[m])], _s2d)
+
+
+def _best_face(y, dropped, solve):
+    best = None
+    for m in dropped:
+        face = [r for r in range(len(y)) if r != m]
+        idx, lam = solve(y[face])
+        v = lam @ y[face][idx]
+        dist = float(v @ v)
+        if best is None or dist < best[0]:
+            best = (dist, [face[r] for r in idx], lam)
+    return best[1], best[2]
+
+
+def oracle_closest_pair(sq_i, sq_j):
+    """Reference closest pair: one pair, one iteration at a time."""
+    dim = sq_i.dim
+    support_i, support_j = scalar_support(sq_i), scalar_support(sq_j)
+    v = np.zeros(3)
+    v[:dim] = sq_i.center - sq_j.center
+    if not v.any():
+        v = np.eye(3)[0]
+    a, b = support_i(-v), support_j(v)
+    pts_i, pts_j, lam = a[None], b[None], np.ones(1)
+    v = a - b
+    converged = enclosed = False
+    for _ in range(proximity.MAX_ITER):
+        a, b = support_i(-v), support_j(v)
+        vv = float(v @ v)
+        if vv - float(v @ (a - b)) <= proximity.REL_TOL * vv:
+            converged = True
+            break
+        pts_i, pts_j = np.vstack([pts_i, a]), np.vstack([pts_j, b])
+        y = pts_i - pts_j
+        keep, lam = {2: _s1d, 3: _s2d, 4: _s3d}[len(y)](y)
+        pts_i, pts_j, y = pts_i[keep], pts_j[keep], y[keep]
+        v_new = lam @ y
+        size = float(np.max(np.einsum("ij,ij->i", y, y)))
+        if (len(keep) == dim + 1
+                or float(v_new @ v_new) <= proximity.TOUCH_TOL**2 * size):
+            converged = enclosed = True
+            break
+        if float(v_new @ v_new) >= vv:
+            converged = True
+            break
+        v = v_new
+    p_i, p_j = lam @ pts_i, lam @ pts_j
+    distance = 0.0 if enclosed else float(np.linalg.norm(p_i - p_j))
+    return ClosestPair(p_i[:dim], p_j[:dim], distance, converged)
+
+
+def assert_matches_oracle(got, a, b):
+    want = oracle_closest_pair(a, b)
+    assert abs(got.distance - want.distance) <= 1e-9
+    assert overlaps(a, b, got) == overlaps(a, b, want)
+    assert got.converged == want.converged
+    if want.distance > proximity.OVERLAP_TOL:  # witnesses of an overlap differ
+        assert np.max(np.abs(got.p_i - want.p_i)) <= 1e-5
+        assert np.max(np.abs(got.p_j - want.p_j)) <= 1e-5
+
+
+def same_result(x, y):
+    return (x.distance == y.distance and x.converged == y.converged
+            and np.array_equal(x.p_i, y.p_i) and np.array_equal(x.p_j, y.p_j))
+
+
+def oracle_cases(dim, eps_range, rng):
+    """Separated and overlapping random pairs, containment, equal centres,
+    and pairs moved to within 1e-3 .. -1e-7 m of touching."""
+    cases = [(random_sq(rng, dim, eps_range=eps_range),
+              random_sq(rng, dim, eps_range=eps_range)) for _ in range(12)]
+    for _ in range(3):
+        outer = random_sq(rng, dim, center_range=0.1, eps_range=eps_range)
+        inner = random_sq(rng, dim, center_range=0.1, eps_range=eps_range)
+        inner = Superquadric.create(inner.eps, inner.axes * 0.05, inner.center,
+                                    inner.pose.rotation)
+        cases += [(outer, inner), (inner, outer)]
+    for _ in range(2):
+        a = random_sq(rng, dim, eps_range=eps_range)
+        b = random_sq(rng, dim, eps_range=eps_range)
+        cases.append((a, Superquadric.create(b.eps, b.axes, a.center, b.pose.rotation)))
+    for gap in (1e-3, 1e-7, 1e-11, -1e-7):
+        while True:
+            a = random_sq(rng, dim, eps_range=eps_range)
+            b = random_sq(rng, dim, eps_range=eps_range)
+            pair = oracle_closest_pair(a, b)
+            if pair.distance > 0.1:
+                break
+        # sliding B along the witness normal keeps the witnesses
+        normal = (pair.p_j - pair.p_i) / pair.distance
+        cases.append((a, Superquadric.create(
+            b.eps, b.axes, b.center - (pair.distance - gap) * normal, b.pose.rotation)))
+    return cases
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps_range", [(0.1, 0.1), (2.0, 2.0), (0.1, 2.0)])
+def test_closest_pairs_match_one_pair_oracle(dim, eps_range):
+    rng = np.random.default_rng([dim, int(10 * eps_range[0]), int(10 * eps_range[1])])
+    cases = oracle_cases(dim, eps_range, rng)
+    got = closest_pairs([a for a, _ in cases], [b for _, b in cases])
+    assert len(got) == len(cases)
+    for pair, (a, b) in zip(got, cases):
+        assert_matches_oracle(pair, a, b)
+    assert any(p.distance == 0.0 for p in got) and any(p.distance > 0.1 for p in got)
+
+
+def test_closest_pairs_empty_and_single_batches():
+    assert closest_pairs([], []) == []
+    a = Superquadric.create([0.3, 1.7], [0.4, 0.6, 1.0], [0.0, 0.0, 0.0], [0.2, -0.4, 0.1])
+    b = Superquadric.create([2.0, 0.1], [0.3, 0.5, 0.7], [2.0, 0.5, -0.3])
+    (single,) = closest_pairs([a], [b])
+    assert same_result(single, closest_pair(a, b))
+    assert_matches_oracle(single, a, b)
+    with pytest.raises(ValueError):
+        closest_pairs([a], [b, a])
+    with pytest.raises(ValueError):
+        closest_pairs([a], [Superquadric.create([1.0], [0.5, 0.5], [0.0, 0.0])])
+
+
+def test_finished_pairs_stay_frozen_in_a_mixed_batch():
+    # spheres finish in a few iterations, rotated boxes and diamonds take
+    # tens; each pair's result must be the one it gets alone
+    rng = np.random.default_rng(21)
+    fast = [(Superquadric.create([1.0, 1.0], [r, r, r], c),
+             Superquadric.create([1.0, 1.0], [0.4, 0.4, 0.4], c + [2.0, 0.5, 0.0]))
+            for r, c in ((0.3, np.zeros(3)), (0.6, np.ones(3)))]
+    slow = [(random_sq(rng, 3, eps_range=(eps, eps)), random_sq(rng, 3, eps_range=(eps, eps)))
+            for eps in (0.1, 2.0, 0.1, 2.0)]
+    cases = [fast[0], slow[0], slow[1], fast[1], slow[2], slow[3]]
+    got = closest_pairs([a for a, _ in cases], [b for _, b in cases])
+    for pair, (a, b) in zip(got, cases):
+        assert same_result(pair, closest_pair(a, b))
+        assert_matches_oracle(pair, a, b)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_result_does_not_depend_on_the_batch(dim):
+    rng = np.random.default_rng(30 + dim)
+    cases = oracle_cases(dim, (0.1, 2.0), rng)
+    alone = [closest_pair(a, b) for a, b in cases]
+    for perm in (rng.permutation(len(cases)), np.arange(len(cases))[::-1]):
+        got = closest_pairs([cases[k][0] for k in perm], [cases[k][1] for k in perm])
+        assert all(same_result(g, alone[k]) for g, k in zip(got, perm))
+    half = closest_pairs([a for a, _ in cases[1::2]], [b for _, b in cases[1::2]])
+    assert all(same_result(g, x) for g, x in zip(half, alone[1::2]))
+
+
+def _load_bench_scenes():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_diagrams_match_one_pair_oracle(monkeypatch):
+    """The six benchmark scenes and the benchmark's random build fields give
+    the same clusters and hyperplanes with batched GJK as with the one-pair
+    oracle."""
+    bench = _load_bench_scenes()
+    scenes = ([generate_benchmark(name) for name in BENCHMARK_NAMES]
+              + [scenario_from_dict(bench.random_field(*f)) for f in bench.BUILD3D_FIELDS])
+
+    def build(scn):
+        return voronoi.build_diagram(scn.robot, scn.obstacles, scn.world_lo, scn.world_hi)
+
+    got = [build(scn) for scn in scenes]
+    monkeypatch.setattr(voronoi, "closest_pairs", lambda a, b: [
+        oracle_closest_pair(x, y) for x, y in zip(a, b)])
+    for diagram, scn in zip(got, scenes):
+        want = build(scn)
+        assert [c.members for c in diagram.clusters] == [c.members for c in want.clusters]
+        assert ([(h.cluster_i, h.cluster_j) for h in diagram.hyperplanes]
+                == [(h.cluster_i, h.cluster_j) for h in want.hyperplanes])
+        for h, w in zip(diagram.hyperplanes, want.hyperplanes):
+            assert np.max(np.abs(h.normal - w.normal)) <= 1e-6
+        assert diagram.nonconverged == want.nonconverged == 0

@@ -294,3 +294,32 @@ def test_audit_equals_per_pose_routine_on_reference_plans(name):
     want, _, _ = per_pose_min_distance(result.trajectory, scn.robot, scn.obstacles)
     assert min_trajectory_distance(result.trajectory, scn.robot,
                                    scn.obstacles) == want
+
+
+def test_audit_reaches_pairs_past_its_batch(monkeypatch):
+    # the batch holds the pairs within slack of the smallest coarse value,
+    # which suffices while refined distances stay below their coarse values;
+    # when they do not (here every distance is inflated by 0.4 m), the pairs
+    # the break rule still reaches are solved one at a time and the result
+    # stays the sequential loop's
+    import sys
+    from sqplan import scenario
+    from sqplan.proximity import ClosestPair
+
+    def inflate(pair):
+        return ClosestPair(pair.p_i, pair.p_j, pair.distance + 0.4, pair.converged)
+
+    real_pairs, calls = scenario.closest_pairs, []
+    monkeypatch.setattr(scenario, "closest_pairs",
+                        lambda a, b: [inflate(p) for p in real_pairs(a, b)])
+    monkeypatch.setattr(scenario, "closest_pair",
+                        lambda a, b: calls.append(1) or inflate(closest_pair(a, b)))
+    monkeypatch.setattr(sys.modules[__name__], "closest_pair",
+                        lambda a, b, real=closest_pair: inflate(real(a, b)))
+    robot = Superquadric.create([1.0], [0.05, 0.1], [0.0, 0.0])
+    obstacle = Superquadric.create([1.0], [0.5, 1.0], [0.0, 0.0])
+    traj = PoseTrajectory(np.linspace(0.0, 1.0, 60), np.linspace([-2.0, 1.2], [2.0, 2.5], 60),
+                          np.full((60, 1), 0.3))
+    want, _, refined = per_pose_min_distance(traj, robot, [obstacle])
+    assert min_trajectory_distance(traj, robot, [obstacle]) == want
+    assert len(calls) > 1 and refined > len(calls)

@@ -105,3 +105,21 @@ def test_diagram_to_dict_serializable():
     diagram = build_diagram(point_robot(2), [a, b], [0.0, 0.0], [10.0, 10.0])
     text = json.dumps(diagram_to_dict(diagram), sort_keys=True)
     assert "cells" in text and "hyperplanes" in text
+
+
+def test_diagram_counts_nonconverged_solves(monkeypatch):
+    import json
+    from sqplan import proximity
+    obstacles = [Superquadric.create([0.7, 1.3], [0.4, 0.7, 1.1], [3.0, 3.0, 3.0],
+                                     [0.3, 0.5, -0.2]),
+                 Superquadric.create([1.2, 0.6], [0.3, 0.8, 1.0], [6.0, 4.0, 3.5],
+                                     [-0.4, 0.1, 0.7]),
+                 Superquadric.create([1.0, 1.0], [0.5, 0.5, 0.5], [3.0, 7.5, 3.0])]
+    robot = Superquadric.create([1.0, 1.0], [0.05, 0.1, 0.2], [0.0, 0.0, 0.0])
+    full = build_diagram(robot, obstacles, [0.0] * 3, [10.0] * 3)
+    assert full.nonconverged == 0
+    monkeypatch.setattr(proximity, "MAX_ITER", 2)
+    capped = build_diagram(robot, obstacles, [0.0] * 3, [10.0] * 3)
+    assert capped.nonconverged > 0
+    out = json.loads(json.dumps(diagram_to_dict(capped)))
+    assert out["nonconverged"] == capped.nonconverged
