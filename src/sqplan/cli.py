@@ -51,8 +51,6 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         if args.dt <= 0:
             raise ScenarioError("--dt must be positive")
         scenario.params["dt"] = args.dt
-    if getattr(args, "seed", None) is not None:
-        scenario.params["seed"] = args.seed
     return scenario
 
 
@@ -189,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmp-basis", type=int, dest="dmp_basis",
                    help="DMP basis functions per degree of freedom")
     p.add_argument("--dt", type=float, help="rollout time step (s)")
-    p.add_argument("--seed", type=int, help="random seed override")
     p.set_defaults(func=cmd_plan)
 
     b = sub.add_parser("bench", help="run a benchmark suite")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmp import (Demonstration, PoseTrajectory, ValidationReport,
-                  demonstration_trajectory, fit_lwr, interpolate_waypoints,
-                  rollout, validate_and_finalize)
+from .dmp import (DEFAULT_BASIS, Demonstration, PoseTrajectory,
+                  ValidationReport, demonstration_trajectory, fit_lwr,
+                  interpolate_waypoints, rollout, validate_and_finalize)
 from .poses import PoseWaypoint, plan_poses
 from .roadmap import RoadmapGraph, build_graph, project_terminal, shortest_path
 from .scenario import Scenario
@@ -102,7 +102,7 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
     if n_samples is None:
         n_samples = max(400, 100 * len(waypoints))
     demo = interpolate_waypoints(waypoints, n_samples=int(n_samples))
-    model = fit_lwr(demo, p=int(scenario.params.get("dmp_basis", 25)))
+    model = fit_lwr(demo, p=int(scenario.params.get("dmp_basis", DEFAULT_BASIS)))
     dt = scenario.params.get("dt")
     if dt is None:
         dt = demo.times[-1] / 400.0

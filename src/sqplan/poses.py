@@ -145,7 +145,6 @@ def plan_poses(path: list[int], graph: RoadmapGraph,
 
     raw = [_segment_normal(e) for e in edges]
     first = next((n for n in raw if n is not None), None)
-    segs_r3: list[np.ndarray] = []
     rotations = []
     prev_r3 = None
     for k in range(n_seg):
@@ -166,7 +165,6 @@ def plan_poses(path: list[int], graph: RoadmapGraph,
                 n = _fallback_normal(r1)
         r = frame_3d(positions[k], positions[k + 1], n)
         prev_r3 = r[:, 2]
-        segs_r3.append(prev_r3)
         rotations.append(log_so3(r))
     ways = [PoseWaypoint(positions[k], rotations[min(k, n_seg - 1)], min(k, n_seg - 1))
             for k in range(len(positions))]

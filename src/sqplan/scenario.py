@@ -9,24 +9,26 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import RigidPose, Superquadric, inside_outside, surface_samples
-from .proximity import closest_pair, closest_pairs
+from .geometry import RigidPose, Superquadric, inside_outside
+# closest_pair is not used here; perfbench's traced run patches this name
+from .proximity import closest_pair, closest_pairs  # noqa: F401
 from .poses import robot_pose_at, robot_rotations
-from .dmp import PoseTrajectory
+from .dmp import DEFAULT_BASIS, PoseTrajectory
 
 BENCHMARK_NAMES = ("narrow2d", "t_block", "u_block",
                    "pillars3d", "moderate3d", "dense3d")
 
 DEFAULT_PARAMS = {
     "h": None,          # bridging distance (m); None -> 2% of world diagonal
-    "dmp_basis": 25,    # forcing-term basis functions per degree of freedom
+    "dmp_basis": DEFAULT_BASIS,  # forcing-term basis functions per degree of freedom
     "dt": None,         # rollout step (s); None -> duration / 400
     "n_samples": None,  # demonstration samples; None -> max(400, 100 per waypoint)
     "bridging": True,   # add short bridging edges between nearby graph nodes
-    "seed": 0,          # seed forwarded to stochastic helpers (none currently)
 }
+
+AUDIT_TOL = 1e-6   # certified audit gap, as a fraction of the robot's bounding radius
+AUDIT_SPLIT = 4    # sub-intervals per refined pose interval
 
 
 class ScenarioError(ValueError):
@@ -346,79 +348,59 @@ def generate_benchmark(name: str, seed: int = 0) -> Scenario:
 
 def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
                             obstacles: list[Superquadric]) -> float:
-    """Minimum distance from the oriented robot to any original obstacle.
+    """Exact minimum distance from the posed robot to any original obstacle.
 
-    Candidate (pose, obstacle) pairs are ranked with surface-sample k-d tree
-    distances (plus bounding-sphere pruning); only pairs whose coarse value
-    could beat the minimum, given the sampling resolution, are refined with
-    the exact closest-pair solver.
+    Every pose is covered by a certified search over pose intervals, one
+    interval [0, N-1] per obstacle to start with. Between poses a and b no
+    robot point moves farther than motion(a, b), the sum of |dp| + r |dR|_F
+    over the steps (r the robot's bounding radius), so the distance at every
+    pose of [a, b] is at least (d_a + d_b - motion(a, b)) / 2, the edge test
+    of Schwarzer, Saha & Latombe (IEEE T-RO 2005), and at least the poses'
+    bounding-sphere bounds, which also stand in for unsolved endpoints. An
+    interval whose bound is within AUDIT_TOL * r of the best solved distance
+    is dropped; the others have their endpoints solved and are split
+    AUDIT_SPLIT ways. Each round's solves are one `closest_pairs` call. The
+    result is within AUDIT_TOL * r of the minimum over all (pose, obstacle)
+    pairs, and 0.0 as soon as a solve reports contact.
     """
     if not obstacles:
         return float("inf")
-    dim = robot.dim
-    n_poses = len(trajectory.times)
-    keep = (np.arange(n_poses) if n_poses <= 256
-            else np.unique(np.linspace(0, n_poses - 1, 256).astype(int)))
-    res_r = 256 if dim == 2 else 16
-    res_o = 1024 if dim == 2 else 24
-    otrees = [cKDTree(surface_samples(o, res_o)) for o in obstacles]
-    body = surface_samples(robot.with_pose(RigidPose.create(np.zeros(dim))), res_r)
-    positions = trajectory.positions[keep]
-    rotations = robot_rotations(dim, trajectory.orientations[keep])
-
-    def posed_samples(i):
-        return body @ rotations[i].T + positions[i]
-
-    # coarse sampling overestimates the true distance by at most the largest
-    # nearest-neighbor spacing of either sample set
-    slack = 0.0
-    for tree in otrees + [cKDTree(posed_samples(0))]:
-        d, _ = tree.query(tree.data, k=2)
-        slack = max(slack, float(np.max(d[:, 1])))
-
-    # bounding-sphere lower bounds of every (pose, obstacle) pair; d.d as a
-    # matmul rounds like the norm of one vector, as in pair_lower_bound
-    offsets = (positions[:, None, :] - np.array([o.center for o in obstacles]))[..., None]
-    lower = (np.sqrt(np.swapaxes(offsets, -1, -2) @ offsets)[..., 0, 0]
-             - robot.bounding_radius()
-             - np.array([o.bounding_radius() for o in obstacles]))
-
-    # a pair whose coarse value reaches best_coarse + slack sorts past the
-    # refinement break below, so it is pruned or left at inf
-    coarse = np.full((len(keep), len(obstacles)), np.inf)
-    best_coarse = np.inf
-    for i in range(len(keep)):
-        if not np.any(lower[i] <= best_coarse + slack):
-            continue
-        pts = posed_samples(i)
-        for j, tree in enumerate(otrees):
-            bound = best_coarse + slack
-            if lower[i, j] > bound:
+    positions, orientations = trajectory.positions, trajectory.orientations
+    r = robot.bounding_radius()
+    tol = AUDIT_TOL * r
+    rotations = robot_rotations(robot.dim, orientations)
+    steps = (np.linalg.norm(np.diff(positions, axis=0), axis=1)
+             + r * np.linalg.norm(np.diff(rotations, axis=0), axis=(1, 2)))
+    motion = np.concatenate([[0.0], np.cumsum(steps)]).tolist()
+    # bounding-sphere lower bounds lb[obstacle][pose], as lists for scalar lookups
+    lb = (np.linalg.norm(positions - np.array([[o.center] for o in obstacles]), axis=2)
+          - r - np.array([[o.bounding_radius()] for o in obstacles])).tolist()
+    solved, best = {}, np.inf
+    intervals = [(0, len(positions) - 1, j) for j in range(len(obstacles))]
+    while intervals:
+        todo, kept = set(), []
+        for a, b, j in intervals:
+            d_a, d_b = solved.get((a, j), lb[j][a]), solved.get((b, j), lb[j][b])
+            bound = max((d_a + d_b - motion[b] + motion[a]) / 2.0, min(lb[j][a:b + 1]))
+            if bound >= best - tol:
                 continue
-            coarse[i, j] = float(tree.query(pts, distance_upper_bound=bound)[0].min())
-            best_coarse = min(best_coarse, coarse[i, j])
-
-    # refine in ascending coarse order; the exact minimum found so far prunes
-    # the rest. Refinement is capped: poses riding a constant-clearance
-    # corridor all tie at the minimum, and the cap bounds the error by the
-    # sampling slack. A refined distance is at most its coarse value, so the
-    # pairs within slack of the smallest coarse value, which the loop can
-    # reach, are solved in one batch (any other only if rounding broke that)
-    flat, n_obs = coarse.ravel(), len(obstacles)
-    order = np.argsort(flat)[:64]
-
-    def posed(idx):
-        return robot_pose_at(robot, positions[idx // n_obs],
-                             trajectory.orientations[keep[idx // n_obs]])
-
-    batch = order[flat[order] - slack < flat[order[0]]]
-    pairs = closest_pairs([posed(i) for i in batch], [obstacles[i % n_obs] for i in batch])
-    best = np.inf
-    for k, idx in enumerate(order):
-        if flat[idx] - slack >= best:
-            break
-        pair = pairs[k] if k < len(pairs) else closest_pair(posed(idx), obstacles[idx % n_obs])
-        best = min(best, pair.distance)
+            missing = {(a, j), (b, j)} - solved.keys()
+            if missing:
+                todo |= missing
+                kept.append((a, b, j))
+            elif b - a > 1:
+                cuts = sorted({a + (b - a) * k // AUDIT_SPLIT
+                               for k in range(AUDIT_SPLIT + 1)})
+                kept += [(s, e, j) for s, e in zip(cuts, cuts[1:])]
+        todo = sorted(todo)
+        pairs = closest_pairs([robot_pose_at(robot, positions[i], orientations[i])
+                               for i, _ in todo], [obstacles[j] for _, j in todo])
+        for key, pair in zip(todo, pairs):
+            solved[key] = pair.distance
+            best = min(best, pair.distance)
+        if best <= 0.0:
+            return 0.0
+        intervals = kept
     return float(best)
 
 
