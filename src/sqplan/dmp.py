@@ -3,8 +3,8 @@
 Pose waypoints are splined into a time-indexed demonstration, one DMP per
 degree of freedom is fitted with locally weighted regression, and the rollout
 is validated for collisions against the original obstacles with a sampled,
-chunk-batched test (falling back to the raw demonstration if the smoothed path
-cuts a corner too tightly).
+chunk-batched test of the poses within reach of an obstacle's box (falling
+back to the raw demonstration if the smoothed path cuts a corner too tightly).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .geometry import (RigidPose, Superquadric, inside_outside,
+from .geometry import (RigidPose, Superquadric, box_gaps, inside_outside,
                        inside_outside_local, surface_samples)
 from .poses import PoseWaypoint, robot_rotations
 
@@ -100,14 +100,14 @@ def _minjerk(tau: np.ndarray) -> np.ndarray:
     return 10.0 * tau**3 - 15.0 * tau**4 + 6.0 * tau**5
 
 
-def _minjerk_inverse(s: float) -> float:
-    lo, hi = 0.0, 1.0
+def _minjerk_inverse(s: np.ndarray) -> np.ndarray:
+    """Progress values tau with _minjerk(tau) = s, by bisection over all s at once."""
+    lo, hi = np.zeros_like(s), np.ones_like(s)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _minjerk(np.asarray(mid)) < s:
-            lo = mid
-        else:
-            hi = mid
+        below = _minjerk(mid) < s
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -163,7 +163,7 @@ def interpolate_waypoints(waypoints: list[PoseWaypoint], n_samples: int = 200) -
 
     spline = CubicSpline(knot_t, knot_v, axis=0, bc_type="natural")
     times = np.linspace(0.0, duration, int(n_samples))
-    passage = np.array([_minjerk_inverse(t / duration) * duration for t in t_way[1:-1]])
+    passage = _minjerk_inverse(t_way[1:-1] / duration) * duration
     times = np.sort(np.concatenate([times, passage]))
     keep = np.concatenate([[True], np.diff(times) > 1e-12 * max(duration, 1.0)])
     times = times[keep]
@@ -340,8 +340,8 @@ def demonstration_trajectory(demo: Demonstration) -> PoseTrajectory:
 CHUNK = 32  # poses checked per array pass; bounds the batch's memory
 # A superquadric lies inside its local bounding box, so a point with any
 # |local coordinate| beyond its semi-axis is outside and needs no fractional
-# powers. The relative slack keeps every point whose rounded implicit value
-# could still reach <= 0.
+# powers, and neither does a pose farther than r from it. The relative slack
+# keeps every point and pose whose rounded values could still reach <= 0.
 BOX_SLACK = 1.0 + 1e-9
 
 
@@ -358,29 +358,32 @@ def trajectory_collides(trajectory: PoseTrajectory, robot: Superquadric,
                         obstacles: list[Superquadric]) -> bool:
     """Sampled, chunk-batched collision test of the posed robot along the trajectory.
 
-    A pose collides with an obstacle whose bounding sphere it reaches when a
-    robot surface sample or the robot centre lies inside the obstacle, or an
-    obstacle surface sample or the obstacle centre lies inside the robot
-    (implicit function <= 0). Poses are checked CHUNK at a time, each test as
-    one array operation over the chunk's poses.
+    A pose collides with an obstacle when a robot surface sample or the robot
+    centre lies inside the obstacle, or an obstacle surface sample or the
+    obstacle centre lies inside the robot (implicit function <= 0). Such a
+    point lies within the robot's bounding radius r of the pose and in the
+    obstacle's box, so only pairs with `box_gaps` <= r are tested (the OBB
+    broad phase of Gottschalk, Lin & Manocha, SIGGRAPH 1996), CHUNK poses at
+    a time, each test one array operation over the chunk's poses.
     """
     dim = robot.dim
+    near = box_gaps(trajectory.positions, obstacles) <= robot.bounding_radius() * BOX_SLACK
+    poses = np.flatnonzero(near.any(axis=0))
+    if len(poses) == 0:
+        return False
     res = 64 if dim == 2 else 16
     # body-frame samples plus the centre, whose posed image is the position
     body = surface_samples(robot.with_pose(RigidPose.create(np.zeros(dim))), res)
     body = np.vstack([body, np.zeros(dim)])
-    obstacle_pts = [np.vstack([surface_samples(o, res), o.center]) for o in obstacles]
-    reach = [robot.bounding_radius() + o.bounding_radius() for o in obstacles]
-    for start in range(0, len(trajectory.times), CHUNK):
-        pos = trajectory.positions[start:start + CHUNK]
-        near = [np.linalg.norm(pos - o.center, axis=1) - r <= 0.0
-                for o, r in zip(obstacles, reach)]
-        if not any(n.any() for n in near):
-            continue
-        rot = robot_rotations(dim, trajectory.orientations[start:start + CHUNK])
+    obstacle_pts = [np.vstack([surface_samples(o, res), o.center]) if n.any() else None
+                    for o, n in zip(obstacles, near)]
+    for start in range(0, len(poses), CHUNK):
+        chunk = poses[start:start + CHUNK]
+        pos = trajectory.positions[chunk]
+        rot = robot_rotations(dim, trajectory.orientations[chunk])
         world = body @ np.swapaxes(rot, 1, 2)
         world += pos[:, None, :]
-        for o, opts, n in zip(obstacles, obstacle_pts, near):
+        for o, opts, n in zip(obstacles, obstacle_pts, near[:, chunk]):
             if not n.any():
                 continue
             if not n.all():

@@ -179,6 +179,19 @@ def inside_outside_local(sq: Superquadric, local: np.ndarray) -> np.ndarray:
     return f
 
 
+def box_gaps(points, shapes: list[Superquadric]) -> np.ndarray:
+    """(shapes, points) distances from world points to each shape's box of
+    semi-axes in its own frame, ||max(|R^T (p - c)| - a, 0)||. A superquadric
+    lies inside that box, so this is a lower bound of the distance to it."""
+    pts = np.asarray(points, dtype=float)
+    dim = pts.shape[-1]
+    rot = np.array([s.pose.rotation_matrix() for s in shapes]).reshape(-1, dim, dim)
+    centers = np.array([s.center for s in shapes]).reshape(-1, 1, dim)
+    axes = np.array([s.axes for s in shapes]).reshape(-1, 1, dim)
+    local = np.abs((pts - centers) @ rot)
+    return np.linalg.norm(np.maximum(local - axes, 0.0), axis=2)
+
+
 def surface_point(sq: Superquadric, angles) -> np.ndarray:
     """World-frame surface point(s) from angular parameters.
 

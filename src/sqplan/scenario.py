@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RigidPose, Superquadric, inside_outside
+from .geometry import RigidPose, Superquadric, box_gaps, inside_outside
 # closest_pair is not used here; perfbench's traced run patches this name
 from .proximity import closest_pair, closest_pairs  # noqa: F401
 from .poses import robot_pose_at, robot_rotations
@@ -356,7 +356,7 @@ def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
     over the steps (r the robot's bounding radius), so the distance at every
     pose of [a, b] is at least (d_a + d_b - motion(a, b)) / 2, the edge test
     of Schwarzer, Saha & Latombe (IEEE T-RO 2005), and at least the poses'
-    bounding-sphere bounds, which also stand in for unsolved endpoints. An
+    box bounds `box_gaps` - r, which also stand in for unsolved endpoints. An
     interval whose bound is within AUDIT_TOL * r of the best solved distance
     is dropped; the others have their endpoints solved and are split
     AUDIT_SPLIT ways. Each round's solves are one `closest_pairs` call. The
@@ -372,9 +372,8 @@ def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
     steps = (np.linalg.norm(np.diff(positions, axis=0), axis=1)
              + r * np.linalg.norm(np.diff(rotations, axis=0), axis=(1, 2)))
     motion = np.concatenate([[0.0], np.cumsum(steps)]).tolist()
-    # bounding-sphere lower bounds lb[obstacle][pose], as lists for scalar lookups
-    lb = (np.linalg.norm(positions - np.array([[o.center] for o in obstacles]), axis=2)
-          - r - np.array([[o.bounding_radius()] for o in obstacles])).tolist()
+    # box lower bounds lb[obstacle][pose], as lists for scalar lookups
+    lb = (box_gaps(positions, obstacles) - r).tolist()
     solved, best = {}, np.inf
     intervals = [(0, len(positions) - 1, j) for j in range(len(obstacles))]
     while intervals:

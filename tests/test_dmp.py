@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from sqplan import dmp, pipeline
 from sqplan.dmp import (ALPHA_Z, BETA_Z, CHUNK, DMPModel, Demonstration,
-                        PoseTrajectory, _basis, _rk4_maps,
-                        demonstration_trajectory, fit_lwr,
-                        interpolate_waypoints, rollout, trajectory_collides,
-                        validate_and_finalize)
-from sqplan.geometry import Superquadric, inside_outside, surface_samples
-from sqplan.poses import PoseWaypoint, robot_pose_at
+                        PoseTrajectory, _basis, _in_box, _minjerk,
+                        _minjerk_inverse, _rk4_maps, demonstration_trajectory,
+                        fit_lwr, interpolate_waypoints, rollout,
+                        trajectory_collides, validate_and_finalize)
+from sqplan.geometry import (RigidPose, Superquadric, box_gaps, inside_outside,
+                             inside_outside_local, surface_samples)
+from sqplan.poses import PoseWaypoint, robot_pose_at, robot_rotations
 from sqplan.proximity import pair_lower_bound
 from sqplan.rotations import exp_so3
+from sqplan.scenario import generate_benchmark
 
 
 def straight_demo(n=400, duration=2.0):
@@ -56,6 +59,28 @@ def test_interpolate_passes_through_waypoints():
     for p in pts:
         d = np.linalg.norm(demo.samples[:, :2] - p, axis=1)
         assert d.min() <= 1e-6
+
+
+def scalar_minjerk_inverse(s):
+    """Reference: the bisection one passage value at a time."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _minjerk(np.asarray(mid)) < s:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_minjerk_inverse_matches_scalar_bisection_bitwise():
+    rng = np.random.default_rng(5)
+    s = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53],
+                        rng.uniform(0.0, 1.0, 1000)])
+    got = _minjerk_inverse(s)
+    want = np.array([scalar_minjerk_inverse(v) for v in s])
+    assert np.array_equal(got, want)
+    assert np.max(np.abs(_minjerk(got) - s)) <= 1e-14
 
 
 def test_interpolate_collapses_duplicates_and_errors():
@@ -357,6 +382,33 @@ def per_pose_collides(trajectory, robot, obstacles):
     return False
 
 
+def sphere_broadphase_collides(trajectory, robot, obstacles):
+    """Reference: the chunked sampler with a bounding-sphere broad phase,
+    which tests every pose within r_robot + r_obstacle of an obstacle centre."""
+    dim = robot.dim
+    res = 64 if dim == 2 else 16
+    body = surface_samples(robot.with_pose(RigidPose.create(np.zeros(dim))), res)
+    body = np.vstack([body, np.zeros(dim)])
+    obstacle_pts = [np.vstack([surface_samples(o, res), o.center]) for o in obstacles]
+    reach = [robot.bounding_radius() + o.bounding_radius() for o in obstacles]
+    for start in range(0, len(trajectory.times), CHUNK):
+        pos = trajectory.positions[start:start + CHUNK]
+        rot = robot_rotations(dim, trajectory.orientations[start:start + CHUNK])
+        world = body @ np.swapaxes(rot, 1, 2) + pos[:, None, :]
+        for o, opts, r in zip(obstacles, obstacle_pts, reach):
+            n = np.linalg.norm(pos - o.center, axis=1) - r <= 0.0
+            if not n.any():
+                continue
+            pts = world[n][_in_box(o, o.pose.inverse_transform(world[n]))]
+            if np.any(inside_outside(o, pts) <= 0.0):
+                return True
+            local = (opts - pos[n][:, None, :]) @ rot[n]
+            local = local[_in_box(robot, local)]
+            if np.any(inside_outside_local(robot, local) <= 0.0):
+                return True
+    return False
+
+
 def line_trajectory(a, b, ori_a, ori_b, n):
     s = np.linspace(0.0, 1.0, n)[:, None]
     a, b = np.asarray(a, float), np.asarray(b, float)
@@ -479,3 +531,86 @@ def test_batched_validation_centre_tests_decide(robot_at, obstacle_at):
     traj = PoseTrajectory(np.zeros(1), np.array([robot_at]), np.zeros((1, 3)))
     assert trajectory_collides(traj, robot, [obstacle])
     assert per_pose_collides(traj, robot, [obstacle])
+
+
+# ------------------------------------- box broad phase vs sphere broad phase
+
+
+def clear_point(rng, scn, lo, hi):
+    """A point of the box [lo, hi] whose robot bounding sphere stays inside
+    the world and off every obstacle's box."""
+    r = scn.robot.bounding_radius()
+    lo = np.maximum(lo, scn.world_lo + r)
+    hi = np.minimum(hi, scn.world_hi - r)
+    while True:
+        p = rng.uniform(lo, hi)
+        if np.all(box_gaps(p[None], scn.obstacles) > r):
+            return p
+
+
+# (scene, seed, queries, start box, goal box); the boxes lie on either side
+# of the pillar row, of the wall, and in opposite corners of the field
+STREAMS = {
+    "pillars": ("pillars3d", 0, 10, ([0.0, 0.0, 0.0], [12.0, 3.5, 12.0]),
+                ([0.0, 8.5, 0.0], [12.0, 12.0, 12.0])),
+    "narrow-wall": ("narrow2d", 0, 24, ([0.0, 0.0], [0.5, 0.23]),
+                    ([0.0, 0.27], [0.5, 0.5])),
+    "random-field": ("moderate3d", 1, 6, ([0.0] * 3, [3.0] * 3),
+                     ([9.0] * 3, [12.0] * 3)),
+}
+
+
+@pytest.mark.parametrize("stream", list(STREAMS))
+def test_box_broadphase_matches_sphere_broadphase_on_query_streams(stream, monkeypatch):
+    name, seed, queries, box_a, box_b = STREAMS[stream]
+    scn = generate_benchmark(name, seed)
+    pre = pipeline.precompute(scn)
+    rng = np.random.default_rng(11)
+    trajectories = []
+
+    def capture(smoothed, demo, robot, obstacles):
+        trajectories.extend([smoothed, demonstration_trajectory(demo)])
+        return validate_and_finalize(smoothed, demo, robot, obstacles)
+
+    monkeypatch.setattr(pipeline, "validate_and_finalize", capture)
+    for k in range(queries):
+        a, b = (box_a, box_b) if k % 2 == 0 else (box_b, box_a)
+        scn.start = RigidPose.create(clear_point(rng, scn, *map(np.asarray, a)))
+        scn.goal = RigidPose.create(clear_point(rng, scn, *map(np.asarray, b)))
+        assert pipeline.plan(scn, pre).success
+    assert len(trajectories) == 2 * queries
+    decisions = [trajectory_collides(t, scn.robot, scn.obstacles) for t in trajectories]
+    assert decisions == [sphere_broadphase_collides(t, scn.robot, scn.obstacles)
+                         for t in trajectories]
+    if stream != "random-field":
+        # some smoothed trajectories of these streams cut a corner
+        assert any(decisions)
+
+
+def test_box_broadphase_skips_poses_inside_the_bounding_sphere(monkeypatch):
+    # a boxy pillar like the benchmark's: its bounding sphere (radius 6.15)
+    # holds every pose below, but only the last one comes within r of its box
+    robot = Superquadric.create([1.0, 1.0], [0.1, 0.2, 0.3], np.zeros(3))
+    pillar = Superquadric.create([0.2, 0.2], [0.5, 1.25, 6.0], np.zeros(3))
+    far = line_trajectory([3.0, 0.0, 2.0], [1.0, 0.0, -2.0],
+                          np.zeros(3), [0.0, 0.4, 0.0], 2 * CHUNK)
+    into = PoseTrajectory(np.arange(2 * CHUNK + 1.0),
+                          np.vstack([far.positions, [[0.55, 0.0, 0.0]]]),
+                          np.vstack([far.orientations, np.zeros((1, 3))]))
+    r = robot.bounding_radius()
+    assert np.all(np.linalg.norm(far.positions, axis=1) < r + pillar.bounding_radius())
+    assert np.all(box_gaps(far.positions, [pillar]) > r)
+    tested = []
+
+    def counting_rotations(dim, orientations):
+        tested.append(len(orientations))
+        return robot_rotations(dim, orientations)
+
+    monkeypatch.setattr(dmp, "robot_rotations", counting_rotations)
+    assert not trajectory_collides(far, robot, [pillar])
+    assert tested == []
+    assert trajectory_collides(into, robot, [pillar])
+    assert tested == [1]
+    for traj, expected in ((far, False), (into, True)):
+        assert sphere_broadphase_collides(traj, robot, [pillar]) is expected
+        assert per_pose_collides(traj, robot, [pillar]) is expected

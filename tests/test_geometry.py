@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sqplan.geometry import (EPS_MAX, EPS_MIN, RigidPose, Superquadric,
-                             expand, inside_outside, signed_pow,
+                             box_gaps, expand, inside_outside, signed_pow,
                              surface_point, surface_samples)
+from sqplan.poses import robot_pose_at
+from sqplan.proximity import closest_pairs
 
 
 def test_signed_pow():
@@ -135,3 +137,45 @@ def test_bounding_radius_bounds_surface():
     pts = surface_samples(sq, 40)
     assert np.all(np.linalg.norm(pts - sq.center, axis=1) <=
                   sq.bounding_radius() + 1e-9)
+
+
+def test_box_gaps_is_the_distance_to_the_posed_box():
+    box = Superquadric.create([0.2], [0.5, 1.0], [1.0, 2.0], [np.pi / 2])
+    ball = Superquadric.create([1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+    # the box's long axis runs along world x after the quarter turn
+    assert np.allclose(box_gaps([[1.0, 2.0], [3.0, 2.0], [1.0, 3.0], [3.0, 3.5]], [box]),
+                       [[0.0, 1.0, 0.5, np.hypot(1.0, 1.0)]], atol=1e-12)
+    assert np.array_equal(box_gaps([[0.5, 0.5, 0.5], [3.0, 0.0, 0.0]], [ball]),
+                          [[0.0, 2.0]])
+    assert box_gaps(np.zeros((5, 3)), []).shape == (0, 5)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_box_gaps_minus_robot_radius_bounds_the_exact_distance(dim):
+    rng = np.random.default_rng(60 + dim)
+    k = 1 if dim == 2 else 3
+    robots, obstacles, positions = [], [], []
+    for trial in range(240):
+        boxy = trial % 3 == 0
+        obstacle = Superquadric.create(
+            np.full(dim - 1, 0.2) if boxy else rng.uniform(0.1, 2.0, dim - 1),
+            np.sort(rng.uniform(0.2, 1.5, dim)), rng.uniform(-1.0, 1.0, dim),
+            rng.normal(size=k) if trial % 4 else np.zeros(k))
+        robot = Superquadric.create(rng.uniform(0.1, 2.0, dim - 1),
+                                    np.sort(rng.uniform(0.05, 0.5, dim)), np.zeros(dim))
+        # from overlapping to well clear of the obstacle's box
+        direction = rng.normal(size=dim)
+        reach = obstacle.bounding_radius() + robot.bounding_radius()
+        direction *= rng.uniform(0.0, 1.3) * reach / np.linalg.norm(direction)
+        position = obstacle.center + direction
+        robots.append(robot_pose_at(robot, position, rng.normal(size=k)))
+        obstacles.append(obstacle)
+        positions.append(position)
+    exact = np.array([p.distance for p in closest_pairs(robots, obstacles)])
+    bound = np.array([box_gaps(p[None], [o])[0, 0] - r.bounding_radius()
+                      for p, o, r in zip(positions, obstacles, robots)])
+    sphere = np.array([np.linalg.norm(p - o.center) - o.bounding_radius() - r.bounding_radius()
+                       for p, o, r in zip(positions, obstacles, robots)])
+    assert np.all(bound <= exact + 1e-12)
+    assert np.all(bound >= sphere - 1e-12)
+    assert np.sum(exact == 0.0) >= 20 and np.sum(bound > 0.0) >= 20
