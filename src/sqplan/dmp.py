@@ -1,10 +1,17 @@
 """Trajectory smoothing with dynamical movement primitives.
 
 Pose waypoints are splined into a time-indexed demonstration, one DMP per
-degree of freedom is fitted with locally weighted regression, and the rollout
-is validated for collisions against the original obstacles with a sampled,
-chunk-batched test of the poses within reach of an obstacle's box (falling
-back to the raw demonstration if the smoothed path cuts a corner too tightly).
+degree of freedom is fitted with locally weighted regression (all channels at
+once), and the rollout is validated for collisions against the original
+obstacles with a sampled, chunk-batched test of the poses within reach of an
+obstacle's box (falling back to the raw demonstration if the smoothed path
+cuts a corner too tightly).
+
+The rollout integrates every channel with RK4 as one linear step map
+s <- P s + d, scanned BLOCK steps at a time: each block is two matmuls with
+the stacked powers of P and a block-triangular kernel of its lagged powers.
+The time grid's steps equal dt up to rounding, except for a short last step
+of each phase, so every step within 1e-9 dt of dt shares the map of dt.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 
 from .geometry import (RigidPose, Superquadric, box_gaps, inside_outside,
@@ -24,6 +32,7 @@ BETA_Z = ALPHA_Z / 4.0  # critical damping
 ALPHA_X = ALPHA_Z / 3.0
 DEFAULT_BASIS = 25
 REFERENCE_SPEED = 1.0  # m/s; converts arc length into a nominal duration
+BLOCK = 64  # RK4 steps per block of the rollout scan
 
 
 @dataclass
@@ -101,10 +110,16 @@ def _minjerk(tau: np.ndarray) -> np.ndarray:
 
 
 def _minjerk_inverse(s: np.ndarray) -> np.ndarray:
-    """Progress values tau with _minjerk(tau) = s, by bisection over all s at once."""
+    """Progress values tau with _minjerk(tau) = s, by bisection over all s at
+    once, stopped at its fixed point."""
     lo, hi = np.zeros_like(s), np.ones_like(s)
-    for _ in range(80):
+    for r in range(80):
         mid = 0.5 * (lo + hi)
+        # once no mid lies strictly inside its bracket, no round moves lo or
+        # hi again, so stopping gives the 80-round result bit for bit; the
+        # test costs about a round, so it runs every eighth round only
+        if r % 8 == 0 and np.all((mid == lo) | (mid == hi)):
+            break
         below = _minjerk(mid) < s
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
@@ -142,24 +157,17 @@ def interpolate_waypoints(waypoints: list[PoseWaypoint], n_samples: int = 200) -
 
     spacing = duration / 40.0
     blend = 0.7  # fraction of a segment traversed before rotating
-    knot_t = [0.0]
-    knot_v = [np.concatenate([pos[0], ori[0]])]
-    for k in range(len(seg)):
-        n_sub = max(1, int(np.ceil(seg[k] / max(spacing, 1e-12))))
-        for i in range(1, n_sub + 1):
-            s = i / n_sub
-            p = pos[k] + s * (pos[k + 1] - pos[k])
-            if s <= blend:
-                o = ori[k]
-            else:
-                # minimum-jerk ramp keeps the orientation channels C2 at the
-                # blend boundaries, which the forcing-term fit can track
-                u = (s - blend) / (1.0 - blend)
-                o = ori[k] + _minjerk(np.array([u]))[0] * (ori[k + 1] - ori[k])
-            knot_t.append(t_way[k] + s * seg[k] / REFERENCE_SPEED)
-            knot_v.append(np.concatenate([p, o]))
-    knot_t = np.asarray(knot_t)
-    knot_v = np.asarray(knot_v)
+    # helper knot i of n_sub on segment k sits at fraction s = i / n_sub
+    n_sub = np.maximum(1, np.ceil(seg / max(spacing, 1e-12)).astype(int))
+    k = np.repeat(np.arange(len(seg)), n_sub)
+    s = (np.arange(len(k)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub) + 1) / n_sub[k]
+    p = pos[k] + s[:, None] * (pos[k + 1] - pos[k])
+    # minimum-jerk ramp keeps the orientation channels C2 at the blend
+    # boundaries, which the forcing-term fit can track
+    ramp = _minjerk((s - blend) / (1.0 - blend))[:, None]
+    o = np.where((s <= blend)[:, None], ori[k], ori[k] + ramp * (ori[k + 1] - ori[k]))
+    knot_t = np.concatenate([[0.0], t_way[k] + s * seg[k] / REFERENCE_SPEED])
+    knot_v = np.vstack([np.concatenate([pos[0], ori[0]]), np.hstack([p, o])])
 
     spline = CubicSpline(knot_t, knot_v, axis=0, bc_type="natural")
     times = np.linspace(0.0, duration, int(n_samples))
@@ -208,28 +216,25 @@ def fit_lwr(demo: Demonstration, p: int = DEFAULT_BASIS) -> DMPModel:
     # boundary samples carry one-sided finite-difference noise; keep them out
     # of the regression (they sit where the phase weighting is largest)
     interior = slice(2, -2) if len(t) > 8 else slice(None)
-    k = y.shape[1]
-    weights = np.zeros((k, p))
     forcing_scale = u_goal - u_start
     amplitude = np.max(y, axis=0) - np.min(y, axis=0)
     degenerate = np.abs(forcing_scale) < 1e-12
     forcing_scale[degenerate] = amplitude[degenerate]
+    # every channel at once: columns of the (N, K) and (P, K) arrays
     psi_i = psi[interior]
-    psi_sum = np.sum(psi_i, axis=1)
-    for ch in range(k):
-        scale = forcing_scale[ch]
-        if abs(scale) < 1e-12:
-            continue
-        xi = (x * scale)[interior]
-        den = psi_i.T @ (xi * xi) + 1e-12
-        # per-basis weighted least squares is a quasi-interpolant, not a
-        # projection; a few residual passes remove the approximation bias
-        residual = f_target[interior, ch].copy()
-        for _ in range(3):
-            weights[ch] += (psi_i.T @ (xi * residual)) / den
-            realized = (psi_i @ weights[ch]) / psi_sum * xi
-            residual = f_target[interior, ch] - realized
-    return DMPModel(weights, centers, widths, duration, u_start, u_goal,
+    psi_sum = np.sum(psi_i, axis=1)[:, None]
+    xi = x[interior, None] * forcing_scale
+    target = f_target[interior]
+    den = psi_i.T @ (xi * xi) + 1e-12
+    # per-basis weighted least squares is a quasi-interpolant, not a
+    # projection; a few residual passes remove the approximation bias
+    weights = np.zeros((p, y.shape[1]))
+    residual = target
+    for _ in range(3):
+        weights += (psi_i.T @ (xi * residual)) / den
+        residual = target - (psi_i @ weights) / psi_sum * xi
+    weights[:, np.abs(forcing_scale) < 1e-12] = 0.0  # no amplitude: no forcing
+    return DMPModel(weights.T.copy(), centers, widths, duration, u_start, u_goal,
                     demo.dim, forcing_scale)
 
 
@@ -264,9 +269,33 @@ def _rk4_maps(a: np.ndarray, h: np.ndarray):
     return step[..., :2], step[..., 2:]
 
 
+def _block_kernel(p: np.ndarray, b: int):
+    """Maps of b steps of s <- P s + d, in channel-major layout.
+
+    After j steps from s with increments d_0..d_{j-1} the state is
+    P^j s + sum_{c<j} P^(j-1-c) d_c. Returns the powers, (2, b, 2) with
+    [i, r, j] = P^(r+1)[i, j], and the lower block-triangular kernel,
+    (2, b, 2, b) with [i, r, j, c] = P^(r-c)[i, j] for r >= c and zero above
+    the diagonal; row (i, r) is component i of the state after r + 1 steps.
+    """
+    powers = np.empty((b + 1, 2, 2))
+    powers[0] = np.eye(2)
+    powers[1] = p
+    n = 1
+    while n < b:  # doubling: P^(n+1)..P^(2n) from P^1..P^n
+        m = min(n, b - n)
+        powers[n + 1:n + 1 + m] = powers[1:1 + m] @ powers[n]
+        n += m
+    # [i, j, t] = P^(b-1-t)[i, j], zero for t >= b; window q + c is lag r - c
+    # at q = b - 1 - r
+    lags = np.concatenate([powers[b - 1::-1], np.zeros((b - 1, 2, 2))]).transpose(1, 2, 0)
+    kernel = sliding_window_view(lags, b, axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
+    return powers[1:].transpose(1, 0, 2).copy(), np.ascontiguousarray(kernel)
+
+
 def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     """Integrate the canonical and transformation systems start to goal with
-    RK4, applied as a precomputed linear step map.
+    RK4, applied as a precomputed linear step map in blocks of BLOCK steps.
 
     After the nominal duration the forcing term has decayed with the phase
     but the state may still lag the goal by the residual fitting error, so
@@ -276,10 +305,14 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
 
     Per channel the state s = [y, z] obeys s' = A s + e2 b(t) with the same
     A for every channel, and b depends on time only (the goal term plus the
-    forcing term). So one RK4 step is s <- P s + d: P is derived once per
-    distinct step length, and the increments d of the whole grid (up to
-    twice the duration) are array operations before the one state loop,
-    which stops once the state settles.
+    forcing term). So one RK4 step is s <- P s + d, and the increments d of
+    the whole grid (up to twice the duration) are array operations. The
+    grid's steps differ from dt by rounding only, except for a short last
+    step of each phase, so every step within 1e-9 dt of dt takes the map of
+    dt itself: at most three maps, in runs of equal P. Each block of a run is
+    then two matmuls over all channels (`_block_kernel`), and the scan stops
+    after the first block holding a settled state at or after the duration,
+    cut where a step-by-step loop would stop.
     """
     tau = model.duration
     if dt <= 0.0 or dt > tau / 10.0:
@@ -288,41 +321,63 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     if tau - times[-1] > 1e-12:
         times = np.append(times, tau)
     n_main = len(times)
-    settle = [float(times[-1])]
-    while settle[-1] < 2.0 * tau - 1e-12:
-        settle.append(settle[-1] + min(dt, 2.0 * tau - settle[-1]))
-    t0 = np.concatenate([times[:-1], settle[:-1]])
-    h = np.concatenate([np.diff(times), np.diff(settle)])
-    stage_t = np.stack([t0, t0 + h / 2, t0 + h], axis=-1)
-
-    # one stage column at a time keeps a single (N, P) activation array live
-    x = np.exp(-model.alpha_x * stage_t / tau)
-    forcing = np.stack([_forcing(model, x[:, s]) for s in range(3)], axis=1)
+    # settle grid: steps of dt from the last time by running sums, then one
+    # short step to exactly 2 tau where a full step would pass it
+    end = 2.0 * tau
+    steps = np.full(int(math.ceil(tau / dt)) + 2, dt)
+    settle = np.add.accumulate(np.concatenate([times[-1:], steps]))
+    last = int(np.argmin((settle < end - 1e-12) & (dt <= end - settle)))
+    settle = settle[:last + 1]
+    if settle[-1] < end - 1e-12:
+        settle = np.append(settle, settle[-1] + (end - settle[-1]))
+    all_times = np.concatenate([times, settle[1:]])
+    h = np.diff(all_times)
+    # a step's end stage is the next step's start: the forcing at every grid
+    # time and at every step's midpoint
+    at_grid = _forcing(model, np.exp(-model.alpha_x * all_times / tau))
+    at_mid = _forcing(model, np.exp(-model.alpha_x * (all_times[:-1] + h / 2) / tau))
+    forcing = np.stack([at_grid[:-1], at_mid, at_grid[1:]], axis=1)
 
     span = float(np.linalg.norm(model.u_goal - model.u_start))
     settle_tol = 1e-4 * span + 1e-12
 
     goal = model.u_goal
+    k = len(goal)
     a = np.array([[0.0, 1.0 / tau],
                   [-model.alpha_z * model.beta_z / tau, -model.alpha_z / tau]])
-    lengths, which = np.unique(h, return_inverse=True)
+    lengths, which = np.unique(np.where(np.abs(h - dt) <= 1e-9 * dt, dt, h),
+                               return_inverse=True)
     step_maps, input_maps = _rk4_maps(a, lengths)
     b = (model.alpha_z * model.beta_z * goal + forcing) / tau
-    increments = np.einsum("nij,njk->nik", input_maps[which], b)
+    increments = np.einsum("nij,njk->ink", input_maps[which], b)
 
-    s = np.stack([model.u_start.astype(float), np.zeros(len(goal))])
-    out = np.empty((len(t0) + 1, len(goal)))
+    # blocks of at most BLOCK steps, none spanning two maps
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(which)) + 1, [len(h)]]).tolist()
+    blocks = [(i, min(BLOCK, hi - i), which[lo])
+              for lo, hi in zip(bounds[:-1], bounds[1:]) for i in range(lo, hi, BLOCK)]
+    size = {}
+    for _, m, j in blocks:
+        size[j] = max(size.get(j, 0), m)
+    kernels = {j: _block_kernel(step_maps[j], m) for j, m in size.items()}
+
+    s = np.stack([model.u_start.astype(float), np.zeros(k)])
+    out = np.empty((len(h) + 1, k))
     out[0] = s[0]
-    n = 1
-    for i, (p, d) in enumerate(zip(step_maps[which], increments)):
-        if i + 1 >= n_main:
-            r = s[0] - goal
-            if math.sqrt(r @ r) <= settle_tol:
-                break
-        s = p @ s + d
-        out[n] = s[0]
-        n += 1
-    all_times = np.concatenate([times, settle[1:]])
+    n = len(out)
+    for i, m, j in blocks:
+        powers, kernel = kernels[j]
+        states = (powers[:, :m].reshape(2 * m, 2) @ s
+                  + kernel[:, :m, :, :m].reshape(2 * m, 2 * m)
+                  @ increments[:, i:i + m].reshape(2 * m, k))
+        out[i + 1:i + 1 + m] = states[:m]
+        s = states[m - 1::m]
+        # the first settled state at or after the duration ends the rollout
+        first = max(i + 1, n_main - 1)
+        r = out[first:i + 1 + m] - goal
+        settled = np.flatnonzero(np.einsum("ij,ij->i", r, r) <= settle_tol * settle_tol)
+        if len(settled):
+            n = first + int(settled[0]) + 1
+            break
     return _to_trajectory(all_times[:n], out[:n], model.dim)
 
 

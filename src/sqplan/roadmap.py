@@ -173,24 +173,28 @@ def project_terminal(point, graph: RoadmapGraph) -> int:
     A terminal already on the graph reuses the existing node.
     """
     q = np.asarray(point, dtype=float)
-    live = [(k, e) for k, e in enumerate(graph.edges)
-            if e.kind != "stub" and graph.adjacency[e.u].get(e.v) == k]
-    if not live:
+    # (edge id, u, v) of every live edge that is not a stub
+    live = np.array([(k, e.u, e.v) for k, e in enumerate(graph.edges)
+                     if e.kind != "stub" and graph.adjacency[e.u].get(e.v) == k])
+    if len(live) == 0:
         raise RuntimeError("cannot project onto an empty graph")
 
     # reuse an existing node when the terminal coincides with one
-    dists = [np.linalg.norm(graph.nodes[i] - q) for i in range(len(graph.nodes))]
+    nodes = np.asarray(graph.nodes)
+    dists = np.linalg.norm(nodes - q, axis=1)
     nearest = int(np.argmin(dists))
     if dists[nearest] <= MERGE_TOL:
         return nearest
 
-    best = None
-    for k, e in live:
-        t, p, d = _point_segment(q, graph.nodes[e.u], graph.nodes[e.v])
-        if best is None or d < best[0]:
-            best = (d, k, t, p)
-    d, k, t, p = best
+    # closest point on every live edge at once (t = 0 on a zero-length edge);
+    # argmin keeps the first minimum in edge order
+    a = nodes[live[:, 1]]
+    ab = nodes[live[:, 2]] - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    t = np.clip(np.einsum("ij,ij->i", q - a, ab) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    k = int(live[np.argmin(np.linalg.norm(q - (a + t[:, None] * ab), axis=1)), 0])
     e = graph.edges[k]
+    _, p, d = _point_segment(q, graph.nodes[e.u], graph.nodes[e.v])
     if np.linalg.norm(p - graph.nodes[e.u]) <= MERGE_TOL:
         proj = e.u
     elif np.linalg.norm(p - graph.nodes[e.v]) <= MERGE_TOL:

@@ -334,6 +334,96 @@ def test_rollout_short_last_steps_match_two_loop_reference():
     assert np.max(np.abs(got - samples)) <= 1e-12
 
 
+def assert_matches_two_loop_reference(model, dt):
+    """Same time grid as the reference, values within 1e-12; returns its length."""
+    times, samples = two_loop_rollout(model, dt)
+    traj = rollout(model, dt)
+    assert len(traj.times) == len(times)
+    assert np.array_equal(traj.times, times)
+    got = np.hstack([traj.positions, traj.orientations])
+    assert np.max(np.abs(got - samples)) <= 1e-12
+    return len(times)
+
+
+@pytest.mark.parametrize("name", ["pillars3d", "narrow2d"])
+def test_rollout_matches_two_loop_reference_on_plan_models(name, monkeypatch):
+    # models fitted from the scene's reference plan and from a seeded stream
+    # of start/goal queries, at the planner's dt = duration / 400, whose
+    # arange grid has steps that differ from dt in the last bits
+    _, _, _, box_a, box_b = STREAMS[{"pillars3d": "pillars", "narrow2d": "narrow-wall"}[name]]
+    scn = generate_benchmark(name, 0)
+    pre = pipeline.precompute(scn)
+    models = []
+
+    def capture(model, dt):
+        models.append((model, dt))
+        return rollout(model, dt)
+
+    monkeypatch.setattr(pipeline, "rollout", capture)
+    assert pipeline.plan(scn, pre).success
+    rng = np.random.default_rng(12)
+    for k in range(4):
+        a, b = (box_a, box_b) if k % 2 == 0 else (box_b, box_a)
+        scn.start = RigidPose.create(clear_point(rng, scn, *map(np.asarray, a)))
+        scn.goal = RigidPose.create(clear_point(rng, scn, *map(np.asarray, b)))
+        assert pipeline.plan(scn, pre).success
+    assert len(models) == 5
+    jittered = 0
+    for model, dt in models:
+        assert dt == model.duration / 400.0
+        steps = np.diff(np.arange(0.0, model.duration, dt))
+        jittered += len(np.unique(steps)) > 1
+        assert_matches_two_loop_reference(model, dt)
+    assert jittered > 0
+
+
+def test_rollout_block_edges_match_two_loop_reference():
+    rng = np.random.default_rng(8)
+    centers, widths = _basis(15)
+    # dt = duration / 10, the largest allowed: the main phase is 10 steps,
+    # shorter than one block; models that settle at the duration, a few
+    # steps later, or never (a zero start-goal span)
+    lengths = set()
+    for trial, scale in enumerate([0.0, 50.0, 300.0] * 2 + [50.0]):
+        start = rng.normal(size=3)
+        goal = start.copy() if trial == 6 else rng.normal(size=3)
+        model = DMPModel(rng.normal(scale=scale, size=(3, 15)),
+                         centers, widths, float(rng.uniform(0.5, 3.0)), start, goal, 2,
+                         forcing_scale=np.ones(3))
+        lengths.add(assert_matches_two_loop_reference(model, model.duration / 10.0))
+    assert min(lengths) == 11 and max(lengths) == 21 and len(lengths) > 3
+    # forcing scaled until the state first settles on the first, and on the
+    # last, step of a block: on a grid of equal steps (up to rounding) from 0,
+    # the block from step i holds the states after steps i + 1 .. i + BLOCK
+    weights = rng.normal(size=(6, 15))
+    start, goal = rng.normal(size=6), rng.normal(size=6)
+    dt = 1.0 / 400.0
+
+    def model_of(scale):
+        return DMPModel(weights * scale, centers, widths, 1.0, start, goal, 3)
+
+    def onset(index):
+        """log10 of the least scale that first settles at index or later;
+        the settled index grows with the scale."""
+        lo, hi = 0.0, 10.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if len(rollout(model_of(10.0 ** mid), dt).times) - 1 < index:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    first = next(j for j in range(401, 800) if j % dmp.BLOCK == 1)
+    last = next(j for j in range(401, 800) if j % dmp.BLOCK == 0)
+    for settled in (first, last):
+        # midway between the onsets, no state sits at the tolerance itself
+        model = model_of(10.0 ** (0.5 * (onset(settled) + onset(settled + 1))))
+        assert assert_matches_two_loop_reference(model, dt) == settled + 1
+        steps = np.diff(rollout(model, dt).times)
+        assert np.all(np.abs(steps - dt) <= 1e-9 * dt)
+
+
 def test_rk4_maps_reproduce_one_explicit_step():
     # s' = A s + e2 b with the DMP's A; inputs at the DMP's scale, where the
     # goal term alpha_z * beta_z * g / tau dwarfs the state

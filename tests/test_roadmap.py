@@ -1,10 +1,13 @@
 import itertools
 
 import numpy as np
+import pytest
 
+from sqplan import pipeline
 from sqplan.geometry import Superquadric, inside_outside
-from sqplan.roadmap import (RoadmapGraph, build_graph, path_length,
-                            project_terminal, shortest_path)
+from sqplan.roadmap import (MERGE_TOL, RoadmapGraph, _point_segment, build_graph,
+                            path_length, project_terminal, shortest_path)
+from sqplan.scenario import generate_benchmark
 from sqplan.voronoi import build_diagram
 
 
@@ -146,3 +149,63 @@ def test_project_terminal_skips_stub_edges():
     assert g.node_kinds[proj] == "projection"
     assert np.allclose(g.nodes[proj], [1.5, 0.0], atol=1e-12)
     assert start not in g.adjacency[goal]
+
+
+# ------------------------------------ array search vs the per-edge loop
+
+
+def per_edge_project_terminal(point, graph):
+    """Reference projection: one point-segment distance per live edge in a
+    Python loop, keeping the first minimum."""
+    q = np.asarray(point, dtype=float)
+    live = [(k, e) for k, e in enumerate(graph.edges)
+            if e.kind != "stub" and graph.adjacency[e.u].get(e.v) == k]
+    dists = [np.linalg.norm(graph.nodes[i] - q) for i in range(len(graph.nodes))]
+    nearest = int(np.argmin(dists))
+    if dists[nearest] <= MERGE_TOL:
+        return nearest
+    best = None
+    for k, e in live:
+        t, p, d = _point_segment(q, graph.nodes[e.u], graph.nodes[e.v])
+        if best is None or d < best[0]:
+            best = (d, k, t, p)
+    d, k, t, p = best
+    e = graph.edges[k]
+    if np.linalg.norm(p - graph.nodes[e.u]) <= MERGE_TOL:
+        proj = e.u
+    elif np.linalg.norm(p - graph.nodes[e.v]) <= MERGE_TOL:
+        proj = e.v
+    else:
+        proj = graph.add_node(p, "projection")
+        graph.remove_edge(k)
+        graph.add_edge(e.u, proj, e.kind, list(e.normals))
+        graph.add_edge(proj, e.v, e.kind, list(e.normals))
+    if d <= MERGE_TOL:
+        return proj
+    term = graph.add_node(q, "terminal")
+    graph.add_edge(term, proj, "stub")
+    return term
+
+
+@pytest.mark.parametrize("name", ["pillars3d", "narrow2d"])
+def test_project_terminal_matches_per_edge_loop_on_query_streams(name):
+    scn = generate_benchmark(name, 0)
+    pre = pipeline.precompute(scn)
+    nodes = np.array(pre.graph.nodes)
+    rng = np.random.default_rng(21)
+    # start/goal pairs: random points of the world, plus graph nodes and
+    # edge midpoints, which take the reuse and on-edge branches
+    points = list(rng.uniform(scn.world_lo, scn.world_hi, size=(40, scn.dim)))
+    points += list(nodes[rng.choice(len(nodes), 4)])
+    points += [0.5 * (nodes[e.u] + nodes[e.v]) for e in pre.graph.edges[:4]]
+    order = rng.permutation(len(points))
+    for start, goal in zip(order[0::2], order[1::2]):
+        graph = pipeline._clone_graph(pre.graph)
+        reference = pipeline._clone_graph(pre.graph)
+        for k in (start, goal):
+            assert project_terminal(points[k], graph) == per_edge_project_terminal(points[k], reference)
+        # the same edges split at the same projection points
+        assert np.array_equal(np.array(graph.nodes), np.array(reference.nodes))
+        assert graph.node_kinds == reference.node_kinds
+        assert ([(e.u, e.v, e.kind) for e in graph.live_edges()]
+                == [(e.u, e.v, e.kind) for e in reference.live_edges()])
