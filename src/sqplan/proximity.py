@@ -31,12 +31,14 @@ class ClosestPair:
 
     Overlapping shapes report distance 0 with a point of the overlap as
     both witnesses. `converged` is False only when the iteration cap was hit.
+    `iterations` is the GJK iteration in which the pair stopped.
     """
 
     p_i: np.ndarray
     p_j: np.ndarray
     distance: float
     converged: bool
+    iterations: int
 
 
 # Faces of the simplex [w, y1, y2, y3] that contain the newest support point w
@@ -116,29 +118,52 @@ def closest_pairs(shapes_i: Sequence[Superquadric],
                   shapes_j: Sequence[Superquadric]) -> list[ClosestPair]:
     """Closest points between shapes_i[k] and shapes_j[k], for every k (GJK).
 
-    GJK runs on each Minkowski difference A - B from the direction between
-    the centres, all pairs together. A pair leaves the batch when a stop rule
-    fires: the duality gap closes to REL_TOL, the simplex encloses the origin
-    (dim + 1 vertices, or |v| below TOUCH_TOL times the simplex size), |v|
-    stops decreasing, or MAX_ITER is reached (then `converged` is False).
-    Witnesses are the simplex's weights applied to each shape's support
-    points. Every step is elementwise per pair, so a pair's result is bitwise
-    the same in any batch.
+    The list front end of `closest_pair_arrays`: it stacks each shape's
+    rotation matrix, centre, semi-axes and dual exponents, solves every pair
+    in full (tol = 0) and wraps the results as ClosestPair records.
     """
     sides = (shapes_i, shapes_j)
     if len(shapes_i) != len(shapes_j) or len({s.dim for side in sides for s in side}) > 1:
         raise ValueError("expected two equally long lists of shapes of one dimension")
-    n = len(shapes_i)
-    if n == 0:
+    if not shapes_i:
         return []
-    dim = shapes_i[0].dim
     # (2, n, ...) arrays: [0] holds the i side, [1] the j side
-    shape = [np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
-             np.array([[s.center for s in side] for side in sides]),
-             np.array([[s.axes for s in side] for side in sides]),
-             dual_exponents([[s.eps for s in side] for side in sides])]
+    p_i, p_j, distance, converged, iterations = closest_pair_arrays(
+        np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
+        np.array([[s.center for s in side] for side in sides]),
+        np.array([[s.axes for s in side] for side in sides]),
+        dual_exponents([[s.eps for s in side] for side in sides]), 0.0)
+    return [ClosestPair(*pair) for pair in zip(
+        p_i, p_j, distance.tolist(), converged.tolist(), iterations.tolist())]
+
+
+def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0):
+    """GJK on posed shapes given as arrays, all pairs together.
+
+    rot is (2, n, dim, dim), pos and axes are (2, n, dim) and q is
+    (2, n, dim - 1) (see `dual_exponents`): [0] holds the i side of every
+    pair, [1] the j side. GJK runs on each Minkowski difference A - B from
+    the direction between the centres. A pair leaves the batch when a stop
+    rule fires: the duality gap |v|^2 - v.w closes to max(REL_TOL |v|^2,
+    tol |v|), the simplex encloses the origin (dim + 1 vertices, or |v| below
+    TOUCH_TOL times the simplex size), |v| stops decreasing, or MAX_ITER is
+    reached (then `converged` is False). Witnesses are the simplex's weights
+    applied to each shape's support points. Every step is elementwise per
+    pair, so a pair's result is bitwise the same in any batch.
+
+    A pair stopped by a gap within tol reports a witness distance d with
+    d - tol <= distance <= d, since v.w / |v| bounds the distance from
+    below (van den Bergen, J. Graphics Tools 1999). tol = 0 leaves the full
+    solve unchanged.
+
+    Returns (p_i, p_j, distance, converged, iterations) as arrays over the
+    pairs; iterations counts the GJK iterations up to the one in which the
+    pair stopped.
+    """
+    n, dim = pos.shape[1], pos.shape[-1]
+    shape = [rot, pos, axes, q]
     sign = np.array([-1.0, 1.0])[:, None, None]  # A along -v, B along v
-    v = shape[1][0] - shape[1][1]
+    v = pos[0] - pos[1]
     v[~v.any(axis=1), 0] = 1.0
     ab = support_points(*shape, sign * v)
     simplex = np.repeat(ab[:, :, None], 4, axis=2)           # (2, m, 4 slots, dim)
@@ -147,16 +172,20 @@ def closest_pairs(shapes_i: Sequence[Superquadric],
     # each pair's final simplex, weights and flags, by pair index
     end_simplex, end_lam = np.empty((2, n, 4, dim)), np.empty((n, 4))
     enclosed_at, converged = np.zeros(n, bool), np.zeros(n, bool)
+    iterations = np.full(n, MAX_ITER)
 
-    def finish(rows, simplex, lam, enclosed, done):
+    def finish(rows, simplex, lam, enclosed, done, it):
         k = ids[rows]
         end_simplex[:, k], end_lam[k] = simplex[:, rows], lam[rows]
-        enclosed_at[k], converged[k] = enclosed, done
+        enclosed_at[k], converged[k], iterations[k] = enclosed, done, it
 
-    for _ in range(MAX_ITER):
+    for it in range(1, MAX_ITER + 1):
         ab = support_points(*shape, sign * v)
         vv = _dot(v, v)
-        gap = vv - _dot(v, ab[0] - ab[1]) <= REL_TOL * vv
+        limit = REL_TOL * vv
+        if tol:
+            limit = np.maximum(limit, tol * np.sqrt(vv))
+        gap = vv - _dot(v, ab[0] - ab[1]) <= limit
         new = np.concatenate([ab[:, :, None], simplex[:, :, :3]], axis=2)
         y = new[0] - new[1]
         face, new_lam, new_v, new_vv = _nearest_face(y, count)
@@ -167,9 +196,9 @@ def closest_pairs(shapes_i: Sequence[Superquadric],
         stop = ~gap & (enclosed | (new_vv >= vv))  # or no decrease in floating point
         n_gap, n_stop = np.count_nonzero(gap), np.count_nonzero(stop)
         if n_gap:  # a pair stopped by the duality gap keeps its previous simplex
-            finish(gap, simplex, lam, False, True)
+            finish(gap, simplex, lam, False, True, it)
         if n_stop:
-            finish(stop, new_simplex, new_lam, enclosed[stop], True)
+            finish(stop, new_simplex, new_lam, enclosed[stop], True, it)
         if n_gap + n_stop == len(v):
             break
         if n_gap + n_stop:
@@ -178,11 +207,10 @@ def closest_pairs(shapes_i: Sequence[Superquadric],
             new_simplex, shape = new_simplex[:, go], [x[:, go] for x in shape]
         v, simplex, lam, count = new_v, new_simplex, new_lam, _FACE_SIZE[face]
     else:
-        finish(np.ones(len(ids), bool), simplex, lam, False, False)
+        finish(np.ones(len(ids), bool), simplex, lam, False, False, MAX_ITER)
     p = _combine(end_lam, end_simplex)
     distance = np.where(enclosed_at, 0.0, np.sqrt(_dot(p[0] - p[1], p[0] - p[1])))
-    return [ClosestPair(p_i, p_j, d, c) for p_i, p_j, d, c
-            in zip(p[0], p[1], distance.tolist(), converged.tolist())]
+    return p[0], p[1], distance, converged, iterations
 
 
 def closest_pair(sq_i: Superquadric, sq_j: Superquadric) -> ClosestPair:

@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RigidPose, Superquadric, box_gaps, inside_outside
+from .geometry import (RigidPose, Superquadric, box_gaps, dual_exponents,
+                       inside_outside)
 # closest_pair is not used here; perfbench's traced run patches this name
-from .proximity import closest_pair, closest_pairs  # noqa: F401
-from .poses import robot_pose_at, robot_rotations
+from .proximity import closest_pair, closest_pair_arrays  # noqa: F401
+from .poses import robot_rotations
 from .dmp import DEFAULT_BASIS, PoseTrajectory
 
 BENCHMARK_NAMES = ("narrow2d", "t_block", "u_block",
@@ -28,7 +29,7 @@ DEFAULT_PARAMS = {
 }
 
 AUDIT_TOL = 1e-6   # certified audit gap, as a fraction of the robot's bounding radius
-AUDIT_SPLIT = 4    # sub-intervals per refined pose interval
+AUDIT_SPLIT = 16   # sub-intervals per refined pose interval
 
 
 class ScenarioError(ValueError):
@@ -59,6 +60,18 @@ class MetricsReport:
     min_distance_m: float
     success: bool
     fallback: bool
+    audit_solves: int        # GJK solves of the clearance audit
+    audit_rounds: int        # batched GJK calls of the clearance audit
+    audit_nonconverged: int  # audit solves that hit the iteration cap
+
+
+@dataclass
+class AuditStats:
+    """Work counts of one `min_trajectory_distance` call."""
+
+    solves: int = 0
+    rounds: int = 0
+    nonconverged: int = 0
 
 
 # --------------------------------------------------------------- file loading
@@ -347,58 +360,85 @@ def generate_benchmark(name: str, seed: int = 0) -> Scenario:
 
 
 def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
-                            obstacles: list[Superquadric]) -> float:
-    """Exact minimum distance from the posed robot to any original obstacle.
+                            obstacles: list[Superquadric],
+                            stats: AuditStats | None = None) -> float:
+    """Certified minimum distance from the posed robot to any original obstacle.
 
     Every pose is covered by a certified search over pose intervals, one
     interval [0, N-1] per obstacle to start with. Between poses a and b no
     robot point moves farther than motion(a, b), the sum of |dp| + r |dR|_F
     over the steps (r the robot's bounding radius), so the distance at every
-    pose of [a, b] is at least (d_a + d_b - motion(a, b)) / 2, the edge test
-    of Schwarzer, Saha & Latombe (IEEE T-RO 2005), and at least the poses'
-    box bounds `box_gaps` - r, which also stand in for unsolved endpoints. An
-    interval whose bound is within AUDIT_TOL * r of the best solved distance
-    is dropped; the others have their endpoints solved and are split
-    AUDIT_SPLIT ways. Each round's solves are one `closest_pairs` call. The
-    result is within AUDIT_TOL * r of the minimum over all (pose, obstacle)
-    pairs, and 0.0 as soon as a solve reports contact.
+    pose of [a, b] is at least (l_a + l_b - motion(a, b)) / 2, the edge test
+    of Schwarzer, Saha & Latombe (IEEE T-RO 2005), for lower bounds l_a, l_b
+    of the endpoint distances, and at least the poses' box bounds
+    `box_gaps` - r. GJK stops each solve once its duality gap is within
+    h = AUDIT_TOL * r / 2, so a solved distance d satisfies
+    d - h <= exact <= d: intervals are certified with d - h and the result
+    is the least d. A solve that hits the iteration cap is certified with its
+    box bound instead; its d still bounds the minimum from above. Each round
+    solves the endpoints of the live intervals in one `closest_pair_arrays`
+    call, fed the trajectory's rotation matrices and obstacle arrays stacked
+    once; then every interval whose bound is at least the best d - h is
+    dropped, and the others are split AUDIT_SPLIT ways, the sub-intervals that
+    their box bounds do not already drop bringing their cut points to the
+    next round. The result is never below the minimum over all (pose,
+    obstacle) pairs, and 0.0 as soon as a solve reports contact. When no
+    solve hits the iteration cap (stats.nonconverged == 0) it is also at most
+    AUDIT_TOL * r above that minimum; an unconverged d may overstate its
+    pair's distance, so otherwise only the lower side holds. `stats`, when
+    given, receives the solve, round and non-converged counts.
     """
     if not obstacles:
         return float("inf")
-    positions, orientations = trajectory.positions, trajectory.orientations
+    positions = trajectory.positions
     r = robot.bounding_radius()
-    tol = AUDIT_TOL * r
-    rotations = robot_rotations(robot.dim, orientations)
+    half = AUDIT_TOL * r / 2.0
+    rotations = robot_rotations(robot.dim, trajectory.orientations)
     steps = (np.linalg.norm(np.diff(positions, axis=0), axis=1)
              + r * np.linalg.norm(np.diff(rotations, axis=0), axis=(1, 2)))
     motion = np.concatenate([[0.0], np.cumsum(steps)]).tolist()
     # box lower bounds lb[obstacle][pose], as lists for scalar lookups
     lb = (box_gaps(positions, obstacles) - r).tolist()
-    solved, best = {}, np.inf
-    intervals = [(0, len(positions) - 1, j) for j in range(len(obstacles))]
-    while intervals:
-        todo, kept = set(), []
-        for a, b, j in intervals:
-            d_a, d_b = solved.get((a, j), lb[j][a]), solved.get((b, j), lb[j][b])
-            bound = max((d_a + d_b - motion[b] + motion[a]) / 2.0, min(lb[j][a:b + 1]))
-            if bound >= best - tol:
-                continue
-            missing = {(a, j), (b, j)} - solved.keys()
-            if missing:
-                todo |= missing
-                kept.append((a, b, j))
-            elif b - a > 1:
-                cuts = sorted({a + (b - a) * k // AUDIT_SPLIT
-                               for k in range(AUDIT_SPLIT + 1)})
-                kept += [(s, e, j) for s, e in zip(cuts, cuts[1:])]
+    robot_q = dual_exponents(robot.eps)
+    obstacles_stacked = (np.array([o.pose.rotation_matrix() for o in obstacles]),
+                         np.array([o.center for o in obstacles]),
+                         np.array([o.axes for o in obstacles]),
+                         dual_exponents([o.eps for o in obstacles]))
+    stats = AuditStats() if stats is None else stats
+    certified, best = {}, np.inf  # (pose, obstacle) -> lower bound on its distance
+
+    def bound(a, b, j):
+        l_a, l_b = certified.get((a, j), lb[j][a]), certified.get((b, j), lb[j][b])
+        return max((l_a + l_b - motion[b] + motion[a]) / 2.0, min(lb[j][a:b + 1]))
+
+    last = len(positions) - 1
+    intervals = [(0, last, j) for j in range(len(obstacles))]
+    todo = {(i, j) for j in range(len(obstacles)) for i in (0, last)}
+    while todo:
         todo = sorted(todo)
-        pairs = closest_pairs([robot_pose_at(robot, positions[i], orientations[i])
-                               for i, _ in todo], [obstacles[j] for _, j in todo])
-        for key, pair in zip(todo, pairs):
-            solved[key] = pair.distance
-            best = min(best, pair.distance)
+        i, j = np.array(todo).T
+        rot_o, pos_o, axes_o, q_o = (x[j] for x in obstacles_stacked)
+        _, _, distance, converged, _ = closest_pair_arrays(
+            np.stack([rotations[i], rot_o]), np.stack([positions[i], pos_o]),
+            np.stack([np.broadcast_to(robot.axes, axes_o.shape), axes_o]),
+            np.stack([np.broadcast_to(robot_q, q_o.shape), q_o]), tol=half)
+        stats.rounds += 1
+        stats.solves += len(todo)
+        stats.nonconverged += len(todo) - int(np.count_nonzero(converged))
+        for key, d, ok in zip(todo, distance.tolist(), converged.tolist()):
+            certified[key] = d - half if ok else lb[key[1]][key[0]]
+            best = min(best, d)
         if best <= 0.0:
             return 0.0
+        todo, kept = set(), []
+        for a, b, j in intervals:
+            if b - a <= 1 or bound(a, b, j) >= best - half:
+                continue
+            cuts = sorted({a + (b - a) * k // AUDIT_SPLIT for k in range(AUDIT_SPLIT + 1)})
+            for s, e in zip(cuts, cuts[1:]):
+                if bound(s, e, j) < best - half:
+                    kept.append((s, e, j))
+                    todo |= {(s, j), (e, j)} - certified.keys()
         intervals = kept
     return float(best)
 
@@ -406,14 +446,18 @@ def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
 def compute_metrics(trajectory: PoseTrajectory, scenario: Scenario,
                     timings: dict) -> MetricsReport:
     """Arc length, minimum clearance, and the supplied timing split."""
+    audit = AuditStats()
     return MetricsReport(
         planning_time_s=float(timings.get("query_s", 0.0)),
         precompute_time_s=float(timings.get("precompute_s", 0.0)),
         arc_length_m=trajectory.arc_length(),
         min_distance_m=min_trajectory_distance(trajectory, scenario.robot,
-                                               scenario.obstacles),
+                                               scenario.obstacles, audit),
         success=bool(timings.get("success", True)),
         fallback=bool(timings.get("fallback", False)),
+        audit_solves=audit.solves,
+        audit_rounds=audit.rounds,
+        audit_nonconverged=audit.nonconverged,
     )
 
 
@@ -423,6 +467,9 @@ def metrics_to_dict(report: MetricsReport) -> dict:
         "min_distance_m": report.min_distance_m,
         "success": report.success,
         "fallback": report.fallback,
+        "audit_solves": report.audit_solves,
+        "audit_rounds": report.audit_rounds,
+        "audit_nonconverged": report.audit_nonconverged,
         "timing": {"planning_time_s": report.planning_time_s,
                    "precompute_time_s": report.precompute_time_s},
     }

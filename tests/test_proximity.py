@@ -7,9 +7,11 @@ import pytest
 from scipy.spatial import cKDTree
 
 from sqplan import proximity, voronoi
-from sqplan.geometry import EPS_MAX, Superquadric, inside_outside, surface_samples
-from sqplan.proximity import (ClosestPair, closest_pair, closest_pairs, overlaps,
-                              pair_lower_bound)
+from sqplan.geometry import (EPS_MAX, Superquadric, dual_exponents, inside_outside,
+                             surface_samples)
+from sqplan.poses import robot_pose_at, robot_rotations
+from sqplan.proximity import (ClosestPair, closest_pair, closest_pair_arrays,
+                              closest_pairs, overlaps, pair_lower_bound)
 from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
 
 
@@ -286,7 +288,7 @@ def oracle_closest_pair(sq_i, sq_j):
     pts_i, pts_j, lam = a[None], b[None], np.ones(1)
     v = a - b
     converged = enclosed = False
-    for _ in range(proximity.MAX_ITER):
+    for it in range(1, proximity.MAX_ITER + 1):
         a, b = support_i(-v), support_j(v)
         vv = float(v @ v)
         if vv - float(v @ (a - b)) <= proximity.REL_TOL * vv:
@@ -308,7 +310,7 @@ def oracle_closest_pair(sq_i, sq_j):
         v = v_new
     p_i, p_j = lam @ pts_i, lam @ pts_j
     distance = 0.0 if enclosed else float(np.linalg.norm(p_i - p_j))
-    return ClosestPair(p_i[:dim], p_j[:dim], distance, converged)
+    return ClosestPair(p_i[:dim], p_j[:dim], distance, converged, it)
 
 
 def assert_matches_oracle(got, a, b):
@@ -438,3 +440,69 @@ def test_diagrams_match_one_pair_oracle(monkeypatch):
         for h, w in zip(diagram.hyperplanes, want.hyperplanes):
             assert np.max(np.abs(h.normal - w.normal)) <= 1e-6
         assert diagram.nonconverged == want.nonconverged == 0
+
+
+# ------------------------------------------- tolerance stop and array core
+
+
+def stacked_sides(shapes_i, shapes_j):
+    """closest_pair_arrays inputs for two lists of shapes."""
+    sides = (shapes_i, shapes_j)
+    return (np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
+            np.array([[s.center for s in side] for side in sides]),
+            np.array([[s.axes for s in side] for side in sides]),
+            dual_exponents([[s.eps for s in side] for side in sides]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps_range", [(0.2, 0.2), (0.1, 2.0)])
+def test_tolerance_stop_bounds_the_full_solve(dim, eps_range):
+    # rotated boxy pairs at eps = 0.2 converge slowest; the cases also hold
+    # overlaps, containment and pairs within 1e-3 .. -1e-7 m of touching
+    rng = np.random.default_rng([40 + dim, int(10 * eps_range[0])])
+    cases = oracle_cases(dim, eps_range, rng) + [
+        (random_sq(rng, dim, eps_range=eps_range), random_sq(rng, dim, eps_range=eps_range))
+        for _ in range(20)]
+    shapes_i, shapes_j = [a for a, _ in cases], [b for _, b in cases]
+    sides = stacked_sides(shapes_i, shapes_j)
+    full = closest_pairs(shapes_i, shapes_j)
+    for pair, *record in zip(full, *closest_pair_arrays(*sides, 0.0)):
+        assert same_result(pair, ClosestPair(*record)) and pair.iterations == record[4]
+        assert 1 <= pair.iterations < proximity.MAX_ITER
+    stopped_early = 0
+    for tol in (1e-9, 1e-6, 1e-3, 1e-1):
+        _, _, distance, converged, iterations = closest_pair_arrays(*sides, tol)
+        for exact, d, ok, it in zip(full, distance, converged, iterations):
+            assert ok
+            assert exact.distance - 1e-12 <= d <= exact.distance + tol + 1e-12
+            assert it <= exact.iterations
+            stopped_early += it < exact.iterations
+    assert stopped_early > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("tol", [0.0, 1e-4])
+def test_array_core_matches_list_front_end_on_robot_poses(dim, tol):
+    # the robot posed along a trajectory as the clearance audit feeds it, by
+    # robot_rotations' matrices (in 3D they differ from a RigidPose's in the
+    # last bits, so there the posed shapes' own matrices) and the positions
+    rng = np.random.default_rng(50 + dim)
+    robot = random_sq(rng, dim)
+    obstacles = [random_sq(rng, dim) for _ in range(3)]
+    positions = rng.uniform(-3.0, 3.0, size=(12, dim))
+    orientations = rng.normal(size=(12, 1 if dim == 2 else 3))
+    posed = [robot_pose_at(robot, p, o) for p, o in zip(positions, orientations)]
+    rotations = (robot_rotations(dim, orientations) if dim == 2
+                 else np.array([s.pose.rotation_matrix() for s in posed]))
+    i, j = np.divmod(np.arange(len(posed) * len(obstacles)), len(obstacles))
+    rot, pos, axes, q = stacked_sides([robot] * len(i), [obstacles[k] for k in j])
+    rot[0], pos[0] = rotations[i], positions[i]
+    posed_i, obstacles_j = [posed[k] for k in i], [obstacles[k] for k in j]
+    got = closest_pair_arrays(rot, pos, axes, q, tol)
+    want = closest_pair_arrays(*stacked_sides(posed_i, obstacles_j), tol)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+    if tol == 0.0:
+        for pair, *record in zip(closest_pairs(posed_i, obstacles_j), *got):
+            assert same_result(pair, ClosestPair(*record))
+            assert pair.iterations == record[4]
