@@ -213,8 +213,8 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # pragma: no cover - defensive
-        log.exception("internal error")
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

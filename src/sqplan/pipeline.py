@@ -63,8 +63,6 @@ def precompute(scenario: Scenario) -> Precomputed:
     h = scenario.params.get("h")
     if h is None:
         h = default_bridging_distance(scenario)
-    if not scenario.params.get("bridging", True):
-        h = 0.0
     graph = build_graph(diagram, float(h))
     return Precomputed(diagram, graph, time.perf_counter() - t0)
 

@@ -229,9 +229,3 @@ def overlaps(sq_i: Superquadric, sq_j: Superquadric,
     if pair is None:
         pair = closest_pair(sq_i, sq_j)
     return pair.distance <= OVERLAP_TOL
-
-
-def pair_lower_bound(sq_i: Superquadric, sq_j: Superquadric) -> float:
-    """Cheap lower bound on surface distance from bounding spheres."""
-    c = float(np.linalg.norm(sq_i.center - sq_j.center))
-    return c - sq_i.bounding_radius() - sq_j.bounding_radius()

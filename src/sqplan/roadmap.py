@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import inside_outside
-from .voronoi import Diagram
+from .voronoi import Diagram, _UnionFind
 
 MERGE_TOL = 1e-7
 EDGE_SAMPLES = 32
@@ -107,23 +107,13 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
     if not all_pts:
         return graph
     pts = np.array(all_pts)
-    uf = list(range(len(pts)))
-
-    def find(i):
-        while uf[i] != i:
-            uf[i] = uf[uf[i]]
-            i = uf[i]
-        return i
-
-    tree = cKDTree(pts)
-    for i, j in sorted(tree.query_pairs(MERGE_TOL)):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            uf[max(ri, rj)] = min(ri, rj)
+    uf = _UnionFind(len(pts))
+    for i, j in sorted(cKDTree(pts).query_pairs(MERGE_TOL)):
+        uf.union(i, j)
 
     node_of: dict[int, int] = {}
     for i in range(len(pts)):
-        r = find(i)
+        r = uf.find(i)
         if r not in node_of:
             node_of[r] = graph.add_node(pts[r], "cell")
 
@@ -133,7 +123,7 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
 
     for off, cell in zip(offsets, diagram.cells):
         for u, v, tags in cell.edges:
-            nu, nv = node_of[find(off + u)], node_of[find(off + v)]
+            nu, nv = node_of[uf.find(off + u)], node_of[uf.find(off + v)]
             if nu == nv:
                 continue
             normals = [hp_info(t) for t in sorted(set(tags)) if t >= 0]

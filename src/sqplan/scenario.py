@@ -21,11 +21,10 @@ BENCHMARK_NAMES = ("narrow2d", "t_block", "u_block",
                    "pillars3d", "moderate3d", "dense3d")
 
 DEFAULT_PARAMS = {
-    "h": None,          # bridging distance (m); None -> 2% of world diagonal
+    "h": None,          # bridging distance (m); None -> 2% of world diagonal, 0 -> no bridges
     "dmp_basis": DEFAULT_BASIS,  # forcing-term basis functions per degree of freedom
     "dt": None,         # rollout step (s); None -> duration / 400
     "n_samples": None,  # demonstration samples; None -> max(400, 100 per waypoint)
-    "bridging": True,   # add short bridging edges between nearby graph nodes
 }
 
 AUDIT_TOL = 1e-6   # certified audit gap, as a fraction of the robot's bounding radius

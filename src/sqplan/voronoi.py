@@ -1,8 +1,9 @@
 """Voronoi-style diagram over superquadric obstacles.
 
-Expanded obstacles are grouped into clusters by overlap, one maximum-margin
-separating hyperplane is computed per cluster pair from the closest witness
-points, and each cluster's cell is the world box clipped by its halfspaces.
+The closest pair of every two expanded obstacles is solved in one batched
+GJK call. Obstacles are grouped into clusters by overlap, one maximum-margin
+separating hyperplane is computed per cluster pair from its closest cross
+pair, and each cluster's cell is the world box clipped by its halfspaces.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .polytope import (
 )
 # closest_pair is not used here; perfbench's traced run patches this name
 from .proximity import (ClosestPair, OVERLAP_TOL, closest_pair,  # noqa: F401
-                        closest_pairs, overlaps, pair_lower_bound)
+                        closest_pairs, overlaps)
 
 
 class ClusterInconsistencyError(RuntimeError):
@@ -112,62 +113,44 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
+def all_pairs(shapes: list[Superquadric]) -> dict[tuple[int, int], ClosestPair]:
+    """Closest pair of every two shapes i < j, keyed (i, j), from one GJK call."""
+    keys = [(i, j) for i in range(len(shapes)) for j in range(i + 1, len(shapes))]
+    return dict(zip(keys, closest_pairs([shapes[i] for i, _ in keys],
+                                        [shapes[j] for _, j in keys])))
+
+
 def build_clusters(expanded_obstacles: list[Superquadric],
-                   pairs: dict[tuple[int, int], ClosestPair] | None = None) -> list[Cluster]:
+                   pairs: dict[tuple[int, int], ClosestPair]) -> list[Cluster]:
     """Connected components of the pairwise overlap relation.
 
-    Cluster ids are assigned by lowest member index. Every pair that the
-    bounding spheres do not prune gets an exact closest-pair solve. When a
-    `pairs` map is supplied, its entries are reused, and the same batch also
-    solves the pairs between components of the sphere-overlap graph: they
-    join clusters with no cached cross pair, so the hyperplane between those
-    clusters needs each of them. New solves are cached in the map.
+    `pairs` holds the closest pair of every two obstacles (see `all_pairs`);
+    the pairs that `overlaps` reports are joined. Cluster ids are assigned by
+    lowest member index.
     """
-    shapes, n = expanded_obstacles, len(expanded_obstacles)
-    keys = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    near = [(i, j) for i, j in keys if pair_lower_bound(shapes[i], shapes[j]) <= 0.0]
-    spheres = _UnionFind(n)
-    for i, j in near:
-        spheres.union(i, j)
-    far = [] if pairs is None else [key for key in keys
-                                    if spheres.find(key[0]) != spheres.find(key[1])]
-    pairs = {} if pairs is None else pairs
-    todo = [key for key in near + far if key not in pairs]
-    pairs.update(zip(todo, closest_pairs([shapes[i] for i, _ in todo],
-                                         [shapes[j] for _, j in todo])))
-    uf = _UnionFind(n)
-    for i, j in keys:
-        if (i, j) in pairs and overlaps(shapes[i], shapes[j], pairs[(i, j)]):
+    shapes = expanded_obstacles
+    uf = _UnionFind(len(shapes))
+    for (i, j), pair in pairs.items():
+        if overlaps(shapes[i], shapes[j], pair):
             uf.union(i, j)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
+    for i in range(len(shapes)):
         groups.setdefault(uf.find(i), []).append(i)
     return [Cluster(cid, sorted(members))
             for cid, (_, members) in enumerate(sorted(groups.items()))]
 
 
 def separating_hyperplane(ci: Cluster, cj: Cluster, shapes: list[Superquadric],
-                          pairs: dict[tuple[int, int], ClosestPair] | None = None) -> Hyperplane:
+                          pairs: dict[tuple[int, int], ClosestPair]) -> Hyperplane:
     """Maximum-margin hyperplane between two clusters.
 
-    The witness pair is the minimum-distance cross pair. The uncached cross
-    pairs whose bounding-sphere bound is below the best cached distance are
-    solved in one batch (no other pair can be closer); ties go to the pair
-    first in ascending order of the bounds (cached distances for cached pairs).
+    The witness pair is the minimum-distance cross pair of `pairs`; ties go to
+    the first cross pair in member order.
     """
     if ci.id == cj.id:
         raise ValueError("clusters must be distinct")
-    pairs = {} if pairs is None else pairs
     cross = [(min(i, j), max(i, j)) for i in ci.members for j in cj.members]
-    bounds = [pairs[key].distance if key in pairs
-              else pair_lower_bound(shapes[key[0]], shapes[key[1]])
-              for key in cross]
-    cached = min((b for key, b in zip(cross, bounds) if key in pairs), default=np.inf)
-    todo = [key for key, b in zip(cross, bounds) if key not in pairs and b < cached]
-    pairs.update(zip(todo, closest_pairs([shapes[i] for i, _ in todo],
-                                         [shapes[j] for _, j in todo])))
-    best_key = min((cross[k] for k in np.argsort(bounds, kind="stable")
-                    if cross[k] in pairs), key=lambda key: pairs[key].distance)
+    best_key = min(cross, key=lambda key: pairs[key].distance)
     best = pairs[best_key]
     if best.distance <= OVERLAP_TOL:
         raise ClusterInconsistencyError(
@@ -186,16 +169,17 @@ def build_cell(ci: Cluster, planes: list[Hyperplane], world_lo, world_hi,
                dim: int) -> PolytopeCell:
     """World box clipped by every halfspace of the cluster.
 
-    Halfspaces that do not change the cell are pruned from its generating set.
+    `planes` is the diagram's whole hyperplane list; the planes that do not
+    bound this cluster are skipped. Halfspaces, edges and faces are tagged
+    with their plane's index in `planes` (box walls with negative tags), and
+    halfspaces that do not change the cell are pruned from its generating set.
     """
     lo = np.asarray(world_lo, dtype=float)
     hi = np.asarray(world_hi, dtype=float)
     scale = float(np.linalg.norm(hi - lo))
     tol = max(GEOM_TOL, 1e-12 * scale)
-    oriented = []
-    for k, hp in enumerate(planes):
-        n, b = hp.oriented(ci.id)
-        oriented.append((n, b, k))
+    oriented = [(*hp.oriented(ci.id), k) for k, hp in enumerate(planes)
+                if ci.id in (hp.cluster_i, hp.cluster_j)]
 
     if dim == 2:
         verts, tags = box_polygon(lo, hi)
@@ -244,30 +228,17 @@ def _add_box_halfspaces(half, lo, hi, dim):
 
 def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
                   world_lo, world_hi) -> Diagram:
-    """Full pipeline: expand, cluster, hyperplanes, cells."""
+    """Full pipeline: expand, all-pairs closest points, cluster, hyperplanes, cells."""
     dim = robot.dim
     if any(o.dim != dim for o in obstacles):
         raise ValueError("robot and obstacles must share a dimension")
     margin = float(robot.axes[0])
     grown = [expand(o, margin) for o in obstacles]
-    pairs: dict[tuple[int, int], ClosestPair] = {}
+    pairs = all_pairs(grown)
     clusters = build_clusters(grown, pairs)
     hyperplanes = [separating_hyperplane(ci, cj, grown, pairs)
                    for a, ci in enumerate(clusters) for cj in clusters[a + 1:]]
-    cells = []
-    for cl in clusters:
-        involved = [hp for hp in hyperplanes if cl.id in (hp.cluster_i, hp.cluster_j)]
-        cells.append(build_cell(cl, involved, world_lo, world_hi, dim))
-    # remap per-cell halfspace/edge/face tags from local plane index to the
-    # global hyperplane index so provenance is uniform across cells
-    for cl, cell in zip(clusters, cells):
-        involved_idx = [k for k, hp in enumerate(hyperplanes)
-                        if cl.id in (hp.cluster_i, hp.cluster_j)]
-        remap = {local: global_k for local, global_k in enumerate(involved_idx)}
-        cell.halfspaces = [(n, b, remap.get(t, t)) for n, b, t in cell.halfspaces]
-        cell.edges = [(u, v, [remap.get(t, t) for t in tags]) for u, v, tags in cell.edges]
-        if cell.faces is not None:
-            cell.faces = [(loop, remap.get(t, t)) for loop, t in cell.faces]
+    cells = [build_cell(cl, hyperplanes, world_lo, world_hi, dim) for cl in clusters]
     lo = np.asarray(world_lo, dtype=float)
     hi = np.asarray(world_hi, dtype=float)
     return Diagram(dim, lo, hi, robot, list(obstacles), grown, clusters, hyperplanes,

@@ -1,10 +1,12 @@
 import json
+import logging
 import os
 
 import numpy as np
 import pytest
 
-from sqplan.cli import (EXIT_NO_PATH, EXIT_OK, EXIT_VALIDATION, main)
+from sqplan import pipeline
+from sqplan.cli import (EXIT_INTERNAL, EXIT_NO_PATH, EXIT_OK, EXIT_VALIDATION, main)
 from sqplan.scenario import load_scenario
 
 
@@ -107,3 +109,21 @@ def test_unknown_demo_name_rejected(tmp_path, capsys):
         main(["demo", "--name", "nope", "--out", str(tmp_path)])
     assert exc.value.code != 0
     assert "narrow2d" in capsys.readouterr().err  # lists valid names
+
+
+def test_internal_error_exits_4_without_traceback(tmp_path, capsys, caplog, monkeypatch):
+    out = str(tmp_path)
+    main(["demo", "--name", "narrow2d", "--out", out])
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("planner broke")
+
+    monkeypatch.setattr(pipeline, "plan", broken)
+    caplog.set_level(logging.DEBUG, logger="sqplan")
+    code = main(["plan", "--scenario", os.path.join(out, "narrow2d.json"),
+                 "--out", os.path.join(out, "run")])
+    assert code == EXIT_INTERNAL
+    assert "internal error: planner broke" in capsys.readouterr().err
+    # the traceback is logged at debug level only
+    assert any(r.exc_info for r in caplog.records if r.levelno == logging.DEBUG)
+    assert not any(r.exc_info for r in caplog.records if r.levelno >= logging.WARNING)

@@ -10,7 +10,6 @@ from sqplan.dmp import (ALPHA_Z, BETA_Z, CHUNK, DMPModel, Demonstration,
 from sqplan.geometry import (RigidPose, Superquadric, box_gaps, inside_outside,
                              inside_outside_local, surface_samples)
 from sqplan.poses import PoseWaypoint, robot_pose_at, robot_rotations
-from sqplan.proximity import pair_lower_bound
 from sqplan.rotations import exp_so3
 from sqplan.scenario import generate_benchmark
 
@@ -462,7 +461,9 @@ def per_pose_collides(trajectory, robot, obstacles):
         posed = robot_pose_at(robot, trajectory.positions[i], trajectory.orientations[i])
         pts = surface_samples(posed, res)
         for o, opts in zip(obstacles, obstacle_pts):
-            if pair_lower_bound(posed, o) > 0.0:
+            # bounding spheres apart: no contact
+            if (np.linalg.norm(posed.center - o.center)
+                    - posed.bounding_radius() - o.bounding_radius() > 0.0):
                 continue
             if (np.any(inside_outside(posed, opts) <= 0.0)
                     or np.any(inside_outside(o, pts) <= 0.0)

@@ -11,7 +11,7 @@ from sqplan.geometry import (EPS_MAX, Superquadric, dual_exponents, inside_outsi
                              surface_samples)
 from sqplan.poses import robot_pose_at, robot_rotations
 from sqplan.proximity import (ClosestPair, closest_pair, closest_pair_arrays,
-                              closest_pairs, overlaps, pair_lower_bound)
+                              closest_pairs, overlaps)
 from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
 
 
@@ -148,15 +148,6 @@ def test_overlaps_interpenetrating_boxes():
     bar = Superquadric.create([0.2], [0.02, 0.12], [0.25, 0.30], [np.pi / 2])
     stem = Superquadric.create([0.2], [0.02, 0.07], [0.25, 0.22], [0.0])
     assert overlaps(bar, stem, closest_pair(bar, stem))
-
-
-def test_pair_lower_bound_is_a_lower_bound():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a, b = random_sq(rng, 2), random_sq(rng, 2)
-        lb = pair_lower_bound(a, b)
-        pair = closest_pair(a, b)
-        assert lb <= pair.distance + 1e-9
 
 
 def test_closest_pairs_batch_of_neighbours():
@@ -421,7 +412,7 @@ def _load_bench_scenes():
 def test_diagrams_match_one_pair_oracle(monkeypatch):
     """The six benchmark scenes and the benchmark's random build fields give
     the same clusters and hyperplanes with batched GJK as with the one-pair
-    oracle."""
+    oracle, and each diagram solves all its obstacle pairs in one call."""
     bench = _load_bench_scenes()
     scenes = ([generate_benchmark(name) for name in BENCHMARK_NAMES]
               + [scenario_from_dict(bench.random_field(*f)) for f in bench.BUILD3D_FIELDS])
@@ -429,7 +420,19 @@ def test_diagrams_match_one_pair_oracle(monkeypatch):
     def build(scn):
         return voronoi.build_diagram(scn.robot, scn.obstacles, scn.world_lo, scn.world_hi)
 
-    got = [build(scn) for scn in scenes]
+    batches = []
+
+    def counted(a, b):
+        batches.append(len(a))
+        return closest_pairs(a, b)
+
+    monkeypatch.setattr(voronoi, "closest_pairs", counted)
+    got = []
+    for scn in scenes:
+        batches.clear()
+        got.append(build(scn))
+        n = len(scn.obstacles)
+        assert batches == [n * (n - 1) // 2]
     monkeypatch.setattr(voronoi, "closest_pairs", lambda a, b: [
         oracle_closest_pair(x, y) for x, y in zip(a, b)])
     for diagram, scn in zip(got, scenes):

@@ -10,7 +10,7 @@ from sqplan.geometry import Superquadric, expand, inside_outside, surface_sample
 from sqplan.pipeline import plan
 from sqplan.poses import robot_pose_at
 from sqplan import proximity, scenario
-from sqplan.proximity import closest_pair, closest_pairs, overlaps, pair_lower_bound
+from sqplan.proximity import closest_pair, closest_pairs, overlaps
 from sqplan.scenario import (BENCHMARK_NAMES, AuditStats, Scenario, ScenarioError,
                              compute_metrics, generate_benchmark,
                              load_scenario, load_trajectory, metrics_to_dict,
@@ -37,7 +37,6 @@ def test_minimal_scenario_gets_defaults():
     scn = scenario_from_dict(minimal_dict())
     assert scn.dim == 2
     assert scn.params["dmp_basis"] == 25
-    assert scn.params["bridging"] is True
     assert scn.params["h"] is None
 
 
@@ -67,10 +66,12 @@ def test_load_error_unknown_param_and_version():
     data["params"] = {"bogus": 1}
     with pytest.raises(ScenarioError, match="bogus"):
         scenario_from_dict(data)
-    # scenes carry no randomness, so seed is not a parameter
-    data["params"] = {"seed": 0}
-    with pytest.raises(ScenarioError, match="params.seed"):
-        scenario_from_dict(data)
+    # scenes carry no randomness, so seed is not a parameter; h = 0 turns
+    # bridging off, so bridging is not one either
+    for key, value in (("seed", 0), ("bridging", False)):
+        data["params"] = {key: value}
+        with pytest.raises(ScenarioError, match=f"params.{key}"):
+            scenario_from_dict(data)
     data = minimal_dict()
     data["version"] = 99
     with pytest.raises(ScenarioError, match="version"):
@@ -226,7 +227,9 @@ def per_pose_min_distance(trajectory, robot, obstacles):
     for i, shape in enumerate(posed):
         pts = surface_samples(shape, res_r)
         for j, obs in enumerate(obstacles):
-            if pair_lower_bound(shape, obs) > best_coarse + slack:
+            sphere_gap = (np.linalg.norm(shape.center - obs.center)
+                          - shape.bounding_radius() - obs.bounding_radius())
+            if sphere_gap > best_coarse + slack:
                 pruned += 1
                 continue
             coarse[i, j] = float(otrees[j].query(pts)[0].min())

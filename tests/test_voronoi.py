@@ -2,7 +2,7 @@ import numpy as np
 
 from sqplan.geometry import Superquadric
 from sqplan.proximity import closest_pair
-from sqplan.voronoi import (build_clusters, build_diagram, cell_of_point,
+from sqplan.voronoi import (all_pairs, build_clusters, build_diagram, cell_of_point,
                             diagram_to_dict, separating_hyperplane)
 
 
@@ -20,7 +20,7 @@ def test_clusters_merge_chains():
     circles = [Superquadric.create([1.0], [0.5, 0.5], [float(k) * 0.8, 0.0])
                for k in range(3)]
     circles.append(Superquadric.create([1.0], [0.5, 0.5], [10.0, 0.0]))
-    clusters = build_clusters(circles)
+    clusters = build_clusters(circles, all_pairs(circles))
     assert [c.members for c in clusters] == [[0, 1, 2], [3]]
     assert [c.id for c in clusters] == [0, 1]
 
