@@ -1,8 +1,9 @@
 """Command-line interface: plan scenarios, run benchmark suites, emit demos.
 
 Exit codes: 0 success; 2 scenario validation error; 3 no feasible passage;
-4 internal error. Log verbosity comes from the SQPLAN_LOG environment
-variable (debug/info/warning/error).
+4 internal error. `bench` records every run, then exits 4 if any run raised,
+else 3 if any run found no plan. Log verbosity comes from the SQPLAN_LOG
+environment variable (debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -100,9 +101,11 @@ def cmd_plan(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """Run the suite; exit 4 if any run raised, else 3 if any found no plan."""
     os.makedirs(args.out, exist_ok=True)
     names = SUITES[args.suite]
     rows = []
+    raised = no_plan = False
     results = {"suite": args.suite, "runs": args.runs, "seed": args.seed,
                "benchmarks": []}
     for name in names:
@@ -120,11 +123,13 @@ def cmd_bench(args) -> int:
                 log.error("benchmark %s run %d failed: %s", name, run, exc)
                 entry["runs"].append({"success": False, "error": str(exc)})
                 failures += 1
+                raised = True
                 continue
             if not result.success:
                 entry["runs"].append({"success": False,
                                       "reason": result.reason})
                 failures += 1
+                no_plan = True
                 continue
             entry["runs"].append(metrics_to_dict(metrics))
         ok = [r for r in entry["runs"] if r.get("success")]
@@ -159,7 +164,9 @@ def cmd_bench(args) -> int:
             suffix = f"  ({failures} failed)" if failures else ""
             print(f"{name:<12} {t:>14.3f} {arc:>15.3f} "
                   f"{dist * 1000.0:>14.2f}{suffix}")
-    return EXIT_OK
+    if raised:
+        return EXIT_INTERNAL
+    return EXIT_NO_PATH if no_plan else EXIT_OK
 
 
 def cmd_demo(args) -> int:

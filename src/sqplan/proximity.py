@@ -10,6 +10,7 @@ runs Johnson's distance subalgorithm, in closed form, for all of them.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,6 +33,8 @@ class ClosestPair:
     Overlapping shapes report distance 0 with a point of the overlap as
     both witnesses. `converged` is False only when the iteration cap was hit.
     `iterations` is the GJK iteration in which the pair stopped.
+    `lower_bound` is set only for a pair retired by a threshold query (see
+    `closest_pair_arrays`): a certified lower bound on the distance.
     """
 
     p_i: np.ndarray
@@ -39,6 +42,21 @@ class ClosestPair:
     distance: float
     converged: bool
     iterations: int
+    lower_bound: float | None = None
+
+
+class PairArrays(tuple):
+    """`closest_pair_arrays`' result: the tuple (p_i, p_j, distance,
+    converged, iterations) of arrays over the pairs, and as an attribute
+    `lower_bound`, each pair's certified lower bound on its distance if a
+    threshold retired it and NaN otherwise."""
+
+    lower_bound: np.ndarray
+
+    def __new__(cls, fields, lower_bound):
+        self = super().__new__(cls, fields)
+        self.lower_bound = lower_bound
+        return self
 
 
 # Faces of the simplex [w, y1, y2, y3] that contain the newest support point w
@@ -115,12 +133,14 @@ def _nearest_face(y, count):
 
 
 def closest_pairs(shapes_i: Sequence[Superquadric],
-                  shapes_j: Sequence[Superquadric]) -> list[ClosestPair]:
+                  shapes_j: Sequence[Superquadric],
+                  threshold: float | None = None) -> list[ClosestPair]:
     """Closest points between shapes_i[k] and shapes_j[k], for every k (GJK).
 
     The list front end of `closest_pair_arrays`: it stacks each shape's
     rotation matrix, centre, semi-axes and dual exponents, solves every pair
-    in full (tol = 0) and wraps the results as ClosestPair records.
+    with tol = 0 and the given threshold, and wraps the results as
+    ClosestPair records.
     """
     sides = (shapes_i, shapes_j)
     if len(shapes_i) != len(shapes_j) or len({s.dim for side in sides for s in side}) > 1:
@@ -128,16 +148,19 @@ def closest_pairs(shapes_i: Sequence[Superquadric],
     if not shapes_i:
         return []
     # (2, n, ...) arrays: [0] holds the i side, [1] the j side
-    p_i, p_j, distance, converged, iterations = closest_pair_arrays(
+    result = _gjk(
         np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
         np.array([[s.center for s in side] for side in sides]),
         np.array([[s.axes for s in side] for side in sides]),
-        dual_exponents([[s.eps for s in side] for side in sides]), 0.0)
+        dual_exponents([[s.eps for s in side] for side in sides]), 0.0, threshold)
+    p_i, p_j, distance, converged, iterations = result
+    lower = [None if math.isnan(b) else b for b in result.lower_bound.tolist()]
     return [ClosestPair(*pair) for pair in zip(
-        p_i, p_j, distance.tolist(), converged.tolist(), iterations.tolist())]
+        p_i, p_j, distance.tolist(), converged.tolist(), iterations.tolist(), lower)]
 
 
-def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0):
+def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0,
+                        threshold: float | None = None) -> PairArrays:
     """GJK on posed shapes given as arrays, all pairs together.
 
     rot is (2, n, dim, dim), pos and axes are (2, n, dim) and q is
@@ -156,10 +179,25 @@ def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0):
     below (van den Bergen, J. Graphics Tools 1999). tol = 0 leaves the full
     solve unchanged.
 
-    Returns (p_i, p_j, distance, converged, iterations) as arrays over the
-    pairs; iterations counts the GJK iterations up to the one in which the
-    pair stopped.
+    A threshold turns the solve into a threshold query: a pair also leaves
+    once its distance is decided against the threshold, because the lower
+    bound v.w / |v| is above it or because |v| is at or below it. Such a
+    pair reports its witness distance, so `distance <= threshold` gives the
+    full solve's answer, and its certified lower bound (clipped to
+    [0, distance]) in `lower_bound`. In an iteration where a rule above also
+    fires, that rule wins, so a pair that the threshold does not retire
+    keeps its full result bit for bit. threshold = None retires no pair.
+
+    Returns a PairArrays: (p_i, p_j, distance, converged, iterations) as
+    arrays over the pairs, with `lower_bound` as an attribute; iterations
+    counts the GJK iterations up to the one in which the pair stopped.
     """
+    return _gjk(rot, pos, axes, q, tol, threshold)
+
+
+# closest_pairs calls the core directly: a stand-in for closest_pair_arrays,
+# as the audit's tests install, then changes only the array front end's callers
+def _gjk(rot, pos, axes, q, tol, threshold) -> PairArrays:
     n, dim = pos.shape[1], pos.shape[-1]
     shape = [rot, pos, axes, q]
     sign = np.array([-1.0, 1.0])[:, None, None]  # A along -v, B along v
@@ -172,7 +210,7 @@ def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0):
     # each pair's final simplex, weights and flags, by pair index
     end_simplex, end_lam = np.empty((2, n, 4, dim)), np.empty((n, 4))
     enclosed_at, converged = np.zeros(n, bool), np.zeros(n, bool)
-    iterations = np.full(n, MAX_ITER)
+    iterations, lower = np.full(n, MAX_ITER), np.full(n, np.nan)
 
     def finish(rows, simplex, lam, enclosed, done, it):
         k = ids[rows]
@@ -185,7 +223,8 @@ def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0):
         limit = REL_TOL * vv
         if tol:
             limit = np.maximum(limit, tol * np.sqrt(vv))
-        gap = vv - _dot(v, ab[0] - ab[1]) <= limit
+        vw = _dot(v, ab[0] - ab[1])
+        gap = vv - vw <= limit
         new = np.concatenate([ab[:, :, None], simplex[:, :, :3]], axis=2)
         y = new[0] - new[1]
         face, new_lam, new_v, new_vv = _nearest_face(y, count)
@@ -194,15 +233,24 @@ def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0):
         enclosed = ~gap & ((_FACE_SIZE[face] == dim + 1)
                            | (new_vv <= TOUCH_TOL**2 * _dot(y, y)[rows, slots].max(axis=1)))
         stop = ~gap & (enclosed | (new_vv >= vv))  # or no decrease in floating point
+        if threshold is None:
+            decided = np.zeros(len(v), bool)
+        else:
+            norm = np.sqrt(vv)
+            decided = ~(gap | stop) & ((vw > threshold * norm) | (norm <= threshold))
         n_gap, n_stop = np.count_nonzero(gap), np.count_nonzero(stop)
+        n_decided = np.count_nonzero(decided)
         if n_gap:  # a pair stopped by the duality gap keeps its previous simplex
             finish(gap, simplex, lam, False, True, it)
         if n_stop:
             finish(stop, new_simplex, new_lam, enclosed[stop], True, it)
-        if n_gap + n_stop == len(v):
+        if n_decided:  # so does a pair retired by the threshold
+            finish(decided, simplex, lam, False, True, it)
+            lower[ids[decided]] = np.maximum(vw[decided] / norm[decided], 0.0)
+        if n_gap + n_stop + n_decided == len(v):
             break
-        if n_gap + n_stop:
-            go = ~(gap | stop)
+        if n_gap + n_stop + n_decided:
+            go = ~(gap | stop | decided)
             ids, new_v, new_lam, face = ids[go], new_v[go], new_lam[go], face[go]
             new_simplex, shape = new_simplex[:, go], [x[:, go] for x in shape]
         v, simplex, lam, count = new_v, new_simplex, new_lam, _FACE_SIZE[face]
@@ -210,7 +258,8 @@ def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0):
         finish(np.ones(len(ids), bool), simplex, lam, False, False, MAX_ITER)
     p = _combine(end_lam, end_simplex)
     distance = np.where(enclosed_at, 0.0, np.sqrt(_dot(p[0] - p[1], p[0] - p[1])))
-    return p[0], p[1], distance, converged, iterations
+    return PairArrays((p[0], p[1], distance, converged, iterations),
+                      np.minimum(lower, distance))
 
 
 def closest_pair(sq_i: Superquadric, sq_j: Superquadric) -> ClosestPair:

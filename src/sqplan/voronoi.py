@@ -1,13 +1,17 @@
 """Voronoi-style diagram over superquadric obstacles.
 
-The closest pair of every two expanded obstacles is solved in one batched
-GJK call. Obstacles are grouped into clusters by overlap, one maximum-margin
-separating hyperplane is computed per cluster pair from its closest cross
-pair, and each cluster's cell is the world box clipped by its halfspaces.
+Proximity runs in two batched GJK calls. The first decides, for every two
+expanded obstacles, whether they overlap (a threshold query against
+OVERLAP_TOL); overlapping obstacles are grouped into clusters. The second
+solves in full only the cross-cluster pairs that can still be the closest
+pair of their two clusters. One maximum-margin separating hyperplane is
+computed per cluster pair from its closest cross pair, and each cluster's
+cell is the world box clipped by its halfspaces.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +98,11 @@ class Diagram:
     clusters: list[Cluster]
     hyperplanes: list[Hyperplane]
     cells: list[PolytopeCell]
-    nonconverged: int  # closest-pair solves that hit the iteration cap
+    nonconverged: int  # GJK solves, in either pass, that hit the iteration cap
+    pairs: int  # obstacle pairs in the first pass
+    threshold_decided: int  # of those, retired by the overlap threshold
+    full_solves: int  # second-pass full solves of cross-cluster pairs
+    gjk_iterations: int  # summed over both passes
 
 
 class _UnionFind:
@@ -114,19 +122,48 @@ class _UnionFind:
 
 
 def all_pairs(shapes: list[Superquadric]) -> dict[tuple[int, int], ClosestPair]:
-    """Closest pair of every two shapes i < j, keyed (i, j), from one GJK call."""
-    keys = [(i, j) for i in range(len(shapes)) for j in range(i + 1, len(shapes))]
+    """Every two shapes i < j, keyed (i, j), from one GJK threshold query.
+
+    Each pair's distance is decided against OVERLAP_TOL, so `overlaps` on
+    these records answers as on a full solve; a pair retired by the
+    threshold carries a lower bound instead of its exact distance.
+    """
+    return _solve(shapes, [(i, j) for i in range(len(shapes))
+                           for j in range(i + 1, len(shapes))], OVERLAP_TOL)
+
+
+def _solve(shapes, keys, threshold=None) -> dict[tuple[int, int], ClosestPair]:
     return dict(zip(keys, closest_pairs([shapes[i] for i, _ in keys],
-                                        [shapes[j] for _, j in keys])))
+                                        [shapes[j] for _, j in keys], threshold)))
+
+
+def closest_candidates(clusters: list[Cluster],
+                       pairs: dict[tuple[int, int], ClosestPair]) -> list[tuple[int, int]]:
+    """Cross-cluster pairs that need a full solve to find each cluster
+    pair's closest pair.
+
+    These are the pairs a threshold retired whose lower bound does not
+    exceed the least witness distance of their cluster pair. Every other
+    cross pair is either solved in full already or provably farther than
+    that witness distance.
+    """
+    label = {i: c.id for c in clusters for i in c.members}
+    cross = {(i, j): tuple(sorted((label[i], label[j]))) for i, j in pairs
+             if label[i] != label[j]}
+    least: dict[tuple[int, int], float] = {}
+    for key, sides in cross.items():
+        least[sides] = min(least.get(sides, math.inf), pairs[key].distance)
+    return [key for key, sides in cross.items() if pairs[key].lower_bound is not None
+            and pairs[key].lower_bound <= least[sides]]
 
 
 def build_clusters(expanded_obstacles: list[Superquadric],
                    pairs: dict[tuple[int, int], ClosestPair]) -> list[Cluster]:
     """Connected components of the pairwise overlap relation.
 
-    `pairs` holds the closest pair of every two obstacles (see `all_pairs`);
-    the pairs that `overlaps` reports are joined. Cluster ids are assigned by
-    lowest member index.
+    `pairs` holds every two obstacles, each at least decided against
+    OVERLAP_TOL (see `all_pairs`); the pairs that `overlaps` reports are
+    joined. Cluster ids are assigned by lowest member index.
     """
     shapes = expanded_obstacles
     uf = _UnionFind(len(shapes))
@@ -228,7 +265,14 @@ def _add_box_halfspaces(half, lo, hi, dim):
 
 def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
                   world_lo, world_hi) -> Diagram:
-    """Full pipeline: expand, all-pairs closest points, cluster, hyperplanes, cells."""
+    """Full pipeline: expand, cluster, closest cross pairs, hyperplanes, cells.
+
+    The first GJK call decides every obstacle pair against OVERLAP_TOL
+    (`all_pairs`) and its overlaps form the clusters. The second solves the
+    `closest_candidates` in full (it is empty when they are). Hyperplanes
+    come only from full solves, so the diagram is the one that solving every
+    pair in full gives.
+    """
     dim = robot.dim
     if any(o.dim != dim for o in obstacles):
         raise ValueError("robot and obstacles must share a dimension")
@@ -236,13 +280,21 @@ def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
     grown = [expand(o, margin) for o in obstacles]
     pairs = all_pairs(grown)
     clusters = build_clusters(grown, pairs)
+    first = list(pairs.values())
+    full = _solve(grown, closest_candidates(clusters, pairs))
+    pairs.update(full)
+    solves = first + list(full.values())
     hyperplanes = [separating_hyperplane(ci, cj, grown, pairs)
                    for a, ci in enumerate(clusters) for cj in clusters[a + 1:]]
     cells = [build_cell(cl, hyperplanes, world_lo, world_hi, dim) for cl in clusters]
     lo = np.asarray(world_lo, dtype=float)
     hi = np.asarray(world_hi, dtype=float)
-    return Diagram(dim, lo, hi, robot, list(obstacles), grown, clusters, hyperplanes,
-                   cells, sum(not pr.converged for pr in pairs.values()))
+    return Diagram(dim, lo, hi, robot, list(obstacles), grown, clusters, hyperplanes, cells,
+                   nonconverged=sum(not pr.converged for pr in solves),
+                   pairs=len(first),
+                   threshold_decided=sum(pr.lower_bound is not None for pr in first),
+                   full_solves=len(full),
+                   gjk_iterations=sum(pr.iterations for pr in solves))
 
 
 def cell_of_point(diagram: Diagram, point) -> int | None:
@@ -280,4 +332,8 @@ def diagram_to_dict(diagram: Diagram) -> dict:
         } for hp in diagram.hyperplanes],
         "cells": cells,
         "nonconverged": diagram.nonconverged,
+        "pairs": diagram.pairs,
+        "threshold_decided": diagram.threshold_decided,
+        "full_solves": diagram.full_solves,
+        "gjk_iterations": diagram.gjk_iterations,
     }

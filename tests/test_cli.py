@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,3 +128,22 @@ def test_internal_error_exits_4_without_traceback(tmp_path, capsys, caplog, monk
     # the traceback is logged at debug level only
     assert any(r.exc_info for r in caplog.records if r.levelno == logging.DEBUG)
     assert not any(r.exc_info for r in caplog.records if r.levelno >= logging.WARNING)
+
+
+def test_bench_exits_non_zero_when_runs_fail(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("planner broke")
+
+    monkeypatch.setattr(pipeline, "plan", broken)
+    out = str(tmp_path / "raised")
+    assert main(["bench", "--suite", "2d", "--runs", "1", "--out", out]) == EXIT_INTERNAL
+    with open(os.path.join(out, "results.json")) as f:
+        results = json.load(f)
+    assert all(run["error"] == "planner broke"
+               for entry in results["benchmarks"] for run in entry["runs"])
+    assert "failed" in capsys.readouterr().out
+
+    monkeypatch.setattr(pipeline, "plan", lambda *args: SimpleNamespace(
+        success=False, reason="no-feasible-passage"))
+    out = str(tmp_path / "no_plan")
+    assert main(["bench", "--suite", "2d", "--runs", "1", "--out", out]) == EXIT_NO_PATH

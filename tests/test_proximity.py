@@ -412,7 +412,9 @@ def _load_bench_scenes():
 def test_diagrams_match_one_pair_oracle(monkeypatch):
     """The six benchmark scenes and the benchmark's random build fields give
     the same clusters and hyperplanes with batched GJK as with the one-pair
-    oracle, and each diagram solves all its obstacle pairs in one call."""
+    oracle. Each diagram decides all its obstacle pairs against OVERLAP_TOL
+    in one call, then solves in full, in at most one more call, only pairs
+    across clusters."""
     bench = _load_bench_scenes()
     scenes = ([generate_benchmark(name) for name in BENCHMARK_NAMES]
               + [scenario_from_dict(bench.random_field(*f)) for f in bench.BUILD3D_FIELDS])
@@ -420,20 +422,29 @@ def test_diagrams_match_one_pair_oracle(monkeypatch):
     def build(scn):
         return voronoi.build_diagram(scn.robot, scn.obstacles, scn.world_lo, scn.world_hi)
 
-    batches = []
+    calls = []
 
-    def counted(a, b):
-        batches.append(len(a))
-        return closest_pairs(a, b)
+    def counted(a, b, threshold=None):
+        calls.append((list(zip(a, b)), threshold))
+        return closest_pairs(a, b, threshold)
 
     monkeypatch.setattr(voronoi, "closest_pairs", counted)
     got = []
     for scn in scenes:
-        batches.clear()
-        got.append(build(scn))
+        calls.clear()
+        diagram = build(scn)
+        got.append(diagram)
         n = len(scn.obstacles)
-        assert batches == [n * (n - 1) // 2]
-    monkeypatch.setattr(voronoi, "closest_pairs", lambda a, b: [
+        (first, threshold), *rest = calls
+        assert (len(first), threshold) == (n * (n - 1) // 2, proximity.OVERLAP_TOL)
+        assert len(rest) <= 1
+        index = {id(shape): k for k, shape in enumerate(diagram.expanded)}
+        label = {k: c.id for c in diagram.clusters for k in c.members}
+        for pairs, threshold in rest:
+            assert threshold is None
+            assert all(label[index[id(a)]] != label[index[id(b)]] for a, b in pairs)
+    # a full solve answers any threshold question
+    monkeypatch.setattr(voronoi, "closest_pairs", lambda a, b, threshold=None: [
         oracle_closest_pair(x, y) for x, y in zip(a, b)])
     for diagram, scn in zip(got, scenes):
         want = build(scn)
@@ -509,3 +520,63 @@ def test_array_core_matches_list_front_end_on_robot_poses(dim, tol):
         for pair, *record in zip(closest_pairs(posed_i, obstacles_j), *got):
             assert same_result(pair, ClosestPair(*record))
             assert pair.iterations == record[4]
+
+
+# ------------------------------------------------------ threshold query
+
+
+def threshold_cases(dim, rng):
+    """oracle_cases (gaps 1e-3 .. -1e-7, containment, equal centres) over
+    the whole eps range, plus random pairs near and far."""
+    return oracle_cases(dim, (0.1, 2.0), rng) + [
+        (random_sq(rng, dim, eps_range=(0.1, 2.0)), random_sq(rng, dim, eps_range=(0.1, 2.0)))
+        for _ in range(20)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("threshold", [proximity.OVERLAP_TOL, 1e-3, 0.1])
+def test_threshold_query_decides_like_the_full_solve(dim, threshold):
+    rng = np.random.default_rng([60 + dim, int(-math.log10(threshold))])
+    cases = threshold_cases(dim, rng)
+    shapes_i, shapes_j = [a for a, _ in cases], [b for _, b in cases]
+    full = closest_pairs(shapes_i, shapes_j)
+    got = closest_pairs(shapes_i, shapes_j, threshold)
+    retired = 0
+    for exact, pair in zip(full, got):
+        assert (pair.distance <= threshold) == (exact.distance <= threshold)
+        assert pair.converged and pair.iterations <= exact.iterations
+        if pair.lower_bound is None:
+            assert same_result(pair, exact) and pair.iterations == exact.iterations
+        else:
+            retired += 1
+            assert 0.0 <= pair.lower_bound <= exact.distance + 1e-12
+            assert exact.distance <= pair.distance + 1e-12
+    assert retired > 0
+    # the array core carries the same lower bounds, NaN for full solves
+    result = closest_pair_arrays(*stacked_sides(shapes_i, shapes_j), 0.0, threshold)
+    assert len(result) == 5
+    bound = [np.nan if p.lower_bound is None else p.lower_bound for p in got]
+    assert np.array_equal(result.lower_bound, bound, equal_nan=True)
+    # threshold None is the full solve
+    assert all(same_result(x, y) and y.lower_bound is None
+               for x, y in zip(full, closest_pairs(shapes_i, shapes_j, None)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_threshold_query_does_not_depend_on_the_batch(dim):
+    rng = np.random.default_rng(70 + dim)
+    cases = threshold_cases(dim, rng)
+    threshold = 1e-3
+    alone = [closest_pairs([a], [b], threshold)[0] for a, b in cases]
+
+    def same(x, y):
+        return (same_result(x, y) and x.iterations == y.iterations
+                and x.lower_bound == y.lower_bound)
+
+    for perm in (rng.permutation(len(cases)), np.arange(len(cases))[::-1]):
+        got = closest_pairs([cases[k][0] for k in perm], [cases[k][1] for k in perm],
+                            threshold)
+        assert all(same(g, alone[k]) for g, k in zip(got, perm))
+    half = closest_pairs([a for a, _ in cases[::2]], [b for _, b in cases[::2]], threshold)
+    assert all(same(g, x) for g, x in zip(half, alone[::2]))
+    assert closest_pairs([], [], threshold) == []

@@ -1,9 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
-from sqplan.geometry import Superquadric
-from sqplan.proximity import closest_pair
-from sqplan.voronoi import (all_pairs, build_clusters, build_diagram, cell_of_point,
-                            diagram_to_dict, separating_hyperplane)
+from sqplan.geometry import Superquadric, expand
+from sqplan.proximity import closest_pair, closest_pairs
+from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
+from sqplan.voronoi import (all_pairs, build_cell, build_clusters, build_diagram,
+                            cell_of_point, diagram_to_dict, separating_hyperplane)
 
 
 def tiny_sphere(center, dim, r=1e-3):
@@ -123,3 +127,92 @@ def test_diagram_counts_nonconverged_solves(monkeypatch):
     assert capped.nonconverged > 0
     out = json.loads(json.dumps(diagram_to_dict(capped)))
     assert out["nonconverged"] == capped.nonconverged
+
+
+# ------------------------------------ two-pass diagram against every-pair full solve
+
+
+def every_pair_diagram(robot, obstacles, world_lo, world_hi):
+    """The reference diagram: every obstacle pair solved to full precision
+    in one call, clusters, hyperplanes and cells built from those results."""
+    grown = [expand(o, float(robot.axes[0])) for o in obstacles]
+    keys = [(i, j) for i in range(len(grown)) for j in range(i + 1, len(grown))]
+    pairs = dict(zip(keys, closest_pairs([grown[i] for i, _ in keys],
+                                         [grown[j] for _, j in keys])))
+    clusters = build_clusters(grown, pairs)
+    hyperplanes = [separating_hyperplane(ci, cj, grown, pairs)
+                   for a, ci in enumerate(clusters) for cj in clusters[a + 1:]]
+    cells = [build_cell(cl, hyperplanes, world_lo, world_hi, robot.dim) for cl in clusters]
+    return clusters, hyperplanes, cells
+
+
+def assert_same_diagram(diagram, reference):
+    clusters, hyperplanes, cells = reference
+    assert [(c.id, c.members) for c in diagram.clusters] == [(c.id, c.members)
+                                                           for c in clusters]
+    assert len(diagram.hyperplanes) == len(hyperplanes)
+    for h, w in zip(diagram.hyperplanes, hyperplanes):
+        assert (h.cluster_i, h.cluster_j, h.offset) == (w.cluster_i, w.cluster_j, w.offset)
+        for x, y in ((h.normal, w.normal), (h.witness_i, w.witness_i),
+                     (h.witness_j, w.witness_j)):
+            assert np.array_equal(x, y)
+    assert len(diagram.cells) == len(cells)
+    for c, w in zip(diagram.cells, cells):
+        assert c.cluster_id == w.cluster_id and np.array_equal(c.vertices, w.vertices)
+        assert c.edges == w.edges and c.faces == w.faces
+        assert len(c.halfspaces) == len(w.halfspaces)
+        for (n, b, k), (wn, wb, wk) in zip(c.halfspaces, w.halfspaces):
+            assert np.array_equal(n, wn) and (b, k) == (wb, wk)
+
+
+def random_scene_2d(rng, count):
+    """Boxy to diamond-shaped obstacles scattered over a 10 m square, so that
+    they form anything from one cluster to one per obstacle."""
+    obstacles = [Superquadric.create([rng.uniform(0.2, 1.8)], rng.uniform(0.2, 1.2, 2),
+                                     rng.uniform(1.0, 9.0, 2), [rng.uniform(0.0, np.pi)])
+                 for _ in range(count)]
+    robot = Superquadric.create([1.0], [0.05, 0.1], [0.0, 0.0])
+    return robot, obstacles, [0.0, 0.0], [10.0, 10.0]
+
+
+def test_two_pass_diagram_equals_every_pair_full_solve():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    scenes = [generate_benchmark(name) for name in BENCHMARK_NAMES]
+    scenes += [scenario_from_dict(bench.random_field(*f)) for f in bench.BUILD3D_FIELDS]
+    rng = np.random.default_rng(11)
+    scenes += [scenario_from_dict(bench.random_field(int(seed), int(count)))
+               for seed, count in zip(range(100, 112), rng.integers(4, 25, 12))]
+    cases = [(s.robot, s.obstacles, s.world_lo, s.world_hi) for s in scenes]
+    cases += [random_scene_2d(rng, int(count)) for count in rng.integers(4, 25, 12)]
+    robot3 = Superquadric.create([1.0, 1.0], [0.1, 0.2, 0.3], [0.0, 0.0, 0.0])
+    cases += [(robot3, obstacles, [0.0] * 3, [10.0] * 3) for obstacles in (
+        [], [Superquadric.create([0.5, 1.5], [0.5, 1.0, 2.0], [5.0, 5.0, 5.0])])]
+    cases += [(point_robot(2), [tiny_sphere([5.0, 5.0], 2, 0.5)], [0.0, 0.0], [10.0, 10.0])]
+    full_solves = 0
+    for case in cases:
+        diagram = build_diagram(*case)
+        assert_same_diagram(diagram, every_pair_diagram(*case))
+        n = len(case[1])
+        assert diagram.pairs == n * (n - 1) // 2
+        assert diagram.threshold_decided <= diagram.pairs
+        assert diagram.nonconverged == 0
+        full_solves += diagram.full_solves
+    assert full_solves > 0
+
+
+def test_diagram_records_its_gjk_work():
+    import json
+    scn = generate_benchmark("dense3d")
+    diagram = build_diagram(scn.robot, scn.obstacles, scn.world_lo, scn.world_hi)
+    n = len(scn.obstacles)
+    assert diagram.pairs == n * (n - 1) // 2
+    assert 0 < diagram.threshold_decided <= diagram.pairs
+    assert 0 < diagram.full_solves <= diagram.threshold_decided
+    assert diagram.gjk_iterations >= diagram.pairs + diagram.full_solves
+    out = json.loads(json.dumps(diagram_to_dict(diagram)))
+    for key in ("nonconverged", "pairs", "threshold_decided", "full_solves",
+                "gjk_iterations"):
+        assert out[key] == getattr(diagram, key)
