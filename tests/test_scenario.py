@@ -6,9 +6,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 from sqplan.dmp import PoseTrajectory
-from sqplan.geometry import Superquadric, expand, inside_outside, surface_samples
+from sqplan.geometry import (Superquadric, box_gaps, dual_exponents, expand,
+                             inside_outside, surface_samples)
 from sqplan.pipeline import plan
-from sqplan.poses import robot_pose_at
+from sqplan.poses import robot_pose_at, robot_rotations
 from sqplan import proximity, scenario
 from sqplan.proximity import closest_pair, closest_pairs, overlaps
 from sqplan.scenario import (BENCHMARK_NAMES, AuditStats, Scenario, ScenarioError,
@@ -194,14 +195,19 @@ def test_metrics_report_fields():
 # ------------------------------------------- audit vs the per-pose routines
 
 
-def per_pose_exact_distance(trajectory, robot, obstacles):
+def per_pose_distances(trajectory, robot, obstacles):
     """All-pairs oracle: every pose against every obstacle, in one
-    closest_pairs call."""
+    closest_pairs call; each pose's least distance."""
     posed = [robot_pose_at(robot, p, o)
              for p, o in zip(trajectory.positions, trajectory.orientations)]
     pairs = closest_pairs([shape for shape in posed for _ in obstacles],
                           [obs for _ in posed for obs in obstacles])
-    return min(pair.distance for pair in pairs)
+    return np.array([pair.distance for pair in pairs]).reshape(len(posed), -1).min(axis=1)
+
+
+def per_pose_exact_distance(trajectory, robot, obstacles):
+    """The all-pairs oracle's minimum over every pose."""
+    return float(per_pose_distances(trajectory, robot, obstacles).min())
 
 
 def per_pose_min_distance(trajectory, robot, obstacles):
@@ -243,6 +249,65 @@ def per_pose_min_distance(trajectory, robot, obstacles):
         refined += 1
         best = min(best, closest_pair(posed[i], obstacles[j]).distance)
     return float(best), pruned, refined
+
+
+def interval_audit(trajectory, robot, obstacles, stats):
+    """Interval-search audit: pose intervals, one [0, N-1] per obstacle to
+    start with, are dropped when their motion bound (l_a + l_b - motion) / 2
+    or least box bound reaches the best solved d - h, and split 16 ways
+    otherwise, each round solving the live endpoints in one batched,
+    tolerance-stopped call. Certified like the audit, but with a motion bound
+    that loses first order in the turn, r |dR|."""
+    positions = trajectory.positions
+    r = robot.bounding_radius()
+    half = scenario.AUDIT_TOL * r / 2.0
+    rotations = robot_rotations(robot.dim, trajectory.orientations)
+    steps = (np.linalg.norm(np.diff(positions, axis=0), axis=1)
+             + r * np.linalg.norm(np.diff(rotations, axis=0), axis=(1, 2)))
+    motion = np.concatenate([[0.0], np.cumsum(steps)]).tolist()
+    lb = (box_gaps(positions, obstacles) - r).tolist()
+    robot_q = dual_exponents(robot.eps)
+    stacked = (np.array([o.pose.rotation_matrix() for o in obstacles]),
+               np.array([o.center for o in obstacles]),
+               np.array([o.axes for o in obstacles]),
+               dual_exponents([o.eps for o in obstacles]))
+    certified, best = {}, np.inf
+
+    def bound(a, b, j):
+        l_a, l_b = certified.get((a, j), lb[j][a]), certified.get((b, j), lb[j][b])
+        return max((l_a + l_b - motion[b] + motion[a]) / 2.0, min(lb[j][a:b + 1]))
+
+    last = len(positions) - 1
+    intervals = [(0, last, j) for j in range(len(obstacles))]
+    todo = {(i, j) for j in range(len(obstacles)) for i in (0, last)}
+    while todo:
+        todo = sorted(todo)
+        i, j = np.array(todo).T
+        rot_o, pos_o, axes_o, q_o = (x[j] for x in stacked)
+        _, _, distance, converged, iterations = proximity.closest_pair_arrays(
+            np.stack([rotations[i], rot_o]), np.stack([positions[i], pos_o]),
+            np.stack([np.broadcast_to(robot.axes, axes_o.shape), axes_o]),
+            np.stack([np.broadcast_to(robot_q, q_o.shape), q_o]), tol=half)
+        stats.rounds += 1
+        stats.solves += len(todo)
+        stats.nonconverged += len(todo) - int(np.count_nonzero(converged))
+        stats.iterations += int(iterations.sum())
+        for key, d, ok in zip(todo, distance.tolist(), converged.tolist()):
+            certified[key] = d - half if ok else lb[key[1]][key[0]]
+            best = min(best, d)
+        if best <= 0.0:
+            return 0.0
+        todo, kept = set(), []
+        for a, b, j in intervals:
+            if b - a <= 1 or bound(a, b, j) >= best - half:
+                continue
+            cuts = sorted({a + (b - a) * k // 16 for k in range(17)})
+            for s, e in zip(cuts, cuts[1:]):
+                if bound(s, e, j) < best - half:
+                    kept.append((s, e, j))
+                    todo |= {(s, j), (e, j)} - certified.keys()
+        intervals = kept
+    return float(best)
 
 
 def check_audit(trajectory, robot, obstacles, sampled=np.inf):
@@ -423,3 +488,112 @@ def test_audit_equals_per_pose_routine_on_reference_plans(name, seed):
     assert result.success
     want, _, _ = per_pose_min_distance(result.trajectory, scn.robot, scn.obstacles)
     check_audit(result.trajectory, scn.robot, scn.obstacles, want)
+
+
+# ------------------------------------------- axis bounds and the interval search
+
+
+def random_posed_pair(rng, dim):
+    """Two separated random superquadrics, exponents across [0.1, 2] with the
+    ends (q = inf at eps = 2) drawn as often as the inside."""
+    def eps():
+        return rng.choice([0.1, 2.0, rng.uniform(0.1, 2.0)], size=dim - 1)
+
+    def shape(centre):
+        return Superquadric.create(eps(), np.sort(rng.uniform(0.1, 0.6, dim)), centre,
+                                   rng.normal(size=1 if dim == 2 else 3))
+
+    direction = rng.normal(size=dim)
+    direction /= np.linalg.norm(direction)
+    return shape(np.zeros(dim)), shape(rng.uniform(1.3, 3.0) * direction)
+
+
+def stacked_pair(shape_i, shape_j):
+    """closest_pair_arrays inputs for one pair."""
+    sides = ([shape_i], [shape_j])
+    return (np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
+            np.array([[s.center for s in side] for side in sides]),
+            np.array([[s.axes for s in side] for side in sides]),
+            dual_exponents([[s.eps for s in side] for side in sides]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_axis_gaps_bound_the_distance(dim):
+    # any unit axis gives a lower bound; the witness normal of a converged,
+    # tolerance-stopped solve gives the distance to within the audit's
+    # tolerance
+    rng = np.random.default_rng([dim, 12])
+    for _ in range(150):
+        shape_i, shape_j = random_posed_pair(rng, dim)
+        arrays = stacked_pair(shape_i, shape_j)
+        distance = float(proximity.closest_pair_arrays(*arrays)[2][0])
+        assert distance > 0.0
+        normals = rng.normal(size=(8, dim))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        many = [np.repeat(x, 8, axis=1) for x in arrays]
+        assert np.all(scenario.axis_gaps(*many, normals) <= distance + 1e-12)
+        tol = scenario.AUDIT_TOL * shape_i.bounding_radius()
+        p_i, p_j, _, converged, _ = proximity.closest_pair_arrays(*arrays, tol=tol / 2)
+        assert converged[0]
+        witness = (p_j - p_i) / np.linalg.norm(p_j - p_i)
+        gap = float(scenario.axis_gaps(*arrays, witness)[0])
+        assert distance - tol <= gap <= distance + 1e-12
+
+
+def reference_audits(name):
+    """The audit and the interval search on the benchmark's reference plan,
+    with their work counts."""
+    scn = generate_benchmark(name)
+    result = plan(scn)
+    assert result.success
+    new, old = AuditStats(), AuditStats()
+    got = min_trajectory_distance(result.trajectory, scn.robot, scn.obstacles, new)
+    want = interval_audit(result.trajectory, scn.robot, scn.obstacles, old)
+    return scn, got, want, new, old
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_audit_agrees_with_interval_search_on_reference_plans(name):
+    scn, got, want, new, old = reference_audits(name)
+    assert new.nonconverged == 0 and old.nonconverged == 0
+    assert abs(got - want) <= scenario.AUDIT_TOL * scn.robot.bounding_radius()
+    assert new.iterations >= new.solves > 0 and new.axis_certified > 0
+    if name in ("pillars3d", "narrow2d"):
+        assert new.solves < old.solves
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_audit_worst_pose_is_the_all_pairs_argmin(dim):
+    # an ellipse (ellipsoid) passes a box-like obstacle on a straight line
+    # while turning, so the distance has one minimum, off the stride grid
+    n = 101
+    if dim == 2:
+        robot = Superquadric.create([1.0], [0.05, 0.15], np.zeros(2))
+        obstacle = Superquadric.create([0.3], [0.2, 0.3], [0.3, 0.6], [0.4])
+        positions = np.linspace([-1.3, 0.0], [1.5, 0.1], n)
+        orientations = np.linspace(0.0, 1.2, n)[:, None]
+    else:
+        robot = Superquadric.create([1.0, 1.0], [0.05, 0.1, 0.15], np.zeros(3))
+        obstacle = Superquadric.create([0.3, 0.6], [0.2, 0.25, 0.3], [0.3, 0.6, 0.1],
+                                       [0.2, 0.4, 0.1])
+        positions = np.linspace([-1.0, 0.0, 0.0], [1.5, 0.1, 0.2], n)
+        orientations = np.linspace([0.0, 0.0, 0.0], [0.3, 0.5, 1.2], n)
+    traj = PoseTrajectory(np.linspace(0.0, 2.0, n), positions, orientations)
+    per_pose = per_pose_distances(traj, robot, [obstacle])
+    want = int(np.argmin(per_pose))
+    tol = scenario.AUDIT_TOL * robot.bounding_radius()
+    assert np.sort(per_pose)[1] > per_pose[want] + tol       # a unique minimum
+    assert want % scenario.AUDIT_STRIDE != 0 and per_pose[want] > 0.0
+    stats = AuditStats()
+    got = min_trajectory_distance(traj, robot, [obstacle], stats)
+    assert per_pose[want] - 1e-12 <= got <= per_pose[want] + tol
+    assert stats.worst_pose == want
+    scn = Scenario(dim, np.full(dim, -2.0), np.full(dim, 2.0), robot, [obstacle],
+                   robot.pose, robot.pose)
+    report = compute_metrics(traj, scn, {})
+    assert report.min_distance_time_s == traj.times[want]
+    out = metrics_to_dict(report)
+    assert out["min_distance_time_s"] == traj.times[want]
+    assert (out["audit_iterations"], out["audit_axis_certified"]) == (
+        stats.iterations, stats.axis_certified)
+    assert stats.iterations >= stats.solves
