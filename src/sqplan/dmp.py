@@ -5,7 +5,8 @@ degree of freedom is fitted with locally weighted regression (all channels at
 once), and the rollout is validated for collisions against the original
 obstacles with a sampled, chunk-batched test of the poses within reach of an
 obstacle's box (falling back to the raw demonstration if the smoothed path
-cuts a corner too tightly).
+cuts a corner too tightly), with each shape's surface samples built once per
+shape value. The demonstration's passage times are safeguarded Newton solves.
 
 The rollout integrates every channel with RK4 as one linear step map
 s <- P s + d, scanned BLOCK steps at a time: each block is two matmuls with
@@ -16,6 +17,7 @@ of each phase, so every step within 1e-9 dt of dt shares the map of dt.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +35,7 @@ ALPHA_X = ALPHA_Z / 3.0
 DEFAULT_BASIS = 25
 REFERENCE_SPEED = 1.0  # m/s; converts arc length into a nominal duration
 BLOCK = 64  # RK4 steps per block of the rollout scan
+MINJERK_ROUNDS = 64  # cap of a passage-time solve; bisection alone takes about 55
 
 
 @dataclass
@@ -110,20 +113,30 @@ def _minjerk(tau: np.ndarray) -> np.ndarray:
 
 
 def _minjerk_inverse(s: np.ndarray) -> np.ndarray:
-    """Progress values tau with _minjerk(tau) = s, by bisection over all s at
-    once, stopped at its fixed point."""
-    lo, hi = np.zeros_like(s), np.ones_like(s)
-    for r in range(80):
-        mid = 0.5 * (lo + hi)
-        # once no mid lies strictly inside its bracket, no round moves lo or
-        # hi again, so stopping gives the 80-round result bit for bit; the
-        # test costs about a round, so it runs every eighth round only
-        if r % 8 == 0 and np.all((mid == lo) | (mid == hi)):
-            break
-        below = _minjerk(mid) < s
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    """Progress values tau with _minjerk(tau) = s: per value, Newton from the
+    nearer end's leading term (f ~ 10 t^3, f(1 - t) = 1 - f(t)) in a bracket
+    f(lo) < s <= f(hi), bisecting where f' = 0 or a step leaves it, up to a root,
+    a repeated point or MINJERK_ROUNDS rounds; where f is flat to rounding (s
+    within 1e-6 of 0 or 1), tau may lie up to ~3e-6 from a bisection's root."""
+    out = np.empty(len(s))
+    c = 0.1 ** (1.0 / 3.0)
+    for k, v in enumerate(np.clip(s, 0.0, 1.0).tolist()):
+        t = c * v ** (1.0 / 3.0) if v <= 0.5 else 1.0 - c * (1.0 - v) ** (1.0 / 3.0)
+        lo, hi = 0.0, 1.0
+        for _ in range(MINJERK_ROUNDS):
+            r = _minjerk(t) - v
+            if r == 0.0:
+                break
+            lo, hi = (t, hi) if r < 0.0 else (lo, t)
+            d = 30.0 * t * t * (1.0 - t) ** 2
+            step = t - r / d if d > 0.0 else math.nan
+            if not lo <= step <= hi:
+                step = 0.5 * (lo + hi)
+            if step in (lo, hi):  # a repeated point
+                break
+            t = step
+        out[k] = t
+    return out
 
 
 def interpolate_waypoints(waypoints: list[PoseWaypoint], n_samples: int = 200) -> Demonstration:
@@ -409,17 +422,31 @@ def _in_box(sq: Superquadric, local: np.ndarray) -> np.ndarray:
     return inside[..., 0]
 
 
+def shape_samples(sq: Superquadric, res: int) -> np.ndarray:
+    """Read-only shape-frame surface samples plus the origin (centre) row, cached
+    on (dim, eps, axes, res): each query parses its own Scenario objects."""
+    return _cached_samples(sq.dim, tuple(sq.eps.tolist()), tuple(sq.axes.tolist()), res)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_samples(dim, eps, axes, res):
+    shape = Superquadric(np.array(eps), np.array(axes), RigidPose.create(np.zeros(dim)))
+    pts = np.vstack([surface_samples(shape, res), np.zeros(dim)])
+    pts.setflags(write=False)
+    return pts
+
+
 def trajectory_collides(trajectory: PoseTrajectory, robot: Superquadric,
                         obstacles: list[Superquadric]) -> bool:
     """Sampled, chunk-batched collision test of the posed robot along the trajectory.
 
-    A pose collides with an obstacle when a robot surface sample or the robot
-    centre lies inside the obstacle, or an obstacle surface sample or the
-    obstacle centre lies inside the robot (implicit function <= 0). Such a
-    point lies within the robot's bounding radius r of the pose and in the
-    obstacle's box, so only pairs with `box_gaps` <= r are tested (the OBB
-    broad phase of Gottschalk, Lin & Manocha, SIGGRAPH 1996), CHUNK poses at
-    a time, each test one array operation over the chunk's poses.
+    A pose collides with an obstacle when a robot surface sample or centre
+    lies inside the obstacle, or an obstacle sample or centre lies inside the
+    robot (implicit function <= 0); `shape_samples` caches each shape's samples
+    and centre. Such a point lies within the robot's bounding radius r of the
+    pose and in the obstacle's box, so only pairs with `box_gaps` <= r are
+    tested (the OBB broad phase of Gottschalk, Lin & Manocha, SIGGRAPH 1996),
+    CHUNK poses at a time, each test one array operation over the chunk's poses.
     """
     dim = robot.dim
     near = box_gaps(trajectory.positions, obstacles) <= robot.bounding_radius() * BOX_SLACK
@@ -427,10 +454,8 @@ def trajectory_collides(trajectory: PoseTrajectory, robot: Superquadric,
     if len(poses) == 0:
         return False
     res = 64 if dim == 2 else 16
-    # body-frame samples plus the centre, whose posed image is the position
-    body = surface_samples(robot.with_pose(RigidPose.create(np.zeros(dim))), res)
-    body = np.vstack([body, np.zeros(dim)])
-    obstacle_pts = [np.vstack([surface_samples(o, res), o.center]) if n.any() else None
+    body = shape_samples(robot, res)
+    obstacle_pts = [o.pose.transform(shape_samples(o, res)) if n.any() else None
                     for o, n in zip(obstacles, near)]
     for start in range(0, len(poses), CHUNK):
         chunk = poses[start:start + CHUNK]

@@ -145,8 +145,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("world: max must exceed min on every axis")
     robot = _superquadric(_need(data, "robot", "top level"), dim, "robot")
     raw_obstacles = _need(data, "obstacles", "top level")
-    if not isinstance(raw_obstacles, list):
-        raise ScenarioError("obstacles: expected a list")
+    if not isinstance(raw_obstacles, list) or not raw_obstacles:
+        raise ScenarioError("obstacles: expected a non-empty list")
     obstacles = [_superquadric(o, dim, f"obstacles[{k}]")
                  for k, o in enumerate(raw_obstacles)]
     start = _pose(_need(data, "start", "top level"), dim, "start")

@@ -60,6 +60,23 @@ def test_plan_invalid_scenario_exits_2(tmp_path, capsys):
     assert "obstacles[0]" in capsys.readouterr().err
 
 
+def test_plan_obstacle_free_scenario_exits_2(tmp_path, capsys):
+    # a scene needs an obstacle for the planner to build a roadmap around
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({
+        "version": 1, "dim": 2,
+        "world": {"min": [0, 0], "max": [0.5, 0.5]},
+        "robot": {"eps": [0.5], "axes": [0.02, 0.06], "position": [0.1, 0.1]},
+        "obstacles": [],
+        "start": {"position": [0.1, 0.1]},
+        "goal": {"position": [0.4, 0.4]},
+    }))
+    code = main(["plan", "--scenario", str(empty), "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "obstacles" in err and "internal error" not in err
+
+
 def test_plan_blocked_scenario_exits_3(tmp_path):
     blocked = tmp_path / "blocked.json"
     # a wall sealing the world between start and goal

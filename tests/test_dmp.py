@@ -1,17 +1,21 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sqplan import dmp, pipeline
 from sqplan.dmp import (ALPHA_Z, BETA_Z, CHUNK, DMPModel, Demonstration,
-                        PoseTrajectory, _basis, _in_box, _minjerk,
-                        _minjerk_inverse, _rk4_maps, demonstration_trajectory,
-                        fit_lwr, interpolate_waypoints, rollout,
-                        trajectory_collides, validate_and_finalize)
+                        MINJERK_ROUNDS, PoseTrajectory, _basis, _in_box,
+                        _minjerk, _minjerk_inverse, _rk4_maps,
+                        demonstration_trajectory, fit_lwr, interpolate_waypoints,
+                        rollout, shape_samples, trajectory_collides,
+                        validate_and_finalize)
 from sqplan.geometry import (RigidPose, Superquadric, box_gaps, inside_outside,
                              inside_outside_local, surface_samples)
 from sqplan.poses import PoseWaypoint, robot_pose_at, robot_rotations
 from sqplan.rotations import exp_so3
-from sqplan.scenario import generate_benchmark
+from sqplan.scenario import generate_benchmark, scenario_from_dict
 
 
 def straight_demo(n=400, duration=2.0):
@@ -72,14 +76,37 @@ def scalar_minjerk_inverse(s):
     return 0.5 * (lo + hi)
 
 
-def test_minjerk_inverse_matches_scalar_bisection_bitwise():
+def test_minjerk_inverse_matches_scalar_bisection(monkeypatch):
     rng = np.random.default_rng(5)
     s = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53],
                         rng.uniform(0.0, 1.0, 1000)])
-    got = _minjerk_inverse(s)
+    # values at the flat ends of f: next to 1 and tiny
+    flat = np.concatenate([1.0 - np.arange(1, 200) * 2.0**-53,
+                           10.0 ** -rng.uniform(6.0, 300.0, 200)])
+    rounds = []
+
+    def counted(tau):
+        rounds[-1] += 1
+        return _minjerk(tau)
+
+    monkeypatch.setattr(dmp, "_minjerk", counted)
+    for v in np.concatenate([s, flat]):
+        rounds.append(0)
+        _minjerk_inverse(np.array([v]))
+    monkeypatch.undo()
+    # every solve stops at a root or a repeated point, one f per round
+    assert max(rounds) < MINJERK_ROUNDS
+    got, got_flat = _minjerk_inverse(s), _minjerk_inverse(flat)
     want = np.array([scalar_minjerk_inverse(v) for v in s])
-    assert np.array_equal(got, want)
     assert np.max(np.abs(_minjerk(got) - s)) <= 1e-14
+    assert np.max(np.abs(_minjerk(got_flat) - flat)) <= 1e-14
+    both = np.concatenate([got, got_flat])
+    assert np.all((both >= 0.0) & (both <= 1.0))
+    assert np.all(np.diff(got[np.argsort(s, kind="stable")]) >= 0.0)
+    # Newton and bisection may settle on different roots where f is flat
+    # (up to about 3e-6 apart in tau), so they are compared away from the ends
+    inner = (s >= 1e-6) & (s <= 1.0 - 1e-6)
+    assert np.max(np.abs(got - want)[inner]) <= 1e-12
 
 
 def test_interpolate_collapses_duplicates_and_errors():
@@ -705,3 +732,88 @@ def test_box_broadphase_skips_poses_inside_the_bounding_sphere(monkeypatch):
     for traj, expected in ((far, False), (into, True)):
         assert sphere_broadphase_collides(traj, robot, [pillar]) is expected
         assert per_pose_collides(traj, robot, [pillar]) is expected
+
+
+# ----------------------------------------------- per-shape-value sample cache
+
+
+def _load_bench_scenes():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shape_samples_are_read_only_and_shared_across_parses():
+    bench = _load_bench_scenes()
+    scene = bench.pillars()
+    a, b = scenario_from_dict(scene), scenario_from_dict(scene)
+    dmp._cached_samples.cache_clear()
+    for x, y in zip([a.robot] + a.obstacles, [b.robot] + b.obstacles):
+        assert x is not y
+        cached = shape_samples(x, 16)
+        assert shape_samples(y, 16) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+    # the robot and one shape value shared by the four pillars
+    assert dmp._cached_samples.cache_info().misses == 2
+    # a validation run of either parse finds the same entries
+    traj = line_trajectory([6.0, 2.0, 6.0], [6.0, 10.0, 6.0], np.zeros(3),
+                           [0.0, 0.0, 1.5], 3 * CHUNK)
+    dmp._cached_samples.cache_clear()
+    first = trajectory_collides(traj, a.robot, a.obstacles)
+    misses = dmp._cached_samples.cache_info().misses
+    assert misses == 2
+    assert trajectory_collides(traj, b.robot, b.obstacles) == first
+    assert dmp._cached_samples.cache_info().misses == misses
+
+
+def test_posed_shape_samples_equal_surface_samples_and_centre_bitwise():
+    bench = _load_bench_scenes()
+    scenes = [bench.pillars(), bench.narrow_wall()]
+    scenes += [bench.random_field(*f) for f in bench.BUILD3D_FIELDS]
+    for scene in scenes:
+        scn = scenario_from_dict(scene)
+        dim = scn.dim
+        res = 64 if dim == 2 else 16
+        origin = scn.robot.with_pose(RigidPose.create(np.zeros(dim)))
+        body = np.vstack([surface_samples(origin, res), np.zeros(dim)])
+        assert shape_samples(scn.robot, res).tobytes() == body.tobytes()
+        for o in [scn.robot] + scn.obstacles:
+            want = np.vstack([surface_samples(o, res), o.center])
+            assert o.pose.transform(shape_samples(o, res)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stream", ["pillars", "narrow-wall", "field-2-16"])
+def test_cached_samples_match_per_pose_loop_on_query_streams(stream, monkeypatch):
+    # perfbench's scenes and query sampler; every query parses its own
+    # Scenario from the scene dict, as the benchmark does
+    bench = _load_bench_scenes()
+    scene, regions = {"pillars": (bench.pillars(), bench.pillar_regions()),
+                      "narrow-wall": (bench.narrow_wall(), bench.wall_regions()),
+                      "field-2-16": (bench.random_field(2, 16), bench.field_regions()),
+                      }[stream]
+    pre = pipeline.precompute(scenario_from_dict(scene))
+    sampler = bench.QuerySampler(scene, regions, 13)
+    captured = []
+
+    def capture(smoothed, demo, robot, obstacles):
+        captured.extend((t, robot, obstacles)
+                        for t in (smoothed, demonstration_trajectory(demo)))
+        return validate_and_finalize(smoothed, demo, robot, obstacles)
+
+    monkeypatch.setattr(pipeline, "validate_and_finalize", capture)
+    for _ in range(6):
+        assert pipeline.plan(scenario_from_dict(sampler.next()), pre).success
+    decisions = []
+    for traj, robot, obstacles in captured:
+        dmp._cached_samples.cache_clear()
+        cold = trajectory_collides(traj, robot, obstacles)
+        warm = trajectory_collides(traj, robot, obstacles)
+        assert cold == warm == per_pose_collides(traj, robot, obstacles)
+        decisions.append(cold)
+    if stream != "field-2-16":
+        # some smoothed trajectories of these streams cut a corner
+        assert any(decisions)
