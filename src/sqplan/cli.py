@@ -16,7 +16,7 @@ import sys
 
 from . import pipeline, plots, scenario as scn_io
 from .roadmap import graph_to_dict
-from .scenario import (BENCHMARK_NAMES, Scenario, ScenarioError,
+from .scenario import (BENCHMARK_NAMES, Scenario, ScenarioError, check_param,
                        compute_metrics, generate_benchmark, load_scenario,
                        metrics_to_dict, save_scenario, save_trajectory)
 from .voronoi import diagram_to_dict
@@ -40,18 +40,11 @@ def _setup_logging():
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if getattr(args, "h", None) is not None:
-        if args.h < 0:
-            raise ScenarioError("--h must be non-negative")
-        scenario.params["h"] = args.h
-    if getattr(args, "dmp_basis", None) is not None:
-        if args.dmp_basis < 2:
-            raise ScenarioError("--dmp-basis must be at least 2")
-        scenario.params["dmp_basis"] = args.dmp_basis
-    if getattr(args, "dt", None) is not None:
-        if args.dt <= 0:
-            raise ScenarioError("--dt must be positive")
-        scenario.params["dt"] = args.dt
+    for key, flag in (("h", "--h"), ("dmp_basis", "--dmp-basis"), ("dt", "--dt")):
+        value = getattr(args, key, None)
+        if value is not None:
+            check_param(key, value, flag)
+            scenario.params[key] = value
     return scenario
 
 

@@ -9,10 +9,14 @@ cuts a corner too tightly), with each shape's surface samples built once per
 shape value. The demonstration's passage times are safeguarded Newton solves.
 
 The rollout integrates every channel with RK4 as one linear step map
-s <- P s + d, scanned BLOCK steps at a time: each block is two matmuls with
-the stacked powers of P and a block-triangular kernel of its lagged powers.
-The time grid's steps equal dt up to rounding, except for a short last step
-of each phase, so every step within 1e-9 dt of dt shares the map of dt.
+s <- P s + d. The time grid's steps equal dt up to rounding, except for a
+short last step of each phase, so every step within 1e-9 dt of dt shares the
+map of dt. In normalised time t / tau, the run of such steps from 0 is a
+fixed linear map of the start, the goal and the scaled weights, given
+dt / tau and the basis: its response is built once (scanned BLOCK steps at a
+time, each block two matmuls with the stacked powers of P and a
+block-triangular kernel of its lagged powers) and kept in a small cache, so a
+rollout is one matmul plus a scan of the few steps after the run.
 """
 
 from __future__ import annotations
@@ -33,8 +37,10 @@ ALPHA_Z = 25.0
 BETA_Z = ALPHA_Z / 4.0  # critical damping
 ALPHA_X = ALPHA_Z / 3.0
 DEFAULT_BASIS = 25
+MIN_SAMPLES = 3  # least demonstration samples: fit_lwr takes second differences
 REFERENCE_SPEED = 1.0  # m/s; converts arc length into a nominal duration
 BLOCK = 64  # RK4 steps per block of the rollout scan
+RESPONSES = 4  # cached rollout responses; one basis and dt / tau takes one
 MINJERK_ROUNDS = 64  # cap of a passage-time solve; bisection alone takes about 55
 
 
@@ -251,13 +257,15 @@ def fit_lwr(demo: Demonstration, p: int = DEFAULT_BASIS) -> DMPModel:
                     demo.dim, forcing_scale)
 
 
-def _forcing(model: DMPModel, x: np.ndarray) -> np.ndarray:
-    """Forcing term at phases x, (N,) -> (N, K)."""
-    psi = x[:, None] - model.centers
+def _phase_basis(x: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Forcing columns psi_p(x) / sum psi(x) * x at phases x, (N,) -> (N, P):
+    the forcing term is this times weights.T * scale."""
+    psi = x[:, None] - centers
     psi *= psi
-    psi *= -model.widths
+    psi *= -widths
     np.exp(psi, out=psi)
-    return (psi @ model.weights.T) / np.sum(psi, axis=1)[:, None] * x[:, None] * model.scale()
+    psi *= (x / np.sum(psi, axis=1))[:, None]
+    return psi
 
 
 def _rk4_maps(a: np.ndarray, h: np.ndarray):
@@ -306,9 +314,79 @@ def _block_kernel(p: np.ndarray, b: int):
     return powers[1:].transpose(1, 0, 2).copy(), np.ascontiguousarray(kernel)
 
 
+def _scan(step_maps: np.ndarray, which: np.ndarray, increments: np.ndarray,
+          s: np.ndarray):
+    """The y rows from s (2, K) through the steps of s <- P s + d, step n
+    taking map step_maps[which[n]] and increment increments[:, n], (2, N, K).
+
+    Blocks of at most BLOCK steps of one map are two matmuls over all
+    channels each (`_block_kernel`). Returns the (N + 1, K) y rows, s[0]
+    first, and the (B + 1, 2, K) states at the start of each of the B blocks
+    and after the last step.
+    """
+    k = s.shape[1]
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(which)) + 1,
+                             [len(which)]]).tolist()
+    blocks = [(i, min(BLOCK, hi - i), which[lo])
+              for lo, hi in zip(bounds[:-1], bounds[1:]) for i in range(lo, hi, BLOCK)]
+    size = {}
+    for _, m, j in blocks:
+        size[j] = max(size.get(j, 0), m)
+    kernels = {j: _block_kernel(step_maps[j], m) for j, m in size.items()}
+    out = np.empty((len(which) + 1, k))
+    starts = np.empty((len(blocks) + 1, 2, k))
+    out[0], starts[0] = s[0], s
+    for b, (i, m, j) in enumerate(blocks, 1):
+        powers, kernel = kernels[j]
+        states = (powers[:, :m].reshape(2 * m, 2) @ s
+                  + kernel[:, :m, :, :m].reshape(2 * m, 2 * m)
+                  @ increments[:, i:i + m].reshape(2 * m, k))
+        out[i + 1:i + 1 + m] = states[:m]
+        s = starts[b] = states[m - 1::m]
+    return out, starts
+
+
+@functools.lru_cache(maxsize=RESPONSES)
+def _response(ell: float, centers: tuple, widths: tuple, alpha_z: float,
+              beta_z: float, alpha_x: float):
+    """The DMP's response on the normalised grid k * ell, k = 0..N, to a unit
+    start (column 0), a unit goal (column 1) and each forcing column of
+    `_phase_basis` (2..): read-only (N + 1, P + 2) y rows, and the states
+    (y and z) at rows 0, BLOCK, 2 BLOCK, .. and N, (N // BLOCK + 2, 2, P + 2).
+
+    In normalised time the system is s' = A0 s + e2 b with A0 = tau * A and
+    b = alpha_z * beta_z * g + f, so a run of steps of dt = ell * tau from 0
+    is these rows times [start; goal; weights.T * scale], whatever tau is.
+    N = int(2 / ell) + 1 covers every run that fits in 2 tau; a rollout
+    continues any longer one (a rounding case) with its own step maps.
+    """
+    n = int(2.0 / ell) + 1
+    p = len(centers)
+    a = np.array([[0.0, 1.0], [-alpha_z * beta_z, -alpha_z]])
+    step_maps, input_maps = _rk4_maps(a, [ell])
+    q = input_maps[0]
+    # inputs: none for the start, alpha_z * beta_z for the goal, and each
+    # forcing column at step k's start, midpoint and end, which are points
+    # 2k, 2k + 1 and 2k + 2 of the half-step grid
+    increments = np.zeros((2, n, p + 2))
+    increments[:, :, 1] = alpha_z * beta_z * q.sum(axis=1)[:, None]
+    centers, widths = np.array(centers), np.array(widths)
+    for lo in range(0, n, 4 * BLOCK):  # in chunks, which bounds the basis's memory
+        m = min(4 * BLOCK, n - lo)
+        half = np.exp(-alpha_x * (np.arange(2 * lo, 2 * (lo + m) + 1) * (ell / 2)))
+        windows = sliding_window_view(_phase_basis(half, centers, widths), 3, axis=0)[::2]
+        np.einsum("ij,npj->inp", q, windows, out=increments[:, lo:lo + m, 2:])
+    s = np.eye(2, p + 2)
+    s[1, 1] = 0.0
+    rows, starts = _scan(step_maps, np.zeros(n, dtype=int), increments, s)
+    rows.setflags(write=False)
+    starts.setflags(write=False)
+    return rows, starts
+
+
 def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     """Integrate the canonical and transformation systems start to goal with
-    RK4, applied as a precomputed linear step map in blocks of BLOCK steps.
+    RK4, as a cached linear response over the steps of length dt from 0.
 
     After the nominal duration the forcing term has decayed with the phase
     but the state may still lag the goal by the residual fitting error, so
@@ -318,14 +396,18 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
 
     Per channel the state s = [y, z] obeys s' = A s + e2 b(t) with the same
     A for every channel, and b depends on time only (the goal term plus the
-    forcing term). So one RK4 step is s <- P s + d, and the increments d of
-    the whole grid (up to twice the duration) are array operations. The
+    forcing term), linearly in the start, the goal and the weights. The
     grid's steps differ from dt by rounding only, except for a short last
     step of each phase, so every step within 1e-9 dt of dt takes the map of
-    dt itself: at most three maps, in runs of equal P. Each block of a run is
-    then two matmuls over all channels (`_block_kernel`), and the scan stops
-    after the first block holding a settled state at or after the duration,
-    cut where a step-by-step loop would stop.
+    dt itself. In normalised time t / tau the run of such steps from 0 is
+    the same for every model of one basis and dt / tau: `_response` holds
+    its rows for a unit start, a unit goal and each forcing column, and the
+    run's states are one matmul with [start; goal; weights.T * scale]. If
+    no state of the run at or after the duration has settled, the rest of
+    the grid (the short steps, and any steps past them) continues with its
+    own RK4 maps (`_scan`) from the response's state at the start of the
+    block that holds the run's end. The rollout ends at the first settled
+    state at or after the duration, as a step-by-step loop would.
     """
     tau = model.duration
     if dt <= 0.0 or dt > tau / 10.0:
@@ -345,52 +427,43 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
         settle = np.append(settle, settle[-1] + (end - settle[-1]))
     all_times = np.concatenate([times, settle[1:]])
     h = np.diff(all_times)
-    # a step's end stage is the next step's start: the forcing at every grid
-    # time and at every step's midpoint
-    at_grid = _forcing(model, np.exp(-model.alpha_x * all_times / tau))
-    at_mid = _forcing(model, np.exp(-model.alpha_x * (all_times[:-1] + h / 2) / tau))
-    forcing = np.stack([at_grid[:-1], at_mid, at_grid[1:]], axis=1)
+    full = np.abs(h - dt) <= 1e-9 * dt
 
     span = float(np.linalg.norm(model.u_goal - model.u_start))
     settle_tol = 1e-4 * span + 1e-12
-
     goal = model.u_goal
-    k = len(goal)
-    a = np.array([[0.0, 1.0 / tau],
-                  [-model.alpha_z * model.beta_z / tau, -model.alpha_z / tau]])
-    lengths, which = np.unique(np.where(np.abs(h - dt) <= 1e-9 * dt, dt, h),
-                               return_inverse=True)
-    step_maps, input_maps = _rk4_maps(a, lengths)
-    b = (model.alpha_z * model.beta_z * goal + forcing) / tau
-    increments = np.einsum("nij,njk->ink", input_maps[which], b)
 
-    # blocks of at most BLOCK steps, none spanning two maps
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(which)) + 1, [len(h)]]).tolist()
-    blocks = [(i, min(BLOCK, hi - i), which[lo])
-              for lo, hi in zip(bounds[:-1], bounds[1:]) for i in range(lo, hi, BLOCK)]
-    size = {}
-    for _, m, j in blocks:
-        size[j] = max(size.get(j, 0), m)
-    kernels = {j: _block_kernel(step_maps[j], m) for j, m in size.items()}
+    def settled(states):
+        r = states - goal
+        return np.einsum("ij,ij->i", r, r) <= settle_tol * settle_tol
 
-    s = np.stack([model.u_start.astype(float), np.zeros(k)])
-    out = np.empty((len(h) + 1, k))
-    out[0] = s[0]
-    n = len(out)
-    for i, m, j in blocks:
-        powers, kernel = kernels[j]
-        states = (powers[:, :m].reshape(2 * m, 2) @ s
-                  + kernel[:, :m, :, :m].reshape(2 * m, 2 * m)
-                  @ increments[:, i:i + m].reshape(2 * m, k))
-        out[i + 1:i + 1 + m] = states[:m]
-        s = states[m - 1::m]
-        # the first settled state at or after the duration ends the rollout
-        first = max(i + 1, n_main - 1)
-        r = out[first:i + 1 + m] - goal
-        settled = np.flatnonzero(np.einsum("ij,ij->i", r, r) <= settle_tol * settle_tol)
-        if len(settled):
-            n = first + int(settled[0]) + 1
-            break
+    rows, starts = _response(dt / tau, tuple(model.centers.tolist()),
+                             tuple(model.widths.tolist()), model.alpha_z, model.beta_z,
+                             model.alpha_x)
+    run = min(len(h) if full.all() else int(np.argmin(full)), len(rows) - 1)
+    w = model.weights.T * model.scale()
+    coefficients = np.vstack([model.u_start, goal, w])
+    out = rows[:run + 1] @ coefficients
+    if run < len(h) and not settled(out[n_main - 1:]).any():
+        # the forcing at every grid time and step midpoint from the block
+        # start on (a step's end stage is the next step's start)
+        i = run // BLOCK * BLOCK
+        t, h = all_times[i:], h[i:]
+        at_grid = _phase_basis(np.exp(-model.alpha_x * t / tau), model.centers, model.widths) @ w
+        at_mid = _phase_basis(np.exp(-model.alpha_x * (t[:-1] + h / 2) / tau),
+                              model.centers, model.widths) @ w
+        forcing = np.stack([at_grid[:-1], at_mid, at_grid[1:]], axis=1)
+        a = np.array([[0.0, 1.0 / tau],
+                      [-model.alpha_z * model.beta_z / tau, -model.alpha_z / tau]])
+        lengths, which = np.unique(np.where(full[i:], dt, h), return_inverse=True)
+        step_maps, input_maps = _rk4_maps(a, lengths)
+        b = (model.alpha_z * model.beta_z * goal + forcing) / tau
+        increments = np.einsum("nij,njk->ink", input_maps[which], b)
+        tail, _ = _scan(step_maps, which, increments, starts[i // BLOCK] @ coefficients)
+        out = np.vstack([out[:i], tail])
+    # the first settled state at or after the duration ends the rollout
+    first = np.flatnonzero(settled(out[n_main - 1:]))
+    n = n_main + int(first[0]) if len(first) else len(out)
     return _to_trajectory(all_times[:n], out[:n], model.dim)
 
 

@@ -18,7 +18,7 @@ from .dmp import (DEFAULT_BASIS, Demonstration, PoseTrajectory,
                   interpolate_waypoints, rollout, validate_and_finalize)
 from .poses import PoseWaypoint, plan_poses
 from .roadmap import RoadmapGraph, build_graph, project_terminal, shortest_path
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 from .voronoi import Diagram, build_diagram
 
 NO_FEASIBLE_PASSAGE = "no-feasible-passage"
@@ -101,9 +101,14 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
         n_samples = max(400, 100 * len(waypoints))
     demo = interpolate_waypoints(waypoints, n_samples=int(n_samples))
     model = fit_lwr(demo, p=int(scenario.params.get("dmp_basis", DEFAULT_BASIS)))
+    duration = float(demo.times[-1])
     dt = scenario.params.get("dt")
     if dt is None:
-        dt = demo.times[-1] / 400.0
+        dt = duration / 400.0
+    elif dt > duration / 10.0:
+        # the limit depends on the planned path, so it is checked per query
+        raise ScenarioError(f"params.dt: {dt:g} s exceeds a tenth of the trajectory's "
+                            f"duration: limit {duration / 10.0:.6g} s, duration {duration:.6g} s")
     smoothed = rollout(model, float(dt))
     trajectory, report = validate_and_finalize(smoothed, demo, scenario.robot,
                                                scenario.obstacles)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -15,7 +17,7 @@ from .geometry import (RigidPose, Superquadric, box_gaps, dual_exponents,
 # closest_pair is not used here; perfbench's traced run patches this name
 from .proximity import closest_pair, closest_pair_arrays  # noqa: F401
 from .poses import robot_rotations
-from .dmp import DEFAULT_BASIS, PoseTrajectory
+from .dmp import DEFAULT_BASIS, MIN_SAMPLES, PoseTrajectory
 
 BENCHMARK_NAMES = ("narrow2d", "t_block", "u_block",
                    "pillars3d", "moderate3d", "dense3d")
@@ -129,6 +131,45 @@ def _pose(obj: dict, dim: int, where: str) -> RigidPose:
     return RigidPose.create(position, rotation)
 
 
+def _real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# each parameter's rule, as a test and its description
+PARAM_RULES = {
+    "h": (lambda v: v is None or _real(v) and v >= 0, "null or a finite number >= 0"),
+    "dmp_basis": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),
+    "dt": (lambda v: v is None or _real(v) and v > 0, "null or a finite number > 0"),
+    "n_samples": (lambda v: v is None or _integer(v) and v >= MIN_SAMPLES,
+                  f"null or an integer >= {MIN_SAMPLES}"),
+}
+
+
+def check_param(key: str, value, where: str) -> None:
+    """Raise a ScenarioError naming `where` unless value meets the rule of
+    parameter `key`."""
+    valid, rule = PARAM_RULES[key]
+    if not valid(value):
+        raise ScenarioError(f"{where}: expected {rule}, got {value!r}")
+
+
+def _params(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise ScenarioError("params: expected an object")
+    params = dict(DEFAULT_PARAMS)
+    for key, value in raw.items():
+        if key not in DEFAULT_PARAMS:
+            raise ScenarioError(f"params.{key}: unknown parameter")
+        check_param(key, value, f"params.{key}")
+        params[key] = value
+    return params
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("top level: expected a JSON object")
@@ -152,12 +193,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     start = _pose(_need(data, "start", "top level"), dim, "start")
     goal = _pose(_need(data, "goal", "top level"), dim, "goal")
 
-    params = dict(DEFAULT_PARAMS)
-    for key, value in data.get("params", {}).items():
-        if key not in DEFAULT_PARAMS:
-            raise ScenarioError(f"params.{key}: unknown parameter")
-        params[key] = value
-
+    params = _params(data.get("params", {}))
     for label, pose in (("start", start), ("goal", goal)):
         if np.any(pose.position < lo) or np.any(pose.position > hi):
             raise ScenarioError(f"{label}.position: outside the world box")
@@ -172,7 +208,9 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read the file ({exc.strerror})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
     return scenario_from_dict(data)
 

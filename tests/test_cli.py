@@ -164,3 +164,79 @@ def test_bench_exits_non_zero_when_runs_fail(tmp_path, monkeypatch, capsys):
         success=False, reason="no-feasible-passage"))
     out = str(tmp_path / "no_plan")
     assert main(["bench", "--suite", "2d", "--runs", "1", "--out", out]) == EXIT_NO_PATH
+
+
+def _narrow2d_with(tmp_path, params):
+    main(["demo", "--name", "narrow2d", "--out", str(tmp_path)])
+    path = tmp_path / "narrow2d.json"
+    scene = json.loads(path.read_text())
+    scene["params"] = params
+    path.write_text(json.dumps(scene))
+    return str(path)
+
+
+@pytest.mark.parametrize("params, where", [
+    ({"dt": 0}, "params.dt"), ({"dt": -1}, "params.dt"), ({"dt": "x"}, "params.dt"),
+    ({"dt": float("inf")}, "params.dt"), ({"dt": True}, "params.dt"),
+    ({"n_samples": 0}, "params.n_samples"), ({"n_samples": 2}, "params.n_samples"),
+    ({"n_samples": 2.5}, "params.n_samples"), ({"n_samples": True}, "params.n_samples"),
+    ({"dmp_basis": 1}, "params.dmp_basis"), ({"dmp_basis": 2.7}, "params.dmp_basis"),
+    ({"dmp_basis": None}, "params.dmp_basis"), ({"dmp_basis": True}, "params.dmp_basis"),
+    ({"h": -1}, "params.h"), ({"h": "a"}, "params.h"), ({"h": float("nan")}, "params.h"),
+    ([1], "params"),
+])
+def test_plan_invalid_params_exit_2(tmp_path, capsys, params, where):
+    path = _narrow2d_with(tmp_path, params)
+    capsys.readouterr()
+    code = main(["plan", "--scenario", path, "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"invalid scenario: {where}:" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("params", [
+    {"n_samples": 3, "dmp_basis": 2}, {"dt": 0.001, "h": 0, "n_samples": None},
+])
+def test_plan_boundary_params_plan(tmp_path, params):
+    path = _narrow2d_with(tmp_path, params)
+    assert main(["plan", "--scenario", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_plan_dt_beyond_a_tenth_of_the_duration_exits_2(tmp_path, capsys):
+    # the limit depends on the planned path, so it is only known per query
+    path = _narrow2d_with(tmp_path, {})
+    capsys.readouterr()
+    code = main(["plan", "--scenario", path, "--out", str(tmp_path / "o"), "--dt", "5"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "params.dt: 5 s exceeds a tenth of the trajectory's duration" in err
+    assert "limit" in err and "duration" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "cannot read the file"), ("directory", "cannot read the file"),
+    ("not-utf8", "invalid JSON"),
+])
+def test_plan_unreadable_scenario_file_exits_2(tmp_path, capsys, kind, message):
+    path = tmp_path / "scene.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    code = main(["plan", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"invalid scenario: {path}: {message}" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--h", "-1"), ("--h", "nan"), ("--dmp-basis", "1"), ("--dt", "0"), ("--dt", "inf"),
+])
+def test_plan_invalid_override_flags_exit_2(tmp_path, capsys, flag, value):
+    path = _narrow2d_with(tmp_path, {})
+    capsys.readouterr()
+    code = main(["plan", "--scenario", path, "--out", str(tmp_path / "o"), flag, value])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"invalid scenario: {flag}: expected" in err and "internal error" not in err

@@ -817,3 +817,231 @@ def test_cached_samples_match_per_pose_loop_on_query_streams(stream, monkeypatch
     if stream != "field-2-16":
         # some smoothed trajectories of these streams cut a corner
         assert any(decisions)
+
+
+# --------------------------------------------------- cached rollout response
+
+
+def block_scan_rollout(model, dt):
+    """Reference rollout: the forcing term over the whole time grid, then the
+    linear step maps scanned BLOCK steps at a time from the start, stopping
+    after the first block that holds a settled state at or after the
+    duration."""
+    tau = model.duration
+    times = np.arange(0.0, tau, dt)
+    if tau - times[-1] > 1e-12:
+        times = np.append(times, tau)
+    n_main = len(times)
+    end = 2.0 * tau
+    steps = np.full(int(np.ceil(tau / dt)) + 2, dt)
+    settle = np.add.accumulate(np.concatenate([times[-1:], steps]))
+    last = int(np.argmin((settle < end - 1e-12) & (dt <= end - settle)))
+    settle = settle[:last + 1]
+    if settle[-1] < end - 1e-12:
+        settle = np.append(settle, settle[-1] + (end - settle[-1]))
+    all_times = np.concatenate([times, settle[1:]])
+    h = np.diff(all_times)
+
+    def forcing_at(t):
+        x = np.exp(-model.alpha_x * t / tau)
+        psi = np.exp(-model.widths * (x[:, None] - model.centers) ** 2)
+        return (psi @ model.weights.T) / np.sum(psi, axis=1)[:, None] * x[:, None] * model.scale()
+
+    at_grid = forcing_at(all_times)
+    at_mid = forcing_at(all_times[:-1] + h / 2)
+    forcing = np.stack([at_grid[:-1], at_mid, at_grid[1:]], axis=1)
+    span = float(np.linalg.norm(model.u_goal - model.u_start))
+    settle_tol = 1e-4 * span + 1e-12
+    goal = model.u_goal
+    k = len(goal)
+    a = np.array([[0.0, 1.0 / tau],
+                  [-model.alpha_z * model.beta_z / tau, -model.alpha_z / tau]])
+    lengths, which = np.unique(np.where(np.abs(h - dt) <= 1e-9 * dt, dt, h),
+                               return_inverse=True)
+    step_maps, input_maps = _rk4_maps(a, lengths)
+    b = (model.alpha_z * model.beta_z * goal + forcing) / tau
+    increments = np.einsum("nij,njk->ink", input_maps[which], b)
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(which)) + 1, [len(h)]]).tolist()
+    blocks = [(i, min(dmp.BLOCK, hi - i), which[lo])
+              for lo, hi in zip(bounds[:-1], bounds[1:]) for i in range(lo, hi, dmp.BLOCK)]
+    s = np.stack([model.u_start.astype(float), np.zeros(k)])
+    out = np.empty((len(h) + 1, k))
+    out[0] = s[0]
+    n = len(out)
+    for i, m, j in blocks:
+        powers, kernel = dmp._block_kernel(step_maps[j], m)
+        states = powers.reshape(2 * m, 2) @ s + kernel.reshape(2 * m, 2 * m) \
+            @ increments[:, i:i + m].reshape(2 * m, k)
+        out[i + 1:i + 1 + m] = states[:m]
+        s = states[m - 1::m]
+        first = max(i + 1, n_main - 1)
+        r = out[first:i + 1 + m] - goal
+        settled = np.flatnonzero(np.einsum("ij,ij->i", r, r) <= settle_tol * settle_tol)
+        if len(settled):
+            n = first + int(settled[0]) + 1
+            break
+    return all_times[:n], out[:n]
+
+
+def assert_matches_block_scan(model, dt):
+    """Same time grid as the block scan, values within 1e-12; returns its length."""
+    times, samples = block_scan_rollout(model, dt)
+    traj = rollout(model, dt)
+    assert np.array_equal(traj.times, times)
+    got = np.hstack([traj.positions, traj.orientations])
+    assert np.max(np.abs(got - samples)) <= 1e-12
+    return len(times)
+
+
+def random_model(rng, p, k, duration, scale=50.0):
+    centers, widths = _basis(p)
+    return DMPModel(rng.normal(scale=scale, size=(k, p)), centers, widths, duration,
+                    rng.normal(size=k), rng.normal(size=k), 2 if k == 3 else 3)
+
+
+def trajectory_bytes(traj):
+    return traj.times.tobytes() + traj.positions.tobytes() + traj.orientations.tobytes()
+
+
+@pytest.mark.parametrize("name", ["pillars3d", "narrow2d"])
+def test_rollout_matches_block_scan_on_plan_models(name, monkeypatch):
+    # the reference plan's model and a seeded stream's, at dt = duration / 400
+    _, _, _, box_a, box_b = STREAMS[{"pillars3d": "pillars", "narrow2d": "narrow-wall"}[name]]
+    scn = generate_benchmark(name, 0)
+    pre = pipeline.precompute(scn)
+    models = []
+
+    def capture(model, dt):
+        models.append((model, dt))
+        return rollout(model, dt)
+
+    monkeypatch.setattr(pipeline, "rollout", capture)
+    assert pipeline.plan(scn, pre).success
+    rng = np.random.default_rng(12)
+    for k in range(4):
+        a, b = (box_a, box_b) if k % 2 == 0 else (box_b, box_a)
+        scn.start = RigidPose.create(clear_point(rng, scn, *map(np.asarray, a)))
+        scn.goal = RigidPose.create(clear_point(rng, scn, *map(np.asarray, b)))
+        assert pipeline.plan(scn, pre).success
+    assert len(models) == 5
+    for model, dt in models:
+        assert_matches_block_scan(model, dt)
+        assert_matches_two_loop_reference(model, dt)
+
+
+def test_rollout_is_bitwise_equal_with_cold_warm_and_shared_cache():
+    rng = np.random.default_rng(21)
+    model = random_model(rng, 25, 6, 1.7, scale=300.0)
+    dt = model.duration / 400.0
+    dmp._response.cache_clear()
+    cold = trajectory_bytes(rollout(model, dt))
+    assert dmp._response.cache_info().misses == 1
+    warm = trajectory_bytes(rollout(model, dt))
+    assert dmp._response.cache_info().hits == 1
+    # other dt / duration values and basis counts fill (and overflow) the cache
+    dmp._response.cache_clear()
+    for p, steps in [(25, 300), (15, 400), (10, 57), (25, 123), (20, 400), (25, 77)]:
+        other = random_model(rng, p, 3, float(rng.uniform(0.5, 3.0)))
+        rollout(other, other.duration / steps)
+    assert dmp._response.cache_info().currsize == dmp.RESPONSES
+    shared = trajectory_bytes(rollout(model, dt))
+    assert cold == warm == shared
+
+
+def test_response_arrays_are_read_only_and_cache_is_bounded():
+    rng = np.random.default_rng(22)
+    dmp._response.cache_clear()
+    for steps in range(40, 40 + 3 * dmp.RESPONSES):
+        model = random_model(rng, 12, 3, 1.0)
+        rollout(model, model.duration / steps)
+        assert dmp._response.cache_info().currsize <= dmp.RESPONSES
+    centers, widths = _basis(12)
+    key = (1.0 / 40.0, tuple(centers), tuple(widths), ALPHA_Z, BETA_Z, dmp.ALPHA_X)
+    response = dmp._response(*key)
+    rows, starts = response
+    # y rows on the grid k / 40 up to 2, and the states at rows 0, BLOCK and
+    # 81: a unit start, a unit goal and each forcing column
+    assert rows.shape == (82, 14) and starts.shape == (3, 2, 14)
+    assert np.array_equal(starts[:, 0], rows[[0, dmp.BLOCK, 81]])
+    for array in response:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 2.0
+    assert dmp._response(*key) is response
+    # without forcing, a unit start and a unit goal sum to a state at rest
+    assert np.allclose(rows[:, 0] + rows[:, 1], 1.0, rtol=0.0, atol=1e-13)
+    assert np.allclose(starts[:, 1, 0] + starts[:, 1, 1], 0.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stream", ["pillars", "narrow-wall"])
+def test_query_streams_create_at_most_two_responses(stream, monkeypatch):
+    # perfbench's scene and query sampler (seed 1001): dt = duration / 400,
+    # so dt / duration is 1 / 400 rounded, or one ulp off it
+    bench = _load_bench_scenes()
+    scene, regions = {"pillars": (bench.pillars(), bench.pillar_regions()),
+                      "narrow-wall": (bench.narrow_wall(), bench.wall_regions())}[stream]
+    pre = pipeline.precompute(scenario_from_dict(scene))
+    sampler = bench.QuerySampler(scene, regions, 1001)
+    ratios = set()
+
+    def capture(model, dt):
+        ratios.add(dt / model.duration)
+        return rollout(model, dt)
+
+    monkeypatch.setattr(pipeline, "rollout", capture)
+    dmp._response.cache_clear()
+    for _ in range(100):
+        pipeline.plan(scenario_from_dict(sampler.next()), pre)
+    assert dmp._response.cache_info().misses == len(ratios) <= 2
+    assert all(abs(r - 1.0 / 400.0) <= np.spacing(1.0 / 400.0) for r in ratios)
+
+
+def test_rollout_continuation_matches_references(monkeypatch):
+    rng = np.random.default_rng(23)
+    centers, widths = _basis(25)
+    start = rng.normal(size=6)
+    scans = []
+
+    def counting_scan(*args):
+        scans.append(args[2].shape[1])
+        return scan(*args)
+
+    scan = dmp._scan
+    monkeypatch.setattr(dmp, "_scan", counting_scan)
+    # a zero start-goal span never settles: the grid runs to 2 tau. At this
+    # duration the default grid ends on a sub-ulp step before 2 tau, and
+    # dt = 0.03 does not divide it, which leaves a short last step of each phase
+    tau = 26.59995192128542
+    model = DMPModel(rng.normal(scale=50.0, size=(6, 25)), centers, widths, tau,
+                     start, start.copy(), 3, forcing_scale=np.ones(6))
+    for dt, run in ((tau / 400.0, 800), (0.03 * tau, 33)):
+        rollout(model, dt)  # the response is cached
+        scans.clear()
+        traj = rollout(model, dt)
+        steps = np.diff(traj.times)
+        assert np.all(np.abs(steps[:run] - dt) <= 1e-9 * dt) and steps[run] < dt - 1e-9 * dt
+        assert abs(traj.times[-1] - 2.0 * tau) <= 1e-12
+        # the continuation scans every step from the start of the block that
+        # holds the run's end
+        assert scans == [len(steps) - run // dmp.BLOCK * dmp.BLOCK]
+        length = assert_matches_block_scan(model, dt)
+        assert assert_matches_two_loop_reference(model, dt) == length
+    # a settling model of the same dt ends within the run: no continuation
+    model.u_goal = start + 1.0
+    model.forcing_scale = None
+    scans.clear()
+    assert len(rollout(model, tau / 400.0).times) < 801
+    assert scans == []
+    assert_matches_block_scan(model, tau / 400.0)
+
+
+def test_min_samples_is_the_least_that_plans_two_waypoints():
+    ways = [PoseWaypoint(np.array([0.1, 0.1]), np.zeros(1), 0),
+            PoseWaypoint(np.array([0.4, 0.3]), np.zeros(1), 1)]
+    for n in range(dmp.MIN_SAMPLES, dmp.MIN_SAMPLES + 3):
+        demo = interpolate_waypoints(ways, n_samples=n)
+        assert len(demo.times) == n
+        traj = rollout(fit_lwr(demo), demo.times[-1] / 400.0)
+        assert np.linalg.norm(traj.positions[-1] - [0.4, 0.3]) <= 1e-3
+    with pytest.raises(ValueError):
+        fit_lwr(interpolate_waypoints(ways, n_samples=dmp.MIN_SAMPLES - 1))
