@@ -1,9 +1,9 @@
 """Command-line interface: plan scenarios, run benchmark suites, emit demos.
 
-Exit codes: 0 success; 2 scenario validation error; 3 no feasible passage;
-4 internal error. `bench` records every run, then exits 4 if any run raised,
-else 3 if any run found no plan. Log verbosity comes from the SQPLAN_LOG
-environment variable (debug/info/warning/error).
+Exit codes: 0 success; 2 scenario validation error or bad argument; 3 no
+feasible passage; 4 internal error. `bench` records every run, then exits 4
+if any run raised, else 3 if any run found no plan. Log verbosity comes from
+the SQPLAN_LOG environment variable (debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -186,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, help="bridging distance override (m)")
     p.add_argument("--dmp-basis", type=int, dest="dmp_basis",
                    help="DMP basis functions per degree of freedom")
-    p.add_argument("--dt", type=float, help="rollout time step (s)")
+    p.add_argument("--dt", type=float,
+                   help="largest rollout step (s): the rollout takes ceil(duration / dt) "
+                        "equal steps per duration")
     p.set_defaults(func=cmd_plan)
 
     b = sub.add_parser("bench", help="run a benchmark suite")
@@ -208,6 +210,10 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, least in (("runs", 1), ("seed", 0)):  # bench's and demo's counts
+        if getattr(args, flag, least) < least:
+            parser.error(f"argument --{flag}: expected an integer >= {least}, "
+                         f"got {getattr(args, flag)}")
     try:
         return args.func(args)
     except ScenarioError as exc:

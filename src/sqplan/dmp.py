@@ -1,28 +1,26 @@
 """Trajectory smoothing with dynamical movement primitives.
 
-Pose waypoints are splined into a time-indexed demonstration, one DMP per
-degree of freedom is fitted with locally weighted regression (all channels at
-once), and the rollout is validated for collisions against the original
-obstacles with a sampled, chunk-batched test of the poses within reach of an
-obstacle's box (falling back to the raw demonstration if the smoothed path
-cuts a corner too tightly), with each shape's surface samples built once per
-shape value. The demonstration's passage times are safeguarded Newton solves.
+Pose waypoints are splined into a demonstration sampled at equal time steps,
+one DMP per degree of freedom is fitted with locally weighted regression (all
+channels at once), and the rollout is validated for collisions against the
+original obstacles with a sampled, chunk-batched test of the poses within
+reach of an obstacle's box (falling back to the raw demonstration if the
+smoothed path cuts a corner too tightly), with each shape's surface samples
+built once per shape value.
 
-The rollout integrates every channel with RK4 as one linear step map
-s <- P s + d. The time grid's steps equal dt up to rounding, except for a
-short last step of each phase, so every step within 1e-9 dt of dt shares the
-map of dt. In normalised time t / tau, the run of such steps from 0 is a
-fixed linear map of the start, the goal and the scaled weights, given
-dt / tau and the basis: its response is built once (scanned BLOCK steps at a
-time, each block two matmuls with the stacked powers of P and a
-block-triangular kernel of its lagged powers) and kept in a small cache, so a
-rollout is one matmul plus a scan of the few steps after the run.
+The rollout integrates every channel with RK4 on a uniform grid of n equal
+steps per duration, n = ceil(tau / dt), as one linear step map s <- P s + d.
+In normalised time t / tau that grid and its map depend on n only, so the
+rollout up to 2 tau is a fixed linear map of the start, the goal and the
+scaled weights, given n and the basis: its response is built once (scanned
+BLOCK steps at a time, each block two matmuls with the stacked powers of P
+and a block-triangular kernel of its lagged powers) and kept in a small
+cache, so a rollout is one matmul.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +38,7 @@ DEFAULT_BASIS = 25
 MIN_SAMPLES = 3  # least demonstration samples: fit_lwr takes second differences
 REFERENCE_SPEED = 1.0  # m/s; converts arc length into a nominal duration
 BLOCK = 64  # RK4 steps per block of the rollout scan
-RESPONSES = 4  # cached rollout responses; one basis and dt / tau takes one
-MINJERK_ROUNDS = 64  # cap of a passage-time solve; bisection alone takes about 55
+RESPONSES = 4  # cached rollout responses; one basis and step count takes one
 
 
 @dataclass
@@ -118,40 +115,14 @@ def _minjerk(tau: np.ndarray) -> np.ndarray:
     return 10.0 * tau**3 - 15.0 * tau**4 + 6.0 * tau**5
 
 
-def _minjerk_inverse(s: np.ndarray) -> np.ndarray:
-    """Progress values tau with _minjerk(tau) = s: per value, Newton from the
-    nearer end's leading term (f ~ 10 t^3, f(1 - t) = 1 - f(t)) in a bracket
-    f(lo) < s <= f(hi), bisecting where f' = 0 or a step leaves it, up to a root,
-    a repeated point or MINJERK_ROUNDS rounds; where f is flat to rounding (s
-    within 1e-6 of 0 or 1), tau may lie up to ~3e-6 from a bisection's root."""
-    out = np.empty(len(s))
-    c = 0.1 ** (1.0 / 3.0)
-    for k, v in enumerate(np.clip(s, 0.0, 1.0).tolist()):
-        t = c * v ** (1.0 / 3.0) if v <= 0.5 else 1.0 - c * (1.0 - v) ** (1.0 / 3.0)
-        lo, hi = 0.0, 1.0
-        for _ in range(MINJERK_ROUNDS):
-            r = _minjerk(t) - v
-            if r == 0.0:
-                break
-            lo, hi = (t, hi) if r < 0.0 else (lo, t)
-            d = 30.0 * t * t * (1.0 - t) ** 2
-            step = t - r / d if d > 0.0 else math.nan
-            if not lo <= step <= hi:
-                step = 0.5 * (lo + hi)
-            if step in (lo, hi):  # a repeated point
-                break
-            t = step
-        out[k] = t
-    return out
-
-
 def interpolate_waypoints(waypoints: list[PoseWaypoint], n_samples: int = 200) -> Demonstration:
     """Natural cubic spline through the waypoints over arc-length time.
 
-    Duration is total positional arc length at the reference speed. Sampling
-    follows a minimum-jerk time profile so the demonstration starts and ends
-    at rest; the sample grid includes every waypoint's passage time, keeping
-    interpolation exact. Duplicate consecutive positions are collapsed.
+    Duration is total positional arc length at the reference speed. The
+    n_samples times are equally spaced over the duration and the spline is
+    read through a minimum-jerk time profile, so the demonstration starts and
+    ends at rest; it passes the waypoints between samples. Duplicate
+    consecutive positions are collapsed.
 
     Long segments receive collinear helper knots so the spline cannot
     overshoot corridor centerlines between far-apart waypoints. Each
@@ -190,10 +161,6 @@ def interpolate_waypoints(waypoints: list[PoseWaypoint], n_samples: int = 200) -
 
     spline = CubicSpline(knot_t, knot_v, axis=0, bc_type="natural")
     times = np.linspace(0.0, duration, int(n_samples))
-    passage = _minjerk_inverse(t_way[1:-1] / duration) * duration
-    times = np.sort(np.concatenate([times, passage]))
-    keep = np.concatenate([[True], np.diff(times) > 1e-12 * max(duration, 1.0)])
-    times = times[keep]
     samples = spline(_minjerk(times / duration) * duration)
     samples[0] = knot_v[0]
     samples[-1] = knot_v[-1]
@@ -314,157 +281,99 @@ def _block_kernel(p: np.ndarray, b: int):
     return powers[1:].transpose(1, 0, 2).copy(), np.ascontiguousarray(kernel)
 
 
-def _scan(step_maps: np.ndarray, which: np.ndarray, increments: np.ndarray,
-          s: np.ndarray):
-    """The y rows from s (2, K) through the steps of s <- P s + d, step n
-    taking map step_maps[which[n]] and increment increments[:, n], (2, N, K).
+def _scan(step_map: np.ndarray, increments: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (N + 1, K) y rows, s[0] first, from s (2, K) through the steps of
+    s <- P s + d, step n taking increment increments[:, n], (2, N, K).
 
-    Blocks of at most BLOCK steps of one map are two matmuls over all
-    channels each (`_block_kernel`). Returns the (N + 1, K) y rows, s[0]
-    first, and the (B + 1, 2, K) states at the start of each of the B blocks
-    and after the last step.
+    Blocks of at most BLOCK steps are two matmuls over all channels each
+    (`_block_kernel`).
     """
-    k = s.shape[1]
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(which)) + 1,
-                             [len(which)]]).tolist()
-    blocks = [(i, min(BLOCK, hi - i), which[lo])
-              for lo, hi in zip(bounds[:-1], bounds[1:]) for i in range(lo, hi, BLOCK)]
-    size = {}
-    for _, m, j in blocks:
-        size[j] = max(size.get(j, 0), m)
-    kernels = {j: _block_kernel(step_maps[j], m) for j, m in size.items()}
-    out = np.empty((len(which) + 1, k))
-    starts = np.empty((len(blocks) + 1, 2, k))
-    out[0], starts[0] = s[0], s
-    for b, (i, m, j) in enumerate(blocks, 1):
-        powers, kernel = kernels[j]
+    n, k = increments.shape[1], s.shape[1]
+    powers, kernel = _block_kernel(step_map, min(BLOCK, n))
+    out = np.empty((n + 1, k))
+    out[0] = s[0]
+    for i in range(0, n, BLOCK):
+        m = min(BLOCK, n - i)
         states = (powers[:, :m].reshape(2 * m, 2) @ s
                   + kernel[:, :m, :, :m].reshape(2 * m, 2 * m)
                   @ increments[:, i:i + m].reshape(2 * m, k))
         out[i + 1:i + 1 + m] = states[:m]
-        s = starts[b] = states[m - 1::m]
-    return out, starts
+        s = states[m - 1::m]
+    return out
 
 
 @functools.lru_cache(maxsize=RESPONSES)
-def _response(ell: float, centers: tuple, widths: tuple, alpha_z: float,
-              beta_z: float, alpha_x: float):
-    """The DMP's response on the normalised grid k * ell, k = 0..N, to a unit
+def _response(n: int, centers: tuple, widths: tuple, alpha_z: float,
+              beta_z: float, alpha_x: float) -> np.ndarray:
+    """The DMP's response on the normalised grid k / n, k = 0..2n, to a unit
     start (column 0), a unit goal (column 1) and each forcing column of
-    `_phase_basis` (2..): read-only (N + 1, P + 2) y rows, and the states
-    (y and z) at rows 0, BLOCK, 2 BLOCK, .. and N, (N // BLOCK + 2, 2, P + 2).
+    `_phase_basis` (2..): read-only (2n + 1, P + 2) y rows.
 
     In normalised time the system is s' = A0 s + e2 b with A0 = tau * A and
-    b = alpha_z * beta_z * g + f, so a run of steps of dt = ell * tau from 0
-    is these rows times [start; goal; weights.T * scale], whatever tau is.
-    N = int(2 / ell) + 1 covers every run that fits in 2 tau; a rollout
-    continues any longer one (a rounding case) with its own step maps.
+    b = alpha_z * beta_z * g + f, so a rollout of n steps per duration is
+    these rows times [start; goal; weights.T * scale], whatever tau is.
     """
-    n = int(2.0 / ell) + 1
+    steps = 2 * n
     p = len(centers)
     a = np.array([[0.0, 1.0], [-alpha_z * beta_z, -alpha_z]])
-    step_maps, input_maps = _rk4_maps(a, [ell])
+    step_maps, input_maps = _rk4_maps(a, [1.0 / n])
     q = input_maps[0]
     # inputs: none for the start, alpha_z * beta_z for the goal, and each
     # forcing column at step k's start, midpoint and end, which are points
     # 2k, 2k + 1 and 2k + 2 of the half-step grid
-    increments = np.zeros((2, n, p + 2))
+    increments = np.zeros((2, steps, p + 2))
     increments[:, :, 1] = alpha_z * beta_z * q.sum(axis=1)[:, None]
     centers, widths = np.array(centers), np.array(widths)
-    for lo in range(0, n, 4 * BLOCK):  # in chunks, which bounds the basis's memory
-        m = min(4 * BLOCK, n - lo)
-        half = np.exp(-alpha_x * (np.arange(2 * lo, 2 * (lo + m) + 1) * (ell / 2)))
+    for lo in range(0, steps, 4 * BLOCK):  # in chunks, which bounds the basis's memory
+        m = min(4 * BLOCK, steps - lo)
+        half = np.exp(-alpha_x * (np.arange(2 * lo, 2 * (lo + m) + 1) / (2 * n)))
         windows = sliding_window_view(_phase_basis(half, centers, widths), 3, axis=0)[::2]
         np.einsum("ij,npj->inp", q, windows, out=increments[:, lo:lo + m, 2:])
     s = np.eye(2, p + 2)
     s[1, 1] = 0.0
-    rows, starts = _scan(step_maps, np.zeros(n, dtype=int), increments, s)
+    rows = _scan(step_maps[0], increments, s)
     rows.setflags(write=False)
-    starts.setflags(write=False)
-    return rows, starts
+    return rows
 
 
 def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     """Integrate the canonical and transformation systems start to goal with
-    RK4, as a cached linear response over the steps of length dt from 0.
+    RK4 on a uniform time grid, as a cached linear response.
 
-    After the nominal duration the forcing term has decayed with the phase
-    but the state may still lag the goal by the residual fitting error, so
-    integration continues (up to one extra duration) until the state settles
-    within a small fraction of the start-goal span. The appended samples are
-    nearly unforced critically damped motion straight to the goal.
+    The grid takes n = ceil(tau / dt) equal steps of tau / n per duration, so
+    dt is the largest step; a step may exceed dt by a relative 1e-9, which
+    keeps dt = tau / n at n steps whatever the rounding of tau / dt. After
+    the nominal duration the forcing term has decayed with the phase but the
+    state may still lag the goal by the residual fitting error, so
+    integration continues on the same grid (up to one extra duration) until
+    the state settles within a small fraction of the start-goal span. The
+    appended samples are nearly unforced critically damped motion straight to
+    the goal.
 
     Per channel the state s = [y, z] obeys s' = A s + e2 b(t) with the same
     A for every channel, and b depends on time only (the goal term plus the
-    forcing term), linearly in the start, the goal and the weights. The
-    grid's steps differ from dt by rounding only, except for a short last
-    step of each phase, so every step within 1e-9 dt of dt takes the map of
-    dt itself. In normalised time t / tau the run of such steps from 0 is
-    the same for every model of one basis and dt / tau: `_response` holds
-    its rows for a unit start, a unit goal and each forcing column, and the
-    run's states are one matmul with [start; goal; weights.T * scale]. If
-    no state of the run at or after the duration has settled, the rest of
-    the grid (the short steps, and any steps past them) continues with its
-    own RK4 maps (`_scan`) from the response's state at the start of the
-    block that holds the run's end. The rollout ends at the first settled
-    state at or after the duration, as a step-by-step loop would.
+    forcing term), linearly in the start, the goal and the weights. In
+    normalised time t / tau the grid k / n and its step map are the same for
+    every model of one basis and n: `_response` holds the y rows for a unit
+    start, a unit goal and each forcing column, and the rollout is one matmul
+    with [start; goal; weights.T * scale]. It ends at the first settled state
+    at or after the duration, as a step-by-step loop would.
     """
     tau = model.duration
     if dt <= 0.0 or dt > tau / 10.0:
         raise ValueError("dt must be positive and at most a tenth of the duration")
-    times = np.arange(0.0, tau, dt)
-    if tau - times[-1] > 1e-12:
-        times = np.append(times, tau)
-    n_main = len(times)
-    # settle grid: steps of dt from the last time by running sums, then one
-    # short step to exactly 2 tau where a full step would pass it
-    end = 2.0 * tau
-    steps = np.full(int(math.ceil(tau / dt)) + 2, dt)
-    settle = np.add.accumulate(np.concatenate([times[-1:], steps]))
-    last = int(np.argmin((settle < end - 1e-12) & (dt <= end - settle)))
-    settle = settle[:last + 1]
-    if settle[-1] < end - 1e-12:
-        settle = np.append(settle, settle[-1] + (end - settle[-1]))
-    all_times = np.concatenate([times, settle[1:]])
-    h = np.diff(all_times)
-    full = np.abs(h - dt) <= 1e-9 * dt
-
-    span = float(np.linalg.norm(model.u_goal - model.u_start))
-    settle_tol = 1e-4 * span + 1e-12
+    n = int(np.ceil(tau / dt * (1.0 - 1e-9)))
+    rows = _response(n, tuple(model.centers.tolist()), tuple(model.widths.tolist()),
+                     model.alpha_z, model.beta_z, model.alpha_x)
     goal = model.u_goal
-
-    def settled(states):
-        r = states - goal
-        return np.einsum("ij,ij->i", r, r) <= settle_tol * settle_tol
-
-    rows, starts = _response(dt / tau, tuple(model.centers.tolist()),
-                             tuple(model.widths.tolist()), model.alpha_z, model.beta_z,
-                             model.alpha_x)
-    run = min(len(h) if full.all() else int(np.argmin(full)), len(rows) - 1)
-    w = model.weights.T * model.scale()
-    coefficients = np.vstack([model.u_start, goal, w])
-    out = rows[:run + 1] @ coefficients
-    if run < len(h) and not settled(out[n_main - 1:]).any():
-        # the forcing at every grid time and step midpoint from the block
-        # start on (a step's end stage is the next step's start)
-        i = run // BLOCK * BLOCK
-        t, h = all_times[i:], h[i:]
-        at_grid = _phase_basis(np.exp(-model.alpha_x * t / tau), model.centers, model.widths) @ w
-        at_mid = _phase_basis(np.exp(-model.alpha_x * (t[:-1] + h / 2) / tau),
-                              model.centers, model.widths) @ w
-        forcing = np.stack([at_grid[:-1], at_mid, at_grid[1:]], axis=1)
-        a = np.array([[0.0, 1.0 / tau],
-                      [-model.alpha_z * model.beta_z / tau, -model.alpha_z / tau]])
-        lengths, which = np.unique(np.where(full[i:], dt, h), return_inverse=True)
-        step_maps, input_maps = _rk4_maps(a, lengths)
-        b = (model.alpha_z * model.beta_z * goal + forcing) / tau
-        increments = np.einsum("nij,njk->ink", input_maps[which], b)
-        tail, _ = _scan(step_maps, which, increments, starts[i // BLOCK] @ coefficients)
-        out = np.vstack([out[:i], tail])
+    out = rows @ np.vstack([model.u_start, goal, model.weights.T * model.scale()])
     # the first settled state at or after the duration ends the rollout
-    first = np.flatnonzero(settled(out[n_main - 1:]))
-    n = n_main + int(first[0]) if len(first) else len(out)
-    return _to_trajectory(all_times[:n], out[:n], model.dim)
+    span = float(np.linalg.norm(goal - model.u_start))
+    settle_tol = 1e-4 * span + 1e-12
+    r = out[n:] - goal
+    first = np.flatnonzero(np.einsum("ij,ij->i", r, r) <= settle_tol * settle_tol)
+    m = n + 1 + int(first[0]) if len(first) else 2 * n + 1
+    return _to_trajectory(tau * (np.arange(m) / n), out[:m], model.dim)
 
 
 def _to_trajectory(times, samples, dim, smoothed=True) -> PoseTrajectory:

@@ -25,7 +25,8 @@ BENCHMARK_NAMES = ("narrow2d", "t_block", "u_block",
 DEFAULT_PARAMS = {
     "h": None,          # bridging distance (m); None -> 2% of world diagonal, 0 -> no bridges
     "dmp_basis": DEFAULT_BASIS,  # forcing-term basis functions per degree of freedom
-    "dt": None,         # rollout step (s); None -> duration / 400
+    "dt": None,         # largest rollout step (s): ceil(duration / dt) equal steps
+                        # per duration; None -> duration / 400, 400 steps
     "n_samples": None,  # demonstration samples; None -> max(400, 100 per waypoint)
 }
 

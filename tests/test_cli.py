@@ -129,6 +129,23 @@ def test_unknown_demo_name_rejected(tmp_path, capsys):
     assert "narrow2d" in capsys.readouterr().err  # lists valid names
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--suite", "2d", "--runs", "0"], "--runs"),
+    (["bench", "--suite", "2d", "--runs", "-2"], "--runs"),
+    (["bench", "--suite", "3d", "--seed", "-1"], "--seed"),
+    (["demo", "--name", "moderate3d", "--seed", "-1"], "--seed"),
+])
+def test_out_of_range_counts_exit_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer >= " in err
+    assert "internal error" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_internal_error_exits_4_without_traceback(tmp_path, capsys, caplog, monkeypatch):
     out = str(tmp_path)
     main(["demo", "--name", "narrow2d", "--out", out])

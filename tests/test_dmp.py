@@ -6,8 +6,7 @@ import pytest
 
 from sqplan import dmp, pipeline
 from sqplan.dmp import (ALPHA_Z, BETA_Z, CHUNK, DMPModel, Demonstration,
-                        MINJERK_ROUNDS, PoseTrajectory, _basis, _in_box,
-                        _minjerk, _minjerk_inverse, _rk4_maps,
+                        PoseTrajectory, _basis, _in_box, _rk4_maps,
                         demonstration_trajectory, fit_lwr, interpolate_waypoints,
                         rollout, shape_samples, trajectory_collides,
                         validate_and_finalize)
@@ -54,59 +53,15 @@ def test_interpolate_collinear_waypoints_zero_curvature():
     assert np.max(np.abs(cross)) <= 1e-9
 
 
-def test_interpolate_passes_through_waypoints():
-    pts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 1.0])]
-    ways = [PoseWaypoint(p, np.array([0.0]), min(k, 1))
-            for k, p in enumerate(pts)]
-    demo = interpolate_waypoints(ways, n_samples=400)
-    for p in pts:
-        d = np.linalg.norm(demo.samples[:, :2] - p, axis=1)
-        assert d.min() <= 1e-6
-
-
-def scalar_minjerk_inverse(s):
-    """Reference: the bisection one passage value at a time."""
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _minjerk(np.asarray(mid)) < s:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def test_minjerk_inverse_matches_scalar_bisection(monkeypatch):
-    rng = np.random.default_rng(5)
-    s = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53],
-                        rng.uniform(0.0, 1.0, 1000)])
-    # values at the flat ends of f: next to 1 and tiny
-    flat = np.concatenate([1.0 - np.arange(1, 200) * 2.0**-53,
-                           10.0 ** -rng.uniform(6.0, 300.0, 200)])
-    rounds = []
-
-    def counted(tau):
-        rounds[-1] += 1
-        return _minjerk(tau)
-
-    monkeypatch.setattr(dmp, "_minjerk", counted)
-    for v in np.concatenate([s, flat]):
-        rounds.append(0)
-        _minjerk_inverse(np.array([v]))
-    monkeypatch.undo()
-    # every solve stops at a root or a repeated point, one f per round
-    assert max(rounds) < MINJERK_ROUNDS
-    got, got_flat = _minjerk_inverse(s), _minjerk_inverse(flat)
-    want = np.array([scalar_minjerk_inverse(v) for v in s])
-    assert np.max(np.abs(_minjerk(got) - s)) <= 1e-14
-    assert np.max(np.abs(_minjerk(got_flat) - flat)) <= 1e-14
-    both = np.concatenate([got, got_flat])
-    assert np.all((both >= 0.0) & (both <= 1.0))
-    assert np.all(np.diff(got[np.argsort(s, kind="stable")]) >= 0.0)
-    # Newton and bisection may settle on different roots where f is flat
-    # (up to about 3e-6 apart in tau), so they are compared away from the ends
-    inner = (s >= 1e-6) & (s <= 1.0 - 1e-6)
-    assert np.max(np.abs(got - want)[inner]) <= 1e-12
+def test_demonstration_samples_equal_time_steps():
+    pts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 1.0]),
+           np.array([3.0, 1.5])]
+    ways = [PoseWaypoint(p, np.array([0.2 * k]), min(k, 1)) for k, p in enumerate(pts)]
+    for n in (3, 50, 401):
+        demo = interpolate_waypoints(ways, n_samples=n)
+        assert np.isclose(demo.times[-1], 2.0 + np.hypot(2.0, 0.5), rtol=1e-15)
+        assert np.array_equal(demo.times, np.linspace(0.0, demo.times[-1], n))
+        assert np.array_equal(demo.samples[[0, -1], :2], [pts[0], pts[-1]])
 
 
 def test_interpolate_collapses_duplicates_and_errors():
@@ -268,13 +223,20 @@ def test_validate_raw_collision_is_hard_error():
 # ------------------------------------------------- rollout reference
 
 
+def grid_steps(tau, dt):
+    """Steps per duration of the rollout's grid: the least n with tau / n <= dt,
+    up to a relative 1e-9."""
+    return int(np.ceil(tau / dt * (1.0 - 1e-9)))
+
+
 def two_loop_rollout(model, dt):
     """Reference rollout: the forcing term evaluated inside deriv at every RK4
-    stage, one loop up to the duration and a second settle loop after it."""
+    stage, one loop over the n equal steps up to the duration and a second
+    settle loop after it, on the same steps up to 2 tau."""
     tau = model.duration
-    times = np.arange(0.0, tau, dt)
-    if tau - times[-1] > 1e-12:
-        times = np.append(times, tau)
+    n = grid_steps(tau, dt)
+    times = tau * (np.arange(2 * n + 1) / n)
+    h = tau / n
     k = model.u_start.shape[0]
     scale = model.scale()
     span = float(np.linalg.norm(model.u_goal - model.u_start))
@@ -286,7 +248,7 @@ def two_loop_rollout(model, dt):
         f = (model.weights @ psi) / np.sum(psi) * x * scale
         return z / tau, (model.alpha_z * (model.beta_z * (model.u_goal - y) - z) + f) / tau
 
-    def step(t, h, y, z):
+    def step(t, y, z):
         k1y, k1z = deriv(t, y, z)
         k2y, k2z = deriv(t + h / 2, y + h / 2 * k1y, z + h / 2 * k1z)
         k3y, k3z = deriv(t + h / 2, y + h / 2 * k2y, z + h / 2 * k2z)
@@ -297,18 +259,15 @@ def two_loop_rollout(model, dt):
     y = model.u_start.astype(float).copy()
     z = np.zeros(k)
     out = [y]
-    for i in range(1, len(times)):
-        y, z = step(times[i - 1], times[i] - times[i - 1], y, z)
+    for i in range(n):
+        y, z = step(times[i], y, z)
         out.append(y)
-    times = list(times)
-    t = times[-1]
-    while np.linalg.norm(y - model.u_goal) > settle_tol and t < 2.0 * tau - 1e-12:
-        h = min(dt, 2.0 * tau - t)
-        y, z = step(t, h, y, z)
-        t += h
-        times.append(t)
+    i = n
+    while np.linalg.norm(y - model.u_goal) > settle_tol and i < 2 * n:
+        y, z = step(times[i], y, z)
+        i += 1
         out.append(y)
-    return np.array(times), np.array(out)
+    return times[:i + 1], np.array(out)
 
 
 def test_rollout_matches_two_loop_reference():
@@ -330,10 +289,10 @@ def test_rollout_matches_two_loop_reference():
         assert model.duration + 1e-12 < times[-1] < 2.0 * model.duration - dt
 
 
-def test_rollout_short_last_steps_match_two_loop_reference():
-    # dt does not divide the duration, so the main phase ends on a short
-    # step; a zero start-goal span never settles, so the settle phase runs
-    # to 2x the duration and ends on a short step as well
+def test_rollout_uneven_dt_matches_two_loop_reference():
+    # dt = 0.03 does not divide the duration: 34 equal steps of 1 / 34 per
+    # duration; a zero start-goal span never settles, so the settle phase
+    # runs on the same steps to exactly 2x the duration
     rng = np.random.default_rng(3)
     centers, widths = _basis(15)
     start = rng.normal(size=3)
@@ -346,10 +305,8 @@ def test_rollout_short_last_steps_match_two_loop_reference():
     got = np.hstack([traj.positions, traj.orientations])
     assert np.max(np.abs(got - samples)) <= 1e-12
     steps = np.diff(traj.times)
-    main = np.searchsorted(traj.times, model.duration)
-    assert traj.times[main] == model.duration and steps[main - 1] < dt - 1e-9
-    assert abs(traj.times[-1] - 2.0 * model.duration) <= 1e-12
-    assert steps[-1] < dt - 1e-9
+    assert len(steps) == 68 and np.allclose(steps, 1.0 / 34.0, rtol=1e-12, atol=0.0)
+    assert traj.times[34] == model.duration and traj.times[-1] == 2.0 * model.duration
     # without forcing the state has settled at the duration: no settle step
     model.weights[:] = 0.0
     model.u_goal = start + 1.0
@@ -374,8 +331,8 @@ def assert_matches_two_loop_reference(model, dt):
 @pytest.mark.parametrize("name", ["pillars3d", "narrow2d"])
 def test_rollout_matches_two_loop_reference_on_plan_models(name, monkeypatch):
     # models fitted from the scene's reference plan and from a seeded stream
-    # of start/goal queries, at the planner's dt = duration / 400, whose
-    # arange grid has steps that differ from dt in the last bits
+    # of start/goal queries, at the planner's dt = duration / 400, which
+    # takes 400 steps per duration whatever the rounding of duration / dt
     _, _, _, box_a, box_b = STREAMS[{"pillars3d": "pillars", "narrow2d": "narrow-wall"}[name]]
     scn = generate_benchmark(name, 0)
     pre = pipeline.precompute(scn)
@@ -394,13 +351,10 @@ def test_rollout_matches_two_loop_reference_on_plan_models(name, monkeypatch):
         scn.goal = RigidPose.create(clear_point(rng, scn, *map(np.asarray, b)))
         assert pipeline.plan(scn, pre).success
     assert len(models) == 5
-    jittered = 0
     for model, dt in models:
         assert dt == model.duration / 400.0
-        steps = np.diff(np.arange(0.0, model.duration, dt))
-        jittered += len(np.unique(steps)) > 1
-        assert_matches_two_loop_reference(model, dt)
-    assert jittered > 0
+        assert 401 <= assert_matches_two_loop_reference(model, dt) <= 801
+        assert rollout(model, dt).times[400] == model.duration
 
 
 def test_rollout_block_edges_match_two_loop_reference():
@@ -419,8 +373,8 @@ def test_rollout_block_edges_match_two_loop_reference():
         lengths.add(assert_matches_two_loop_reference(model, model.duration / 10.0))
     assert min(lengths) == 11 and max(lengths) == 21 and len(lengths) > 3
     # forcing scaled until the state first settles on the first, and on the
-    # last, step of a block: on a grid of equal steps (up to rounding) from 0,
-    # the block from step i holds the states after steps i + 1 .. i + BLOCK
+    # last, step of a block of the response's scan: the block from step i
+    # holds the states after steps i + 1 .. i + BLOCK
     weights = rng.normal(size=(6, 15))
     start, goal = rng.normal(size=6), rng.normal(size=6)
     dt = 1.0 / 400.0
@@ -789,12 +743,13 @@ def test_posed_shape_samples_equal_surface_samples_and_centre_bitwise():
 @pytest.mark.parametrize("stream", ["pillars", "narrow-wall", "field-2-16"])
 def test_cached_samples_match_per_pose_loop_on_query_streams(stream, monkeypatch):
     # perfbench's scenes and query sampler; every query parses its own
-    # Scenario from the scene dict, as the benchmark does
+    # Scenario from the scene dict, as the benchmark does. The pillars slice
+    # runs to its first fallback, the eighth query
     bench = _load_bench_scenes()
-    scene, regions = {"pillars": (bench.pillars(), bench.pillar_regions()),
-                      "narrow-wall": (bench.narrow_wall(), bench.wall_regions()),
-                      "field-2-16": (bench.random_field(2, 16), bench.field_regions()),
-                      }[stream]
+    scene, regions, queries = {
+        "pillars": (bench.pillars(), bench.pillar_regions(), 8),
+        "narrow-wall": (bench.narrow_wall(), bench.wall_regions(), 6),
+        "field-2-16": (bench.random_field(2, 16), bench.field_regions(), 6)}[stream]
     pre = pipeline.precompute(scenario_from_dict(scene))
     sampler = bench.QuerySampler(scene, regions, 13)
     captured = []
@@ -805,7 +760,7 @@ def test_cached_samples_match_per_pose_loop_on_query_streams(stream, monkeypatch
         return validate_and_finalize(smoothed, demo, robot, obstacles)
 
     monkeypatch.setattr(pipeline, "validate_and_finalize", capture)
-    for _ in range(6):
+    for _ in range(queries):
         assert pipeline.plan(scenario_from_dict(sampler.next()), pre).success
     decisions = []
     for traj, robot, obstacles in captured:
@@ -823,32 +778,22 @@ def test_cached_samples_match_per_pose_loop_on_query_streams(stream, monkeypatch
 
 
 def block_scan_rollout(model, dt):
-    """Reference rollout: the forcing term over the whole time grid, then the
-    linear step maps scanned BLOCK steps at a time from the start, stopping
-    after the first block that holds a settled state at or after the
-    duration."""
+    """Reference rollout: the forcing term over the whole uniform grid up to
+    2 tau, then the linear step map scanned BLOCK steps at a time from the
+    start, stopping after the first block that holds a settled state at or
+    after the duration."""
     tau = model.duration
-    times = np.arange(0.0, tau, dt)
-    if tau - times[-1] > 1e-12:
-        times = np.append(times, tau)
-    n_main = len(times)
-    end = 2.0 * tau
-    steps = np.full(int(np.ceil(tau / dt)) + 2, dt)
-    settle = np.add.accumulate(np.concatenate([times[-1:], steps]))
-    last = int(np.argmin((settle < end - 1e-12) & (dt <= end - settle)))
-    settle = settle[:last + 1]
-    if settle[-1] < end - 1e-12:
-        settle = np.append(settle, settle[-1] + (end - settle[-1]))
-    all_times = np.concatenate([times, settle[1:]])
-    h = np.diff(all_times)
+    n = grid_steps(tau, dt)
+    times = tau * (np.arange(2 * n + 1) / n)
+    h = tau / n
 
     def forcing_at(t):
         x = np.exp(-model.alpha_x * t / tau)
         psi = np.exp(-model.widths * (x[:, None] - model.centers) ** 2)
         return (psi @ model.weights.T) / np.sum(psi, axis=1)[:, None] * x[:, None] * model.scale()
 
-    at_grid = forcing_at(all_times)
-    at_mid = forcing_at(all_times[:-1] + h / 2)
+    at_grid = forcing_at(times)
+    at_mid = forcing_at(times[:-1] + h / 2)
     forcing = np.stack([at_grid[:-1], at_mid, at_grid[1:]], axis=1)
     span = float(np.linalg.norm(model.u_goal - model.u_start))
     settle_tol = 1e-4 * span + 1e-12
@@ -856,31 +801,27 @@ def block_scan_rollout(model, dt):
     k = len(goal)
     a = np.array([[0.0, 1.0 / tau],
                   [-model.alpha_z * model.beta_z / tau, -model.alpha_z / tau]])
-    lengths, which = np.unique(np.where(np.abs(h - dt) <= 1e-9 * dt, dt, h),
-                               return_inverse=True)
-    step_maps, input_maps = _rk4_maps(a, lengths)
+    step_maps, input_maps = _rk4_maps(a, [h])
     b = (model.alpha_z * model.beta_z * goal + forcing) / tau
-    increments = np.einsum("nij,njk->ink", input_maps[which], b)
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(which)) + 1, [len(h)]]).tolist()
-    blocks = [(i, min(dmp.BLOCK, hi - i), which[lo])
-              for lo, hi in zip(bounds[:-1], bounds[1:]) for i in range(lo, hi, dmp.BLOCK)]
+    increments = np.einsum("ij,njk->ink", input_maps[0], b)
+    powers, kernel = dmp._block_kernel(step_maps[0], dmp.BLOCK)
     s = np.stack([model.u_start.astype(float), np.zeros(k)])
-    out = np.empty((len(h) + 1, k))
+    out = np.empty((2 * n + 1, k))
     out[0] = s[0]
-    n = len(out)
-    for i, m, j in blocks:
-        powers, kernel = dmp._block_kernel(step_maps[j], m)
-        states = powers.reshape(2 * m, 2) @ s + kernel.reshape(2 * m, 2 * m) \
-            @ increments[:, i:i + m].reshape(2 * m, k)
-        out[i + 1:i + 1 + m] = states[:m]
-        s = states[m - 1::m]
-        first = max(i + 1, n_main - 1)
-        r = out[first:i + 1 + m] - goal
+    m = len(out)
+    for i in range(0, 2 * n, dmp.BLOCK):
+        j = min(dmp.BLOCK, 2 * n - i)
+        states = powers[:, :j].reshape(2 * j, 2) @ s \
+            + kernel[:, :j, :, :j].reshape(2 * j, 2 * j) @ increments[:, i:i + j].reshape(2 * j, k)
+        out[i + 1:i + 1 + j] = states[:j]
+        s = states[j - 1::j]
+        first = max(i + 1, n)
+        r = out[first:i + 1 + j] - goal
         settled = np.flatnonzero(np.einsum("ij,ij->i", r, r) <= settle_tol * settle_tol)
         if len(settled):
-            n = first + int(settled[0]) + 1
+            m = first + int(settled[0]) + 1
             break
-    return all_times[:n], out[:n]
+    return times[:m], out[:m]
 
 
 def assert_matches_block_scan(model, dt):
@@ -938,7 +879,7 @@ def test_rollout_is_bitwise_equal_with_cold_warm_and_shared_cache():
     assert dmp._response.cache_info().misses == 1
     warm = trajectory_bytes(rollout(model, dt))
     assert dmp._response.cache_info().hits == 1
-    # other dt / duration values and basis counts fill (and overflow) the cache
+    # other step counts and basis counts fill (and overflow) the cache
     dmp._response.cache_clear()
     for p, steps in [(25, 300), (15, 400), (10, 57), (25, 123), (20, 400), (25, 77)]:
         other = random_model(rng, p, 3, float(rng.uniform(0.5, 3.0)))
@@ -956,83 +897,103 @@ def test_response_arrays_are_read_only_and_cache_is_bounded():
         rollout(model, model.duration / steps)
         assert dmp._response.cache_info().currsize <= dmp.RESPONSES
     centers, widths = _basis(12)
-    key = (1.0 / 40.0, tuple(centers), tuple(widths), ALPHA_Z, BETA_Z, dmp.ALPHA_X)
-    response = dmp._response(*key)
-    rows, starts = response
-    # y rows on the grid k / 40 up to 2, and the states at rows 0, BLOCK and
-    # 81: a unit start, a unit goal and each forcing column
-    assert rows.shape == (82, 14) and starts.shape == (3, 2, 14)
-    assert np.array_equal(starts[:, 0], rows[[0, dmp.BLOCK, 81]])
-    for array in response:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0, 0] = 2.0
-    assert dmp._response(*key) is response
+    key = (40, tuple(centers), tuple(widths), ALPHA_Z, BETA_Z, dmp.ALPHA_X)
+    rows = dmp._response(*key)
+    # y rows on the grid k / 40 up to 2: a unit start, a unit goal and each
+    # forcing column
+    assert rows.shape == (81, 14)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 2.0
+    assert dmp._response(*key) is rows
+    # a rollout of 40 steps per duration reads this entry
+    hits = dmp._response.cache_info().hits
+    rollout(random_model(rng, 12, 3, 2.5), 2.5 / 40.0)
+    assert dmp._response.cache_info().hits == hits + 1
     # without forcing, a unit start and a unit goal sum to a state at rest
     assert np.allclose(rows[:, 0] + rows[:, 1], 1.0, rtol=0.0, atol=1e-13)
-    assert np.allclose(starts[:, 1, 0] + starts[:, 1, 1], 0.0, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("stream", ["pillars", "narrow-wall"])
 def test_query_streams_create_at_most_two_responses(stream, monkeypatch):
-    # perfbench's scene and query sampler (seed 1001): dt = duration / 400,
-    # so dt / duration is 1 / 400 rounded, or one ulp off it
+    # perfbench's scene and query sampler (seed 1001): dt = duration / 400
+    # takes 400 steps per duration on every query, so the stream shares one
+    # response
     bench = _load_bench_scenes()
     scene, regions = {"pillars": (bench.pillars(), bench.pillar_regions()),
                       "narrow-wall": (bench.narrow_wall(), bench.wall_regions())}[stream]
     pre = pipeline.precompute(scenario_from_dict(scene))
     sampler = bench.QuerySampler(scene, regions, 1001)
-    ratios = set()
+    ends = []
 
     def capture(model, dt):
-        ratios.add(dt / model.duration)
-        return rollout(model, dt)
+        traj = rollout(model, dt)
+        ends.append(traj.times[400] == model.duration)
+        return traj
 
     monkeypatch.setattr(pipeline, "rollout", capture)
     dmp._response.cache_clear()
     for _ in range(100):
         pipeline.plan(scenario_from_dict(sampler.next()), pre)
-    assert dmp._response.cache_info().misses == len(ratios) <= 2
-    assert all(abs(r - 1.0 / 400.0) <= np.spacing(1.0 / 400.0) for r in ratios)
+    assert len(ends) == 100 and all(ends)
+    assert dmp._response.cache_info().misses == 1
 
 
-def test_rollout_continuation_matches_references(monkeypatch):
+def test_default_dt_takes_400_equal_steps():
+    # a zero start-goal span never settles, so the rollout runs to 2 tau: 800
+    # steps at dt = tau / 400, whatever the rounding of tau / dt, and 401
+    # steps per duration once dt is a relative 2e-9 smaller
     rng = np.random.default_rng(23)
     centers, widths = _basis(25)
     start = rng.normal(size=6)
-    scans = []
-
-    def counting_scan(*args):
-        scans.append(args[2].shape[1])
-        return scan(*args)
-
-    scan = dmp._scan
-    monkeypatch.setattr(dmp, "_scan", counting_scan)
-    # a zero start-goal span never settles: the grid runs to 2 tau. At this
-    # duration the default grid ends on a sub-ulp step before 2 tau, and
-    # dt = 0.03 does not divide it, which leaves a short last step of each phase
-    tau = 26.59995192128542
-    model = DMPModel(rng.normal(scale=50.0, size=(6, 25)), centers, widths, tau,
+    model = DMPModel(rng.normal(scale=50.0, size=(6, 25)), centers, widths, 1.0,
                      start, start.copy(), 3, forcing_scale=np.ones(6))
-    for dt, run in ((tau / 400.0, 800), (0.03 * tau, 33)):
-        rollout(model, dt)  # the response is cached
-        scans.clear()
+    for tau in np.concatenate([[26.59995192128542], 10.0 ** rng.uniform(-3.0, 3.0, 200)]):
+        model.duration = float(tau)
+        dt = tau / 400.0
         traj = rollout(model, dt)
-        steps = np.diff(traj.times)
-        assert np.all(np.abs(steps[:run] - dt) <= 1e-9 * dt) and steps[run] < dt - 1e-9 * dt
-        assert abs(traj.times[-1] - 2.0 * tau) <= 1e-12
-        # the continuation scans every step from the start of the block that
-        # holds the run's end
-        assert scans == [len(steps) - run // dmp.BLOCK * dmp.BLOCK]
-        length = assert_matches_block_scan(model, dt)
-        assert assert_matches_two_loop_reference(model, dt) == length
-    # a settling model of the same dt ends within the run: no continuation
-    model.u_goal = start + 1.0
-    model.forcing_scale = None
-    scans.clear()
-    assert len(rollout(model, tau / 400.0).times) < 801
-    assert scans == []
-    assert_matches_block_scan(model, tau / 400.0)
+        assert len(traj.times) == 801
+        assert traj.times[400] == tau and traj.times[-1] == 2.0 * tau
+        assert np.max(np.diff(traj.times)) <= dt * (1.0 + 1e-9)
+        assert len(rollout(model, dt * (1.0 - 2e-9)).times) == 803
+    length = assert_matches_block_scan(model, model.duration / 400.0)
+    assert assert_matches_two_loop_reference(model, model.duration / 400.0) == length == 801
+
+
+def test_rollout_is_stable_under_one_ulp_waypoint_changes(monkeypatch):
+    # perfbench's pillars stream, seed 1001, query 54: moving each waypoint
+    # coordinate by one ulp moved the rollout by up to 3e-5 m while passage
+    # times sat in the demonstration grid, next to a grid time
+    bench = _load_bench_scenes()
+    scene = bench.pillars()
+    pre = pipeline.precompute(scenario_from_dict(scene))
+    sampler = bench.QuerySampler(scene, bench.pillar_regions(), 1001)
+    for _ in range(54):
+        sampler.next()
+    captured = []
+
+    def capture(waypoints, n_samples):
+        captured.append((waypoints, n_samples))
+        return interpolate_waypoints(waypoints, n_samples=n_samples)
+
+    monkeypatch.setattr(pipeline, "interpolate_waypoints", capture)
+    assert pipeline.plan(scenario_from_dict(sampler.next()), pre).success
+    (waypoints, n_samples), = captured
+
+    def positions(ways):
+        demo = interpolate_waypoints(ways, n_samples=n_samples)
+        return rollout(fit_lwr(demo), demo.times[-1] / 400.0).positions
+
+    base = positions(waypoints)
+    rng = np.random.default_rng(0)
+    for trial in range(22):
+        toward = [np.full(3, [np.inf, -np.inf][trial]) if trial < 2
+                  else np.where(rng.random(3) < 0.5, np.inf, -np.inf) for _ in waypoints]
+        moved = positions([PoseWaypoint(np.nextafter(w.position, d), w.orientation,
+                                        w.segment_index)
+                           for w, d in zip(waypoints, toward)])
+        assert moved.shape == base.shape
+        assert np.max(np.abs(moved - base)) <= 1e-9
 
 
 def test_min_samples_is_the_least_that_plans_two_waypoints():
