@@ -160,22 +160,23 @@ def inside_outside(sq: Superquadric, points) -> np.ndarray:
     Accepts a single point or an (..., dim) array; returns matching shape.
     """
     pts = np.asarray(points, dtype=float)
-    f = inside_outside_local(sq, sq.pose.inverse_transform(pts))
+    f = inside_outside_local(sq.pose.inverse_transform(pts), sq.axes, sq.eps)
     return float(f) if pts.ndim == 1 else f
 
 
-def inside_outside_local(sq: Superquadric, local: np.ndarray) -> np.ndarray:
-    """The implicit function at (..., dim) points given in the shape's frame."""
-    a = sq.axes
-    if sq.dim == 2:
-        e = sq.eps[0]
-        f = (np.abs(local[..., 0] / a[0]) ** (2.0 / e)
-             + np.abs(local[..., 1] / a[1]) ** (2.0 / e)) - 1.0
+def inside_outside_local(local: np.ndarray, axes, eps) -> np.ndarray:
+    """The implicit function at (..., dim) points given in the shape's frame,
+    for semi-axes (..., dim) and exponents (..., dim - 1) that broadcast
+    against them."""
+    a, e = axes, eps
+    if local.shape[-1] == 2:
+        f = (np.abs(local[..., 0] / a[..., 0]) ** (2.0 / e[..., 0])
+             + np.abs(local[..., 1] / a[..., 1]) ** (2.0 / e[..., 0])) - 1.0
     else:
-        e1, e2 = sq.eps
-        xy = (np.abs(local[..., 0] / a[0]) ** (2.0 / e2)
-              + np.abs(local[..., 1] / a[1]) ** (2.0 / e2))
-        f = xy ** (e2 / e1) + np.abs(local[..., 2] / a[2]) ** (2.0 / e1) - 1.0
+        e1, e2 = e[..., 0], e[..., 1]
+        xy = (np.abs(local[..., 0] / a[..., 0]) ** (2.0 / e2)
+              + np.abs(local[..., 1] / a[..., 1]) ** (2.0 / e2))
+        f = xy ** (e2 / e1) + np.abs(local[..., 2] / a[..., 2]) ** (2.0 / e1) - 1.0
     return f
 
 

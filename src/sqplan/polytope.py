@@ -16,10 +16,6 @@ class EmptyIntersectionError(RuntimeError):
     pass
 
 
-class ClippingError(RuntimeError):
-    pass
-
-
 def box_side_tag(side: int) -> int:
     return -1 - side
 
@@ -196,7 +192,7 @@ def _chain_loop(edges):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     if any(len(nb) != 2 for nb in adj.values()):
-        raise ClippingError("cut boundary does not form a simple cycle")
+        raise RuntimeError("cut boundary does not form a simple cycle")
     start = min(adj)
     loop = [start, adj[start][0]]
     while True:
@@ -206,7 +202,7 @@ def _chain_loop(edges):
             break
         loop.append(nxt)
         if len(loop) > len(edges):
-            raise ClippingError("cut boundary walk did not close")
+            raise RuntimeError("cut boundary walk did not close")
     return loop
 
 
@@ -229,7 +225,3 @@ def polyhedron_edges(faces):
             key = (u, v) if u < v else (v, u)
             edges.setdefault(key, []).append(tag)
     return edges
-
-
-def euler_characteristic(n_vertices, faces) -> int:
-    return n_vertices - len(polyhedron_edges(faces)) + len(faces)

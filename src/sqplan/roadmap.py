@@ -234,12 +234,6 @@ def shortest_path(graph: RoadmapGraph, start: int, goal: int) -> list[int] | Non
     return path[::-1]
 
 
-def path_length(graph: RoadmapGraph, path: list[int]) -> float:
-    return float(sum(
-        graph.edges[graph.adjacency[path[k]][path[k + 1]]].weight
-        for k in range(len(path) - 1)))
-
-
 def graph_to_dict(graph: RoadmapGraph) -> dict:
     return {
         "nodes": [{"position": p.tolist(), "kind": k}

@@ -8,15 +8,14 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import (RigidPose, Superquadric, box_gaps, dual_exponents,
-                       inside_outside, support_points)
+from .clearance import AuditStats, min_trajectory_distance
+from .geometry import RigidPose, Superquadric, inside_outside
 # closest_pair is not used here; perfbench's traced run patches this name
-from .proximity import closest_pair, closest_pair_arrays  # noqa: F401
-from .poses import robot_rotations
+from .proximity import closest_pair  # noqa: F401
 from .dmp import DEFAULT_BASIS, MIN_SAMPLES, PoseTrajectory
 
 BENCHMARK_NAMES = ("narrow2d", "t_block", "u_block",
@@ -29,9 +28,6 @@ DEFAULT_PARAMS = {
                         # per duration; None -> duration / 400, 400 steps
     "n_samples": None,  # demonstration samples; None -> max(400, 100 per waypoint)
 }
-
-AUDIT_TOL = 1e-6   # certified audit gap, as a fraction of the robot's bounding radius
-AUDIT_STRIDE = 16  # poses between the solves of the audit's second round
 
 
 class ScenarioError(ValueError):
@@ -62,24 +58,14 @@ class MetricsReport:
     min_distance_m: float
     success: bool
     fallback: bool
-    audit_solves: int        # GJK solves of the clearance audit
-    audit_rounds: int        # batched GJK calls of the clearance audit
-    audit_nonconverged: int  # audit solves that hit the iteration cap
-    audit_iterations: int    # GJK iterations summed over the audit's solves
-    audit_axis_certified: int  # audit pairs retired by an axis bound, unsolved
+    audit: AuditStats  # the clearance audit's work counts
     min_distance_time_s: float | None  # time of the pose at the minimum
 
-
-@dataclass
-class AuditStats:
-    """Work counts of one `min_trajectory_distance` call."""
-
-    solves: int = 0
-    rounds: int = 0
-    nonconverged: int = 0
-    iterations: int = 0        # GJK iterations summed over the solves
-    axis_certified: int = 0    # pairs retired by an axis bound, unsolved
-    worst_pose: int | None = None  # index of the pose that attains the minimum
+    def __getattr__(self, name):
+        """audit_<count> reads that count of the audit, as metrics.json names it."""
+        if name.startswith("audit_"):
+            return getattr(self.audit, name[len("audit_"):])
+        raise AttributeError(name)
 
 
 # --------------------------------------------------------------- file loading
@@ -403,129 +389,6 @@ def generate_benchmark(name: str, seed: int = 0) -> Scenario:
 # --------------------------------------------------------------- metrics
 
 
-def axis_gaps(rot, pos, axes, q, normals) -> np.ndarray:
-    """Lower bounds of the distances of posed shape pairs from one axis each.
-
-    rot, pos, axes and q stack the pairs as in `closest_pair_arrays` ([0]
-    the i side, [1] the j side); normals is (n, dim), unit vectors pointing
-    from shape i towards shape j. On the axis n, shape i reaches up to
-    n.s_i(n) and shape j starts at n.s_j(-n), s the support points, and
-    projection onto a unit vector is 1-Lipschitz, so the gap
-    n.s_j(-n) - n.s_i(n) is at most the pair's distance for every n (and at
-    most 0 when they overlap). At the normal of the closest points it equals
-    the distance; a normal off by an angle a loses only O(a^2) of it.
-    """
-    s = support_points(rot, pos, axes, q, np.array([1.0, -1.0])[:, None, None] * normals)
-    return np.einsum("ij,ij->i", normals, s[1] - s[0])
-
-
-def min_trajectory_distance(trajectory: PoseTrajectory, robot: Superquadric,
-                            obstacles: list[Superquadric],
-                            stats: AuditStats | None = None) -> float:
-    """Certified minimum distance from the posed robot to any original obstacle.
-
-    Each (obstacle, pose) pair keeps a certified lower bound on its distance,
-    the pose's box bound `box_gaps` - r to start with (r the robot's bounding
-    radius). GJK stops each solve once its duality gap is within
-    h = AUDIT_TOL * r / 2, so a solved distance d satisfies
-    d - h <= exact <= d: a converged solve sets its pair's bound to d - h,
-    and the result is the least d. Each solve also keeps the unit normal of
-    its witness points. After every round, each unsolved pair below the best
-    d - h is raised to the larger `axis_gaps` bound at the normals of the
-    nearest solved poses of its obstacle before and after it. The closest
-    points' normal turns little between nearby poses, and the axis bound
-    loses only second order in that turn, where a motion bound loses
-    r |dR| (frame coherence: Cameron, ICRA 1997; van den Bergen, J. Graphics
-    Tools 1999). Every round is one batched, tolerance-stopped
-    `closest_pair_arrays` call on the trajectory's rotation matrices and the
-    obstacle arrays stacked once. The first round solves each obstacle's pose
-    of least box bound; the second the pairs still below at every
-    AUDIT_STRIDE-th pose and at every pose within half a stride of their
-    obstacle's first; each later one every unsolved pair still below. The
-    search ends when no unsolved pair is below the best d - h.
-
-    The result is never below the minimum over all (pose, obstacle) pairs,
-    and 0.0 as soon as a solve reports contact. When no solve hits the
-    iteration cap (stats.nonconverged == 0) it is also at most AUDIT_TOL * r
-    above that minimum. An unconverged d may overstate its pair's distance,
-    so such a solve keeps its box bound (its normal still serves its
-    neighbours' axis bounds), and then only the lower side holds. `stats`,
-    when given, receives the solve, round, non-converged and summed GJK
-    iteration counts, the number of pairs that axis bounds retired without a
-    solve, and the index of the pose that attains the result.
-    """
-    if not obstacles:
-        return float("inf")
-    positions = trajectory.positions
-    n_poses, dim = positions.shape
-    r = robot.bounding_radius()
-    half = AUDIT_TOL * r / 2.0
-    rotations = robot_rotations(robot.dim, trajectory.orientations)
-    robot_q = dual_exponents(robot.eps)
-    obstacles_stacked = (np.array([o.pose.rotation_matrix() for o in obstacles]),
-                         np.array([o.center for o in obstacles]),
-                         np.array([o.axes for o in obstacles]),
-                         dual_exponents([o.eps for o in obstacles]))
-
-    def pairs(j, i):
-        """closest_pair_arrays' shape arrays for the robot at poses i and
-        obstacles j."""
-        rot_o, pos_o, axes_o, q_o = (x[j] for x in obstacles_stacked)
-        return (np.stack([rotations[i], rot_o]), np.stack([positions[i], pos_o]),
-                np.stack([np.broadcast_to(robot.axes, axes_o.shape), axes_o]),
-                np.stack([np.broadcast_to(robot_q, q_o.shape), q_o]))
-
-    stats = AuditStats() if stats is None else stats
-    lower = box_gaps(positions, obstacles) - r   # (obstacle, pose) lower bounds
-    normals = np.zeros(lower.shape + (dim,))     # witness normals of solved pairs
-    solved = np.zeros(lower.shape, bool)
-    first, poses = lower.argmin(axis=1), np.arange(n_poses)
-    todo = poses == first[:, None]
-    # the second round's poses: every AUDIT_STRIDE-th, and every one within
-    # half a stride of the obstacle's first, where its minimum most likely is
-    second = ((poses % AUDIT_STRIDE == 0)
-              | (np.abs(poses - first[:, None]) <= AUDIT_STRIDE // 2))
-    best = np.inf
-    while todo.any():
-        j, i = np.nonzero(todo)
-        p_r, p_o, distance, converged, iterations = closest_pair_arrays(
-            *pairs(j, i), tol=half)
-        stats.rounds += 1
-        stats.solves += len(j)
-        stats.nonconverged += len(j) - int(np.count_nonzero(converged))
-        stats.iterations += int(iterations.sum())
-        k = int(np.argmin(distance))
-        if distance[k] < best:
-            best, stats.worst_pose = float(distance[k]), int(i[k])
-        if best <= 0.0:
-            return 0.0
-        solved |= todo
-        w = p_o - p_r
-        normals[j, i] = w / np.linalg.norm(w, axis=1, keepdims=True)
-        lower[j[converged], i[converged]] = distance[converged] - half
-        # raise the unsolved pairs below best - h by the normals of the
-        # nearest solved keys before and after theirs, in row-major
-        # (obstacle, pose) order, taken only from the pair's own obstacle
-        keys = np.flatnonzero(solved)
-        open_keys = np.flatnonzero((lower < best - half) & ~solved)
-        at = np.searchsorted(keys, open_keys)
-        after = keys[np.minimum(at, len(keys) - 1)]
-        before = keys[np.maximum(at - 1, 0)]
-        row = open_keys // n_poses
-        after = np.where(after // n_poses == row, after, before)
-        before = np.where(before // n_poses == row, before, after)
-        gaps = axis_gaps(*pairs(np.tile(row, 2), np.tile(open_keys % n_poses, 2)),
-                         normals.reshape(-1, dim)[np.concatenate([before, after])])
-        lower.flat[open_keys] = np.maximum(lower.flat[open_keys],
-                                           gaps.reshape(2, -1).max(axis=0))
-        todo = (lower < best - half) & ~solved
-        stats.axis_certified += len(open_keys) - int(np.count_nonzero(todo))
-        if second is not None and (todo & second).any():
-            todo &= second
-        second = None
-    return float(best)
-
-
 def compute_metrics(trajectory: PoseTrajectory, scenario: Scenario,
                     timings: dict) -> MetricsReport:
     """Arc length, minimum clearance and the time of its pose, the audit's
@@ -540,11 +403,7 @@ def compute_metrics(trajectory: PoseTrajectory, scenario: Scenario,
         min_distance_m=min_distance,
         success=bool(timings.get("success", True)),
         fallback=bool(timings.get("fallback", False)),
-        audit_solves=audit.solves,
-        audit_rounds=audit.rounds,
-        audit_nonconverged=audit.nonconverged,
-        audit_iterations=audit.iterations,
-        audit_axis_certified=audit.axis_certified,
+        audit=audit,
         min_distance_time_s=(None if audit.worst_pose is None
                              else float(trajectory.times[audit.worst_pose])),
     )
@@ -556,11 +415,7 @@ def metrics_to_dict(report: MetricsReport) -> dict:
         "min_distance_m": report.min_distance_m,
         "success": report.success,
         "fallback": report.fallback,
-        "audit_solves": report.audit_solves,
-        "audit_rounds": report.audit_rounds,
-        "audit_nonconverged": report.audit_nonconverged,
-        "audit_iterations": report.audit_iterations,
-        "audit_axis_certified": report.audit_axis_certified,
+        **{f"audit_{k}": v for k, v in asdict(report.audit).items() if k != "worst_pose"},
         "min_distance_time_s": report.min_distance_time_s,
         "timing": {"planning_time_s": report.planning_time_s,
                    "precompute_time_s": report.precompute_time_s},

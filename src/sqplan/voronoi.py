@@ -297,14 +297,6 @@ def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
                    gjk_iterations=sum(pr.iterations for pr in solves))
 
 
-def cell_of_point(diagram: Diagram, point) -> int | None:
-    """Index of the first cell containing the point, or None (a hole)."""
-    for k, cell in enumerate(diagram.cells):
-        if bool(cell.contains(point)):
-            return k
-    return None
-
-
 def diagram_to_dict(diagram: Diagram) -> dict:
     """JSON-serializable debug geometry (cells and hyperplanes)."""
     def tag_name(t):

@@ -1,0 +1,213 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from oracles import check_decision, exact_distances, sampled_collides
+from sqplan import clearance, pipeline
+from sqplan.clearance import (AUDIT_TOL, _pair_bounds, min_trajectory_distance,
+                              trajectory_collides)
+from sqplan.dmp import PoseTrajectory, demonstration_trajectory, validate_and_finalize
+from sqplan.geometry import Superquadric, dual_exponents
+from sqplan.poses import robot_pose_at
+from sqplan.proximity import closest_pair
+from sqplan.scenario import scenario_from_dict
+
+
+def random_shape(rng, dim, lo, hi, position):
+    return Superquadric.create(rng.uniform(0.1, 2.0, dim - 1), np.sort(rng.uniform(lo, hi, dim)),
+                               position, rng.normal(size=1 if dim == 2 else 3))
+
+
+def wandering(rng, dim, n, lo, hi):
+    """Smooth random path through [lo, hi]^dim with turning orientations."""
+    knots = rng.uniform(lo, hi, size=(4, dim))
+    s = np.linspace(0.0, 3.0, n)
+    positions = np.stack([np.interp(s, np.arange(4), knots[:, k]) for k in range(dim)], axis=-1)
+    turns = rng.normal(scale=1.0, size=(4, 1 if dim == 2 else 3))
+    orientations = np.stack([np.interp(s, np.arange(4), turns[:, k])
+                             for k in range(turns.shape[1])], axis=-1)
+    return PoseTrajectory(np.linspace(0.0, 1.0, n), positions, orientations)
+
+
+def per_pair_distance(trajectory, robot, obstacles):
+    """The exact minimum by a closest_pair call per (pose, obstacle)."""
+    return min(closest_pair(robot_pose_at(robot, p, o), obstacle).distance
+               for p, o in zip(trajectory.positions, trajectory.orientations)
+               for obstacle in obstacles)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_threshold_query_matches_per_pair_loop_on_random_scenes(dim):
+    # the threshold query decides like the exact per-pair minimum, and a
+    # result above the threshold is a certified lower bound of it
+    rng = np.random.default_rng([dim, 16])
+    decisions = []
+    for trial in range(30):
+        robot = random_shape(rng, dim, 0.05, 0.3, np.zeros(dim))
+        obstacles = [random_shape(rng, dim, 0.1, 0.6, rng.uniform(0.0, 2.0, dim))
+                     for _ in range(3)]
+        traj = wandering(rng, dim, [1, 2, 40][trial % 3], 0.0, 2.0)
+        exact = per_pair_distance(traj, robot, obstacles)
+        got, d = check_decision(traj, robot, obstacles)
+        assert d == exact
+        decisions.append(got)
+        for t in (0.0, 0.05, 0.2):
+            bound = min_trajectory_distance(traj, robot, obstacles, threshold=t)
+            if bound > t:
+                assert bound <= exact + 1e-12
+            elif exact > t + AUDIT_TOL * robot.bounding_radius():
+                pytest.fail(f"threshold {t}: bound {bound} at exact distance {exact}")
+    assert 5 <= sum(decisions) <= 25
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_threshold_query_when_grazing(dim):
+    # a rotated robot swept past a rotated obstacle at offsets around the
+    # first contact: contact at exact distance 0, clear above the tolerance
+    rng = np.random.default_rng([dim, 17])
+    for _ in range(4):
+        robot = random_shape(rng, dim, 0.1, 0.4, np.zeros(dim))
+        obstacle = random_shape(rng, dim, 0.3, 1.0, np.zeros(dim))
+        ori = rng.normal(size=1 if dim == 2 else 3)
+
+        def traj(offset):
+            a = np.eye(dim)[1] * offset
+            return PoseTrajectory(np.linspace(0.0, 1.0, 31),
+                                  np.linspace(a - 2.0 * np.eye(dim)[0], a + 2.0 * np.eye(dim)[0], 31),
+                                  np.tile(ori, (31, 1)))
+
+        lo, hi = 0.0, 3.0
+        for _ in range(24):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if exact_distances(traj(mid), robot, [obstacle]).min() <= 0.0 else (lo, mid)
+        assert check_decision(traj(lo), robot, [obstacle])[0]
+        for offset in (hi, hi + 1e-7, hi + 1e-4):
+            check_decision(traj(offset), robot, [obstacle])
+        assert not trajectory_collides(traj(hi + 1e-4), robot, [obstacle])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_threshold_query_obstacle_enclosing_robot(dim):
+    # no support point of the obstacle reaches the robot; the robot's lie
+    # inside the obstacle
+    robot = Superquadric.create(np.ones(dim - 1), np.linspace(0.1, 0.3, dim), np.zeros(dim))
+    obstacle = Superquadric.create(np.ones(dim - 1), np.full(dim, 3.0), np.zeros(dim))
+    traj = PoseTrajectory(np.zeros(1), np.full((1, dim), 0.2), np.full((1, 1 if dim == 2 else 3), 0.3))
+    assert min_trajectory_distance(traj, robot, [obstacle], threshold=0.0) == 0.0
+    assert check_decision(traj, robot, [obstacle])[0]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_threshold_query_contact_only_at_the_last_pose(dim):
+    # a long clear approach whose last pose touches; one pose less is clear
+    robot = Superquadric.create(np.ones(dim - 1), np.linspace(0.1, 0.3, dim), np.zeros(dim))
+    obstacle = Superquadric.create(np.full(dim - 1, 0.5), np.full(dim, 0.5), 5.0 * np.eye(dim)[0])
+    k = 1 if dim == 2 else 3
+    n = 97
+    positions = np.vstack([np.linspace(np.zeros(dim), 3.5 * np.eye(dim)[0], n - 1),
+                           4.4 * np.eye(dim)[:1]])
+    traj = PoseTrajectory(np.arange(float(n)), positions,
+                          np.linspace(np.zeros(k), np.full(k, 0.3), n))
+    head = PoseTrajectory(traj.times[:-1], traj.positions[:-1], traj.orientations[:-1])
+    assert check_decision(traj, robot, [obstacle])[0]
+    assert not check_decision(head, robot, [obstacle])[0]
+    distances = exact_distances(traj, robot, [obstacle])[:, 0]
+    assert distances[-1] == 0.0 and np.all(distances[:-1] > 0.0)
+
+
+def stacked_pairs(robots, obstacles):
+    """_pair_bounds' inputs: closest_pair_arrays' shape arrays, robot side
+    [0], and the stacked exponents."""
+    sides = (robots, obstacles)
+    return (np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
+            np.array([[s.center for s in side] for side in sides]),
+            np.array([[s.axes for s in side] for side in sides]),
+            dual_exponents([[s.eps for s in side] for side in sides]),
+            np.array([[s.eps for s in side] for side in sides]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_bounds_never_exceed_the_distance(dim):
+    # boxy, round and pointed shapes at random poses, from overlapping to
+    # far: every bound is at most the exact distance, contact is proved only
+    # for overlapping pairs, and the bounds are tight for far, round pairs
+    rng = np.random.default_rng([dim, 18])
+    robots, obstacles = [], []
+    for _ in range(400):
+        robots.append(random_shape(rng, dim, 0.1, 0.5, rng.uniform(-1.0, 1.0, dim)))
+        obstacles.append(random_shape(rng, dim, 0.2, 1.5, rng.uniform(-2.0, 2.0, dim)))
+    bounds, _ = _pair_bounds(*stacked_pairs(robots, obstacles))
+    exact = np.array([closest_pair(a, b).distance for a, b in zip(robots, obstacles)])
+    assert np.all(bounds <= exact + 1e-12)
+    assert np.count_nonzero(exact > 0.0) > 100 and np.count_nonzero(exact == 0.0) > 20
+    assert np.median(bounds[exact > 0.5] / exact[exact > 0.5]) > 0.7
+    for k in range(len(robots)):
+        _, contact = _pair_bounds(*(x[:, k:k + 1] for x in stacked_pairs(robots, obstacles)))
+        assert not contact or exact[k] == 0.0
+
+
+def test_pair_bounds_are_tight_along_the_contact_normal():
+    # the bound is the exact distance 0.1 when the contact normal is one of
+    # its directions: a rotated slab's thin axis (robot side, a ball beside
+    # it), a boxy slab's face normal (obstacle side), and the centre line of
+    # two balls on a diagonal (box-nearest)
+    def bound(robot, obstacle):
+        return float(_pair_bounds(*stacked_pairs([robot], [obstacle]))[0][0])
+
+    rotation = np.array([0.2, -0.3, 0.4])
+    slab = Superquadric.create([0.1, 0.1], [0.1, 1.0, 1.0], np.zeros(3), rotation)
+    normal = slab.pose.rotation_matrix()[:, 0]
+    ball = Superquadric.create([1.0, 1.0], [0.5, 0.5, 0.5], 0.7 * normal)
+    assert bound(slab, ball) == pytest.approx(0.1, abs=1e-12)
+    assert bound(ball, slab) == pytest.approx(0.1, abs=1e-12)
+    other = Superquadric.create([1.0, 1.0], [0.5, 0.5, 0.5], np.full(3, 1.1 / np.sqrt(3.0)))
+    assert bound(ball.with_pose(slab.pose), other) == pytest.approx(0.1, abs=1e-12)
+    for robot, obstacle in ((slab, ball), (ball, slab)):
+        assert closest_pair(robot, obstacle).distance == pytest.approx(0.1, abs=1e-9)
+
+
+def test_threshold_query_builds_no_rotation_when_boxes_are_clear(monkeypatch):
+    robot = Superquadric.create([1.0, 1.0], [0.1, 0.2, 0.3], np.zeros(3))
+    obstacle = Superquadric.create([0.2, 0.2], [0.5, 1.25, 6.0], np.zeros(3))
+    traj = PoseTrajectory(np.arange(3.0), np.array([[2.0, 0.0, 0.0], [2.5, 0.0, 0.0],
+                                                    [3.0, 0.0, 0.0]]), np.zeros((3, 3)))
+    monkeypatch.setattr(clearance, "robot_rotations", None)
+    bound = min_trajectory_distance(traj, robot, [obstacle], threshold=0.0)
+    assert 2.0 - 0.5 - robot.bounding_radius() == pytest.approx(bound, abs=1e-12)
+
+
+def _load_bench_scenes():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pillars_query_93_falls_back_to_a_clear_trajectory(monkeypatch):
+    # the sampled validator passed this query's smoothed trajectory, whose
+    # certified clearance is 0: the threshold query rejects it, and the raw
+    # demonstration returned instead is certified clear
+    bench = _load_bench_scenes()
+    scene = bench.pillars()
+    sampler = bench.QuerySampler(scene, bench.pillar_regions(), 1001)
+    for _ in range(93):
+        sampler.next()
+    scn = scenario_from_dict(sampler.next())
+    smoothed = []
+
+    def capture(trajectory, demo, robot, obstacles):
+        smoothed.append(trajectory)
+        return validate_and_finalize(trajectory, demo, robot, obstacles)
+
+    monkeypatch.setattr(pipeline, "validate_and_finalize", capture)
+    result = pipeline.plan(scn, pipeline.precompute(scenario_from_dict(scene)))
+    assert result.success and result.validation.fallback
+    assert min_trajectory_distance(smoothed[0], scn.robot, scn.obstacles) == 0.0
+    assert not sampled_collides(smoothed[0], scn.robot, scn.obstacles)
+    assert result.trajectory is not smoothed[0]
+    assert np.array_equal(result.trajectory.positions,
+                          demonstration_trajectory(result.demonstration).positions)
+    assert min_trajectory_distance(result.trajectory, scn.robot, scn.obstacles) > 0.0

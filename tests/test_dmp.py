@@ -4,14 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqplan import dmp, pipeline
-from sqplan.dmp import (ALPHA_Z, BETA_Z, CHUNK, DMPModel, Demonstration,
-                        PoseTrajectory, _basis, _in_box, _rk4_maps,
+from oracles import check_decision, exact_distances, sampled_collides
+from sqplan import clearance, dmp, pipeline
+from sqplan.clearance import AUDIT_TOL, min_trajectory_distance
+from sqplan.dmp import (ALPHA_Z, BETA_Z, DMPModel, Demonstration,
+                        PoseTrajectory, _basis, _rk4_maps,
                         demonstration_trajectory, fit_lwr, interpolate_waypoints,
-                        rollout, shape_samples, trajectory_collides,
-                        validate_and_finalize)
+                        rollout, trajectory_collides, validate_and_finalize)
 from sqplan.geometry import (RigidPose, Superquadric, box_gaps, inside_outside,
-                             inside_outside_local, surface_samples)
+                             surface_samples)
 from sqplan.poses import PoseWaypoint, robot_pose_at, robot_rotations
 from sqplan.rotations import exp_so3
 from sqplan.scenario import generate_benchmark, scenario_from_dict
@@ -431,54 +432,7 @@ def test_rk4_maps_reproduce_one_explicit_step():
             assert np.max(np.abs(got - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
-# --------------------------------------- batched validation vs per pose
-
-
-def per_pose_collides(trajectory, robot, obstacles):
-    """Reference validator: one posed robot and one obstacle at a time."""
-    res = 64 if robot.dim == 2 else 16
-    obstacle_pts = [surface_samples(o, res) for o in obstacles]
-    for i in range(len(trajectory.times)):
-        posed = robot_pose_at(robot, trajectory.positions[i], trajectory.orientations[i])
-        pts = surface_samples(posed, res)
-        for o, opts in zip(obstacles, obstacle_pts):
-            # bounding spheres apart: no contact
-            if (np.linalg.norm(posed.center - o.center)
-                    - posed.bounding_radius() - o.bounding_radius() > 0.0):
-                continue
-            if (np.any(inside_outside(posed, opts) <= 0.0)
-                    or np.any(inside_outside(o, pts) <= 0.0)
-                    or inside_outside(posed, o.center) <= 0.0
-                    or inside_outside(o, posed.center) <= 0.0):
-                return True
-    return False
-
-
-def sphere_broadphase_collides(trajectory, robot, obstacles):
-    """Reference: the chunked sampler with a bounding-sphere broad phase,
-    which tests every pose within r_robot + r_obstacle of an obstacle centre."""
-    dim = robot.dim
-    res = 64 if dim == 2 else 16
-    body = surface_samples(robot.with_pose(RigidPose.create(np.zeros(dim))), res)
-    body = np.vstack([body, np.zeros(dim)])
-    obstacle_pts = [np.vstack([surface_samples(o, res), o.center]) for o in obstacles]
-    reach = [robot.bounding_radius() + o.bounding_radius() for o in obstacles]
-    for start in range(0, len(trajectory.times), CHUNK):
-        pos = trajectory.positions[start:start + CHUNK]
-        rot = robot_rotations(dim, trajectory.orientations[start:start + CHUNK])
-        world = body @ np.swapaxes(rot, 1, 2) + pos[:, None, :]
-        for o, opts, r in zip(obstacles, obstacle_pts, reach):
-            n = np.linalg.norm(pos - o.center, axis=1) - r <= 0.0
-            if not n.any():
-                continue
-            pts = world[n][_in_box(o, o.pose.inverse_transform(world[n]))]
-            if np.any(inside_outside(o, pts) <= 0.0):
-                return True
-            local = (opts - pos[n][:, None, :]) @ rot[n]
-            local = local[_in_box(robot, local)]
-            if np.any(inside_outside_local(robot, local) <= 0.0):
-                return True
-    return False
+# --------------------------------------- batched validation vs exact oracle
 
 
 def line_trajectory(a, b, ori_a, ori_b, n):
@@ -506,12 +460,10 @@ def test_batched_validation_matches_per_pose_loop(dim):
         robot = random_shape(rng, dim, 0.05, 0.4, np.zeros(dim))
         obstacles = [random_shape(rng, dim, 0.2, 1.2, rng.uniform(1.0, 5.0, dim))
                      for _ in range(int(rng.integers(1, 4)))]
-        # lengths around chunk multiples, the last one not a multiple
-        n = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 17][trial % 5]
+        n = [1, 31, 32, 33, 81][trial % 5]
         traj = line_trajectory(rng.uniform(0.0, 6.0, dim), rng.uniform(0.0, 6.0, dim),
                                rng.normal(size=k), 3.0 * rng.normal(size=k), n)
-        got = trajectory_collides(traj, robot, obstacles)
-        assert got == per_pose_collides(traj, robot, obstacles)
+        got, _ = check_decision(traj, robot, obstacles)
         decisions.append(got)
     assert any(decisions) and not all(decisions)
 
@@ -519,8 +471,8 @@ def test_batched_validation_matches_per_pose_loop(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_batched_validation_matches_per_pose_loop_when_grazing(dim):
     # a robot swept past an obstacle at offsets bracketing the first offset
-    # where the sampled test reports contact; axis-aligned shapes touch on
-    # the faces of their bounding boxes
+    # where the exact distance is 0; axis-aligned shapes touch on the faces
+    # of their bounding boxes
     rng = np.random.default_rng(7 + dim)
     k = 1 if dim == 2 else 3
     for aligned in (True, True, False, False, False):
@@ -533,39 +485,20 @@ def test_batched_validation_matches_per_pose_loop_when_grazing(dim):
         def traj(offset):
             a, b = -2.0 * np.eye(dim)[0], 2.0 * np.eye(dim)[0]
             return line_trajectory(a + offset * direction, b + offset * direction,
-                                   ori, ori, CHUNK + 9)
+                                   ori, ori, 41)
 
         lo, hi = 0.0, 3.0  # colliding, clear
         for _ in range(24):
             mid = 0.5 * (lo + hi)
-            if per_pose_collides(traj(mid), robot, [obstacle]):
+            if exact_distances(traj(mid), robot, [obstacle]).min() <= 0.0:
                 lo = mid
             else:
                 hi = mid
-        for offset in (lo, hi, lo - 1e-9, hi + 1e-9, 0.5 * (lo + hi)):
-            t = traj(offset)
-            assert trajectory_collides(t, robot, [obstacle]) == \
-                per_pose_collides(t, robot, [obstacle])
+        for offset in (lo, hi, lo - 1e-9, hi + 1e-9, 0.5 * (lo + hi), hi + 1e-5):
+            check_decision(traj(offset), robot, [obstacle])
         assert trajectory_collides(traj(lo), robot, [obstacle])
-        assert not trajectory_collides(traj(hi), robot, [obstacle])
-
-
-def test_batched_validation_collision_only_in_last_chunk():
-    robot = Superquadric.create([1.0, 1.0], [0.1, 0.2, 0.4], np.zeros(3))
-    obstacle = Superquadric.create([0.5, 0.5], [0.5, 0.5, 0.5], [5.0, 0.0, 0.0])
-    clear = line_trajectory([0.0, 0.0, 0.0], [3.0, 0.0, 0.0],
-                            [0.0, 0.0, 0.0], [0.0, 0.3, 0.0], 3 * CHUNK)
-    tail = line_trajectory([3.5, 0.0, 0.0], [4.7, 0.0, 0.0],
-                           [0.0, 0.3, 0.0], [0.0, 0.3, 0.0], 5)
-    traj = PoseTrajectory(np.arange(3 * CHUNK + 5.0),
-                          np.vstack([clear.positions, tail.positions]),
-                          np.vstack([clear.orientations, tail.orientations]))
-    head = PoseTrajectory(traj.times[:3 * CHUNK], traj.positions[:3 * CHUNK],
-                          traj.orientations[:3 * CHUNK])
-    assert not trajectory_collides(head, robot, [obstacle])
-    assert not per_pose_collides(head, robot, [obstacle])
-    assert trajectory_collides(traj, robot, [obstacle])
-    assert per_pose_collides(traj, robot, [obstacle])
+        got, d = check_decision(traj(hi + 1e-5), robot, [obstacle])
+        assert not got and d > AUDIT_TOL * robot.bounding_radius()
 
 
 @pytest.mark.parametrize("position, expected", [([0.0, 0.0], True),
@@ -575,7 +508,7 @@ def test_batched_validation_single_pose(position, expected):
     obstacle = Superquadric.create([0.6], [0.4, 0.5], [0.5, 0.2])
     traj = PoseTrajectory(np.zeros(1), np.array([position]), np.array([[0.4]]))
     assert trajectory_collides(traj, robot, [obstacle]) is expected
-    assert per_pose_collides(traj, robot, [obstacle]) is expected
+    assert check_decision(traj, robot, [obstacle])[0] is expected
 
 
 def test_batched_validation_obstacle_enclosing_robot():
@@ -583,9 +516,8 @@ def test_batched_validation_obstacle_enclosing_robot():
     obstacle = Superquadric.create([1.0, 1.0], [3.0, 3.0, 3.0], np.zeros(3))
     traj = line_trajectory([-0.5, 0.0, 0.0], [0.5, 0.2, 0.0],
                            [0.0, 0.0, 0.0], [0.3, 0.0, 1.0], 5)
-    # no obstacle sample reaches the robot; its centre and samples lie inside
-    assert trajectory_collides(traj, robot, [obstacle])
-    assert per_pose_collides(traj, robot, [obstacle])
+    # no obstacle surface point reaches the robot; the robot lies inside
+    assert check_decision(traj, robot, [obstacle])[0]
 
 
 @pytest.mark.parametrize("robot_at, obstacle_at", [
@@ -594,18 +526,34 @@ def test_batched_validation_obstacle_enclosing_robot():
 def test_batched_validation_centre_tests_decide(robot_at, obstacle_at):
     # two thin rods crossed (robot along x, obstacle along z) 0.4 from one
     # rod's centre: rod samples lie 0.1, 0.31, 0.5, ... from their centre, so
-    # no surface sample of either is inside the other; only one centre is
+    # no surface sample of either is inside the other, and the sampled
+    # validator decides by the centre tests alone
     robot = Superquadric.create([1.0, 1.0], [0.05, 0.05, 1.0], np.zeros(3))
     obstacle = Superquadric.create([1.0, 1.0], [0.05, 0.05, 1.0], obstacle_at)
     posed = robot_pose_at(robot, robot_at, np.zeros(3))
     assert np.all(inside_outside(obstacle, surface_samples(posed, 16)) > 0.0)
     assert np.all(inside_outside(posed, surface_samples(obstacle, 16)) > 0.0)
     traj = PoseTrajectory(np.zeros(1), np.array([robot_at]), np.zeros((1, 3)))
-    assert trajectory_collides(traj, robot, [obstacle])
-    assert per_pose_collides(traj, robot, [obstacle])
+    assert check_decision(traj, robot, [obstacle])[0]
+    assert sampled_collides(traj, robot, [obstacle])
 
 
 # ------------------------------------- box broad phase vs sphere broad phase
+
+
+def sphere_broadphase_collides(trajectory, robot, obstacles):
+    """Reference: the exact per-pair oracle behind a bounding-sphere broad
+    phase, which solves every pose within r_robot + r_obstacle of an obstacle
+    centre; contact when a solve reports distance 0."""
+    reach = [robot.bounding_radius() + o.bounding_radius() for o in obstacles]
+    for o, r in zip(obstacles, reach):
+        n = np.linalg.norm(trajectory.positions - o.center, axis=1) - r <= 0.0
+        if n.any():
+            near = PoseTrajectory(trajectory.times[n], trajectory.positions[n],
+                                  trajectory.orientations[n])
+            if exact_distances(near, robot, [o]).min() <= 0.0:
+                return True
+    return False
 
 
 def clear_point(rng, scn, lo, hi):
@@ -634,6 +582,9 @@ STREAMS = {
 
 @pytest.mark.parametrize("stream", list(STREAMS))
 def test_box_broadphase_matches_sphere_broadphase_on_query_streams(stream, monkeypatch):
+    # every smoothed and raw trajectory of the stream: the certified
+    # validator decides like the exact oracle behind a sphere broad phase,
+    # and like the sampled validator except where the exact clearance is 0
     name, seed, queries, box_a, box_b = STREAMS[stream]
     scn = generate_benchmark(name, seed)
     pre = pipeline.precompute(scn)
@@ -654,6 +605,9 @@ def test_box_broadphase_matches_sphere_broadphase_on_query_streams(stream, monke
     decisions = [trajectory_collides(t, scn.robot, scn.obstacles) for t in trajectories]
     assert decisions == [sphere_broadphase_collides(t, scn.robot, scn.obstacles)
                          for t in trajectories]
+    for t, got in zip(trajectories, decisions):
+        if got != sampled_collides(t, scn.robot, scn.obstacles):
+            assert got and min_trajectory_distance(t, scn.robot, scn.obstacles) == 0.0
     if stream != "random-field":
         # some smoothed trajectories of these streams cut a corner
         assert any(decisions)
@@ -665,8 +619,8 @@ def test_box_broadphase_skips_poses_inside_the_bounding_sphere(monkeypatch):
     robot = Superquadric.create([1.0, 1.0], [0.1, 0.2, 0.3], np.zeros(3))
     pillar = Superquadric.create([0.2, 0.2], [0.5, 1.25, 6.0], np.zeros(3))
     far = line_trajectory([3.0, 0.0, 2.0], [1.0, 0.0, -2.0],
-                          np.zeros(3), [0.0, 0.4, 0.0], 2 * CHUNK)
-    into = PoseTrajectory(np.arange(2 * CHUNK + 1.0),
+                          np.zeros(3), [0.0, 0.4, 0.0], 64)
+    into = PoseTrajectory(np.arange(65.0),
                           np.vstack([far.positions, [[0.55, 0.0, 0.0]]]),
                           np.vstack([far.orientations, np.zeros((1, 3))]))
     r = robot.bounding_radius()
@@ -678,17 +632,14 @@ def test_box_broadphase_skips_poses_inside_the_bounding_sphere(monkeypatch):
         tested.append(len(orientations))
         return robot_rotations(dim, orientations)
 
-    monkeypatch.setattr(dmp, "robot_rotations", counting_rotations)
+    monkeypatch.setattr(clearance, "robot_rotations", counting_rotations)
     assert not trajectory_collides(far, robot, [pillar])
     assert tested == []
     assert trajectory_collides(into, robot, [pillar])
     assert tested == [1]
     for traj, expected in ((far, False), (into, True)):
         assert sphere_broadphase_collides(traj, robot, [pillar]) is expected
-        assert per_pose_collides(traj, robot, [pillar]) is expected
-
-
-# ----------------------------------------------- per-shape-value sample cache
+        assert check_decision(traj, robot, [pillar])[0] is expected
 
 
 def _load_bench_scenes():
@@ -697,81 +648,6 @@ def _load_bench_scenes():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_shape_samples_are_read_only_and_shared_across_parses():
-    bench = _load_bench_scenes()
-    scene = bench.pillars()
-    a, b = scenario_from_dict(scene), scenario_from_dict(scene)
-    dmp._cached_samples.cache_clear()
-    for x, y in zip([a.robot] + a.obstacles, [b.robot] + b.obstacles):
-        assert x is not y
-        cached = shape_samples(x, 16)
-        assert shape_samples(y, 16) is cached
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0, 0] = 1.0
-    # the robot and one shape value shared by the four pillars
-    assert dmp._cached_samples.cache_info().misses == 2
-    # a validation run of either parse finds the same entries
-    traj = line_trajectory([6.0, 2.0, 6.0], [6.0, 10.0, 6.0], np.zeros(3),
-                           [0.0, 0.0, 1.5], 3 * CHUNK)
-    dmp._cached_samples.cache_clear()
-    first = trajectory_collides(traj, a.robot, a.obstacles)
-    misses = dmp._cached_samples.cache_info().misses
-    assert misses == 2
-    assert trajectory_collides(traj, b.robot, b.obstacles) == first
-    assert dmp._cached_samples.cache_info().misses == misses
-
-
-def test_posed_shape_samples_equal_surface_samples_and_centre_bitwise():
-    bench = _load_bench_scenes()
-    scenes = [bench.pillars(), bench.narrow_wall()]
-    scenes += [bench.random_field(*f) for f in bench.BUILD3D_FIELDS]
-    for scene in scenes:
-        scn = scenario_from_dict(scene)
-        dim = scn.dim
-        res = 64 if dim == 2 else 16
-        origin = scn.robot.with_pose(RigidPose.create(np.zeros(dim)))
-        body = np.vstack([surface_samples(origin, res), np.zeros(dim)])
-        assert shape_samples(scn.robot, res).tobytes() == body.tobytes()
-        for o in [scn.robot] + scn.obstacles:
-            want = np.vstack([surface_samples(o, res), o.center])
-            assert o.pose.transform(shape_samples(o, res)).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("stream", ["pillars", "narrow-wall", "field-2-16"])
-def test_cached_samples_match_per_pose_loop_on_query_streams(stream, monkeypatch):
-    # perfbench's scenes and query sampler; every query parses its own
-    # Scenario from the scene dict, as the benchmark does. The pillars slice
-    # runs to its first fallback, the eighth query
-    bench = _load_bench_scenes()
-    scene, regions, queries = {
-        "pillars": (bench.pillars(), bench.pillar_regions(), 8),
-        "narrow-wall": (bench.narrow_wall(), bench.wall_regions(), 6),
-        "field-2-16": (bench.random_field(2, 16), bench.field_regions(), 6)}[stream]
-    pre = pipeline.precompute(scenario_from_dict(scene))
-    sampler = bench.QuerySampler(scene, regions, 13)
-    captured = []
-
-    def capture(smoothed, demo, robot, obstacles):
-        captured.extend((t, robot, obstacles)
-                        for t in (smoothed, demonstration_trajectory(demo)))
-        return validate_and_finalize(smoothed, demo, robot, obstacles)
-
-    monkeypatch.setattr(pipeline, "validate_and_finalize", capture)
-    for _ in range(queries):
-        assert pipeline.plan(scenario_from_dict(sampler.next()), pre).success
-    decisions = []
-    for traj, robot, obstacles in captured:
-        dmp._cached_samples.cache_clear()
-        cold = trajectory_collides(traj, robot, obstacles)
-        warm = trajectory_collides(traj, robot, obstacles)
-        assert cold == warm == per_pose_collides(traj, robot, obstacles)
-        decisions.append(cold)
-    if stream != "field-2-16":
-        # some smoothed trajectories of these streams cut a corner
-        assert any(decisions)
 
 
 # --------------------------------------------------- cached rollout response

@@ -1,0 +1,57 @@
+"""The passability contract on a 2D one-gap wall.
+
+The robot passes a gap of width g exactly when its shortest axis fits,
+g >= 2 a_min, and it then crosses at the middle of the gap, so its certified
+clearance is g/2 - a_min.
+"""
+
+import numpy as np
+import pytest
+
+from sqplan.geometry import RigidPose, Superquadric, dual_exponents, support_points
+from sqplan.pipeline import NO_FEASIBLE_PASSAGE, plan
+from sqplan.poses import robot_rotations
+from sqplan.scenario import Scenario, min_trajectory_distance
+
+A_MIN = 0.02  # the car's shortest semi-axis
+# The certified clearance lies below g/2 - A_MIN by at most this much; the
+# planned crossings lose 5.19e-4 to 5.22e-4 for g from 0.042 to 0.16.
+CLEARANCE_TOL = 6e-4
+
+
+def one_gap_wall(g):
+    """A 0.5 m world crossed at y = 0.25 by two eps = 0.2 blocks of
+    half-thickness 0.02 that leave a gap of width g centred at x = 0.25."""
+    w = (0.25 - g / 2.0) / 2.0
+    blocks = [Superquadric.create([0.2], [w, 0.02], [w, 0.25]),
+              Superquadric.create([0.2], [w, 0.02], [0.5 - w, 0.25])]
+    robot = Superquadric.create([0.5], [A_MIN, 0.06], [0.22, 0.08])
+    return Scenario(2, np.zeros(2), np.full(2, 0.5), robot, blocks,
+                    RigidPose.create([0.22, 0.08]), RigidPose.create([0.28, 0.42]))
+
+
+def box_exit(scn, trajectory):
+    """How far a support point of the posed robot reaches past a world wall."""
+    n = len(trajectory.times)
+    rot = robot_rotations(scn.dim, trajectory.orientations)
+    axes = np.broadcast_to(scn.robot.axes, (n, scn.dim))
+    q = np.broadcast_to(dual_exponents(scn.robot.eps), (n, scn.dim - 1))
+    reach = [support_points(rot, trajectory.positions, axes, q, np.broadcast_to(d, (n, scn.dim)))
+             for d in np.vstack([np.eye(scn.dim), -np.eye(scn.dim)])]
+    return max(float(np.max(np.maximum(scn.world_lo - s, s - scn.world_hi))) for s in reach)
+
+
+@pytest.mark.parametrize("g", [0.036, 0.039])
+def test_gap_narrower_than_the_short_axis_has_no_passage(g):
+    result = plan(one_gap_wall(g))
+    assert not result.success and result.reason == NO_FEASIBLE_PASSAGE
+
+
+@pytest.mark.parametrize("g", [0.042, 0.05, 0.08, 0.12, 0.16])
+def test_gap_wider_than_the_short_axis_is_passed_at_its_middle(g):
+    scn = one_gap_wall(g)
+    result = plan(scn)
+    assert result.success and not result.validation.fallback
+    assert box_exit(scn, result.trajectory) <= 0.0
+    clearance = min_trajectory_distance(result.trajectory, scn.robot, scn.obstacles)
+    assert g / 2.0 - A_MIN - CLEARANCE_TOL <= clearance <= g / 2.0 - A_MIN

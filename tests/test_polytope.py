@@ -2,7 +2,12 @@ import numpy as np
 
 from sqplan.polytope import (box_polygon, box_polyhedron, box_side_tag,
                              clip_polygon, clip_polyhedron, compact_polyhedron,
-                             euler_characteristic, polyhedron_edges)
+                             polyhedron_edges)
+
+
+def euler_characteristic(n_vertices, faces):
+    """V - E + F of a polyhedron's face loops."""
+    return n_vertices - len(polyhedron_edges(faces)) + len(faces)
 
 
 def polygon_area(verts):

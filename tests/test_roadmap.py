@@ -6,9 +6,15 @@ import pytest
 from sqplan import pipeline
 from sqplan.geometry import Superquadric, inside_outside
 from sqplan.roadmap import (MERGE_TOL, RoadmapGraph, _point_segment, build_graph,
-                            path_length, project_terminal, shortest_path)
+                            project_terminal, shortest_path)
 from sqplan.scenario import generate_benchmark
 from sqplan.voronoi import build_diagram
+
+
+def path_length(graph, path):
+    """Summed weights of the edges joining consecutive path nodes."""
+    return float(sum(graph.edges[graph.adjacency[path[k]][path[k + 1]]].weight
+                     for k in range(len(path) - 1)))
 
 
 def small_diagram():

@@ -10,9 +10,10 @@ from sqplan.geometry import (Superquadric, box_gaps, dual_exponents, expand,
                              inside_outside, surface_samples)
 from sqplan.pipeline import plan
 from sqplan.poses import robot_pose_at, robot_rotations
-from sqplan import proximity, scenario
+from sqplan import clearance, proximity
+from sqplan.clearance import AuditStats
 from sqplan.proximity import closest_pair, closest_pairs, overlaps
-from sqplan.scenario import (BENCHMARK_NAMES, AuditStats, Scenario, ScenarioError,
+from sqplan.scenario import (BENCHMARK_NAMES, Scenario, ScenarioError,
                              compute_metrics, generate_benchmark,
                              load_scenario, load_trajectory, metrics_to_dict,
                              min_trajectory_distance, save_scenario,
@@ -260,7 +261,7 @@ def interval_audit(trajectory, robot, obstacles, stats):
     that loses first order in the turn, r |dR|."""
     positions = trajectory.positions
     r = robot.bounding_radius()
-    half = scenario.AUDIT_TOL * r / 2.0
+    half = clearance.AUDIT_TOL * r / 2.0
     rotations = robot_rotations(robot.dim, trajectory.orientations)
     steps = (np.linalg.norm(np.diff(positions, axis=0), axis=1)
              + r * np.linalg.norm(np.diff(rotations, axis=0), axis=(1, 2)))
@@ -397,13 +398,13 @@ def test_audit_does_not_certify_by_an_unconverged_distance(monkeypatch):
     pose_of = {p.tobytes(): k for k, p in enumerate(traj.positions)}
     solve = proximity.closest_pair_arrays
 
-    def too_far(rot, pos, axes, q, tol=0.0):
-        p_i, p_j, distance, converged, iterations = solve(rot, pos, axes, q, tol)
+    def too_far(rot, pos, axes, q, tol=0.0, threshold=None):
+        p_i, p_j, distance, converged, iterations = solve(rot, pos, axes, q, tol, threshold)
         far = np.array([pose_of[p.tobytes()] not in (0, 85) for p in pos[0]])
         return p_i, p_j, distance + 0.5 * far, converged & ~far, iterations
 
     monkeypatch.setattr(proximity, "closest_pair_arrays", too_far)
-    monkeypatch.setattr(scenario, "closest_pair_arrays", too_far)
+    monkeypatch.setattr(clearance, "closest_pair_arrays", too_far)
     stats = AuditStats()
     got = min_trajectory_distance(traj, robot, obstacles, stats)
     assert got == check_audit(traj, robot, obstacles)
@@ -531,12 +532,12 @@ def test_axis_gaps_bound_the_distance(dim):
         normals = rng.normal(size=(8, dim))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         many = [np.repeat(x, 8, axis=1) for x in arrays]
-        assert np.all(scenario.axis_gaps(*many, normals) <= distance + 1e-12)
-        tol = scenario.AUDIT_TOL * shape_i.bounding_radius()
+        assert np.all(clearance.axis_gaps(*many, normals) <= distance + 1e-12)
+        tol = clearance.AUDIT_TOL * shape_i.bounding_radius()
         p_i, p_j, _, converged, _ = proximity.closest_pair_arrays(*arrays, tol=tol / 2)
         assert converged[0]
         witness = (p_j - p_i) / np.linalg.norm(p_j - p_i)
-        gap = float(scenario.axis_gaps(*arrays, witness)[0])
+        gap = float(clearance.axis_gaps(*arrays, witness)[0])
         assert distance - tol <= gap <= distance + 1e-12
 
 
@@ -556,7 +557,7 @@ def reference_audits(name):
 def test_audit_agrees_with_interval_search_on_reference_plans(name):
     scn, got, want, new, old = reference_audits(name)
     assert new.nonconverged == 0 and old.nonconverged == 0
-    assert abs(got - want) <= scenario.AUDIT_TOL * scn.robot.bounding_radius()
+    assert abs(got - want) <= clearance.AUDIT_TOL * scn.robot.bounding_radius()
     assert new.iterations >= new.solves > 0 and new.axis_certified > 0
     if name in ("pillars3d", "narrow2d"):
         assert new.solves < old.solves
@@ -581,9 +582,9 @@ def test_audit_worst_pose_is_the_all_pairs_argmin(dim):
     traj = PoseTrajectory(np.linspace(0.0, 2.0, n), positions, orientations)
     per_pose = per_pose_distances(traj, robot, [obstacle])
     want = int(np.argmin(per_pose))
-    tol = scenario.AUDIT_TOL * robot.bounding_radius()
+    tol = clearance.AUDIT_TOL * robot.bounding_radius()
     assert np.sort(per_pose)[1] > per_pose[want] + tol       # a unique minimum
-    assert want % scenario.AUDIT_STRIDE != 0 and per_pose[want] > 0.0
+    assert want % clearance.AUDIT_STRIDE != 0 and per_pose[want] > 0.0
     stats = AuditStats()
     got = min_trajectory_distance(traj, robot, [obstacle], stats)
     assert per_pose[want] - 1e-12 <= got <= per_pose[want] + tol

@@ -7,7 +7,15 @@ from sqplan.geometry import Superquadric, expand
 from sqplan.proximity import closest_pair, closest_pairs
 from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
 from sqplan.voronoi import (all_pairs, build_cell, build_clusters, build_diagram,
-                            cell_of_point, diagram_to_dict, separating_hyperplane)
+                            diagram_to_dict, separating_hyperplane)
+
+
+def cell_of_point(diagram, point):
+    """Index of the first cell containing the point, or None (a hole)."""
+    for k, cell in enumerate(diagram.cells):
+        if bool(cell.contains(point)):
+            return k
+    return None
 
 
 def tiny_sphere(center, dim, r=1e-3):
