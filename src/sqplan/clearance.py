@@ -110,10 +110,10 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     r |dR| (frame coherence: Cameron, ICRA 1997; van den Bergen, J. Graphics
     Tools 1999). Every round is one batched, tolerance-stopped
     `closest_pair_arrays` call on the trajectory's rotation matrices and the
-    obstacle arrays stacked once. The first round solves each obstacle's pose
-    of least box bound; the second the pairs still below at every
-    AUDIT_STRIDE-th pose and at every pose within half a stride of their
-    obstacle's first; each later one every unsolved pair still below. The
+    obstacle arrays stacked once. The first round solves, for each obstacle,
+    the centre of its first run of poses tied at its least bound; the second the pairs still below at every AUDIT_STRIDE-th pose and
+    at every pose within half a stride of their obstacle's first; each later
+    one every unsolved pair still below. The
     search ends when no unsolved pair is below the best d - h.
 
     The result is never below the minimum over all (pose, obstacle) pairs,
@@ -181,7 +181,14 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
         lower[j, i] = np.maximum(lower[j, i], bounds)
     normals = np.zeros(lower.shape + (dim,))     # witness normals of solved pairs
     solved = np.zeros(lower.shape, bool)
-    first, poses = lower.argmin(axis=1), np.arange(n_poses)
+    # each obstacle's first pose: the centre of its first run of poses tied
+    # at its least bound (a path along a box face ties over many poses), which
+    # rounding in the trajectory moves less than the run's first pose
+    poses = np.arange(n_poses)
+    tied = lower == lower.min(axis=1, keepdims=True)
+    start = tied.argmax(axis=1)
+    stop = np.where(~tied & (poses > start[:, None]), poses, n_poses).min(axis=1)
+    first = (start + stop - 1) // 2
     todo = (poses == first[:, None]) & below(lower)
     # the second round's poses: every AUDIT_STRIDE-th, and every one within
     # half a stride of the obstacle's first, where its minimum most likely is

@@ -7,6 +7,12 @@ original obstacles by the certified threshold query of `clearance`
 (falling back to the raw demonstration if the smoothed path cuts a corner
 too tightly).
 
+In normalised time t / tau the forcing target of N equally spaced samples is
+a fixed linear map of the samples, and so is each residual pass of the fit:
+the regression's sample-side products depend on N and the basis only, are
+built once (`_lwr_map`) and kept in a small cache, so a fit is a few matmuls
+on (P, K) arrays.
+
 The rollout integrates every channel with RK4 on a uniform grid of n equal
 steps per duration, n = ceil(tau / dt), as one linear step map s <- P s + d.
 In normalised time t / tau that grid and its map depend on n only, so the
@@ -39,13 +45,14 @@ MIN_SAMPLES = 3  # least demonstration samples: fit_lwr takes second differences
 REFERENCE_SPEED = 1.0  # m/s; converts arc length into a nominal duration
 BLOCK = 64  # RK4 steps per block of the rollout scan
 RESPONSES = 4  # cached rollout responses; one basis and step count takes one
+LWR_MAPS = 8  # cached LWR maps; one basis and sample count takes one
 
 
 @dataclass
 class Demonstration:
     """Time-indexed augmented pose samples [position, orientation]."""
 
-    times: np.ndarray    # (N,), strictly increasing, starting at 0
+    times: np.ndarray    # (N,), equally spaced, starting at 0
     samples: np.ndarray  # (N, K)
     dim: int             # spatial dimension (2 or 3)
 
@@ -177,49 +184,92 @@ def _basis(p: int):
     return centers, widths
 
 
-def _psi(x, centers, widths):
-    """x: (N,) -> activations (N, P)."""
-    return np.exp(-widths[None, :] * (x[:, None] - centers[None, :]) ** 2)
+def _gradient_t(v: np.ndarray) -> np.ndarray:
+    """D1.T @ v, (N, P) -> (N, P), for D1 the operator of
+    np.gradient(y, 1 / (N - 1), edge_order=2) on N >= 3 samples: its
+    3-point stencil, transposed, without forming the (N, N) matrix."""
+    out = np.zeros_like(v)
+    # interior row i is (y[i + 1] - y[i - 1]) / 2h, the first row
+    # (-3 y[0] + 4 y[1] - y[2]) / 2h and the last (y[-3] - 4 y[-2] + 3 y[-1]) / 2h
+    out[2:] += v[1:-1]
+    out[:-2] -= v[1:-1]
+    out[:3] += np.array([-3.0, 4.0, -1.0])[:, None] * v[0]
+    out[-3:] += np.array([1.0, -4.0, 3.0])[:, None] * v[-1]
+    out *= (len(v) - 1) / 2.0
+    return out
+
+
+@functools.lru_cache(maxsize=LWR_MAPS)
+def _lwr_map(n: int, p: int, alpha_z: float, beta_z: float, alpha_x: float):
+    """The sample-side products of the LWR fit of n equally spaced samples
+    with p basis functions: read-only H (p, n), Q (p,) and K0 (p, p).
+
+    In normalised time s = t / tau, tau y' and tau^2 y'' are D1 y and D1^2 y
+    (D1 the np.gradient operator on the grid k / (n - 1)), so the forcing
+    target tau^2 y'' + alpha_z tau y' - alpha_z beta_z (g - y) is L0 (y - g)
+    with L0 = D1^2 + alpha_z D1 + alpha_z beta_z I, whatever tau is (D1
+    annihilates constants). With phase x, activations psi and the rows i the
+    regression uses, H = psi_i^T diag(x_i) L0, applied to y - g; Q =
+    psi_i^T x_i^2; and K0 = psi_i^T diag(x_i^2 / sum psi_i) psi_i, the map of
+    weights to the regression's weighted fitted forcing.
+    """
+    x = np.exp(-alpha_x * np.linspace(0.0, 1.0, n))
+    centers, widths = _basis(p)
+    psi = np.exp(-widths * (x[:, None] - centers) ** 2)
+    # boundary samples carry one-sided finite-difference noise; keep them out
+    # of the regression (they sit where the phase weighting is largest)
+    interior = slice(2, -2) if n > 8 else slice(None)
+    weighted = np.zeros((n, p))
+    weighted[interior] = psi[interior] * x[interior, None]
+    q = weighted[interior].T @ x[interior]
+    k0 = weighted[interior].T @ (weighted[interior] / np.sum(psi[interior], axis=1)[:, None])
+    d1 = _gradient_t(weighted)
+    h = _gradient_t(d1)
+    h += alpha_z * d1
+    h += alpha_z * beta_z * weighted
+    h = np.ascontiguousarray(h.T)
+    for a in (h, q, k0):
+        a.setflags(write=False)
+    return h, q, k0
 
 
 def fit_lwr(demo: Demonstration, p: int = DEFAULT_BASIS) -> DMPModel:
-    """Fit forcing-term weights by per-basis weighted least squares."""
+    """Fit forcing-term weights by per-basis weighted least squares.
+
+    The demonstration's times must be equally spaced from 0. Each channel's
+    target is scaled by its forcing amplitude c, so per basis the regression
+    divides by den = Q c^2 + 1e-12, and a residual pass adds
+    (u - c^2 K0 w) / den to the weights w, u = (H (y - g)) c, with H, Q and
+    K0 from the cached `_lwr_map` of the sample count and basis.
+    """
     if p < 2:
         raise ValueError("need at least two basis functions")
     t = demo.times
+    n = len(t)
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} demonstration samples")
     duration = float(t[-1])
     if duration <= 0.0:
         raise ValueError("demonstration has zero duration")
+    if np.max(np.abs(t - np.linspace(0.0, duration, n))) > 1e-9 * duration / (n - 1):
+        raise ValueError("demonstration times must be equally spaced from 0")
     y = demo.samples
     u_start, u_goal = y[0].copy(), y[-1].copy()
-    yd = np.gradient(y, t, axis=0, edge_order=2)
-    ydd = np.gradient(yd, t, axis=0, edge_order=2)
-    # transformation system tau*z' = az*(bz*(g - y) - z) + f with z = tau*y'
-    f_target = duration**2 * ydd - ALPHA_Z * (BETA_Z * (u_goal - y) - duration * yd)
-    x = np.exp(-ALPHA_X * t / duration)
-    centers, widths = _basis(p)
-    psi = _psi(x, centers, widths)
-    # boundary samples carry one-sided finite-difference noise; keep them out
-    # of the regression (they sit where the phase weighting is largest)
-    interior = slice(2, -2) if len(t) > 8 else slice(None)
     forcing_scale = u_goal - u_start
-    amplitude = np.max(y, axis=0) - np.min(y, axis=0)
     degenerate = np.abs(forcing_scale) < 1e-12
-    forcing_scale[degenerate] = amplitude[degenerate]
-    # every channel at once: columns of the (N, K) and (P, K) arrays
-    psi_i = psi[interior]
-    psi_sum = np.sum(psi_i, axis=1)[:, None]
-    xi = x[interior, None] * forcing_scale
-    target = f_target[interior]
-    den = psi_i.T @ (xi * xi) + 1e-12
+    forcing_scale[degenerate] = np.ptp(y[:, degenerate], axis=0)
+    h, q, k0 = _lwr_map(n, p, ALPHA_Z, BETA_Z, ALPHA_X)
+    # every channel at once: columns of the (P, K) arrays
+    c2 = forcing_scale * forcing_scale
+    u = (h @ (y - u_goal)) * forcing_scale
+    den = q[:, None] * c2 + 1e-12
     # per-basis weighted least squares is a quasi-interpolant, not a
     # projection; a few residual passes remove the approximation bias
     weights = np.zeros((p, y.shape[1]))
-    residual = target
     for _ in range(3):
-        weights += (psi_i.T @ (xi * residual)) / den
-        residual = target - (psi_i @ weights) / psi_sum * xi
+        weights += (u - c2 * (k0 @ weights)) / den
     weights[:, np.abs(forcing_scale) < 1e-12] = 0.0  # no amplitude: no forcing
+    centers, widths = _basis(p)
     return DMPModel(weights.T.copy(), centers, widths, duration, u_start, u_goal,
                     demo.dim, forcing_scale)
 

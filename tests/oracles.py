@@ -1,15 +1,18 @@
-"""Reference validators for the certified clearance engine's tests.
+"""Reference implementations for the tests.
 
 `exact_distances` solves every (pose, obstacle) pair with a full GJK solve.
 `sampled_collides` is the sampled validator that trajectory validation used
 before the certified engine: it tests surface samples and centres of the
 posed robot and of each obstacle against the other's implicit function, so
-it can miss a contact between samples.
+it can miss a contact between samples. `reference_fit_lwr` is the LWR fit
+before its cached map: finite differences in the demonstration's own times
+and three residual passes over (N, P) arrays.
 """
 
 import numpy as np
 
 from sqplan.clearance import AUDIT_TOL, trajectory_collides
+from sqplan.dmp import ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, _basis
 from sqplan.geometry import (RigidPose, box_gaps, inside_outside,
                              inside_outside_local, surface_samples)
 from sqplan.poses import robot_pose_at, robot_rotations
@@ -71,3 +74,37 @@ def sampled_collides(trajectory, robot, obstacles):
         if np.any(inside_outside_local(local, robot.axes, robot.eps) <= 0.0):
             return True
     return False
+
+
+def reference_fit_lwr(demo, p):
+    """Forcing-term weights by per-basis weighted least squares, every step
+    on the (N, P) sample arrays."""
+    t = demo.times
+    duration = float(t[-1])
+    y = demo.samples
+    u_start, u_goal = y[0].copy(), y[-1].copy()
+    yd = np.gradient(y, t, axis=0, edge_order=2)
+    ydd = np.gradient(yd, t, axis=0, edge_order=2)
+    # transformation system tau*z' = az*(bz*(g - y) - z) + f with z = tau*y'
+    f_target = duration**2 * ydd - ALPHA_Z * (BETA_Z * (u_goal - y) - duration * yd)
+    x = np.exp(-ALPHA_X * t / duration)
+    centers, widths = _basis(p)
+    psi = np.exp(-widths[None, :] * (x[:, None] - centers[None, :]) ** 2)
+    interior = slice(2, -2) if len(t) > 8 else slice(None)
+    forcing_scale = u_goal - u_start
+    amplitude = np.max(y, axis=0) - np.min(y, axis=0)
+    degenerate = np.abs(forcing_scale) < 1e-12
+    forcing_scale[degenerate] = amplitude[degenerate]
+    psi_i = psi[interior]
+    psi_sum = np.sum(psi_i, axis=1)[:, None]
+    xi = x[interior, None] * forcing_scale
+    target = f_target[interior]
+    den = psi_i.T @ (xi * xi) + 1e-12
+    weights = np.zeros((p, y.shape[1]))
+    residual = target
+    for _ in range(3):
+        weights += (psi_i.T @ (xi * residual)) / den
+        residual = target - (psi_i @ weights) / psi_sum * xi
+    weights[:, np.abs(forcing_scale) < 1e-12] = 0.0
+    return DMPModel(weights.T.copy(), centers, widths, duration, u_start, u_goal,
+                    demo.dim, forcing_scale)

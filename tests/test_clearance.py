@@ -12,7 +12,7 @@ from sqplan.dmp import PoseTrajectory, demonstration_trajectory, validate_and_fi
 from sqplan.geometry import Superquadric, dual_exponents
 from sqplan.poses import robot_pose_at
 from sqplan.proximity import closest_pair
-from sqplan.scenario import scenario_from_dict
+from sqplan.scenario import generate_benchmark, scenario_from_dict
 
 
 def random_shape(rng, dim, lo, hi, position):
@@ -211,3 +211,36 @@ def test_pillars_query_93_falls_back_to_a_clear_trajectory(monkeypatch):
     assert np.array_equal(result.trajectory.positions,
                           demonstration_trajectory(result.demonstration).positions)
     assert min_trajectory_distance(result.trajectory, scn.robot, scn.obstacles) > 0.0
+
+
+def test_audit_first_round_is_stable_under_rounding_of_the_trajectory(monkeypatch):
+    # on the pillars reference plan each pillar's box bound is least, and
+    # exactly tied, over poses 197-199, where the path runs along the face
+    # x = 6 at x = 6 - 1e-14; the first round solves the centre of that run,
+    # and shifting the trajectory by 1e-13 leaves its picks and its work
+    scn = generate_benchmark("pillars3d", 0)
+    traj = pipeline.plan(scn).trajectory
+    rounds = []
+    solve = clearance.closest_pair_arrays
+
+    def record(rot, pos, *args, **kwargs):
+        rounds.append(pos[0].copy())
+        return solve(rot, pos, *args, **kwargs)
+
+    monkeypatch.setattr(clearance, "closest_pair_arrays", record)
+
+    def audit(positions):
+        """The distance, the stats and the first round's poses."""
+        rounds.clear()
+        stats = clearance.AuditStats()
+        moved = PoseTrajectory(traj.times, positions, traj.orientations)
+        d = min_trajectory_distance(moved, scn.robot, scn.obstacles, stats)
+        return d, stats, [int(np.flatnonzero(np.all(positions == q, axis=1))[0])
+                          for q in rounds[0]]
+
+    base = audit(traj.positions)
+    assert base[2] == [198] * 4
+    for shift in ([1, 1, 1], [-1, -1, -1], [1, 0, 0], [-1, 0, 0], [0, 1, -1], [-1, 1, 1]):
+        d, stats, first = audit(traj.positions + 1e-13 * np.array(shift))
+        assert first == base[2] and stats == base[1]
+        assert abs(d - base[0]) <= 1e-12

@@ -1,10 +1,11 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import check_decision, exact_distances, sampled_collides
+from oracles import check_decision, exact_distances, reference_fit_lwr, sampled_collides
 from sqplan import clearance, dmp, pipeline
 from sqplan.clearance import AUDIT_TOL, min_trajectory_distance
 from sqplan.dmp import (ALPHA_Z, BETA_Z, DMPModel, Demonstration,
@@ -650,6 +651,14 @@ def _load_bench_scenes():
     return module
 
 
+def bench_stream(stream):
+    """perfbench's precomputed scene and its query sampler, seed 1001."""
+    bench = _load_bench_scenes()
+    scene, regions = {"pillars": (bench.pillars(), bench.pillar_regions()),
+                      "narrow-wall": (bench.narrow_wall(), bench.wall_regions())}[stream]
+    return pipeline.precompute(scenario_from_dict(scene)), bench.QuerySampler(scene, regions, 1001)
+
+
 # --------------------------------------------------- cached rollout response
 
 
@@ -795,11 +804,7 @@ def test_query_streams_create_at_most_two_responses(stream, monkeypatch):
     # perfbench's scene and query sampler (seed 1001): dt = duration / 400
     # takes 400 steps per duration on every query, so the stream shares one
     # response
-    bench = _load_bench_scenes()
-    scene, regions = {"pillars": (bench.pillars(), bench.pillar_regions()),
-                      "narrow-wall": (bench.narrow_wall(), bench.wall_regions())}[stream]
-    pre = pipeline.precompute(scenario_from_dict(scene))
-    sampler = bench.QuerySampler(scene, regions, 1001)
+    pre, sampler = bench_stream(stream)
     ends = []
 
     def capture(model, dt):
@@ -882,3 +887,128 @@ def test_min_samples_is_the_least_that_plans_two_waypoints():
         assert np.linalg.norm(traj.positions[-1] - [0.4, 0.3]) <= 1e-3
     with pytest.raises(ValueError):
         fit_lwr(interpolate_waypoints(ways, n_samples=dmp.MIN_SAMPLES - 1))
+
+
+# ------------------------------------------------------------ cached LWR map
+
+
+def assert_fit_matches_reference(demo, p):
+    """Weights within 1e-9 of each channel's largest reference weight
+    (zero channels exactly zero), and rollouts of equal length."""
+    got, ref = fit_lwr(demo, p), reference_fit_lwr(demo, p)
+    scale = np.max(np.abs(ref.weights), axis=1, keepdims=True)
+    assert np.all(np.abs(got.weights - ref.weights) <= 1e-9 * scale)
+    for field in ("centers", "widths", "u_start", "u_goal", "forcing_scale"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field))
+    assert got.duration == ref.duration and got.dim == ref.dim
+    dt = demo.times[-1] / 400.0
+    assert len(rollout(got, dt).times) == len(rollout(ref, dt).times)
+
+
+def profile_demo(n, offset=0.0, duration=2.0):
+    """Minimum-jerk channels: two spans, a constant, a start-goal span of
+    1e-7 (where the fit's regulariser is active) and an excursion of 1e-7
+    that returns to its start, all offset by `offset`."""
+    t = np.linspace(0.0, duration, n)
+    s = t / duration
+    prof = 10 * s**3 - 15 * s**4 + 6 * s**5
+    samples = np.stack([2.0 * prof + 0.4, -prof, np.full(n, 0.7), 1e-7 * prof,
+                        1e-7 * np.sin(np.pi * s), 1e-9 * prof], axis=-1)
+    return Demonstration(t, samples + offset, 3)
+
+
+@pytest.mark.parametrize("plans", ["pillars", "narrow-wall", "benchmarks"])
+def test_fit_matches_reference_on_plan_demonstrations(plans, monkeypatch):
+    # 30 queries of perfbench's stream (seed 1001), or the six benchmarks'
+    # reference plans
+    demos = []
+
+    def capture(demo, p):
+        demos.append((demo, p))
+        return fit_lwr(demo, p)
+
+    monkeypatch.setattr(pipeline, "fit_lwr", capture)
+    if plans == "benchmarks":
+        for name in ["narrow2d", "t_block", "u_block", "pillars3d", "moderate3d", "dense3d"]:
+            assert pipeline.plan(generate_benchmark(name, 0)).success
+    else:
+        pre, sampler = bench_stream(plans)
+        for _ in range(30):
+            pipeline.plan(scenario_from_dict(sampler.next()), pre)
+    assert len(demos) == (6 if plans == "benchmarks" else 30)
+    for demo, p in demos:
+        assert_fit_matches_reference(demo, p)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 400])
+@pytest.mark.parametrize("p", [2, 25, 50])
+def test_fit_matches_reference_on_small_and_degenerate_channels(n, p):
+    # up to 8 samples the regression keeps its boundary samples
+    assert_fit_matches_reference(profile_demo(n), p)
+
+
+def test_fit_is_the_reference_fit_of_goal_centred_samples():
+    # a constant offset cancels in the forcing target; the reference's
+    # finite differences lose up to 1e-6 of a 1e-7 span to it, while the fit
+    # applies its map to the goal-centred samples
+    for n in (5, 9, 400, 1000):
+        demo = profile_demo(n, offset=5.0)
+        centred = Demonstration(demo.times, demo.samples - demo.samples[-1], demo.dim)
+        got, ref = fit_lwr(demo, 25), reference_fit_lwr(centred, 25)
+        scale = np.max(np.abs(ref.weights), axis=1, keepdims=True)
+        assert np.all(np.abs(got.weights - ref.weights) <= 1e-12 * scale)
+
+
+def test_fit_rejects_unequally_spaced_times():
+    demo = profile_demo(50)
+    for times in (demo.times ** 1.5, demo.times + 0.1, np.sort(demo.times * (1.0 + 1e-6
+                  * np.random.default_rng(3).random(50)))):
+        with pytest.raises(ValueError, match="equally spaced"):
+            fit_lwr(Demonstration(times, demo.samples, demo.dim))
+    # the rollout's grid and a linspace grid are accepted
+    traj = rollout(fit_lwr(demo), demo.times[-1] / 37.0)
+    fit_lwr(Demonstration(traj.times, np.hstack([traj.positions, traj.orientations]),
+                          demo.dim))
+
+
+def test_lwr_maps_are_read_only_and_cache_is_bounded():
+    dmp._lwr_map.cache_clear()
+    for n in range(40, 40 + 3 * dmp.LWR_MAPS):
+        fit_lwr(profile_demo(n), 12)
+        assert dmp._lwr_map.cache_info().currsize <= dmp.LWR_MAPS
+    key = (40, 12, ALPHA_Z, BETA_Z, dmp.ALPHA_X)
+    entry = dmp._lwr_map(*key)
+    assert [a.shape for a in entry] == [(12, 40), (12,), (12, 12)]
+    for a in entry:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 2.0
+    assert dmp._lwr_map(*key) is entry
+    # a fit of 40 samples reads this entry
+    hits = dmp._lwr_map.cache_info().hits
+    fit_lwr(profile_demo(40, duration=3.1), 12)
+    assert dmp._lwr_map.cache_info().hits == hits + 1
+
+
+def test_lwr_map_build_forms_no_square_array():
+    # an (N, N) operator at N = 4000 alone would take 128 MB
+    dmp._lwr_map.cache_clear()
+    tracemalloc.start()
+    try:
+        dmp._lwr_map(4000, 25, ALPHA_Z, BETA_Z, dmp.ALPHA_X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dmp._lwr_map.cache_clear()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("stream", ["pillars", "narrow-wall"])
+def test_query_streams_create_at_most_five_lwr_maps(stream):
+    # perfbench's scene and query sampler (seed 1001): the sample count is
+    # max(400, 100 per waypoint), so the stream takes a few sample counts
+    pre, sampler = bench_stream(stream)
+    dmp._lwr_map.cache_clear()
+    for _ in range(100):
+        assert pipeline.plan(scenario_from_dict(sampler.next()), pre).success
+    assert 1 <= dmp._lwr_map.cache_info().misses <= 5
