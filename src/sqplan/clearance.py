@@ -5,7 +5,9 @@ comes to an obstacle (the audit in `scenario.compute_metrics`) and whether it
 touches one (validation in `dmp.validate_and_finalize`, a threshold query at
 0). Each (obstacle, pose) pair keeps a certified lower bound on its distance,
 raised by box bounds, closed-form axis bounds and batched GJK solves
-(`proximity.closest_pair_arrays`).
+(`proximity.closest_pair_arrays`). The audit opens with one GJK min-search
+over its likeliest pairs, bounded from above in closed form, and the
+validation with threshold queries.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .poses import robot_rotations
 from .proximity import closest_pair_arrays
 
 AUDIT_TOL = 1e-6   # certified audit gap, as a fraction of the robot's bounding radius
-AUDIT_STRIDE = 16  # poses between the solves of the audit's second round
+AUDIT_STRIDE = 16  # poses between the stride poses the audit solves first
 
 
 @dataclass
@@ -32,6 +34,8 @@ class AuditStats:
     nonconverged: int = 0
     iterations: int = 0        # GJK iterations summed over the solves
     axis_certified: int = 0    # pairs retired by an axis bound, unsolved
+    round_iterations: int = 0  # per round its slowest solve's GJK iterations, summed
+    bound_retired: int = 0     # solves a GJK bound retired before convergence
     worst_pose: int | None = None  # index of the pose that attains the minimum
 
 
@@ -90,6 +94,29 @@ def _pair_bounds(rot, pos, axes, q, eps):
     return np.maximum(along_axes.max(axis=(0, 2)), along_u), bool(contact)
 
 
+def _upper_bounds(rot, pos, axes, q, eps_o):
+    """Closed-form upper bounds of the distances of (robot, obstacle) pairs.
+
+    The arrays stack the pairs as in `_pair_bounds`, robot side [0]; eps_o
+    is the obstacles' (m, dim - 1) exponents. Each bound is the distance
+    between a point of each shape: the robot's support point towards the
+    obstacle's centre, and the obstacle's surface point radially above b,
+    the point of its box nearest the robot's centre. In the obstacle's
+    frame the implicit function plus one, F, is homogeneous of degree
+    2 / eps_1, so that point is b F(b)^(-eps_1 / 2). b is first scaled onto
+    the box's surface, where F >= 1, so no power underflows; b = 0 gives
+    the centre.
+    """
+    d = pos[1] - pos[0]
+    s = support_points(rot[0], pos[0], axes[0], q[0], d)
+    b = np.clip(np.einsum("mij,mi->mj", rot[1], -d), -axes[1], axes[1])
+    scale = np.max(np.abs(b) / axes[1], axis=1, keepdims=True)
+    b = b / np.where(scale > 0.0, scale, 1.0)
+    f = np.maximum(inside_outside_local(b, axes[1], eps_o) + 1.0, 1.0)
+    surface = pos[1] + np.einsum("mij,mj->mi", rot[1], b * f[:, None] ** (-eps_o[:, :1] / 2.0))
+    return np.linalg.norm(s - surface, axis=1)
+
+
 def min_trajectory_distance(trajectory, robot: Superquadric,
                             obstacles: list[Superquadric],
                             stats: AuditStats | None = None,
@@ -110,11 +137,16 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     r |dR| (frame coherence: Cameron, ICRA 1997; van den Bergen, J. Graphics
     Tools 1999). Every round is one batched, tolerance-stopped
     `closest_pair_arrays` call on the trajectory's rotation matrices and the
-    obstacle arrays stacked once. The first round solves, for each obstacle,
-    the centre of its first run of poses tied at its least bound; the second the pairs still below at every AUDIT_STRIDE-th pose and
-    at every pose within half a stride of their obstacle's first; each later
-    one every unsolved pair still below. The
-    search ends when no unsolved pair is below the best d - h.
+    obstacle arrays stacked once. Each obstacle's pick is the centre of its
+    first run of poses tied at its least bound, and its stride poses are
+    every AUDIT_STRIDE-th pose and every pose within half a stride of the
+    pick. The first round is a GJK min-search (`closest_pair_arrays`'
+    `upper`, started at U + h): it solves the picks and the stride poses
+    whose bound is below U - h, U the least closed-form upper bound at the
+    picks (`_upper_bounds`). A pair that the search's running bound retires
+    takes its certified lower bound, and stays unsolved while that is below
+    the best d - h. Each later round solves every unsolved pair still below.
+    The search ends when no unsolved pair is below the best d - h.
 
     The result is never below the minimum over all (pose, obstacle) pairs,
     and 0.0 as soon as a solve reports contact. When no solve hits the
@@ -123,19 +155,23 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     so such a solve keeps its box bound (its normal still serves its
     neighbours' axis bounds), and then only the lower side holds. `stats`,
     when given, receives the solve, round, non-converged and summed GJK
-    iteration counts, the number of pairs that axis bounds retired without a
-    solve, and the index of the pose that attains the result.
+    iteration counts, the sum over rounds of each round's largest iteration
+    count (a batched iteration costs about the same at any batch size, so
+    this sets the GJK time), the number of solves that a GJK bound retired,
+    the number of pairs that axis bounds retired without a solve, and the
+    index of the pose that attains the result.
 
     A threshold t only decides the minimum against t, and the result is at
     most t exactly when no proof that every pair is farther than t was found.
     A pair is open while its bound is <= t. The open pairs' bounds are first
     raised by `_pair_bounds`, with rotation matrices built only for their
     poses; a support point inside the other shape returns 0.0. The pairs
-    still open then go through the rounds above, as GJK threshold queries: a
-    pair that the threshold retires takes its certified lower bound, and a
-    solve at or below t returns it at once. Otherwise the result is the
-    least bound, a certified lower bound above t; an unconverged solve keeps
-    a bound <= t and so counts as contact.
+    still open then go through rounds of GJK threshold queries, without the
+    min-search: the open picks, then the open stride poses, then every
+    unsolved pair still open. A pair that the threshold retires takes its
+    certified lower bound, and a solve at or below t returns it at once.
+    Otherwise the result is the least bound, a certified lower bound above
+    t; an unconverged solve keeps a bound <= t and so counts as contact.
     """
     if not obstacles:
         return float("inf")
@@ -190,18 +226,31 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     stop = np.where(~tied & (poses > start[:, None]), poses, n_poses).min(axis=1)
     first = (start + stop - 1) // 2
     todo = (poses == first[:, None]) & below(lower)
-    # the second round's poses: every AUDIT_STRIDE-th, and every one within
-    # half a stride of the obstacle's first, where its minimum most likely is
+    # the stride poses: every AUDIT_STRIDE-th, and every one within half a
+    # stride of the obstacle's first, where its minimum most likely is
     second = ((poses % AUDIT_STRIDE == 0)
               | (np.abs(poses - first[:, None]) <= AUDIT_STRIDE // 2))
+    upper = None
+    if threshold is None:
+        # one min-search round: the picks and the stride poses whose bound
+        # is below U - h, U the least closed-form upper bound at the picks
+        u = _upper_bounds(*pairs(np.arange(len(obstacles)), first),
+                          np.array([o.eps for o in obstacles])).min()
+        todo |= second & (lower < u - half)
+        second, upper = None, float(u) + half
     while todo.any():
         j, i = np.nonzero(todo)
-        result = closest_pair_arrays(*pairs(j, i), tol=half, threshold=threshold)
+        result = closest_pair_arrays(*pairs(j, i), tol=half, threshold=threshold,
+                                     upper=upper)
+        upper = None
         p_r, p_o, distance, converged, iterations = result
+        retired = ~np.isnan(result.lower_bound)
         stats.rounds += 1
         stats.solves += len(j)
         stats.nonconverged += len(j) - int(np.count_nonzero(converged))
         stats.iterations += int(iterations.sum())
+        stats.round_iterations += int(iterations.max())
+        stats.bound_retired += int(np.count_nonzero(retired))
         k = int(np.argmin(distance))
         if distance[k] < best:
             best, stats.worst_pose = float(distance[k]), int(i[k])
@@ -211,10 +260,10 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
         w = p_o - p_r
         normals[j, i] = w / np.linalg.norm(w, axis=1, keepdims=True)
         bound = distance - half
-        if threshold is not None:
-            retired = ~np.isnan(result.lower_bound)
-            bound[retired] = result.lower_bound[retired]
+        bound[retired] = result.lower_bound[retired]
         lower[j[converged], i[converged]] = bound[converged]
+        if threshold is None:  # a retired pair still open is solved again
+            solved[j[retired], i[retired]] = ~below(bound[retired])
         # raise the unsolved open pairs by the normals of the nearest solved
         # keys before and after theirs, in row-major (obstacle, pose) order,
         # taken only from the pair's own obstacle

@@ -160,7 +160,8 @@ def closest_pairs(shapes_i: Sequence[Superquadric],
 
 
 def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0,
-                        threshold: float | None = None) -> PairArrays:
+                        threshold: float | None = None,
+                        upper: float | None = None) -> PairArrays:
     """GJK on posed shapes given as arrays, all pairs together.
 
     rot is (2, n, dim, dim), pos and axes are (2, n, dim) and q is
@@ -188,16 +189,29 @@ def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0,
     fires, that rule wins, so a pair that the threshold does not retire
     keeps its full result bit for bit. threshold = None retires no pair.
 
+    An upper bound turns the solve into a search for the batch's least
+    distance. The batch keeps a running bound U, which starts at `upper`
+    and each iteration falls to the least |v| of the active pairs and the
+    least witness distance of the finished ones; all of these are
+    distances between points of the two shapes. A pair whose lower bound
+    v.w / |v| is above U - tol leaves like a threshold-retired pair, with
+    its witness distance and its certified `lower_bound`. The stop rules
+    win here too, so the pair that holds U finishes by one of them, and a
+    pair that the bound does not retire keeps its full result bit for bit.
+    When `upper` is at least the batch's least distance plus tol
+    (np.inf, say), the least reported distance is within tol of it, up to
+    rounding. upper = None retires no pair.
+
     Returns a PairArrays: (p_i, p_j, distance, converged, iterations) as
     arrays over the pairs, with `lower_bound` as an attribute; iterations
     counts the GJK iterations up to the one in which the pair stopped.
     """
-    return _gjk(rot, pos, axes, q, tol, threshold)
+    return _gjk(rot, pos, axes, q, tol, threshold, upper)
 
 
 # closest_pairs calls the core directly: a stand-in for closest_pair_arrays,
 # as the audit's tests install, then changes only the array front end's callers
-def _gjk(rot, pos, axes, q, tol, threshold) -> PairArrays:
+def _gjk(rot, pos, axes, q, tol, threshold, upper=None) -> PairArrays:
     n, dim = pos.shape[1], pos.shape[-1]
     shape = [rot, pos, axes, q]
     sign = np.array([-1.0, 1.0])[:, None, None]  # A along -v, B along v
@@ -207,22 +221,27 @@ def _gjk(rot, pos, axes, q, tol, threshold) -> PairArrays:
     simplex = np.repeat(ab[:, :, None], 4, axis=2)           # (2, m, 4 slots, dim)
     lam = np.eye(4)[np.zeros(n, int)]                        # all weight on slot 0
     ids, count, v = np.arange(n), np.ones(n, int), ab[0] - ab[1]
-    # each pair's final simplex, weights and flags, by pair index
-    end_simplex, end_lam = np.empty((2, n, 4, dim)), np.empty((n, 4))
-    enclosed_at, converged = np.zeros(n, bool), np.zeros(n, bool)
-    iterations, lower = np.full(n, MAX_ITER), np.full(n, np.nan)
+    # each pair's witnesses, distance and flags, by pair index
+    witnesses, distance = np.empty((2, n, dim)), np.empty(n)
+    converged, iterations, lower = np.zeros(n, bool), np.full(n, MAX_ITER), np.full(n, np.nan)
+    bound = np.inf if upper is None else upper
 
     def finish(rows, simplex, lam, enclosed, done, it):
+        nonlocal bound
         k = ids[rows]
-        end_simplex[:, k], end_lam[k] = simplex[:, rows], lam[rows]
-        enclosed_at[k], converged[k], iterations[k] = enclosed, done, it
+        p = _combine(lam[rows], simplex[:, rows])
+        d = np.where(enclosed, 0.0, np.sqrt(_dot(p[0] - p[1], p[0] - p[1])))
+        witnesses[:, k], distance[k] = p, d
+        converged[k], iterations[k] = done, it
+        bound = min(bound, d.min())
 
     for it in range(1, MAX_ITER + 1):
         ab = support_points(*shape, sign * v)
         vv = _dot(v, v)
+        norm = np.sqrt(vv)
         limit = REL_TOL * vv
         if tol:
-            limit = np.maximum(limit, tol * np.sqrt(vv))
+            limit = np.maximum(limit, tol * norm)
         vw = _dot(v, ab[0] - ab[1])
         gap = vv - vw <= limit
         new = np.concatenate([ab[:, :, None], simplex[:, :, :3]], axis=2)
@@ -233,18 +252,20 @@ def _gjk(rot, pos, axes, q, tol, threshold) -> PairArrays:
         enclosed = ~gap & ((_FACE_SIZE[face] == dim + 1)
                            | (new_vv <= TOUCH_TOL**2 * _dot(y, y)[rows, slots].max(axis=1)))
         stop = ~gap & (enclosed | (new_vv >= vv))  # or no decrease in floating point
-        if threshold is None:
-            decided = np.zeros(len(v), bool)
-        else:
-            norm = np.sqrt(vv)
-            decided = ~(gap | stop) & ((vw > threshold * norm) | (norm <= threshold))
+        decided = np.zeros(len(v), bool)
+        if threshold is not None:
+            decided |= (vw > threshold * norm) | (norm <= threshold)
+        if upper is not None:
+            bound = min(bound, norm.min(initial=np.inf))
+            decided |= vw > (bound - tol) * norm
+        decided &= ~(gap | stop)
         n_gap, n_stop = np.count_nonzero(gap), np.count_nonzero(stop)
         n_decided = np.count_nonzero(decided)
         if n_gap:  # a pair stopped by the duality gap keeps its previous simplex
             finish(gap, simplex, lam, False, True, it)
         if n_stop:
             finish(stop, new_simplex, new_lam, enclosed[stop], True, it)
-        if n_decided:  # so does a pair retired by the threshold
+        if n_decided:  # so does a pair retired by the threshold or the bound
             finish(decided, simplex, lam, False, True, it)
             lower[ids[decided]] = np.maximum(vw[decided] / norm[decided], 0.0)
         if n_gap + n_stop + n_decided == len(v):
@@ -256,9 +277,7 @@ def _gjk(rot, pos, axes, q, tol, threshold) -> PairArrays:
         v, simplex, lam, count = new_v, new_simplex, new_lam, _FACE_SIZE[face]
     else:
         finish(np.ones(len(ids), bool), simplex, lam, False, False, MAX_ITER)
-    p = _combine(end_lam, end_simplex)
-    distance = np.where(enclosed_at, 0.0, np.sqrt(_dot(p[0] - p[1], p[0] - p[1])))
-    return PairArrays((p[0], p[1], distance, converged, iterations),
+    return PairArrays((witnesses[0], witnesses[1], distance, converged, iterations),
                       np.minimum(lower, distance))
 
 

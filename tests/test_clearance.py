@@ -6,13 +6,14 @@ import pytest
 
 from oracles import check_decision, exact_distances, sampled_collides
 from sqplan import clearance, pipeline
-from sqplan.clearance import (AUDIT_TOL, _pair_bounds, min_trajectory_distance,
-                              trajectory_collides)
+from sqplan.clearance import (AUDIT_TOL, _pair_bounds, _upper_bounds,
+                              min_trajectory_distance, trajectory_collides)
 from sqplan.dmp import PoseTrajectory, demonstration_trajectory, validate_and_finalize
 from sqplan.geometry import Superquadric, dual_exponents
 from sqplan.poses import robot_pose_at
 from sqplan.proximity import closest_pair
-from sqplan.scenario import generate_benchmark, scenario_from_dict
+from sqplan.scenario import (compute_metrics, generate_benchmark, metrics_to_dict,
+                             scenario_from_dict)
 
 
 def random_shape(rng, dim, lo, hi, position):
@@ -168,6 +169,42 @@ def test_pair_bounds_are_tight_along_the_contact_normal():
         assert closest_pair(robot, obstacle).distance == pytest.approx(0.1, abs=1e-9)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_upper_bounds_never_fall_below_the_distance(dim):
+    # boxy, round and pointed exponents (0.1, 1, 2 and between), robots
+    # near and far, with their centre inside the obstacle's box, and at the
+    # obstacle's centre, where the bound is 0
+    rng = np.random.default_rng([dim, 19])
+
+    def shape(lo, hi, position):
+        eps = rng.choice([0.1, 1.0, 2.0, rng.uniform(0.1, 2.0)], size=dim - 1)
+        return Superquadric.create(eps, np.sort(rng.uniform(lo, hi, dim)), position,
+                                   rng.normal(size=1 if dim == 2 else 3))
+
+    robots, obstacles = [], []
+    for k in range(600):
+        obstacle = shape(0.2, 1.5, rng.uniform(-2.0, 2.0, dim))
+        inside = obstacle.pose.transform(rng.uniform(-1.0, 1.0, dim) * obstacle.axes)
+        centre = [rng.uniform(-3.0, 3.0, dim), inside, obstacle.center][k % 3]
+        robots.append(shape(0.05, 0.5, centre))
+        obstacles.append(obstacle)
+    arrays = stacked_pairs(robots, obstacles)
+    bounds = _upper_bounds(*arrays[:4], arrays[4][1])
+    exact = np.array([closest_pair(a, b).distance for a, b in zip(robots, obstacles)])
+    assert np.all(bounds >= exact - 1e-12)
+    assert np.all(bounds[2::3] == 0.0)
+    assert np.count_nonzero(exact > 0.5) > 100
+    # a crude bound, but of the distance's order for far pairs
+    assert np.median(bounds[exact > 0.5] / exact[exact > 0.5]) < 1.25
+    # two balls: exact when apart; at a 1e-200 m offset the obstacle's
+    # point is still on its surface, 1 m from its centre
+    ball = Superquadric.create(np.ones(dim - 1), np.ones(dim), np.zeros(dim))
+    for x, want in ((3.0, 1.9), (1e-200, 1.1)):
+        robot = Superquadric.create(np.ones(dim - 1), np.full(dim, 0.1), x * np.eye(dim)[0])
+        arrays = stacked_pairs([robot], [ball])
+        assert _upper_bounds(*arrays[:4], arrays[4][1])[0] == pytest.approx(want, abs=1e-12)
+
+
 def test_threshold_query_builds_no_rotation_when_boxes_are_clear(monkeypatch):
     robot = Superquadric.create([1.0, 1.0], [0.1, 0.2, 0.3], np.zeros(3))
     obstacle = Superquadric.create([0.2, 0.2], [0.5, 1.25, 6.0], np.zeros(3))
@@ -216,31 +253,48 @@ def test_pillars_query_93_falls_back_to_a_clear_trajectory(monkeypatch):
 def test_audit_first_round_is_stable_under_rounding_of_the_trajectory(monkeypatch):
     # on the pillars reference plan each pillar's box bound is least, and
     # exactly tied, over poses 197-199, where the path runs along the face
-    # x = 6 at x = 6 - 1e-14; the first round solves the centre of that run,
-    # and shifting the trajectory by 1e-13 leaves its picks and its work
+    # x = 6 at x = 6 - 1e-14; the opening round solves the centre of that
+    # run for every pillar, and shifting the trajectory by 1e-13 leaves its
+    # (pose, pillar) pairs and its work
     scn = generate_benchmark("pillars3d", 0)
     traj = pipeline.plan(scn).trajectory
+    centres = np.array([o.center for o in scn.obstacles])
     rounds = []
     solve = clearance.closest_pair_arrays
 
     def record(rot, pos, *args, **kwargs):
-        rounds.append(pos[0].copy())
+        rounds.append(pos.copy())
         return solve(rot, pos, *args, **kwargs)
 
     monkeypatch.setattr(clearance, "closest_pair_arrays", record)
 
     def audit(positions):
-        """The distance, the stats and the first round's poses."""
+        """The distance, the stats and the opening round's (pose, pillar)
+        pairs."""
         rounds.clear()
         stats = clearance.AuditStats()
         moved = PoseTrajectory(traj.times, positions, traj.orientations)
         d = min_trajectory_distance(moved, scn.robot, scn.obstacles, stats)
-        return d, stats, [int(np.flatnonzero(np.all(positions == q, axis=1))[0])
-                          for q in rounds[0]]
+        return d, stats, {(int(np.flatnonzero(np.all(positions == p, axis=1))[0]),
+                           int(np.flatnonzero(np.all(centres == c, axis=1))[0]))
+                          for p, c in zip(*rounds[0])}
 
     base = audit(traj.positions)
-    assert base[2] == [198] * 4
+    assert {(198, j) for j in range(len(scn.obstacles))} <= base[2]
     for shift in ([1, 1, 1], [-1, -1, -1], [1, 0, 0], [-1, 0, 0], [0, 1, -1], [-1, 1, 1]):
         d, stats, first = audit(traj.positions + 1e-13 * np.array(shift))
         assert first == base[2] and stats == base[1]
         assert abs(d - base[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("name, most", [("pillars3d", 24), ("narrow2d", 12)])
+def test_audit_opens_with_one_min_search_round(name, most):
+    # the opening round's bound retires solves, and the slowest solve of
+    # each round, summed, stays at most `most` (45 and 22 when the picks
+    # and the stride poses were two rounds); both counts reach metrics.json
+    scn = generate_benchmark(name, 0)
+    report = compute_metrics(pipeline.plan(scn).trajectory, scn, {})
+    out = metrics_to_dict(report)
+    assert out["audit_round_iterations"] == report.audit.round_iterations <= most
+    assert out["audit_bound_retired"] == report.audit.bound_retired > 0
+    assert report.audit.nonconverged == 0

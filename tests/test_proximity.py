@@ -580,3 +580,53 @@ def test_threshold_query_does_not_depend_on_the_batch(dim):
     half = closest_pairs([a for a, _ in cases[::2]], [b for _, b in cases[::2]], threshold)
     assert all(same(g, x) for g, x in zip(half, alone[::2]))
     assert closest_pairs([], [], threshold) == []
+
+
+# ------------------------------------------------------------ min-search
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps_range", [(0.1, 0.1), (2.0, 2.0), (0.1, 2.0)])
+@pytest.mark.parametrize("tol", [0.0, 1e-6, 1e-3])
+def test_min_search_keeps_unretired_pairs_and_the_batch_minimum(dim, eps_range, tol):
+    # oracle_cases hold overlaps, containment, equal centres and near
+    # touches; the separated ones alone make a batch whose minimum is > 0
+    rng = np.random.default_rng([80 + dim, int(10 * eps_range[0]), int(10 * eps_range[1]),
+                                 int(1e6 * tol)])
+    cases = oracle_cases(dim, eps_range, rng) + [
+        (random_sq(rng, dim, eps_range=eps_range), random_sq(rng, dim, eps_range=eps_range))
+        for _ in range(20)]
+    exact = np.array([p.distance for p in closest_pairs([a for a, _ in cases],
+                                                        [b for _, b in cases])])
+    separated = [c for c, d in zip(cases, exact) if d > 1e-6]
+    assert len(separated) >= 20
+    retired_any = False
+    for batch in (cases, separated, separated[::3]):
+        sides = stacked_sides([a for a, _ in batch], [b for _, b in batch])
+        want = np.array([closest_pair(a, b).distance for a, b in batch])
+        for upper in (np.inf, want.min() + tol):
+            got = closest_pair_arrays(*sides, tol, upper=upper)
+            retired = ~np.isnan(got.lower_bound)
+            retired_any |= retired.any()
+            assert got[3].all()
+            for k in np.flatnonzero(retired):
+                assert 0.0 <= got.lower_bound[k] <= want[k] + 1e-12
+                assert want[k] <= got[2][k] + 1e-12
+            for k in np.flatnonzero(~retired):
+                alone = closest_pair_arrays(*(x[:, k:k + 1] for x in sides), tol)
+                assert all(np.array_equal(x[k], y[0]) for x, y in zip(got, alone))
+                assert np.isnan(alone.lower_bound[0])
+            assert want.min() - 1e-12 <= got[2].min() <= want.min() + tol + 1e-12
+    assert retired_any
+
+
+def test_min_search_below_the_minimum_retires_every_pair_with_a_bound():
+    # an upper bound under every distance retires each pair as soon as
+    # its lower bound is positive, still certified
+    rng = np.random.default_rng(90)
+    cases = [(random_sq(rng, 3), random_sq(rng, 3)) for _ in range(30)]
+    want = np.array([closest_pair(a, b).distance for a, b in cases])
+    far = want > 0.1
+    sides = stacked_sides([a for a, _ in cases], [b for _, b in cases])
+    got = closest_pair_arrays(*(x[:, far] for x in sides), 0.0, upper=0.0)
+    assert np.all(got.lower_bound <= want[far] + 1e-12) and np.all(got[4] <= 2)

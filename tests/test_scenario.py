@@ -398,10 +398,12 @@ def test_audit_does_not_certify_by_an_unconverged_distance(monkeypatch):
     pose_of = {p.tobytes(): k for k, p in enumerate(traj.positions)}
     solve = proximity.closest_pair_arrays
 
-    def too_far(rot, pos, axes, q, tol=0.0, threshold=None):
-        p_i, p_j, distance, converged, iterations = solve(rot, pos, axes, q, tol, threshold)
+    def too_far(rot, pos, axes, q, tol=0.0, threshold=None, upper=None):
+        result = solve(rot, pos, axes, q, tol, threshold, upper)
+        p_i, p_j, distance, converged, iterations = result
         far = np.array([pose_of[p.tobytes()] not in (0, 85) for p in pos[0]])
-        return p_i, p_j, distance + 0.5 * far, converged & ~far, iterations
+        return proximity.PairArrays(
+            (p_i, p_j, distance + 0.5 * far, converged & ~far, iterations), result.lower_bound)
 
     monkeypatch.setattr(proximity, "closest_pair_arrays", too_far)
     monkeypatch.setattr(clearance, "closest_pair_arrays", too_far)
@@ -410,6 +412,23 @@ def test_audit_does_not_certify_by_an_unconverged_distance(monkeypatch):
     assert got == check_audit(traj, robot, obstacles)
     assert abs(got - 0.1) <= 1e-6
     assert 0 < stats.nonconverged < stats.solves
+
+
+# with these seeds, marking the retired pairs solved would end the audit
+# 1e-3 .. 3e-2 m above the all-pairs minimum
+@pytest.mark.parametrize("dim, seed", [(2, 16), (2, 22), (3, 0), (3, 8)])
+def test_audit_solves_again_what_a_too_low_opening_bound_retired(dim, seed, monkeypatch):
+    # an opening bound of 0 retires the min-search round's solves on lower
+    # bounds below the round's best distance: those pairs stay open and a
+    # later round solves them, so the audit keeps its certificate
+    rng = np.random.default_rng([dim, 300, seed])
+    robot, obstacles = random_scene(rng, dim)
+    traj = wandering_trajectory(rng, dim, 120, 0.0, 2.0)
+    monkeypatch.setattr(clearance, "_upper_bounds", lambda *arrays: np.zeros(len(obstacles)))
+    stats = AuditStats()
+    got = check_audit(traj, robot, obstacles)
+    assert min_trajectory_distance(traj, robot, obstacles, stats) == got
+    assert stats.rounds > 1 and stats.bound_retired > 0 and stats.nonconverged == 0
 
 
 @pytest.mark.parametrize("move", ["translate", "rotate"])
