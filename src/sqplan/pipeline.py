@@ -9,7 +9,7 @@ validation).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,9 +120,10 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
 
 
 def _clone_graph(graph: RoadmapGraph) -> RoadmapGraph:
-    return RoadmapGraph(graph.dim, list(graph.nodes), list(graph.node_kinds),
-                        list(graph.edges),
-                        {k: dict(v) for k, v in graph.adjacency.items()})
+    """Fresh node, edge and adjacency containers; the build's counts carry over."""
+    return replace(graph, nodes=list(graph.nodes), node_kinds=list(graph.node_kinds),
+                   edges=list(graph.edges),
+                   adjacency={k: dict(v) for k, v in graph.adjacency.items()})
 
 
 def _degenerate_waypoints(scenario: Scenario, graph: RoadmapGraph,

@@ -4,7 +4,8 @@ Cell edges provide the maximum-clearance skeleton; nearby vertices left by
 the linear bisector approximation are bridged; start/goal are projected onto
 their closest edges. Every edge is collision-checked against the expanded
 obstacles so boundary edges cannot tunnel through obstacles that touch the
-world box.
+world box: `segments_clear` decides a batch of segments at once, and a build
+decides its cell edges in one batch and its bridge candidates in another.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ class RoadmapGraph:
     node_kinds: list[str] = field(default_factory=list)  # "cell" | "projection" | "terminal"
     edges: list[Edge] = field(default_factory=list)
     adjacency: dict[int, dict[int, int]] = field(default_factory=dict)
+    # build_graph's tallies: segments decided and rejected, bridges added
+    segments_decided: int = 0
+    segments_rejected: int = 0
+    bridges_added: int = 0
 
     def add_node(self, point, kind: str) -> int:
         self.nodes.append(np.asarray(point, dtype=float))
@@ -73,18 +78,28 @@ class RoadmapGraph:
         return [self.edges[k] for k in sorted(seen)]
 
 
-def _segment_clear(a, b, expanded, samples=EDGE_SAMPLES) -> bool:
-    """True when no interior sample of segment a-b is strictly inside any shape."""
+def segments_clear(a, b, shapes, samples=EDGE_SAMPLES) -> np.ndarray:
+    """bool[E]: True where no interior sample of segment a[k]-b[k] is
+    strictly inside (below -INSIDE_TOL) any shape. A shape is tested only on
+    the segments whose bounding sphere meets its own and that are still
+    clear, all their samples in one pass per shape."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    clear = np.ones(len(a), dtype=bool)
+    if len(a) == 0:
+        return clear
     ts = np.arange(1, samples + 1) / (samples + 1.0)
-    pts = a + ts[:, None] * (b - a)
-    seg_r = 0.5 * np.linalg.norm(b - a)
+    pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+    seg_r = 0.5 * np.linalg.norm(b - a, axis=1)
     mid = 0.5 * (a + b)
-    for sq in expanded:
-        if np.linalg.norm(sq.center - mid) > seg_r + sq.bounding_radius():
+    for sq in shapes:
+        near = np.flatnonzero(clear & (np.linalg.norm(sq.center - mid, axis=1)
+                                       <= seg_r + sq.bounding_radius()))
+        if len(near) == 0:
             continue
-        if np.any(inside_outside(sq, pts) < -INSIDE_TOL):
-            return False
-    return True
+        f = inside_outside(sq, pts[near].reshape(-1, a.shape[1]))
+        clear[near[np.any(f.reshape(len(near), samples) < -INSIDE_TOL, axis=1)]] = False
+    return clear
 
 
 def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
@@ -93,7 +108,12 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
     Vertices within MERGE_TOL are merged; node pairs closer than h gain a
     bridging edge. Edges whose interior samples enter an expanded obstacle
     are rejected (cell edges along the world box can cross obstacles that
-    touch the boundary; bridges must patch holes, not tunnel).
+    touch the boundary; bridges must patch holes, not tunnel). Each distinct
+    cell edge is decided once, all in one `segments_clear` call, and the
+    edges are then inserted in cell order, repeats merging their bisector
+    normals into the first. Node pairs closer than h that the cell edges
+    leave unjoined are decided in a second call. The graph counts the
+    segments decided and rejected and the bridges added.
     """
     if h < 0.0:
         raise ValueError("bridging threshold must be non-negative")
@@ -116,33 +136,50 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
         r = uf.find(i)
         if r not in node_of:
             node_of[r] = graph.add_node(pts[r], "cell")
+    node_pts = np.array(graph.nodes)
+
+    def decide(segs):
+        segs = np.array(segs, dtype=int).reshape(-1, 2)
+        clear = segments_clear(node_pts[segs[:, 0]], node_pts[segs[:, 1]],
+                               diagram.expanded)
+        graph.segments_decided += len(segs)
+        graph.segments_rejected += int(np.count_nonzero(~clear))
+        return segs, clear
 
     def hp_info(tag):
         hp = diagram.hyperplanes[tag]
         return (tag, hp.witness_distance, hp.normal)
 
+    # the first (nu, nv) of each unordered node pair is the segment decided
+    candidates = []
+    firsts = []
+    pair_of: dict[tuple[int, int], int] = {}
     for off, cell in zip(offsets, diagram.cells):
         for u, v, tags in cell.edges:
             nu, nv = node_of[uf.find(off + u)], node_of[uf.find(off + v)]
             if nu == nv:
                 continue
-            normals = [hp_info(t) for t in sorted(set(tags)) if t >= 0]
-            existing = graph.edge_between(nu, nv)
-            if existing is not None:
-                known = {t for t, _, _ in existing.normals}
-                existing.normals.extend(x for x in normals if x[0] not in known)
-                continue
-            if _segment_clear(graph.nodes[nu], graph.nodes[nv], diagram.expanded):
-                graph.add_edge(nu, nv, "cell", normals)
+            key = (min(nu, nv), max(nu, nv))
+            if key not in pair_of:
+                pair_of[key] = len(firsts)
+                firsts.append((nu, nv))
+            candidates.append((nu, nv, tags, pair_of[key]))
+    _, clear = decide(firsts)
+    for nu, nv, tags, k in candidates:
+        normals = [hp_info(t) for t in sorted(set(tags)) if t >= 0]
+        existing = graph.edge_between(nu, nv)
+        if existing is not None:
+            known = {t for t, _, _ in existing.normals}
+            existing.normals.extend(x for x in normals if x[0] not in known)
+        elif clear[k]:
+            graph.add_edge(nu, nv, "cell", normals)
 
-    node_pts = np.array(graph.nodes)
     if len(node_pts) > 1 and h > 0.0:
-        ntree = cKDTree(node_pts)
-        for i, j in sorted(ntree.query_pairs(h)):
-            if j in graph.adjacency[i]:
-                continue
-            if _segment_clear(node_pts[i], node_pts[j], diagram.expanded):
-                graph.add_edge(i, j, "bridge")
+        bridges, clear = decide([(i, j) for i, j in sorted(cKDTree(node_pts).query_pairs(h))
+                                 if j not in graph.adjacency[i]])
+        for i, j in bridges[clear]:
+            graph.add_edge(int(i), int(j), "bridge")
+        graph.bridges_added = int(np.count_nonzero(clear))
     return graph
 
 
@@ -242,4 +279,7 @@ def graph_to_dict(graph: RoadmapGraph) -> dict:
             "u": e.u, "v": e.v, "weight": e.weight, "kind": e.kind,
             "hyperplanes": [int(t) for t, _, _ in e.normals],
         } for e in graph.live_edges()],
+        "segments_decided": graph.segments_decided,
+        "segments_rejected": graph.segments_rejected,
+        "bridges_added": graph.bridges_added,
     }

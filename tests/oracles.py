@@ -6,10 +6,17 @@ before the certified engine: it tests surface samples and centres of the
 posed robot and of each obstacle against the other's implicit function, so
 it can miss a contact between samples. `reference_fit_lwr` is the LWR fit
 before its cached map: finite differences in the demonstration's own times
-and three residual passes over (N, P) arrays.
+and three residual passes over (N, P) arrays. `segment_clear` is the
+roadmap's edge test one segment at a time, and `reference_build_graph` the
+roadmap build that calls it once per candidate edge, in insertion order.
+`load_bench_scenes` imports perfbench's scene definitions.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 from sqplan.clearance import AUDIT_TOL, trajectory_collides
 from sqplan.dmp import ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, _basis
@@ -17,6 +24,8 @@ from sqplan.geometry import (RigidPose, box_gaps, inside_outside,
                              inside_outside_local, surface_samples)
 from sqplan.poses import robot_pose_at, robot_rotations
 from sqplan.proximity import closest_pairs
+from sqplan.roadmap import EDGE_SAMPLES, INSIDE_TOL, MERGE_TOL, RoadmapGraph
+from sqplan.voronoi import _UnionFind
 
 
 def exact_distances(trajectory, robot, obstacles):
@@ -108,3 +117,79 @@ def reference_fit_lwr(demo, p):
     weights[:, np.abs(forcing_scale) < 1e-12] = 0.0
     return DMPModel(weights.T.copy(), centers, widths, duration, u_start, u_goal,
                     demo.dim, forcing_scale)
+
+
+def segment_clear(a, b, expanded, samples=EDGE_SAMPLES) -> bool:
+    """True when no interior sample of segment a-b is strictly inside any shape."""
+    ts = np.arange(1, samples + 1) / (samples + 1.0)
+    pts = a + ts[:, None] * (b - a)
+    seg_r = 0.5 * np.linalg.norm(b - a)
+    mid = 0.5 * (a + b)
+    for sq in expanded:
+        if np.linalg.norm(sq.center - mid) > seg_r + sq.bounding_radius():
+            continue
+        if np.any(inside_outside(sq, pts) < -INSIDE_TOL):
+            return False
+    return True
+
+
+def reference_build_graph(diagram, h):
+    """The roadmap build with one `segment_clear` call per candidate edge:
+    a cell edge is tested when no edge joins its nodes yet (again after a
+    rejection), a bridge when the k-d tree pair is not yet adjacent. The
+    counts are the calls, the rejections and the bridges added."""
+    graph = RoadmapGraph(diagram.dim)
+    all_pts = []
+    offsets = []
+    for cell in diagram.cells:
+        offsets.append(len(all_pts))
+        all_pts.extend(cell.vertices)
+    if not all_pts:
+        return graph
+    pts = np.array(all_pts)
+    uf = _UnionFind(len(pts))
+    for i, j in sorted(cKDTree(pts).query_pairs(MERGE_TOL)):
+        uf.union(i, j)
+    node_of = {}
+    for i in range(len(pts)):
+        r = uf.find(i)
+        if r not in node_of:
+            node_of[r] = graph.add_node(pts[r], "cell")
+
+    def clear(a, b):
+        graph.segments_decided += 1
+        ok = segment_clear(a, b, diagram.expanded)
+        graph.segments_rejected += not ok
+        return ok
+
+    for off, cell in zip(offsets, diagram.cells):
+        for u, v, tags in cell.edges:
+            nu, nv = node_of[uf.find(off + u)], node_of[uf.find(off + v)]
+            if nu == nv:
+                continue
+            normals = [(t, diagram.hyperplanes[t].witness_distance, diagram.hyperplanes[t].normal)
+                       for t in sorted(set(tags)) if t >= 0]
+            existing = graph.edge_between(nu, nv)
+            if existing is not None:
+                known = {t for t, _, _ in existing.normals}
+                existing.normals.extend(x for x in normals if x[0] not in known)
+                continue
+            if clear(graph.nodes[nu], graph.nodes[nv]):
+                graph.add_edge(nu, nv, "cell", normals)
+
+    node_pts = np.array(graph.nodes)
+    if len(node_pts) > 1 and h > 0.0:
+        for i, j in sorted(cKDTree(node_pts).query_pairs(h)):
+            if j not in graph.adjacency[i] and clear(node_pts[i], node_pts[j]):
+                graph.add_edge(i, j, "bridge")
+                graph.bridges_added += 1
+    return graph
+
+
+def load_bench_scenes():
+    """perfbench/scenes.py as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,10 +1,7 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from oracles import check_decision, exact_distances, sampled_collides
+from oracles import check_decision, exact_distances, load_bench_scenes, sampled_collides
 from sqplan import clearance, pipeline
 from sqplan.clearance import (AUDIT_TOL, _pair_bounds, _upper_bounds,
                               min_trajectory_distance, trajectory_collides)
@@ -215,19 +212,11 @@ def test_threshold_query_builds_no_rotation_when_boxes_are_clear(monkeypatch):
     assert 2.0 - 0.5 - robot.bounding_radius() == pytest.approx(bound, abs=1e-12)
 
 
-def _load_bench_scenes():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
-    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_pillars_query_93_falls_back_to_a_clear_trajectory(monkeypatch):
     # the sampled validator passed this query's smoothed trajectory, whose
     # certified clearance is 0: the threshold query rejects it, and the raw
     # demonstration returned instead is certified clear
-    bench = _load_bench_scenes()
+    bench = load_bench_scenes()
     scene = bench.pillars()
     sampler = bench.QuerySampler(scene, bench.pillar_regions(), 1001)
     for _ in range(93):

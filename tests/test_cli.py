@@ -28,6 +28,9 @@ def test_demo_then_plan(tmp_path, capsys):
         metrics = json.load(f)
     assert metrics["success"] is True
     assert metrics["min_distance_m"] > 0.01
+    with open(os.path.join(run, "geometry.json")) as f:
+        graph = json.load(f)["graph"]
+    assert (graph["segments_decided"], graph["segments_rejected"], graph["bridges_added"]) == (7, 2, 0)
     out_text = capsys.readouterr().out
     assert "success" in out_text
 

@@ -1,11 +1,10 @@
-import importlib.util
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import check_decision, exact_distances, reference_fit_lwr, sampled_collides
+from oracles import (check_decision, exact_distances, load_bench_scenes, reference_fit_lwr,
+                     sampled_collides)
 from sqplan import clearance, dmp, pipeline
 from sqplan.clearance import AUDIT_TOL, min_trajectory_distance
 from sqplan.dmp import (ALPHA_Z, BETA_Z, DMPModel, Demonstration,
@@ -643,17 +642,9 @@ def test_box_broadphase_skips_poses_inside_the_bounding_sphere(monkeypatch):
         assert check_decision(traj, robot, [pillar])[0] is expected
 
 
-def _load_bench_scenes():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
-    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def bench_stream(stream):
     """perfbench's precomputed scene and its query sampler, seed 1001."""
-    bench = _load_bench_scenes()
+    bench = load_bench_scenes()
     scene, regions = {"pillars": (bench.pillars(), bench.pillar_regions()),
                       "narrow-wall": (bench.narrow_wall(), bench.wall_regions())}[stream]
     return pipeline.precompute(scenario_from_dict(scene)), bench.QuerySampler(scene, regions, 1001)
@@ -845,7 +836,7 @@ def test_rollout_is_stable_under_one_ulp_waypoint_changes(monkeypatch):
     # perfbench's pillars stream, seed 1001, query 54: moving each waypoint
     # coordinate by one ulp moved the rollout by up to 3e-5 m while passage
     # times sat in the demonstration grid, next to a grid time
-    bench = _load_bench_scenes()
+    bench = load_bench_scenes()
     scene = bench.pillars()
     pre = pipeline.precompute(scenario_from_dict(scene))
     sampler = bench.QuerySampler(scene, bench.pillar_regions(), 1001)

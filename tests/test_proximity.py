@@ -1,11 +1,10 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from oracles import load_bench_scenes
 from sqplan import proximity, voronoi
 from sqplan.geometry import (EPS_MAX, Superquadric, dual_exponents, inside_outside,
                              surface_samples)
@@ -401,21 +400,13 @@ def test_result_does_not_depend_on_the_batch(dim):
     assert all(same_result(g, x) for g, x in zip(half, alone[1::2]))
 
 
-def _load_bench_scenes():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
-    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_diagrams_match_one_pair_oracle(monkeypatch):
     """The six benchmark scenes and the benchmark's random build fields give
     the same clusters and hyperplanes with batched GJK as with the one-pair
     oracle. Each diagram decides all its obstacle pairs against OVERLAP_TOL
     in one call, then solves in full, in at most one more call, only pairs
     across clusters."""
-    bench = _load_bench_scenes()
+    bench = load_bench_scenes()
     scenes = ([generate_benchmark(name) for name in BENCHMARK_NAMES]
               + [scenario_from_dict(bench.random_field(*f)) for f in bench.BUILD3D_FIELDS])
 

@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from sqplan import pipeline
-from sqplan.geometry import Superquadric, inside_outside
-from sqplan.roadmap import (MERGE_TOL, RoadmapGraph, _point_segment, build_graph,
-                            project_terminal, shortest_path)
-from sqplan.scenario import generate_benchmark
+from oracles import load_bench_scenes, reference_build_graph, segment_clear
+from sqplan import pipeline, roadmap
+from sqplan.geometry import EPS_MAX, EPS_MIN, Superquadric, inside_outside
+from sqplan.roadmap import (EDGE_SAMPLES, INSIDE_TOL, MERGE_TOL, RoadmapGraph,
+                            _point_segment, build_graph, graph_to_dict,
+                            project_terminal, segments_clear, shortest_path)
+from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
 from sqplan.voronoi import build_diagram
 
 
@@ -215,3 +217,111 @@ def test_project_terminal_matches_per_edge_loop_on_query_streams(name):
         assert graph.node_kinds == reference.node_kinds
         assert ([(e.u, e.v, e.kind) for e in graph.live_edges()]
                 == [(e.u, e.v, e.kind) for e in reference.live_edges()])
+
+
+# ------------------------------- batched edge test vs the per-edge oracle
+
+
+def random_segments(rng, dim, n=300):
+    """Segments among six rotated shapes with exponents at the clamp ends
+    and one far from every segment; the first ten segments have zero length
+    and the next ten lie inside the first shape."""
+    shapes = [Superquadric.create(rng.choice([EPS_MIN, 1.0, EPS_MAX], dim - 1),
+                                  np.sort(rng.uniform(0.3, 2.0, dim)), rng.uniform(2.0, 8.0, dim),
+                                  rng.uniform(-np.pi, np.pi, 1 if dim == 2 else 3))
+              for _ in range(6)]
+    shapes.append(Superquadric.create(np.full(dim - 1, EPS_MIN), np.full(dim, 0.3),
+                                      np.full(dim, 100.0)))
+    a = rng.uniform(0.0, 10.0, (n, dim))
+    b = a + rng.normal(0.0, 2.0, (n, dim))
+    b[:10] = a[:10]
+    a[10:20] = shapes[0].center + 0.05 * rng.normal(size=(10, dim))
+    b[10:20] = shapes[0].center + 0.05 * rng.normal(size=(10, dim))
+    # drop segments with a sample near the rejection threshold, where the
+    # two tests may round to different sides
+    ts = np.arange(1, EDGE_SAMPLES + 1) / (EDGE_SAMPLES + 1.0)
+    pts = a[:, None] + ts[None, :, None] * (b - a)[:, None]
+    f = np.stack([inside_outside(sq, pts) for sq in shapes])
+    keep = np.all(np.abs(f + INSIDE_TOL) > 1e-6, axis=(0, 2))
+    return a[keep], b[keep], shapes, keep
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_segments_clear_matches_the_per_edge_test(dim, seed):
+    a, b, shapes, keep = random_segments(np.random.default_rng([dim, seed]), dim)
+    got = segments_clear(a, b, shapes)
+    assert got.dtype == bool and got.shape == (len(a),)
+    assert got.tolist() == [segment_clear(x, y, shapes) for x, y in zip(a, b)]
+    assert keep[:20].all()  # the zero-length and inside segments are tested
+    assert not got[10:20].any()
+    assert got.sum() >= 20 and (~got).sum() >= 20
+
+
+def test_segments_clear_without_candidates():
+    shapes = [Superquadric.create([0.5, 1.5], [0.2, 0.3, 0.4], [50.0, 0.0, 0.0], [0.3, 0.2, 0.1])]
+    assert segments_clear(np.empty((0, 3)), np.empty((0, 3)), shapes).shape == (0,)
+    a = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    assert segments_clear(a, a[::-1], shapes).tolist() == [True, True]  # no shape near
+    assert segments_clear(a, a, []).tolist() == [True, True]
+
+
+def test_segment_along_a_flat_face_is_clear():
+    # on the face y = 1 of a boxy square the samples have 0 <= f < 1e-6, so
+    # only samples strictly inside, below -INSIDE_TOL, reject a segment
+    square = [Superquadric.create([EPS_MIN], [1.0, 1.0], [0.0, 0.0])]
+    a = np.array([[-0.5, 1.0], [-0.5, 1.0 - 1e-6]])
+    b = np.array([[0.5, 1.0], [0.5, 1.0 - 1e-6]])
+    assert segments_clear(a, b, square).tolist() == [True, False]
+    assert [segment_clear(x, y, square) for x, y in zip(a, b)] == [True, False]
+
+
+def twelve_scenes():
+    """The six benchmarks, the four build3d fields, pillars and the narrow wall."""
+    bench = load_bench_scenes()
+    scenes = {name: generate_benchmark(name, 0) for name in BENCHMARK_NAMES}
+    scenes.update({f"field{s}_{c}": scenario_from_dict(bench.random_field(s, c))
+                   for s, c in bench.BUILD3D_FIELDS})
+    scenes["pillars"] = scenario_from_dict(bench.pillars())
+    scenes["narrow_wall"] = scenario_from_dict(bench.narrow_wall())
+    return scenes
+
+
+def graph_bytes(graph):
+    """Nodes, kinds, edges with weights and normals, adjacency and counts."""
+    return (np.array(graph.nodes).tobytes(), graph.node_kinds,
+            [(e.u, e.v, np.float64(e.weight).tobytes(), e.kind,
+              [(t, np.float64(w).tobytes(), n.tobytes()) for t, w, n in e.normals])
+             for e in graph.edges],
+            graph.adjacency,
+            (graph.segments_decided, graph.segments_rejected, graph.bridges_added))
+
+
+def test_build_graph_matches_the_per_edge_build_and_makes_two_calls(monkeypatch):
+    calls = []
+
+    def counted(a, b, shapes):
+        calls.append(len(a))
+        return segments_clear(a, b, shapes)
+
+    monkeypatch.setattr(roadmap, "segments_clear", counted)
+    bridged = 0
+    for name, scn in twelve_scenes().items():
+        diagram = build_diagram(scn.robot, scn.obstacles, scn.world_lo, scn.world_hi)
+        h = pipeline.default_bridging_distance(scn)
+        calls.clear()
+        graph = build_graph(diagram, h)
+        assert graph_bytes(graph) == graph_bytes(reference_build_graph(diagram, h)), name
+        assert len(calls) == 2 and sum(calls) == graph.segments_decided, name
+        bridged += graph.bridges_added > 0
+        calls.clear()
+        build_graph(diagram, 0.0)
+        assert len(calls) == 1, name
+    assert bridged >= 2
+
+
+@pytest.mark.parametrize("name, counts", [("pillars3d", (20, 4, 0)), ("dense3d", (107, 9, 3)),
+                                          ("narrow2d", (7, 2, 0))])
+def test_plan_reports_the_build_counts(name, counts):
+    # the plan's graph is a clone of the precomputed one, with terminals added
+    d = graph_to_dict(pipeline.plan(generate_benchmark(name, 0)).graph)
+    assert (d["segments_decided"], d["segments_rejected"], d["bridges_added"]) == counts
