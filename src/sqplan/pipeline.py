@@ -9,7 +9,7 @@ validation).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,18 +71,21 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
     """Run the full pipeline on a scenario.
 
     A shared Precomputed structure lets repeated queries on the same scene
-    skip the diagram/graph construction; the graph is copied implicitly by
-    projecting terminals onto a fresh shallow clone of the edge lists.
+    skip the diagram/graph construction. Its graph is read-only: projecting
+    the terminals derives the query's own graph, which the result carries.
+    A roadmap without an edge has no feasible passage.
     """
     if pre is None:
         pre = precompute(scenario)
-    diagram, graph = pre.diagram, _clone_graph(pre.graph)
+    diagram, graph = pre.diagram, pre.graph
     timings = {"precompute_s": pre.seconds, "success": False, "fallback": False}
 
     t0 = time.perf_counter()
-    start_node = project_terminal(scenario.start.position, graph)
-    goal_node = project_terminal(scenario.goal.position, graph)
-    path = shortest_path(graph, start_node, goal_node)
+    path = None
+    if len(graph.edges):
+        graph, start_node = project_terminal(scenario.start.position, graph)
+        graph, goal_node = project_terminal(scenario.goal.position, graph)
+        path = shortest_path(graph, start_node, goal_node)
     if path is None:
         timings["query_s"] = time.perf_counter() - t0
         return PlanResult(False, NO_FEASIBLE_PASSAGE, diagram, graph, None,
@@ -117,13 +120,6 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
     timings["fallback"] = report.fallback
     return PlanResult(True, None, diagram, graph, path, waypoints, demo,
                       trajectory, report, timings)
-
-
-def _clone_graph(graph: RoadmapGraph) -> RoadmapGraph:
-    """Fresh node, edge and adjacency containers; the build's counts carry over."""
-    return replace(graph, nodes=list(graph.nodes), node_kinds=list(graph.node_kinds),
-                   edges=list(graph.edges),
-                   adjacency={k: dict(v) for k, v in graph.adjacency.items()})
 
 
 def _degenerate_waypoints(scenario: Scenario, graph: RoadmapGraph,

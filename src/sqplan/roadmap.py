@@ -1,17 +1,23 @@
 """Weighted roadmap graph over Voronoi cell vertices and edges.
 
 Cell edges provide the maximum-clearance skeleton; nearby vertices left by
-the linear bisector approximation are bridged; start/goal are projected onto
-their closest edges. Every edge is collision-checked against the expanded
-obstacles so boundary edges cannot tunnel through obstacles that touch the
-world box: `segments_clear` decides a batch of segments at once, and a build
-decides its cell edges in one batch and its bridge candidates in another.
+the linear bisector approximation are bridged. Every edge is collision-checked
+against the expanded obstacles so boundary edges cannot tunnel through
+obstacles that touch the world box: `segments_clear` decides a batch of
+segments at once, and a build decides its cell edges in one batch and its
+bridge candidates in another. A built graph is read-only, so all queries of
+a scene share it: `project_terminal` derives a query's graph from it by
+dropping the split edge's row and appending the halves and the stub.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -24,58 +30,77 @@ EDGE_SAMPLES = 32
 INSIDE_TOL = 1e-9
 
 
-@dataclass
-class Edge:
+class Edge(NamedTuple):
+    """One edge row of a RoadmapGraph."""
+
     u: int
     v: int
     weight: float
     kind: str  # "cell" | "bridge" | "stub"
     # (hyperplane id, witness distance, unit normal) per adjacent bisector face
-    normals: list[tuple[int, float, np.ndarray]] = field(default_factory=list)
+    normals: tuple[tuple[int, float, np.ndarray], ...]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RoadmapGraph:
-    dim: int
-    nodes: list[np.ndarray] = field(default_factory=list)
-    node_kinds: list[str] = field(default_factory=list)  # "cell" | "projection" | "terminal"
-    edges: list[Edge] = field(default_factory=list)
-    adjacency: dict[int, dict[int, int]] = field(default_factory=dict)
+    """Node and edge rows. The arrays are not writeable, and kinds and
+    normals are tuples; `create` builds a graph from plain rows."""
+
+    nodes: np.ndarray  # (V, dim)
+    node_kinds: tuple[str, ...]  # "cell" | "projection" | "terminal"
+    edges: np.ndarray  # (E, 2) node ids
+    weights: np.ndarray  # (E,) edge lengths
+    edge_kinds: tuple[str, ...]
+    edge_normals: tuple[tuple[tuple[int, float, np.ndarray], ...], ...]
     # build_graph's tallies: segments decided and rejected, bridges added
     segments_decided: int = 0
     segments_rejected: int = 0
     bridges_added: int = 0
 
-    def add_node(self, point, kind: str) -> int:
-        self.nodes.append(np.asarray(point, dtype=float))
-        self.node_kinds.append(kind)
-        self.adjacency[len(self.nodes) - 1] = {}
-        return len(self.nodes) - 1
+    def __post_init__(self):
+        for a in (self.nodes, self.edges, self.weights):
+            a.setflags(write=False)
 
-    def add_edge(self, u: int, v: int, kind: str, normals=None) -> int | None:
-        if u == v or v in self.adjacency[u]:
-            return None
-        w = float(np.linalg.norm(self.nodes[u] - self.nodes[v]))
-        self.edges.append(Edge(u, v, w, kind, normals or []))
-        k = len(self.edges) - 1
-        self.adjacency[u][v] = k
-        self.adjacency[v][u] = k
-        return k
+    @classmethod
+    def create(cls, nodes, node_kinds, edges, edge_kinds, edge_normals=None,
+               **counts) -> RoadmapGraph:
+        """Graph over copies of the given rows; each weight is its edge's length."""
+        nodes = np.array(nodes, dtype=float)
+        edges = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        normals = ((),) * len(edges) if edge_normals is None else tuple(map(tuple, edge_normals))
+        return cls(nodes, tuple(node_kinds), edges, _lengths(nodes, edges), tuple(edge_kinds),
+                   normals, **counts)
 
-    def remove_edge(self, k: int) -> None:
-        e = self.edges[k]
-        self.adjacency[e.u].pop(e.v, None)
-        self.adjacency[e.v].pop(e.u, None)
+    @cached_property
+    def csr(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Adjacency as (indptr, neighbours, edge ids), built on first use:
+        row u lists u's neighbours in ascending id and the edge joining
+        each. Tuples of ints, which Dijkstra's Python loop reads fastest."""
+        src, dst = self.edges.ravel(), self.edges[:, ::-1].ravel()
+        order = np.argsort(src * len(self.nodes) + dst)
+        indptr = np.searchsorted(src[order], np.arange(len(self.nodes) + 1))
+        return tuple(indptr.tolist()), tuple(dst[order].tolist()), tuple((order // 2).tolist())
+
+    def edge(self, k: int) -> Edge:
+        u, v = self.edges[k].tolist()
+        return Edge(u, v, float(self.weights[k]), self.edge_kinds[k], self.edge_normals[k])
 
     def edge_between(self, u: int, v: int) -> Edge | None:
-        k = self.adjacency[u].get(v)
-        return None if k is None else self.edges[k]
+        indptr, neighbors, edge_ids = self.csr
+        i = bisect_left(neighbors, v, indptr[u], indptr[u + 1])
+        return self.edge(edge_ids[i]) if i < indptr[u + 1] and neighbors[i] == v else None
 
-    def live_edges(self):
-        seen = set()
-        for nbrs in self.adjacency.values():
-            seen.update(nbrs.values())
-        return [self.edges[k] for k in sorted(seen)]
+    def live_edges(self) -> list[Edge]:
+        """Every edge row, in order."""
+        return [self.edge(k) for k in range(len(self.edges))]
+
+
+def _lengths(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(E,) edge lengths, each the square root of a dot product as
+    np.linalg.norm takes it: a vectorised norm can differ in the last bit
+    and so flip a Dijkstra tie."""
+    return np.array([math.sqrt(d.dot(d)) for d in nodes[edges[:, 0]] - nodes[edges[:, 1]]],
+                    dtype=float)
 
 
 def segments_clear(a, b, shapes, samples=EDGE_SAMPLES) -> np.ndarray:
@@ -117,7 +142,6 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
     """
     if h < 0.0:
         raise ValueError("bridging threshold must be non-negative")
-    graph = RoadmapGraph(diagram.dim)
 
     all_pts = []
     offsets = []
@@ -125,7 +149,7 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
         offsets.append(len(all_pts))
         all_pts.extend(cell.vertices)
     if not all_pts:
-        return graph
+        return RoadmapGraph.create(np.empty((0, diagram.dim)), (), (), ())
     pts = np.array(all_pts)
     uf = _UnionFind(len(pts))
     for i, j in sorted(cKDTree(pts).query_pairs(MERGE_TOL)):
@@ -133,26 +157,21 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
 
     node_of: dict[int, int] = {}
     for i in range(len(pts)):
-        r = uf.find(i)
-        if r not in node_of:
-            node_of[r] = graph.add_node(pts[r], "cell")
-    node_pts = np.array(graph.nodes)
+        node_of.setdefault(uf.find(i), len(node_of))
+    node_pts = pts[list(node_of)]
 
     def decide(segs):
         segs = np.array(segs, dtype=int).reshape(-1, 2)
-        clear = segments_clear(node_pts[segs[:, 0]], node_pts[segs[:, 1]],
-                               diagram.expanded)
-        graph.segments_decided += len(segs)
-        graph.segments_rejected += int(np.count_nonzero(~clear))
-        return segs, clear
+        return segs, segments_clear(node_pts[segs[:, 0]], node_pts[segs[:, 1]], diagram.expanded)
 
     def hp_info(tag):
         hp = diagram.hyperplanes[tag]
         return (tag, hp.witness_distance, hp.normal)
 
-    # the first (nu, nv) of each unordered node pair is the segment decided
-    candidates = []
+    # the first (nu, nv) of each unordered node pair is the segment decided;
+    # every cell edge between the pair merges its bisector normals into it
     firsts = []
+    normals = []
     pair_of: dict[tuple[int, int], int] = {}
     for off, cell in zip(offsets, diagram.cells):
         for u, v, tags in cell.edges:
@@ -163,89 +182,115 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
             if key not in pair_of:
                 pair_of[key] = len(firsts)
                 firsts.append((nu, nv))
-            candidates.append((nu, nv, tags, pair_of[key]))
-    _, clear = decide(firsts)
-    for nu, nv, tags, k in candidates:
-        normals = [hp_info(t) for t in sorted(set(tags)) if t >= 0]
-        existing = graph.edge_between(nu, nv)
-        if existing is not None:
-            known = {t for t, _, _ in existing.normals}
-            existing.normals.extend(x for x in normals if x[0] not in known)
-        elif clear[k]:
-            graph.add_edge(nu, nv, "cell", normals)
-
+                normals.append([])
+            merged = normals[pair_of[key]]
+            known = {t for t, _, _ in merged}
+            merged.extend(hp_info(t) for t in sorted(set(tags)) if t >= 0 and t not in known)
+    cells, clear = decide(firsts)
+    bridges, ok = np.empty((0, 2), dtype=int), np.empty(0, dtype=bool)
     if len(node_pts) > 1 and h > 0.0:
-        bridges, clear = decide([(i, j) for i, j in sorted(cKDTree(node_pts).query_pairs(h))
-                                 if j not in graph.adjacency[i]])
-        for i, j in bridges[clear]:
-            graph.add_edge(int(i), int(j), "bridge")
-        graph.bridges_added = int(np.count_nonzero(clear))
-    return graph
+        joined = {key for key, k in pair_of.items() if clear[k]}
+        bridges, ok = decide([pair for pair in sorted(cKDTree(node_pts).query_pairs(h))
+                              if pair not in joined])
+    bridged = int(np.count_nonzero(ok))
+    return RoadmapGraph.create(
+        node_pts, ["cell"] * len(node_pts), np.concatenate([cells[clear], bridges[ok]]),
+        ["cell"] * int(np.count_nonzero(clear)) + ["bridge"] * bridged,
+        [n for n, c in zip(normals, clear) if c] + [()] * bridged,
+        segments_decided=len(cells) + len(bridges),
+        segments_rejected=int(np.count_nonzero(~clear) + np.count_nonzero(~ok)),
+        bridges_added=bridged)
 
 
 def _point_segment(q, a, b):
     ab = b - a
     denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((q - a) @ ab / denom, 0.0, 1.0))
+    t = 0.0 if denom == 0.0 else min(max(float((q - a) @ ab / denom), 0.0), 1.0)
     p = a + t * ab
     return t, p, float(np.linalg.norm(q - p))
 
 
-def project_terminal(point, graph: RoadmapGraph) -> int:
-    """Insert the terminal into the graph; returns its node id.
+def project_terminal(point, graph: RoadmapGraph) -> tuple[RoadmapGraph, int]:
+    """Project a terminal onto the graph; returns (query graph, its node id).
 
-    The closest point on the closest live edge becomes a projection node
+    The closest point on the closest edge becomes a projection node
     (splitting that edge); a stub edge links the terminal to it. Stubs of
     terminals projected earlier are not candidates: they carry no clearance.
-    A terminal already on the graph reuses the existing node.
+    A terminal already on the graph reuses the existing node. The given graph
+    is not written: the query graph drops the split edge's row and appends
+    the new nodes and edges, so node ids and the other edges' order hold.
     """
     q = np.asarray(point, dtype=float)
-    # (edge id, u, v) of every live edge that is not a stub
-    live = np.array([(k, e.u, e.v) for k, e in enumerate(graph.edges)
-                     if e.kind != "stub" and graph.adjacency[e.u].get(e.v) == k])
-    if len(live) == 0:
+    stubs = [k for k, kind in enumerate(graph.edge_kinds) if kind == "stub"]
+    if len(stubs) == len(graph.edges):
         raise RuntimeError("cannot project onto an empty graph")
 
     # reuse an existing node when the terminal coincides with one
-    nodes = np.asarray(graph.nodes)
+    nodes = graph.nodes
     dists = np.linalg.norm(nodes - q, axis=1)
     nearest = int(np.argmin(dists))
     if dists[nearest] <= MERGE_TOL:
-        return nearest
+        return graph, nearest
 
-    # closest point on every live edge at once (t = 0 on a zero-length edge);
+    # closest point on every edge at once (t = 0 on a zero-length edge);
     # argmin keeps the first minimum in edge order
-    a = nodes[live[:, 1]]
-    ab = nodes[live[:, 2]] - a
+    a = nodes[graph.edges[:, 0]]
+    ab = nodes[graph.edges[:, 1]] - a
     denom = np.einsum("ij,ij->i", ab, ab)
     t = np.clip(np.einsum("ij,ij->i", q - a, ab) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
-    k = int(live[np.argmin(np.linalg.norm(q - (a + t[:, None] * ab), axis=1)), 0])
-    e = graph.edges[k]
-    _, p, d = _point_segment(q, graph.nodes[e.u], graph.nodes[e.v])
-    if np.linalg.norm(p - graph.nodes[e.u]) <= MERGE_TOL:
-        proj = e.u
-    elif np.linalg.norm(p - graph.nodes[e.v]) <= MERGE_TOL:
-        proj = e.v
+    gaps = np.linalg.norm(q - (a + t[:, None] * ab), axis=1)
+    gaps[stubs] = np.inf
+    k = int(np.argmin(gaps))
+    u, v = graph.edges[k].tolist()
+    _, p, d = _point_segment(q, nodes[u], nodes[v])
+    added, rows = [], []  # new (point, kind) nodes and Edge rows
+    drop = len(graph.edges)  # the split edge's row, when one is split
+    du, dv = float(np.linalg.norm(p - nodes[u])), float(np.linalg.norm(p - nodes[v]))
+    if du <= MERGE_TOL:
+        proj = u
+    elif dv <= MERGE_TOL:
+        proj = v
     else:
-        proj = graph.add_node(p, "projection")
-        graph.remove_edge(k)
-        graph.add_edge(e.u, proj, e.kind, list(e.normals))
-        graph.add_edge(proj, e.v, e.kind, list(e.normals))
-    if d <= MERGE_TOL:
-        return proj
-    term = graph.add_node(q, "terminal")
-    graph.add_edge(term, proj, "stub")
-    return term
+        proj, drop = len(nodes), k
+        added.append((p, "projection"))
+        kind, normals = graph.edge_kinds[k], graph.edge_normals[k]
+        rows += [Edge(u, proj, du, kind, normals), Edge(proj, v, dv, kind, normals)]
+    node = proj
+    if d > MERGE_TOL:
+        node = len(nodes) + len(added)
+        # d is the stub's length when it ends at the projection point
+        length = d if proj == len(nodes) else float(np.linalg.norm(q - nodes[proj]))
+        added.append((q, "terminal"))
+        rows.append(Edge(node, proj, length, "stub", ()))
+    if not added:
+        return graph, node
+    return _extended(graph, drop, added, rows), node
+
+
+def _extended(graph: RoadmapGraph, drop: int, added, rows: list[Edge]) -> RoadmapGraph:
+    """graph without edge row drop (none when drop is the row count), with
+    (point, kind) nodes and Edge rows appended."""
+    return RoadmapGraph(
+        np.concatenate([graph.nodes, [p for p, _ in added]]),
+        graph.node_kinds + tuple(kind for _, kind in added),
+        np.concatenate([graph.edges[:drop], graph.edges[drop + 1:], [e[:2] for e in rows]]),
+        np.concatenate([graph.weights[:drop], graph.weights[drop + 1:], [e.weight for e in rows]]),
+        graph.edge_kinds[:drop] + graph.edge_kinds[drop + 1:] + tuple(e.kind for e in rows),
+        graph.edge_normals[:drop] + graph.edge_normals[drop + 1:] + tuple(e.normals for e in rows),
+        graph.segments_decided, graph.segments_rejected, graph.bridges_added)
 
 
 def shortest_path(graph: RoadmapGraph, start: int, goal: int) -> list[int] | None:
-    """Dijkstra over live edges; None when the goal is unreachable.
+    """Dijkstra over the CSR rows; None when the goal is unreachable.
 
-    Ties are broken by lexicographic node id for determinism.
+    Neighbours are relaxed in ascending id, and a node's distance is
+    replaced only when it falls by more than 1e-15, for determinism.
     """
     n = len(graph.nodes)
     if not (0 <= start < n and 0 <= goal < n):
         raise ValueError("start/goal node ids do not exist")
+    indptr, neighbors, edge_ids = graph.csr
+    weights = graph.weights.tolist()
     dist = {start: 0.0}
     prev: dict[int, int] = {}
     heap = [(0.0, start)]
@@ -257,8 +302,9 @@ def shortest_path(graph: RoadmapGraph, start: int, goal: int) -> list[int] | Non
         done.add(u)
         if u == goal:
             break
-        for v in sorted(graph.adjacency[u]):
-            nd = d + graph.edges[graph.adjacency[u][v]].weight
+        for s in range(indptr[u], indptr[u + 1]):
+            v = neighbors[s]
+            nd = d + weights[edge_ids[s]]
             if v not in dist or nd < dist[v] - 1e-15:
                 dist[v] = nd
                 prev[v] = u

@@ -9,10 +9,14 @@ before its cached map: finite differences in the demonstration's own times
 and three residual passes over (N, P) arrays. `segment_clear` is the
 roadmap's edge test one segment at a time, and `reference_build_graph` the
 roadmap build that calls it once per candidate edge, in insertion order.
+`per_edge_project_terminal` projects a terminal with one point-segment
+distance per live edge. Both write a `DictGraph`, the mutable roadmap the
+read-only `RoadmapGraph` replaced: a projection tombstones the edge it splits.
 `load_bench_scenes` imports perfbench's scene definitions.
 """
 
 import importlib.util
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,7 @@ from sqplan.geometry import (RigidPose, box_gaps, inside_outside,
                              inside_outside_local, surface_samples)
 from sqplan.poses import robot_pose_at, robot_rotations
 from sqplan.proximity import closest_pairs
-from sqplan.roadmap import EDGE_SAMPLES, INSIDE_TOL, MERGE_TOL, RoadmapGraph
+from sqplan.roadmap import EDGE_SAMPLES, INSIDE_TOL, MERGE_TOL, _point_segment
 from sqplan.voronoi import _UnionFind
 
 
@@ -133,12 +137,73 @@ def segment_clear(a, b, expanded, samples=EDGE_SAMPLES) -> bool:
     return True
 
 
+@dataclass
+class DictEdge:
+    u: int
+    v: int
+    weight: float
+    kind: str
+    normals: list = field(default_factory=list)
+
+
+class DictGraph:
+    """Node and edge lists with a dict-of-dicts adjacency; a removed edge
+    stays in the list and only leaves the adjacency."""
+
+    def __init__(self):
+        self.nodes, self.node_kinds, self.edges, self.adjacency = [], [], [], {}
+        self.segments_decided = self.segments_rejected = self.bridges_added = 0
+
+    @classmethod
+    def of(cls, graph):
+        """A mutable copy of a RoadmapGraph."""
+        g = cls()
+        for p, kind in zip(graph.nodes, graph.node_kinds):
+            g.add_node(p, kind)
+        for e in graph.live_edges():
+            g.add_edge(e.u, e.v, e.kind, list(e.normals))
+        g.segments_decided, g.segments_rejected, g.bridges_added = (
+            graph.segments_decided, graph.segments_rejected, graph.bridges_added)
+        return g
+
+    def add_node(self, point, kind):
+        self.nodes.append(np.asarray(point, dtype=float))
+        self.node_kinds.append(kind)
+        self.adjacency[len(self.nodes) - 1] = {}
+        return len(self.nodes) - 1
+
+    def add_edge(self, u, v, kind, normals=None):
+        if u == v or v in self.adjacency[u]:
+            return None
+        w = float(np.linalg.norm(self.nodes[u] - self.nodes[v]))
+        self.edges.append(DictEdge(u, v, w, kind, normals or []))
+        k = len(self.edges) - 1
+        self.adjacency[u][v] = k
+        self.adjacency[v][u] = k
+        return k
+
+    def remove_edge(self, k):
+        e = self.edges[k]
+        self.adjacency[e.u].pop(e.v, None)
+        self.adjacency[e.v].pop(e.u, None)
+
+    def edge_between(self, u, v):
+        k = self.adjacency[u].get(v)
+        return None if k is None else self.edges[k]
+
+    def live_edges(self):
+        seen = set()
+        for nbrs in self.adjacency.values():
+            seen.update(nbrs.values())
+        return [self.edges[k] for k in sorted(seen)]
+
+
 def reference_build_graph(diagram, h):
     """The roadmap build with one `segment_clear` call per candidate edge:
     a cell edge is tested when no edge joins its nodes yet (again after a
     rejection), a bridge when the k-d tree pair is not yet adjacent. The
     counts are the calls, the rejections and the bridges added."""
-    graph = RoadmapGraph(diagram.dim)
+    graph = DictGraph()
     all_pts = []
     offsets = []
     for cell in diagram.cells:
@@ -184,6 +249,40 @@ def reference_build_graph(diagram, h):
                 graph.add_edge(i, j, "bridge")
                 graph.bridges_added += 1
     return graph
+
+
+def per_edge_project_terminal(point, graph):
+    """Insert the terminal into the DictGraph; returns its node id. One
+    point-segment distance per live edge that is not a stub, in a Python
+    loop keeping the first minimum; the split edge is tombstoned."""
+    q = np.asarray(point, dtype=float)
+    live = [(k, e) for k, e in enumerate(graph.edges)
+            if e.kind != "stub" and graph.adjacency[e.u].get(e.v) == k]
+    dists = [np.linalg.norm(graph.nodes[i] - q) for i in range(len(graph.nodes))]
+    nearest = int(np.argmin(dists))
+    if dists[nearest] <= MERGE_TOL:
+        return nearest
+    best = None
+    for k, e in live:
+        t, p, d = _point_segment(q, graph.nodes[e.u], graph.nodes[e.v])
+        if best is None or d < best[0]:
+            best = (d, k, t, p)
+    d, k, t, p = best
+    e = graph.edges[k]
+    if np.linalg.norm(p - graph.nodes[e.u]) <= MERGE_TOL:
+        proj = e.u
+    elif np.linalg.norm(p - graph.nodes[e.v]) <= MERGE_TOL:
+        proj = e.v
+    else:
+        proj = graph.add_node(p, "projection")
+        graph.remove_edge(k)
+        graph.add_edge(e.u, proj, e.kind, list(e.normals))
+        graph.add_edge(proj, e.v, e.kind, list(e.normals))
+    if d <= MERGE_TOL:
+        return proj
+    term = graph.add_node(q, "terminal")
+    graph.add_edge(term, proj, "stub")
+    return term
 
 
 def load_bench_scenes():

@@ -106,6 +106,25 @@ def test_plan_blocked_scenario_exits_3(tmp_path):
     assert metrics["reason"] == "no-feasible-passage"
 
 
+def test_plan_roadmap_without_edges_exits_3(tmp_path, capsys):
+    # a disc touching all four walls leaves no roadmap edge at all
+    scene = tmp_path / "no_edges.json"
+    scene.write_text(json.dumps({
+        "version": 1, "dim": 2,
+        "world": {"min": [0, 0], "max": [1, 1]},
+        "robot": {"eps": [0.5], "axes": [0.02, 0.06], "position": [0.05, 0.05]},
+        "obstacles": [{"eps": [1.0], "axes": [0.5, 0.5], "position": [0.5, 0.5]}],
+        "start": {"position": [0.05, 0.05]},
+        "goal": {"position": [0.95, 0.95]},
+    }))
+    out = str(tmp_path / "o")
+    assert main(["plan", "--scenario", str(scene), "--out", out]) == EXIT_NO_PATH
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "Traceback" not in err
+    with open(os.path.join(out, "metrics.json")) as f:
+        assert json.load(f)["reason"] == "no-feasible-passage"
+
+
 def test_bench_2d_table_and_results(tmp_path, capsys):
     out = str(tmp_path)
     code = main(["bench", "--suite", "2d", "--runs", "1", "--out", out])

@@ -1,4 +1,5 @@
-"""The passability contract on a 2D one-gap wall, axis-aligned and rotated.
+"""The passability contract on a 2D one-gap wall, axis-aligned and rotated,
+and on a U-trap whose bottom bar leaks through a gap.
 
 The robot passes a gap of width g exactly when its shortest axis fits,
 g >= 2 a_min, and it then crosses at the middle of the gap, so its certified
@@ -88,3 +89,42 @@ def test_rotated_gap_wider_than_the_short_axis_is_passed(g):
     assert box_exit(scn, result.trajectory) <= 0.0
     clearance = min_trajectory_distance(result.trajectory, scn.robot, scn.obstacles)
     assert 0.0 < clearance <= g / 2.0 - A_MIN
+
+
+def leaky_u_trap(g):
+    """A U with its 0.14 m mouth facing the start at the top of a 0.5 m
+    world: two eps = 0.2 arms and a bottom bar at y = 0.20 over x 0.07..0.43,
+    split at x = 0.25 by a gap of width g. The goal lies below the bar."""
+    w = (0.18 - g / 2.0) / 2.0
+    blocks = [Superquadric.create([0.2], [0.02, 0.09], [0.09, 0.29]),
+              Superquadric.create([0.2], [0.02, 0.09], [0.41, 0.29]),
+              Superquadric.create([0.2], [w, 0.02], [0.07 + w, 0.20]),
+              Superquadric.create([0.2], [w, 0.02], [0.43 - w, 0.20])]
+    robot = Superquadric.create([0.5], [A_MIN, 0.06], [0.25, 0.46])
+    return Scenario(2, np.zeros(2), np.full(2, 0.5), robot, blocks,
+                    RigidPose.create([0.25, 0.46]), RigidPose.create([0.25, 0.06]))
+
+
+# box exits are not asserted on the trap: the start pose already reaches
+# past the top wall, and the route round a sealed trap rides the wall x = 0
+
+
+@pytest.mark.parametrize("g", [0.0, 0.02, 0.036, 0.039])
+def test_sealed_u_trap_is_gone_round(g):
+    result = plan(leaky_u_trap(g))
+    assert len(result.diagram.clusters) == 1
+    assert result.success
+    x, y = result.trajectory.positions.T
+    assert not np.any((x > 0.11) & (x < 0.39) & (y > 0.22) & (y < 0.38))
+    assert abs(result.trajectory.arc_length() - 1.080) < 1e-3
+
+
+@pytest.mark.parametrize("g", [0.042, 0.05, 0.08, 0.12])
+def test_leaky_u_trap_is_passed_through_its_gap(g):
+    scn = leaky_u_trap(g)
+    result = plan(scn)
+    assert len(result.diagram.clusters) == 2
+    assert result.success and not result.validation.fallback
+    assert abs(result.trajectory.arc_length() - 0.401) < 1e-3
+    clearance = min_trajectory_distance(result.trajectory, scn.robot, scn.obstacles)
+    assert abs(clearance - (g / 2.0 - A_MIN)) <= 1e-6

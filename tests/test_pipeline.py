@@ -102,3 +102,53 @@ def test_goal_is_not_projected_onto_start_stub():
     assert result.success
     for node in result.path[1:-1]:
         assert result.graph.node_kinds[node] != "terminal"
+
+
+def empty_roadmap_scenario():
+    """A disc touching all four walls of a 1 m box: every box edge is
+    rejected, so the roadmap has no edge and the corners are disconnected."""
+    disc = Superquadric.create([1.0], [0.5, 0.5], [0.5, 0.5])
+    robot = Superquadric.create([0.5], [0.02, 0.06], [0.05, 0.05])
+    return Scenario(2, np.zeros(2), np.ones(2), robot, [disc],
+                    RigidPose.create([0.05, 0.05]), RigidPose.create([0.95, 0.95]))
+
+
+def test_roadmap_without_edges_has_no_feasible_passage():
+    scn = empty_roadmap_scenario()
+    pre = precompute(scn)
+    assert len(pre.graph.edges) == 0
+    result = plan(scn, pre)
+    assert not result.success and result.reason == NO_FEASIBLE_PASSAGE
+    assert result.path is None and result.graph is pre.graph
+
+
+def graph_arrays(graph):
+    return graph.nodes, graph.edges, graph.weights
+
+
+def graph_state(graph):
+    """Every array's bytes, the kinds, the normals, the CSR rows and the counts."""
+    return ([a.tobytes() for a in graph_arrays(graph)], graph.node_kinds, graph.edge_kinds,
+            [[(t, np.float64(w).tobytes(), n.tobytes()) for t, w, n in normals]
+             for normals in graph.edge_normals], graph.csr,
+            (graph.segments_decided, graph.segments_rejected, graph.bridges_added))
+
+
+@pytest.mark.parametrize("name", ["narrow2d", "pillars3d", "dense3d"])
+def test_queries_share_the_precomputed_graph_read_only(name):
+    scn = generate_benchmark(name, 0)
+    pre = precompute(scn)
+    before = graph_state(pre.graph)
+    assert not any(a.flags.writeable for a in graph_arrays(pre.graph))
+    start, goal = scn.start.position, scn.goal.position
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        # the reference query's terminals, each moved by 2% of the diagonal
+        scn.start, scn.goal = (RigidPose.create(p + 0.02 * scn.world_diagonal
+                                                * rng.normal(size=scn.dim))
+                               for p in (start, goal))
+        result = plan(scn, pre)
+        assert result.success
+        assert result.graph.edge_kinds.count("stub") == 2
+        assert not any(a.flags.writeable for a in graph_arrays(result.graph))
+    assert graph_state(pre.graph) == before

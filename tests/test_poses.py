@@ -60,11 +60,9 @@ def test_frame_3d_parallel_rejected():
 
 
 def line_graph_2d(points, kinds=None):
-    g = RoadmapGraph(2)
-    ids = [g.add_node(p, "cell") for p in points]
-    for k in range(len(ids) - 1):
-        g.add_edge(ids[k], ids[k + 1],
-                   "cell" if kinds is None else kinds[k])
+    ids = list(range(len(points)))
+    g = RoadmapGraph.create(points, ["cell"] * len(points), list(zip(ids, ids[1:])),
+                            ["cell"] * (len(ids) - 1) if kinds is None else kinds)
     return g, ids
 
 
@@ -96,12 +94,10 @@ def test_plan_poses_2d_stub_inherits_cell_heading():
 
 def test_plan_poses_3d_aligns_short_axis_with_face_normal():
     robot = Superquadric.create([1.0, 1.0], [0.3, 0.5, 0.9], [0.0, 0.0, 0.0])
-    g = RoadmapGraph(3)
-    a = g.add_node([0.0, 0.0, 0.0], "cell")
-    b = g.add_node([0.0, 1.0, 0.0], "cell")
     normal = np.array([1.0, 0.0, 0.0])
-    g.add_edge(a, b, "cell", normals=[(0, 0.4, normal)])
-    ways = plan_poses([a, b], g, robot)
+    g = RoadmapGraph.create([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ["cell"] * 2, [(0, 1)],
+                            ["cell"], [[(0, 0.4, normal)]])
+    ways = plan_poses([0, 1], g, robot)
     for w in ways:
         assert np.linalg.norm(w.orientation) <= np.pi + 1e-12
         r = exp_so3(w.orientation)
@@ -119,12 +115,12 @@ def test_plan_poses_3d_aligns_short_axis_with_face_normal():
 
 def test_plan_poses_3d_continuity_no_flip():
     robot = Superquadric.create([1.0, 1.0], [0.3, 0.5, 0.9], [0.0, 0.0, 0.0])
-    g = RoadmapGraph(3)
     pts = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0, 0.0]]
-    ids = [g.add_node(p, "cell") for p in pts]
-    g.add_edge(ids[0], ids[1], "cell", normals=[(0, 0.4, np.array([0.0, 0.0, 1.0]))])
+    ids = [0, 1, 2]
     # second face normal stored with flipped sign; continuity must unflip it
-    g.add_edge(ids[1], ids[2], "cell", normals=[(1, 0.4, np.array([0.0, 0.0, -1.0]))])
+    g = RoadmapGraph.create(pts, ["cell"] * 3, [(0, 1), (1, 2)], ["cell"] * 2,
+                            [[(0, 0.4, np.array([0.0, 0.0, 1.0]))],
+                             [(1, 0.4, np.array([0.0, 0.0, -1.0]))]])
     ways = plan_poses(ids, g, robot)
     r3s = [exp_so3(w.orientation)[:, 2] for w in ways]
     for k in range(len(r3s) - 1):

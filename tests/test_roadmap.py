@@ -3,20 +3,32 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import load_bench_scenes, reference_build_graph, segment_clear
+from oracles import (DictGraph, load_bench_scenes, per_edge_project_terminal,
+                     reference_build_graph, segment_clear)
 from sqplan import pipeline, roadmap
 from sqplan.geometry import EPS_MAX, EPS_MIN, Superquadric, inside_outside
-from sqplan.roadmap import (EDGE_SAMPLES, INSIDE_TOL, MERGE_TOL, RoadmapGraph,
-                            _point_segment, build_graph, graph_to_dict,
-                            project_terminal, segments_clear, shortest_path)
+from sqplan.roadmap import (EDGE_SAMPLES, INSIDE_TOL, RoadmapGraph, build_graph,
+                            graph_to_dict, project_terminal, segments_clear,
+                            shortest_path)
 from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
 from sqplan.voronoi import build_diagram
 
 
 def path_length(graph, path):
     """Summed weights of the edges joining consecutive path nodes."""
-    return float(sum(graph.edges[graph.adjacency[path[k]][path[k + 1]]].weight
+    return float(sum(graph.edge_between(path[k], path[k + 1]).weight
                      for k in range(len(path) - 1)))
+
+
+def neighbours(graph, u):
+    """Node u's CSR row."""
+    indptr, neighbors, _ = graph.csr
+    return list(neighbors[indptr[u]:indptr[u + 1]])
+
+
+def segment_graph(length):
+    """Two cell nodes on the x axis joined by one cell edge."""
+    return RoadmapGraph.create([[0.0, 0.0], [length, 0.0]], ["cell"] * 2, [(0, 1)], ["cell"])
 
 
 def small_diagram():
@@ -77,14 +89,10 @@ def brute_force_shortest(graph, start, goal):
 
 
 def test_dijkstra_matches_brute_force():
-    g = RoadmapGraph(2)
     rng = np.random.default_rng(9)
-    for _ in range(7):
-        g.add_node(rng.uniform(0.0, 1.0, 2), "cell")
-    for u in range(7):
-        for v in range(u + 1, 7):
-            if rng.uniform() < 0.45:
-                g.add_edge(u, v, "cell")
+    nodes = [rng.uniform(0.0, 1.0, 2) for _ in range(7)]
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.uniform() < 0.45]
+    g = RoadmapGraph.create(nodes, ["cell"] * 7, edges, ["cell"] * len(edges))
     for start, goal in [(0, 6), (1, 5), (2, 4)]:
         got = shortest_path(g, start, goal)
         want_len, want = brute_force_shortest(g, start, goal)
@@ -96,39 +104,30 @@ def test_dijkstra_matches_brute_force():
 
 
 def test_shortest_path_unreachable():
-    g = RoadmapGraph(2)
-    g.add_node([0.0, 0.0], "cell")
-    g.add_node([1.0, 0.0], "cell")
-    g.add_node([5.0, 5.0], "cell")
-    g.add_edge(0, 1, "cell")
+    g = RoadmapGraph.create([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]], ["cell"] * 3,
+                            [(0, 1)], ["cell"])
     assert shortest_path(g, 0, 2) is None
     assert shortest_path(g, 0, 1) == [0, 1]
 
 
 def test_project_terminal_splits_edge():
-    g = RoadmapGraph(2)
-    a = g.add_node([0.0, 0.0], "cell")
-    b = g.add_node([2.0, 0.0], "cell")
-    g.add_edge(a, b, "cell")
-    term = project_terminal([1.0, 1.0], g)
+    base = segment_graph(2.0)
+    g, term = project_terminal([1.0, 1.0], base)
+    assert len(base.nodes) == 2 and len(base.edges) == 1  # the base is not written
     assert g.node_kinds[term] == "terminal"
-    proj = next(v for v in g.adjacency[term])
+    [proj] = neighbours(g, term)
     assert np.allclose(g.nodes[proj], [1.0, 0.0], atol=1e-12)
     assert g.node_kinds[proj] == "projection"
     # original edge replaced by two halves plus the stub
     kinds = sorted(e.kind for e in g.live_edges())
     assert kinds == ["cell", "cell", "stub"]
-    path = shortest_path(g, a, term)
-    assert path == [a, proj, term]
+    assert shortest_path(g, 0, term) == [0, proj, term]
 
 
 def test_project_terminal_reuses_existing_node():
-    g = RoadmapGraph(2)
-    a = g.add_node([0.0, 0.0], "cell")
-    b = g.add_node([2.0, 0.0], "cell")
-    g.add_edge(a, b, "cell")
-    assert project_terminal([0.0, 0.0], g) == a
-    assert project_terminal([1.0, 0.0], g) != a  # on-edge point becomes a node
+    g = segment_graph(2.0)
+    assert project_terminal([0.0, 0.0], g) == (g, 0)
+    assert project_terminal([1.0, 0.0], g)[1] not in (0, 1)  # on-edge point becomes a node
 
 
 def test_bridging_connects_near_vertices():
@@ -146,53 +145,16 @@ def test_bridging_connects_near_vertices():
 
 
 def test_project_terminal_skips_stub_edges():
-    g = RoadmapGraph(2)
-    a = g.add_node([0.0, 0.0], "cell")
-    b = g.add_node([4.0, 0.0], "cell")
-    g.add_edge(a, b, "cell")
-    start = project_terminal([1.0, 3.0], g)
+    g, start = project_terminal([1.0, 3.0], segment_graph(4.0))
     # closer to the start's stub (x = 1) than to the cell edge (y = 0)
-    goal = project_terminal([1.5, 2.5], g)
-    proj = next(v for v in g.adjacency[goal])
+    g, goal = project_terminal([1.5, 2.5], g)
+    [proj] = neighbours(g, goal)
     assert g.node_kinds[proj] == "projection"
     assert np.allclose(g.nodes[proj], [1.5, 0.0], atol=1e-12)
-    assert start not in g.adjacency[goal]
+    assert start not in neighbours(g, goal)
 
 
 # ------------------------------------ array search vs the per-edge loop
-
-
-def per_edge_project_terminal(point, graph):
-    """Reference projection: one point-segment distance per live edge in a
-    Python loop, keeping the first minimum."""
-    q = np.asarray(point, dtype=float)
-    live = [(k, e) for k, e in enumerate(graph.edges)
-            if e.kind != "stub" and graph.adjacency[e.u].get(e.v) == k]
-    dists = [np.linalg.norm(graph.nodes[i] - q) for i in range(len(graph.nodes))]
-    nearest = int(np.argmin(dists))
-    if dists[nearest] <= MERGE_TOL:
-        return nearest
-    best = None
-    for k, e in live:
-        t, p, d = _point_segment(q, graph.nodes[e.u], graph.nodes[e.v])
-        if best is None or d < best[0]:
-            best = (d, k, t, p)
-    d, k, t, p = best
-    e = graph.edges[k]
-    if np.linalg.norm(p - graph.nodes[e.u]) <= MERGE_TOL:
-        proj = e.u
-    elif np.linalg.norm(p - graph.nodes[e.v]) <= MERGE_TOL:
-        proj = e.v
-    else:
-        proj = graph.add_node(p, "projection")
-        graph.remove_edge(k)
-        graph.add_edge(e.u, proj, e.kind, list(e.normals))
-        graph.add_edge(proj, e.v, e.kind, list(e.normals))
-    if d <= MERGE_TOL:
-        return proj
-    term = graph.add_node(q, "terminal")
-    graph.add_edge(term, proj, "stub")
-    return term
 
 
 @pytest.mark.parametrize("name", ["pillars3d", "narrow2d"])
@@ -205,18 +167,17 @@ def test_project_terminal_matches_per_edge_loop_on_query_streams(name):
     # edge midpoints, which take the reuse and on-edge branches
     points = list(rng.uniform(scn.world_lo, scn.world_hi, size=(40, scn.dim)))
     points += list(nodes[rng.choice(len(nodes), 4)])
-    points += [0.5 * (nodes[e.u] + nodes[e.v]) for e in pre.graph.edges[:4]]
+    points += [0.5 * (nodes[u] + nodes[v]) for u, v in pre.graph.edges[:4]]
     order = rng.permutation(len(points))
     for start, goal in zip(order[0::2], order[1::2]):
-        graph = pipeline._clone_graph(pre.graph)
-        reference = pipeline._clone_graph(pre.graph)
+        graph = pre.graph
+        reference = DictGraph.of(pre.graph)
         for k in (start, goal):
-            assert project_terminal(points[k], graph) == per_edge_project_terminal(points[k], reference)
-        # the same edges split at the same projection points
-        assert np.array_equal(np.array(graph.nodes), np.array(reference.nodes))
-        assert graph.node_kinds == reference.node_kinds
-        assert ([(e.u, e.v, e.kind) for e in graph.live_edges()]
-                == [(e.u, e.v, e.kind) for e in reference.live_edges()])
+            graph, node = project_terminal(points[k], graph)
+            assert node == per_edge_project_terminal(points[k], reference)
+        # the same edges split at the same projection points, the live edges
+        # in the same order with bitwise equal weights, and the CSR rows sorted
+        assert graph_bytes(graph) == graph_bytes(reference)
 
 
 # ------------------------------- batched edge test vs the per-edge oracle
@@ -287,12 +248,22 @@ def twelve_scenes():
 
 
 def graph_bytes(graph):
-    """Nodes, kinds, edges with weights and normals, adjacency and counts."""
-    return (np.array(graph.nodes).tobytes(), graph.node_kinds,
+    """Nodes, kinds, live edges with weights and normals, adjacency and
+    counts of a RoadmapGraph or a DictGraph. The adjacency lists each node's
+    (neighbour, edge's u, edge's v): in CSR row order for a RoadmapGraph, in
+    ascending neighbour id for a DictGraph."""
+    if isinstance(graph, DictGraph):
+        adjacency = [[(v, graph.edges[k].u, graph.edges[k].v) for v, k in sorted(nbrs.items())]
+                     for _, nbrs in sorted(graph.adjacency.items())]
+    else:
+        indptr, neighbors, edge_ids = graph.csr
+        adjacency = [[(neighbors[s], *graph.edges[edge_ids[s]].tolist())
+                      for s in range(indptr[u], indptr[u + 1])] for u in range(len(graph.nodes))]
+    return (np.array(graph.nodes).tobytes(), list(graph.node_kinds),
             [(e.u, e.v, np.float64(e.weight).tobytes(), e.kind,
               [(t, np.float64(w).tobytes(), n.tobytes()) for t, w, n in e.normals])
-             for e in graph.edges],
-            graph.adjacency,
+             for e in graph.live_edges()],
+            adjacency,
             (graph.segments_decided, graph.segments_rejected, graph.bridges_added))
 
 
@@ -322,6 +293,6 @@ def test_build_graph_matches_the_per_edge_build_and_makes_two_calls(monkeypatch)
 @pytest.mark.parametrize("name, counts", [("pillars3d", (20, 4, 0)), ("dense3d", (107, 9, 3)),
                                           ("narrow2d", (7, 2, 0))])
 def test_plan_reports_the_build_counts(name, counts):
-    # the plan's graph is a clone of the precomputed one, with terminals added
+    # the plan's graph is derived from the precomputed one, with terminals added
     d = graph_to_dict(pipeline.plan(generate_benchmark(name, 0)).graph)
     assert (d["segments_decided"], d["segments_rejected"], d["bridges_added"]) == counts
