@@ -17,10 +17,12 @@ The rollout integrates every channel with RK4 on a uniform grid of n equal
 steps per duration, n = ceil(tau / dt), as one linear step map s <- P s + d.
 In normalised time t / tau that grid and its map depend on n only, so the
 rollout up to 2 tau is a fixed linear map of the start, the goal and the
-scaled weights, given n and the basis: its response is built once (scanned
-BLOCK steps at a time, each block two matmuls with the stacked powers of P
-and a block-triangular kernel of its lagged powers) and kept in a small
-cache, so a rollout is one matmul.
+scaled weights, given n and the basis size: its response is built once (the
+2n steps of the map, applied to all of its columns at a time) and kept in a
+small cache, so a rollout is one matmul.
+
+The gains are the standard alpha_z = 25, beta_z = alpha_z / 4 and
+alpha_x = alpha_z / 3, and the basis is fixed by its size (`_basis`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 
 from .clearance import trajectory_collides
@@ -43,7 +44,6 @@ ALPHA_X = ALPHA_Z / 3.0
 DEFAULT_BASIS = 25
 MIN_SAMPLES = 3  # least demonstration samples: fit_lwr takes second differences
 REFERENCE_SPEED = 1.0  # m/s; converts arc length into a nominal duration
-BLOCK = 64  # RK4 steps per block of the rollout scan
 RESPONSES = 4  # cached rollout responses; one basis and step count takes one
 LWR_MAPS = 8  # cached LWR maps; one basis and sample count takes one
 
@@ -74,9 +74,7 @@ class PoseTrajectory:
 
 @dataclass
 class DMPModel:
-    weights: np.ndarray  # (K, P)
-    centers: np.ndarray  # (P,)
-    widths: np.ndarray   # (P,)
+    weights: np.ndarray  # (K, P), over the basis `_basis(P)`
     duration: float
     u_start: np.ndarray  # (K,)
     u_goal: np.ndarray   # (K,)
@@ -84,15 +82,7 @@ class DMPModel:
     # per-channel forcing amplitude; (goal - start), except for channels
     # where that difference vanishes and the demonstration amplitude is
     # used instead (the standard scaling would zero out the forcing term)
-    forcing_scale: np.ndarray | None = None
-    alpha_z: float = ALPHA_Z
-    beta_z: float = BETA_Z
-    alpha_x: float = ALPHA_X
-
-    def scale(self) -> np.ndarray:
-        if self.forcing_scale is None:
-            return self.u_goal - self.u_start
-        return self.forcing_scale
+    forcing_scale: np.ndarray
 
 
 def _aligned_orientations(waypoints: list[PoseWaypoint], dim: int) -> np.ndarray:
@@ -200,7 +190,7 @@ def _gradient_t(v: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=LWR_MAPS)
-def _lwr_map(n: int, p: int, alpha_z: float, beta_z: float, alpha_x: float):
+def _lwr_map(n: int, p: int):
     """The sample-side products of the LWR fit of n equally spaced samples
     with p basis functions: read-only H (p, n), Q (p,) and K0 (p, p).
 
@@ -213,7 +203,7 @@ def _lwr_map(n: int, p: int, alpha_z: float, beta_z: float, alpha_x: float):
     psi_i^T x_i^2; and K0 = psi_i^T diag(x_i^2 / sum psi_i) psi_i, the map of
     weights to the regression's weighted fitted forcing.
     """
-    x = np.exp(-alpha_x * np.linspace(0.0, 1.0, n))
+    x = np.exp(-ALPHA_X * np.linspace(0.0, 1.0, n))
     centers, widths = _basis(p)
     psi = np.exp(-widths * (x[:, None] - centers) ** 2)
     # boundary samples carry one-sided finite-difference noise; keep them out
@@ -225,8 +215,8 @@ def _lwr_map(n: int, p: int, alpha_z: float, beta_z: float, alpha_x: float):
     k0 = weighted[interior].T @ (weighted[interior] / np.sum(psi[interior], axis=1)[:, None])
     d1 = _gradient_t(weighted)
     h = _gradient_t(d1)
-    h += alpha_z * d1
-    h += alpha_z * beta_z * weighted
+    h += ALPHA_Z * d1
+    h += ALPHA_Z * BETA_Z * weighted
     h = np.ascontiguousarray(h.T)
     for a in (h, q, k0):
         a.setflags(write=False)
@@ -258,7 +248,7 @@ def fit_lwr(demo: Demonstration, p: int = DEFAULT_BASIS) -> DMPModel:
     forcing_scale = u_goal - u_start
     degenerate = np.abs(forcing_scale) < 1e-12
     forcing_scale[degenerate] = np.ptp(y[:, degenerate], axis=0)
-    h, q, k0 = _lwr_map(n, p, ALPHA_Z, BETA_Z, ALPHA_X)
+    h, q, k0 = _lwr_map(n, p)
     # every channel at once: columns of the (P, K) arrays
     c2 = forcing_scale * forcing_scale
     u = (h @ (y - u_goal)) * forcing_scale
@@ -269,9 +259,7 @@ def fit_lwr(demo: Demonstration, p: int = DEFAULT_BASIS) -> DMPModel:
     for _ in range(3):
         weights += (u - c2 * (k0 @ weights)) / den
     weights[:, np.abs(forcing_scale) < 1e-12] = 0.0  # no amplitude: no forcing
-    centers, widths = _basis(p)
-    return DMPModel(weights.T.copy(), centers, widths, duration, u_start, u_goal,
-                    demo.dim, forcing_scale)
+    return DMPModel(weights.T.copy(), duration, u_start, u_goal, demo.dim, forcing_scale)
 
 
 def _phase_basis(x: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -285,15 +273,14 @@ def _phase_basis(x: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.n
     return psi
 
 
-def _rk4_maps(a: np.ndarray, h: np.ndarray):
-    """RK4 step maps of the linear system s' = A s + e2 b, one per step length.
+def _rk4_maps(a: np.ndarray, h: float):
+    """RK4 step map of the linear system s' = A s + e2 b for step length h.
 
-    One step of length h from state s, with input b1, b2, b4 at the step's
-    start, midpoint and end, is exactly P s + q1 b1 + q2 b2 + q4 b4. P and
+    One step from state s, with input b1, b2, b4 at the step's start,
+    midpoint and end, is exactly P s + q1 b1 + q2 b2 + q4 b4. P and
     Q = [q1, q2, q4] come from applying the RK4 stages to the unit vectors:
-    a: (2, 2), h: (M,) -> P (M, 2, 2), Q (M, 2, 3).
+    a: (2, 2) -> P (2, 2), Q (2, 3).
     """
-    h = np.asarray(h, dtype=float)[:, None, None]
     # columns: the two unit states, then the unit inputs b1, b2, b4, which
     # enter the second row of the derivative
     s = np.eye(2, 5)
@@ -304,84 +291,36 @@ def _rk4_maps(a: np.ndarray, h: np.ndarray):
     k3 = a @ (s + h / 2 * k2) + e2b[1]
     k4 = a @ (s + h * k3) + e2b[2]
     step = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return step[..., :2], step[..., 2:]
-
-
-def _block_kernel(p: np.ndarray, b: int):
-    """Maps of b steps of s <- P s + d, in channel-major layout.
-
-    After j steps from s with increments d_0..d_{j-1} the state is
-    P^j s + sum_{c<j} P^(j-1-c) d_c. Returns the powers, (2, b, 2) with
-    [i, r, j] = P^(r+1)[i, j], and the lower block-triangular kernel,
-    (2, b, 2, b) with [i, r, j, c] = P^(r-c)[i, j] for r >= c and zero above
-    the diagonal; row (i, r) is component i of the state after r + 1 steps.
-    """
-    powers = np.empty((b + 1, 2, 2))
-    powers[0] = np.eye(2)
-    powers[1] = p
-    n = 1
-    while n < b:  # doubling: P^(n+1)..P^(2n) from P^1..P^n
-        m = min(n, b - n)
-        powers[n + 1:n + 1 + m] = powers[1:1 + m] @ powers[n]
-        n += m
-    # [i, j, t] = P^(b-1-t)[i, j], zero for t >= b; window q + c is lag r - c
-    # at q = b - 1 - r
-    lags = np.concatenate([powers[b - 1::-1], np.zeros((b - 1, 2, 2))]).transpose(1, 2, 0)
-    kernel = sliding_window_view(lags, b, axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
-    return powers[1:].transpose(1, 0, 2).copy(), np.ascontiguousarray(kernel)
-
-
-def _scan(step_map: np.ndarray, increments: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The (N + 1, K) y rows, s[0] first, from s (2, K) through the steps of
-    s <- P s + d, step n taking increment increments[:, n], (2, N, K).
-
-    Blocks of at most BLOCK steps are two matmuls over all channels each
-    (`_block_kernel`).
-    """
-    n, k = increments.shape[1], s.shape[1]
-    powers, kernel = _block_kernel(step_map, min(BLOCK, n))
-    out = np.empty((n + 1, k))
-    out[0] = s[0]
-    for i in range(0, n, BLOCK):
-        m = min(BLOCK, n - i)
-        states = (powers[:, :m].reshape(2 * m, 2) @ s
-                  + kernel[:, :m, :, :m].reshape(2 * m, 2 * m)
-                  @ increments[:, i:i + m].reshape(2 * m, k))
-        out[i + 1:i + 1 + m] = states[:m]
-        s = states[m - 1::m]
-    return out
+    return step[:, :2], step[:, 2:]
 
 
 @functools.lru_cache(maxsize=RESPONSES)
-def _response(n: int, centers: tuple, widths: tuple, alpha_z: float,
-              beta_z: float, alpha_x: float) -> np.ndarray:
+def _response(n: int, p: int) -> np.ndarray:
     """The DMP's response on the normalised grid k / n, k = 0..2n, to a unit
     start (column 0), a unit goal (column 1) and each forcing column of
-    `_phase_basis` (2..): read-only (2n + 1, P + 2) y rows.
+    `_phase_basis` of `_basis(p)` (2..): read-only (2n + 1, p + 2) y rows.
 
     In normalised time the system is s' = A0 s + e2 b with A0 = tau * A and
-    b = alpha_z * beta_z * g + f, so a rollout of n steps per duration is
+    b = ALPHA_Z * BETA_Z * g + f, so a rollout of n steps per duration is
     these rows times [start; goal; weights.T * scale], whatever tau is.
     """
     steps = 2 * n
-    p = len(centers)
-    a = np.array([[0.0, 1.0], [-alpha_z * beta_z, -alpha_z]])
-    step_maps, input_maps = _rk4_maps(a, [1.0 / n])
-    q = input_maps[0]
-    # inputs: none for the start, alpha_z * beta_z for the goal, and each
+    a = np.array([[0.0, 1.0], [-ALPHA_Z * BETA_Z, -ALPHA_Z]])
+    step_map, q = _rk4_maps(a, 1.0 / n)
+    # inputs: none for the start, ALPHA_Z * BETA_Z for the goal, and each
     # forcing column at step k's start, midpoint and end, which are points
     # 2k, 2k + 1 and 2k + 2 of the half-step grid
-    increments = np.zeros((2, steps, p + 2))
-    increments[:, :, 1] = alpha_z * beta_z * q.sum(axis=1)[:, None]
-    centers, widths = np.array(centers), np.array(widths)
-    for lo in range(0, steps, 4 * BLOCK):  # in chunks, which bounds the basis's memory
-        m = min(4 * BLOCK, steps - lo)
-        half = np.exp(-alpha_x * (np.arange(2 * lo, 2 * (lo + m) + 1) / (2 * n)))
-        windows = sliding_window_view(_phase_basis(half, centers, widths), 3, axis=0)[::2]
-        np.einsum("ij,npj->inp", q, windows, out=increments[:, lo:lo + m, 2:])
+    f = _phase_basis(np.exp(-ALPHA_X * (np.arange(2 * steps + 1) / (2 * n))), *_basis(p))
+    increments = np.zeros((steps, 2, p + 2))
+    increments[:, :, 1] = ALPHA_Z * BETA_Z * q.sum(axis=1)
+    increments[:, :, 2:] = np.einsum("ij,jkp->kip", q, np.stack([f[:-1:2], f[1::2], f[2::2]]))
     s = np.eye(2, p + 2)
     s[1, 1] = 0.0
-    rows = _scan(step_maps[0], increments, s)
+    rows = np.empty((steps + 1, p + 2))
+    rows[0] = s[0]
+    for k in range(steps):
+        s = step_map @ s + increments[k]
+        rows[k + 1] = s[0]
     rows.setflags(write=False)
     return rows
 
@@ -413,10 +352,9 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     if dt <= 0.0 or dt > tau / 10.0:
         raise ValueError("dt must be positive and at most a tenth of the duration")
     n = int(np.ceil(tau / dt * (1.0 - 1e-9)))
-    rows = _response(n, tuple(model.centers.tolist()), tuple(model.widths.tolist()),
-                     model.alpha_z, model.beta_z, model.alpha_x)
+    rows = _response(n, model.weights.shape[1])
     goal = model.u_goal
-    out = rows @ np.vstack([model.u_start, goal, model.weights.T * model.scale()])
+    out = rows @ np.vstack([model.u_start, goal, model.weights.T * model.forcing_scale])
     # the first settled state at or after the duration ends the rollout
     span = float(np.linalg.norm(goal - model.u_start))
     settle_tol = 1e-4 * span + 1e-12

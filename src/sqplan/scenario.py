@@ -254,6 +254,8 @@ def save_trajectory(trajectory: PoseTrajectory, path: str) -> None:
 
 
 def load_trajectory(path: str) -> PoseTrajectory:
+    """Read a trajectory CSV; a ScenarioError names the file, and the row
+    and column of a field that is not a finite number."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -270,7 +272,17 @@ def load_trajectory(path: str) -> PoseTrajectory:
             if len(row) != len(header):
                 raise ScenarioError(f"{path}: row {k + 1} has {len(row)} "
                                     f"fields, expected {len(header)}")
-            rows.append([float(v) for v in row])
+            values = []
+            for col, v in zip(header, row):
+                try:
+                    x = float(v)
+                except ValueError:
+                    x = math.nan
+                if not math.isfinite(x):
+                    raise ScenarioError(f"{path}: row {k + 1}, column '{col}': "
+                                        f"expected a finite number, got {v!r}")
+                values.append(x)
+            rows.append(values)
     if not rows:
         raise ScenarioError(f"{path}: no samples")
     data = np.asarray(rows)

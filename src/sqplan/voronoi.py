@@ -218,41 +218,29 @@ def build_cell(ci: Cluster, planes: list[Hyperplane], world_lo, world_hi,
     oriented = [(*hp.oriented(ci.id), k) for k, hp in enumerate(planes)
                 if ci.id in (hp.cluster_i, hp.cluster_j)]
 
-    if dim == 2:
-        verts, tags = box_polygon(lo, hi)
-        kept = []
-        for n, b, k in oriented:
-            new_v, new_t, changed = clip_polygon(verts, tags, n, b, k, tol)
-            if new_v is None:
-                raise EmptyIntersectionError(
-                    f"cell of cluster {ci.id} vanished; hyperplane orientation is wrong")
-            if changed:
-                kept.append((n, b, k))
-            verts, tags = new_v, new_t
-        m = len(verts)
-        edges = [(u, (u + 1) % m, [tags[u]]) for u in range(m)]
-        used = {t for t in tags}
-        half = [(n, float(b), k) for n, b, k in kept if k in used]
-        _add_box_halfspaces(half, lo, hi, 2)
-        return PolytopeCell(ci.id, verts, edges, None, half)
-
-    verts, faces = box_polyhedron(lo, hi)
+    # polygon tags are per edge, polyhedron faces (vertex loop, tag) pairs
+    verts, parts = box_polygon(lo, hi) if dim == 2 else box_polyhedron(lo, hi)
+    clip = clip_polygon if dim == 2 else clip_polyhedron
     kept = []
     for n, b, k in oriented:
-        new_v, new_f, changed = clip_polyhedron(verts, faces, n, b, k, tol)
+        new_v, new_p, changed = clip(verts, parts, n, b, k, tol)
         if new_v is None:
             raise EmptyIntersectionError(
                 f"cell of cluster {ci.id} vanished; hyperplane orientation is wrong")
         if changed:
             kept.append((n, b, k))
-        verts, faces = new_v, new_f
-    varr, faces = compact_polyhedron(verts, faces)
-    edge_map = polyhedron_edges(faces)
-    edges = [(u, v, tags) for (u, v), tags in sorted(edge_map.items())]
-    used = {t for _, t in faces}
+        verts, parts = new_v, new_p
+    if dim == 2:
+        m = len(verts)
+        edges = [(u, (u + 1) % m, [parts[u]]) for u in range(m)]
+        faces, used = None, set(parts)
+    else:
+        verts, faces = compact_polyhedron(verts, parts)
+        edges = [(u, v, tags) for (u, v), tags in sorted(polyhedron_edges(faces).items())]
+        used = {t for _, t in faces}
     half = [(n, float(b), k) for n, b, k in kept if k in used]
-    _add_box_halfspaces(half, lo, hi, 3)
-    return PolytopeCell(ci.id, varr, edges, faces, half)
+    _add_box_halfspaces(half, lo, hi, dim)
+    return PolytopeCell(ci.id, verts, edges, faces, half)
 
 
 def _add_box_halfspaces(half, lo, hi, dim):

@@ -12,6 +12,8 @@ roadmap build that calls it once per candidate edge, in insertion order.
 `per_edge_project_terminal` projects a terminal with one point-segment
 distance per live edge. Both write a `DictGraph`, the mutable roadmap the
 read-only `RoadmapGraph` replaced: a projection tombstones the edge it splits.
+`block_kernel` holds the maps of BLOCK steps of the rollout's linear RK4
+step map, which a block scan applies as two matmuls per block.
 `load_bench_scenes` imports perfbench's scene definitions.
 """
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from sqplan.clearance import AUDIT_TOL, trajectory_collides
@@ -119,8 +122,34 @@ def reference_fit_lwr(demo, p):
         weights += (psi_i.T @ (xi * residual)) / den
         residual = target - (psi_i @ weights) / psi_sum * xi
     weights[:, np.abs(forcing_scale) < 1e-12] = 0.0
-    return DMPModel(weights.T.copy(), centers, widths, duration, u_start, u_goal,
-                    demo.dim, forcing_scale)
+    return DMPModel(weights.T.copy(), duration, u_start, u_goal, demo.dim, forcing_scale)
+
+
+BLOCK = 64  # RK4 steps per block of the block scan
+
+
+def block_kernel(p, b):
+    """Maps of b steps of s <- P s + d, in channel-major layout.
+
+    After j steps from s with increments d_0..d_{j-1} the state is
+    P^j s + sum_{c<j} P^(j-1-c) d_c. Returns the powers, (2, b, 2) with
+    [i, r, j] = P^(r+1)[i, j], and the lower block-triangular kernel,
+    (2, b, 2, b) with [i, r, j, c] = P^(r-c)[i, j] for r >= c and zero above
+    the diagonal; row (i, r) is component i of the state after r + 1 steps.
+    """
+    powers = np.empty((b + 1, 2, 2))
+    powers[0] = np.eye(2)
+    powers[1] = p
+    n = 1
+    while n < b:  # doubling: P^(n+1)..P^(2n) from P^1..P^n
+        m = min(n, b - n)
+        powers[n + 1:n + 1 + m] = powers[1:1 + m] @ powers[n]
+        n += m
+    # [i, j, t] = P^(b-1-t)[i, j], zero for t >= b; window q + c is lag r - c
+    # at q = b - 1 - r
+    lags = np.concatenate([powers[b - 1::-1], np.zeros((b - 1, 2, 2))]).transpose(1, 2, 0)
+    kernel = sliding_window_view(lags, b, axis=-1)[:, :, ::-1].transpose(0, 2, 1, 3)
+    return powers[1:].transpose(1, 0, 2).copy(), np.ascontiguousarray(kernel)
 
 
 def segment_clear(a, b, expanded, samples=EDGE_SAMPLES) -> bool:

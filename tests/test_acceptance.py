@@ -12,7 +12,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from sqplan.cli import main
-from sqplan.dmp import _basis, DMPModel, fit_lwr, rollout
+from sqplan.dmp import DMPModel, fit_lwr, rollout
 from sqplan.geometry import (RigidPose, Superquadric, expand, inside_outside,
                              surface_samples)
 from sqplan.pipeline import NO_FEASIBLE_PASSAGE, plan
@@ -266,9 +266,8 @@ def test_criterion_09_dmp_convergence(bench):
                / max(np.linalg.norm(model.u_goal - model.u_start), 1e-12))
         worst_goal = max(worst_goal, rel)
 
-    centers, widths = _basis(20)
-    zero = DMPModel(np.zeros((3, 20)), centers, widths, 2.0,
-                    np.zeros(3), np.array([1.0, -2.0, 0.5]), 2)
+    goal = np.array([1.0, -2.0, 0.5])
+    zero = DMPModel(np.zeros((3, 20)), 2.0, np.zeros(3), goal, 2, goal.copy())
     traj = rollout(zero, dt=0.002)
     y = np.hstack([traj.positions, traj.orientations])
     monotone = all(

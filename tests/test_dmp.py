@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (check_decision, exact_distances, load_bench_scenes, reference_fit_lwr,
-                     sampled_collides)
+from oracles import (BLOCK, block_kernel, check_decision, exact_distances, load_bench_scenes,
+                     reference_fit_lwr, sampled_collides)
 from sqplan import clearance, dmp, pipeline
 from sqplan.clearance import AUDIT_TOL, min_trajectory_distance
-from sqplan.dmp import (ALPHA_Z, BETA_Z, DMPModel, Demonstration,
+from sqplan.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, Demonstration,
                         PoseTrajectory, _basis, _rk4_maps,
                         demonstration_trajectory, fit_lwr, interpolate_waypoints,
                         rollout, trajectory_collides, validate_and_finalize)
@@ -102,10 +102,9 @@ def test_fit_straight_line_tracks_within_one_percent():
 
 def test_fit_self_consistency_known_weights():
     rng = np.random.default_rng(12)
-    centers, widths = _basis(15)
     w0 = rng.normal(scale=20.0, size=(3, 15))
-    model0 = DMPModel(w0, centers, widths, 2.0,
-                      np.array([0.0, 0.0, 0.0]), np.array([1.0, 2.0, 0.5]), 2)
+    goal = np.array([1.0, 2.0, 0.5])
+    model0 = DMPModel(w0, 2.0, np.zeros(3), goal, 2, goal.copy())
     traj0 = rollout(model0, dt=0.002)
     demo = Demonstration(traj0.times,
                          np.hstack([traj0.positions, traj0.orientations]), 2)
@@ -124,9 +123,8 @@ def test_constant_demo_stays_put():
 
 
 def test_zero_weights_monotone_no_overshoot():
-    centers, widths = _basis(10)
-    model = DMPModel(np.zeros((3, 10)), centers, widths, 2.0,
-                     np.array([0.0, 0.0, 0.0]), np.array([1.0, -2.0, 0.5]), 2)
+    goal = np.array([1.0, -2.0, 0.5])
+    model = DMPModel(np.zeros((3, 10)), 2.0, np.zeros(3), goal, 2, goal.copy())
     traj = rollout(model, dt=0.002)
     y = np.hstack([traj.positions, traj.orientations])
     for ch, g in enumerate([1.0, -2.0, 0.5]):
@@ -137,12 +135,9 @@ def test_zero_weights_monotone_no_overshoot():
 
 
 def test_zero_weights_goal_scaling_linear():
-    centers, widths = _basis(10)
     g1 = np.array([1.0, 0.5, -0.3])
-    m1 = DMPModel(np.zeros((3, 10)), centers, widths, 1.5,
-                  np.zeros(3), g1, 2)
-    m2 = DMPModel(np.zeros((3, 10)), centers, widths, 1.5,
-                  np.zeros(3), 2.0 * g1, 2)
+    m1 = DMPModel(np.zeros((3, 10)), 1.5, np.zeros(3), g1, 2, g1.copy())
+    m2 = DMPModel(np.zeros((3, 10)), 1.5, np.zeros(3), 2.0 * g1, 2, 2.0 * g1)
     t1 = rollout(m1, dt=0.003)
     t2 = rollout(m2, dt=0.003)
     y1 = np.hstack([t1.positions, t1.orientations])
@@ -230,6 +225,11 @@ def grid_steps(tau, dt):
     return int(np.ceil(tau / dt * (1.0 - 1e-9)))
 
 
+def model_of_ends(weights, duration, start, goal, dim):
+    """A DMPModel with the standard forcing scale, goal - start."""
+    return DMPModel(weights, duration, start, goal, dim, goal - start)
+
+
 def two_loop_rollout(model, dt):
     """Reference rollout: the forcing term evaluated inside deriv at every RK4
     stage, one loop over the n equal steps up to the duration and a second
@@ -239,15 +239,15 @@ def two_loop_rollout(model, dt):
     times = tau * (np.arange(2 * n + 1) / n)
     h = tau / n
     k = model.u_start.shape[0]
-    scale = model.scale()
+    centers, widths = _basis(model.weights.shape[1])
     span = float(np.linalg.norm(model.u_goal - model.u_start))
     settle_tol = 1e-4 * span + 1e-12
 
     def deriv(t, y, z):
-        x = np.exp(-model.alpha_x * t / tau)
-        psi = np.exp(-model.widths * (x - model.centers) ** 2)
-        f = (model.weights @ psi) / np.sum(psi) * x * scale
-        return z / tau, (model.alpha_z * (model.beta_z * (model.u_goal - y) - z) + f) / tau
+        x = np.exp(-ALPHA_X * t / tau)
+        psi = np.exp(-widths * (x - centers) ** 2)
+        f = (model.weights @ psi) / np.sum(psi) * x * model.forcing_scale
+        return z / tau, (ALPHA_Z * (BETA_Z * (model.u_goal - y) - z) + f) / tau
 
     def step(t, y, z):
         k1y, k1z = deriv(t, y, z)
@@ -273,12 +273,11 @@ def two_loop_rollout(model, dt):
 
 def test_rollout_matches_two_loop_reference():
     rng = np.random.default_rng(0)
-    centers, widths = _basis(15)
     for trial in range(8):
         k = 3 if trial % 2 else 6
-        model = DMPModel(rng.normal(scale=[50.0, 300.0][trial % 2], size=(k, 15)),
-                         centers, widths, float(rng.uniform(0.5, 3.0)),
-                         rng.normal(size=k), rng.normal(size=k), 2 if k == 3 else 3)
+        model = model_of_ends(rng.normal(scale=[50.0, 300.0][trial % 2], size=(k, 15)),
+                              float(rng.uniform(0.5, 3.0)), rng.normal(size=k),
+                              rng.normal(size=k), 2 if k == 3 else 3)
         dt = model.duration / int(rng.integers(20, 400))
         times, samples = two_loop_rollout(model, dt)
         traj = rollout(model, dt)
@@ -295,9 +294,8 @@ def test_rollout_uneven_dt_matches_two_loop_reference():
     # duration; a zero start-goal span never settles, so the settle phase
     # runs on the same steps to exactly 2x the duration
     rng = np.random.default_rng(3)
-    centers, widths = _basis(15)
     start = rng.normal(size=3)
-    model = DMPModel(rng.normal(scale=50.0, size=(3, 15)), centers, widths, 1.0,
+    model = DMPModel(rng.normal(scale=50.0, size=(3, 15)), 1.0,
                      start, start.copy(), 2, forcing_scale=np.ones(3))
     dt = 0.03
     times, samples = two_loop_rollout(model, dt)
@@ -360,7 +358,6 @@ def test_rollout_matches_two_loop_reference_on_plan_models(name, monkeypatch):
 
 def test_rollout_block_edges_match_two_loop_reference():
     rng = np.random.default_rng(8)
-    centers, widths = _basis(15)
     # dt = duration / 10, the largest allowed: the main phase is 10 steps,
     # shorter than one block; models that settle at the duration, a few
     # steps later, or never (a zero start-goal span)
@@ -369,19 +366,19 @@ def test_rollout_block_edges_match_two_loop_reference():
         start = rng.normal(size=3)
         goal = start.copy() if trial == 6 else rng.normal(size=3)
         model = DMPModel(rng.normal(scale=scale, size=(3, 15)),
-                         centers, widths, float(rng.uniform(0.5, 3.0)), start, goal, 2,
+                         float(rng.uniform(0.5, 3.0)), start, goal, 2,
                          forcing_scale=np.ones(3))
         lengths.add(assert_matches_two_loop_reference(model, model.duration / 10.0))
     assert min(lengths) == 11 and max(lengths) == 21 and len(lengths) > 3
     # forcing scaled until the state first settles on the first, and on the
-    # last, step of a block of the response's scan: the block from step i
-    # holds the states after steps i + 1 .. i + BLOCK
+    # last, step of a block of the block scan: the block from step i holds
+    # the states after steps i + 1 .. i + BLOCK
     weights = rng.normal(size=(6, 15))
     start, goal = rng.normal(size=6), rng.normal(size=6)
     dt = 1.0 / 400.0
 
     def model_of(scale):
-        return DMPModel(weights * scale, centers, widths, 1.0, start, goal, 3)
+        return model_of_ends(weights * scale, 1.0, start, goal, 3)
 
     def onset(index):
         """log10 of the least scale that first settles at index or later;
@@ -395,8 +392,8 @@ def test_rollout_block_edges_match_two_loop_reference():
                 hi = mid
         return hi
 
-    first = next(j for j in range(401, 800) if j % dmp.BLOCK == 1)
-    last = next(j for j in range(401, 800) if j % dmp.BLOCK == 0)
+    first = next(j for j in range(401, 800) if j % BLOCK == 1)
+    last = next(j for j in range(401, 800) if j % BLOCK == 0)
     for settled in (first, last):
         # midway between the onsets, no state sits at the tolerance itself
         model = model_of(10.0 ** (0.5 * (onset(settled) + onset(settled + 1))))
@@ -412,10 +409,9 @@ def test_rk4_maps_reproduce_one_explicit_step():
     for _ in range(50):
         tau = rng.uniform(0.2, 5.0)
         a = np.array([[0.0, 1.0 / tau], [-ALPHA_Z * BETA_Z / tau, -ALPHA_Z / tau]])
-        h = rng.uniform(1e-4, 0.1 * tau, 4)
-        step_maps, input_maps = _rk4_maps(a, h)
-        assert step_maps.shape == (4, 2, 2) and input_maps.shape == (4, 2, 3)
-        for hm, p, q in zip(h, step_maps, input_maps):
+        for hm in rng.uniform(1e-4, 0.1 * tau, 4):
+            p, q = _rk4_maps(a, hm)
+            assert p.shape == (2, 2) and q.shape == (2, 3)
             s = rng.normal(size=(2, 5))
             b1, b2, b4 = rng.normal(scale=100.0, size=(3, 5))
 
@@ -662,11 +658,13 @@ def block_scan_rollout(model, dt):
     n = grid_steps(tau, dt)
     times = tau * (np.arange(2 * n + 1) / n)
     h = tau / n
+    centers, widths = _basis(model.weights.shape[1])
 
     def forcing_at(t):
-        x = np.exp(-model.alpha_x * t / tau)
-        psi = np.exp(-model.widths * (x[:, None] - model.centers) ** 2)
-        return (psi @ model.weights.T) / np.sum(psi, axis=1)[:, None] * x[:, None] * model.scale()
+        x = np.exp(-ALPHA_X * t / tau)
+        psi = np.exp(-widths * (x[:, None] - centers) ** 2)
+        return ((psi @ model.weights.T) / np.sum(psi, axis=1)[:, None] * x[:, None]
+                * model.forcing_scale)
 
     at_grid = forcing_at(times)
     at_mid = forcing_at(times[:-1] + h / 2)
@@ -675,18 +673,17 @@ def block_scan_rollout(model, dt):
     settle_tol = 1e-4 * span + 1e-12
     goal = model.u_goal
     k = len(goal)
-    a = np.array([[0.0, 1.0 / tau],
-                  [-model.alpha_z * model.beta_z / tau, -model.alpha_z / tau]])
-    step_maps, input_maps = _rk4_maps(a, [h])
-    b = (model.alpha_z * model.beta_z * goal + forcing) / tau
-    increments = np.einsum("ij,njk->ink", input_maps[0], b)
-    powers, kernel = dmp._block_kernel(step_maps[0], dmp.BLOCK)
+    a = np.array([[0.0, 1.0 / tau], [-ALPHA_Z * BETA_Z / tau, -ALPHA_Z / tau]])
+    step_map, input_map = _rk4_maps(a, h)
+    b = (ALPHA_Z * BETA_Z * goal + forcing) / tau
+    increments = np.einsum("ij,njk->ink", input_map, b)
+    powers, kernel = block_kernel(step_map, BLOCK)
     s = np.stack([model.u_start.astype(float), np.zeros(k)])
     out = np.empty((2 * n + 1, k))
     out[0] = s[0]
     m = len(out)
-    for i in range(0, 2 * n, dmp.BLOCK):
-        j = min(dmp.BLOCK, 2 * n - i)
+    for i in range(0, 2 * n, BLOCK):
+        j = min(BLOCK, 2 * n - i)
         states = powers[:, :j].reshape(2 * j, 2) @ s \
             + kernel[:, :j, :, :j].reshape(2 * j, 2 * j) @ increments[:, i:i + j].reshape(2 * j, k)
         out[i + 1:i + 1 + j] = states[:j]
@@ -711,9 +708,8 @@ def assert_matches_block_scan(model, dt):
 
 
 def random_model(rng, p, k, duration, scale=50.0):
-    centers, widths = _basis(p)
-    return DMPModel(rng.normal(scale=scale, size=(k, p)), centers, widths, duration,
-                    rng.normal(size=k), rng.normal(size=k), 2 if k == 3 else 3)
+    return model_of_ends(rng.normal(scale=scale, size=(k, p)), duration,
+                         rng.normal(size=k), rng.normal(size=k), 2 if k == 3 else 3)
 
 
 def trajectory_bytes(traj):
@@ -772,8 +768,7 @@ def test_response_arrays_are_read_only_and_cache_is_bounded():
         model = random_model(rng, 12, 3, 1.0)
         rollout(model, model.duration / steps)
         assert dmp._response.cache_info().currsize <= dmp.RESPONSES
-    centers, widths = _basis(12)
-    key = (40, tuple(centers), tuple(widths), ALPHA_Z, BETA_Z, dmp.ALPHA_X)
+    key = (40, 12)
     rows = dmp._response(*key)
     # y rows on the grid k / 40 up to 2: a unit start, a unit goal and each
     # forcing column
@@ -816,9 +811,8 @@ def test_default_dt_takes_400_equal_steps():
     # steps at dt = tau / 400, whatever the rounding of tau / dt, and 401
     # steps per duration once dt is a relative 2e-9 smaller
     rng = np.random.default_rng(23)
-    centers, widths = _basis(25)
     start = rng.normal(size=6)
-    model = DMPModel(rng.normal(scale=50.0, size=(6, 25)), centers, widths, 1.0,
+    model = DMPModel(rng.normal(scale=50.0, size=(6, 25)), 1.0,
                      start, start.copy(), 3, forcing_scale=np.ones(6))
     for tau in np.concatenate([[26.59995192128542], 10.0 ** rng.uniform(-3.0, 3.0, 200)]):
         model.duration = float(tau)
@@ -830,6 +824,14 @@ def test_default_dt_takes_400_equal_steps():
         assert len(rollout(model, dt * (1.0 - 2e-9)).times) == 803
     length = assert_matches_block_scan(model, model.duration / 400.0)
     assert assert_matches_two_loop_reference(model, model.duration / 400.0) == length == 801
+
+
+def test_long_grid_matches_two_loop_reference():
+    # dt = tau / 4000: a response of 8000 steps, ten times the planner's
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        model = random_model(rng, 25, 6, float(rng.uniform(0.5, 3.0)), scale=300.0)
+        assert assert_matches_two_loop_reference(model, model.duration / 4000.0) > 4001
 
 
 def test_rollout_is_stable_under_one_ulp_waypoint_changes(monkeypatch):
@@ -889,7 +891,7 @@ def assert_fit_matches_reference(demo, p):
     got, ref = fit_lwr(demo, p), reference_fit_lwr(demo, p)
     scale = np.max(np.abs(ref.weights), axis=1, keepdims=True)
     assert np.all(np.abs(got.weights - ref.weights) <= 1e-9 * scale)
-    for field in ("centers", "widths", "u_start", "u_goal", "forcing_scale"):
+    for field in ("u_start", "u_goal", "forcing_scale"):
         assert np.array_equal(getattr(got, field), getattr(ref, field))
     assert got.duration == ref.duration and got.dim == ref.dim
     dt = demo.times[-1] / 400.0
@@ -967,7 +969,7 @@ def test_lwr_maps_are_read_only_and_cache_is_bounded():
     for n in range(40, 40 + 3 * dmp.LWR_MAPS):
         fit_lwr(profile_demo(n), 12)
         assert dmp._lwr_map.cache_info().currsize <= dmp.LWR_MAPS
-    key = (40, 12, ALPHA_Z, BETA_Z, dmp.ALPHA_X)
+    key = (40, 12)
     entry = dmp._lwr_map(*key)
     assert [a.shape for a in entry] == [(12, 40), (12,), (12, 12)]
     for a in entry:
@@ -986,7 +988,7 @@ def test_lwr_map_build_forms_no_square_array():
     dmp._lwr_map.cache_clear()
     tracemalloc.start()
     try:
-        dmp._lwr_map(4000, 25, ALPHA_Z, BETA_Z, dmp.ALPHA_X)
+        dmp._lwr_map(4000, 25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

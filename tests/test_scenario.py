@@ -107,6 +107,20 @@ def test_trajectory_roundtrip(tmp_path):
         assert f1.read() == f2.read()
 
 
+@pytest.mark.parametrize("field", ["abc", "nan", "-inf", ""])
+def test_trajectory_load_rejects_a_field_that_is_not_a_finite_number(tmp_path, field):
+    traj = PoseTrajectory(np.linspace(0.0, 1.0, 3), np.zeros((3, 2)), np.zeros((3, 1)))
+    path = tmp_path / "t.csv"
+    save_trajectory(traj, str(path))
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    row[2] = field
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScenarioError, match=f"t.csv: row 2, column 'y': .*{field!r}"):
+        load_trajectory(str(path))
+
+
 def test_benchmarks_deterministic():
     for name in BENCHMARK_NAMES:
         a = scenario_to_dict(generate_benchmark(name, seed=3))
