@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Superquadric, box_gaps, dual_exponents,
-                       inside_outside_local, support_points)
+from .geometry import (ShapeArrays, Superquadric, box_gaps, dual_exponents,
+                       inside_outside_local, stack_shapes, support_points)
 from .poses import robot_rotations
 from .proximity import closest_pair_arrays
 
@@ -39,36 +39,38 @@ class AuditStats:
     worst_pose: int | None = None  # index of the pose that attains the minimum
 
 
-def axis_gaps(rot, pos, axes, q, normals) -> np.ndarray:
+def axis_gaps(pairs: ShapeArrays, normals) -> np.ndarray:
     """Lower bounds of the distances of posed shape pairs from one axis each.
 
-    rot, pos, axes and q stack the pairs as in `closest_pair_arrays` ([0]
-    the i side, [1] the j side); normals is (n, dim), unit vectors pointing
-    from shape i towards shape j. On the axis n, shape i reaches up to
-    n.s_i(n) and shape j starts at n.s_j(-n), s the support points, and
-    projection onto a unit vector is 1-Lipschitz, so the gap
+    pairs is a pair stack as `closest_pair_arrays` takes ([0] the i side,
+    [1] the j side); normals is (n, dim), unit vectors pointing from shape
+    i towards shape j. On the axis n, shape i reaches up to n.s_i(n) and
+    shape j starts at n.s_j(-n), s the support points, and projection onto
+    a unit vector is 1-Lipschitz, so the gap
     n.s_j(-n) - n.s_i(n) is at most the pair's distance for every n (and at
     most 0 when they overlap). At the normal of the closest points it equals
     the distance; a normal off by an angle a loses only O(a^2) of it.
     """
-    s = support_points(rot, pos, axes, q, np.array([1.0, -1.0])[:, None, None] * normals)
+    s = support_points(pairs.rot, pairs.pos, pairs.axes, pairs.q,
+                       np.array([1.0, -1.0])[:, None, None] * normals)
     return np.einsum("ij,ij->i", normals, s[1] - s[0])
 
 
-def _pair_bounds(rot, pos, axes, q, eps):
+def _pair_bounds(pairs: ShapeArrays):
     """Closed-form axis bounds of (robot, obstacle) pairs, and a contact proof.
 
-    The arrays stack the pairs as in `closest_pair_arrays`, robot side [0];
-    eps is (2, m, dim - 1). The gap along a unit direction n, pointing from
-    the robot towards the obstacle, bounds the distance (`axis_gaps`). It is
-    taken along three kinds of direction: the obstacle's own axes, along which
-    the obstacle's extent is its semi-axis, so only the robot's support point
-    is evaluated; the robot's axes, likewise; and the direction from the
+    pairs is a pair stack as `closest_pair_arrays` takes, robot side [0].
+    The gap along a unit direction n, pointing from the robot towards the
+    obstacle, bounds the distance (`axis_gaps`). It is taken along three
+    kinds of direction: the obstacle's own axes, along which the obstacle's
+    extent is its semi-axis, so only the robot's support point is
+    evaluated; the robot's axes, likewise; and the direction from the
     robot's centre to the nearest point of the obstacle's box, where both
     are. One `support_points` call serves both sides. Returns the largest
     gap of each pair, and whether some support point lies inside the other
     shape (implicit function <= 0), which proves contact.
     """
+    rot, pos, axes, eps, q = pairs
     dim = pos.shape[-1]
     d = pos[1] - pos[0]
     local = np.einsum("mij,mi->mj", rot[1], -d)  # robot centre, obstacle frame
@@ -94,26 +96,26 @@ def _pair_bounds(rot, pos, axes, q, eps):
     return np.maximum(along_axes.max(axis=(0, 2)), along_u), bool(contact)
 
 
-def _upper_bounds(rot, pos, axes, q, eps_o):
+def _upper_bounds(pairs: ShapeArrays):
     """Closed-form upper bounds of the distances of (robot, obstacle) pairs.
 
-    The arrays stack the pairs as in `_pair_bounds`, robot side [0]; eps_o
-    is the obstacles' (m, dim - 1) exponents. Each bound is the distance
-    between a point of each shape: the robot's support point towards the
-    obstacle's centre, and the obstacle's surface point radially above b,
-    the point of its box nearest the robot's centre. In the obstacle's
-    frame the implicit function plus one, F, is homogeneous of degree
-    2 / eps_1, so that point is b F(b)^(-eps_1 / 2). b is first scaled onto
-    the box's surface, where F >= 1, so no power underflows; b = 0 gives
-    the centre.
+    pairs is a pair stack as in `_pair_bounds`, robot side [0]. Each bound
+    is the distance between a point of each shape: the robot's support
+    point towards the obstacle's centre, and the obstacle's surface point
+    radially above b, the point of its box nearest the robot's centre. In
+    the obstacle's frame the implicit function plus one, F, is homogeneous
+    of degree 2 / eps_1, so that point is b F(b)^(-eps_1 / 2). b is first
+    scaled onto the box's surface, where F >= 1, so no power underflows;
+    b = 0 gives the centre.
     """
+    rot, pos, axes, eps, q = pairs
     d = pos[1] - pos[0]
     s = support_points(rot[0], pos[0], axes[0], q[0], d)
     b = np.clip(np.einsum("mij,mi->mj", rot[1], -d), -axes[1], axes[1])
     scale = np.max(np.abs(b) / axes[1], axis=1, keepdims=True)
     b = b / np.where(scale > 0.0, scale, 1.0)
-    f = np.maximum(inside_outside_local(b, axes[1], eps_o) + 1.0, 1.0)
-    surface = pos[1] + np.einsum("mij,mj->mi", rot[1], b * f[:, None] ** (-eps_o[:, :1] / 2.0))
+    f = np.maximum(inside_outside_local(b, axes[1], eps[1]) + 1.0, 1.0)
+    surface = pos[1] + np.einsum("mij,mj->mi", rot[1], b * f[:, None] ** (-eps[1][:, :1] / 2.0))
     return np.linalg.norm(s - surface, axis=1)
 
 
@@ -178,23 +180,19 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     positions = trajectory.positions
     n_poses, dim = positions.shape
     r = robot.bounding_radius()
-    lower = box_gaps(positions, obstacles) - r   # (obstacle, pose) lower bounds
+    shapes = stack_shapes(obstacles)
+    lower = box_gaps(positions, shapes) - r   # (obstacle, pose) lower bounds
     if threshold is not None and not np.any(lower <= threshold):
         return float(lower.min())
     half = AUDIT_TOL * r / 2.0
-    robot_q = dual_exponents(robot.eps)
-    obstacles_stacked = (np.array([o.pose.rotation_matrix() for o in obstacles]),
-                         np.array([o.center for o in obstacles]),
-                         np.array([o.axes for o in obstacles]),
-                         dual_exponents([o.eps for o in obstacles]))
+    robot_shape = (robot.axes, robot.eps, dual_exponents(robot.eps))
 
     def pairs(j, i):
-        """closest_pair_arrays' shape arrays for the robot at poses i and
-        obstacles j."""
-        rot_o, pos_o, axes_o, q_o = (x[j] for x in obstacles_stacked)
-        return (np.stack([rotations[i], rot_o]), np.stack([positions[i], pos_o]),
-                np.stack([np.broadcast_to(robot.axes, axes_o.shape), axes_o]),
-                np.stack([np.broadcast_to(robot_q, q_o.shape), q_o]))
+        """The pair stack of the robot at poses i, side [0], and obstacles j."""
+        o = shapes.take(j)
+        robot_i = (rotations[i], positions[i],
+                   *(np.broadcast_to(x, y.shape) for x, y in zip(robot_shape, o[2:])))
+        return ShapeArrays(*map(np.stack, zip(robot_i, o)))
 
     def below(bounds):
         """Open pairs: those whose bound may still undercut the answer."""
@@ -209,9 +207,7 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
         open_poses = np.unique(i)
         rotations = np.empty((n_poses, dim, dim))
         rotations[open_poses] = robot_rotations(robot.dim, trajectory.orientations[open_poses])
-        eps_o = np.array([o.eps for o in obstacles])[j]
-        bounds, contact = _pair_bounds(*pairs(j, i), np.stack(
-            [np.broadcast_to(robot.eps, eps_o.shape), eps_o]))
+        bounds, contact = _pair_bounds(pairs(j, i))
         if contact:
             return 0.0
         lower[j, i] = np.maximum(lower[j, i], bounds)
@@ -234,17 +230,15 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     if threshold is None:
         # one min-search round: the picks and the stride poses whose bound
         # is below U - h, U the least closed-form upper bound at the picks
-        u = _upper_bounds(*pairs(np.arange(len(obstacles)), first),
-                          np.array([o.eps for o in obstacles])).min()
+        u = _upper_bounds(pairs(np.arange(len(obstacles)), first)).min()
         todo |= second & (lower < u - half)
         second, upper = None, float(u) + half
     while todo.any():
         j, i = np.nonzero(todo)
-        result = closest_pair_arrays(*pairs(j, i), tol=half, threshold=threshold,
-                                     upper=upper)
+        p_r, p_o, distance, converged, iterations, lower_bound = closest_pair_arrays(
+            pairs(j, i), tol=half, threshold=threshold, upper=upper)
         upper = None
-        p_r, p_o, distance, converged, iterations = result
-        retired = ~np.isnan(result.lower_bound)
+        retired = ~np.isnan(lower_bound)
         stats.rounds += 1
         stats.solves += len(j)
         stats.nonconverged += len(j) - int(np.count_nonzero(converged))
@@ -260,7 +254,7 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
         w = p_o - p_r
         normals[j, i] = w / np.linalg.norm(w, axis=1, keepdims=True)
         bound = distance - half
-        bound[retired] = result.lower_bound[retired]
+        bound[retired] = lower_bound[retired]
         lower[j[converged], i[converged]] = bound[converged]
         if threshold is None:  # a retired pair still open is solved again
             solved[j[retired], i[retired]] = ~below(bound[retired])
@@ -275,7 +269,7 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
         row = open_keys // n_poses
         after = np.where(after // n_poses == row, after, before)
         before = np.where(before // n_poses == row, before, after)
-        gaps = axis_gaps(*pairs(np.tile(row, 2), np.tile(open_keys % n_poses, 2)),
+        gaps = axis_gaps(pairs(np.tile(row, 2), np.tile(open_keys % n_poses, 2)),
                          normals.reshape(-1, dim)[np.concatenate([before, after])])
         lower.flat[open_keys] = np.maximum(lower.flat[open_keys],
                                            gaps.reshape(2, -1).max(axis=0))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,17 +182,14 @@ def inside_outside_local(local: np.ndarray, axes, eps) -> np.ndarray:
     return f
 
 
-def box_gaps(points, shapes: list[Superquadric]) -> np.ndarray:
+def box_gaps(points, shapes: ShapeArrays) -> np.ndarray:
     """(shapes, points) distances from world points to each shape's box of
     semi-axes in its own frame, ||max(|R^T (p - c)| - a, 0)||. A superquadric
     lies inside that box, so this is a lower bound of the distance to it."""
     pts = np.asarray(points, dtype=float)
     dim = pts.shape[-1]
-    rot = np.array([s.pose.rotation_matrix() for s in shapes]).reshape(-1, dim, dim)
-    centers = np.array([s.center for s in shapes]).reshape(-1, 1, dim)
-    axes = np.array([s.axes for s in shapes]).reshape(-1, 1, dim)
-    local = np.abs((pts - centers) @ rot)
-    return np.linalg.norm(np.maximum(local - axes, 0.0), axis=2)
+    local = np.abs((pts - shapes.pos.reshape(-1, 1, dim)) @ shapes.rot.reshape(-1, dim, dim))
+    return np.linalg.norm(np.maximum(local - shapes.axes.reshape(-1, 1, dim), 0.0), axis=2)
 
 
 def surface_point(sq: Superquadric, angles) -> np.ndarray:
@@ -239,6 +238,42 @@ def dual_exponents(eps) -> np.ndarray:
     """Hoelder conjugates q = 2/(2 - eps) of the exponents 2/eps; inf at eps = 2."""
     e = np.asarray(eps, dtype=float)
     return np.divide(2.0, 2.0 - e, out=np.full(e.shape, np.inf), where=e < EPS_MAX)
+
+
+class ShapeArrays(NamedTuple):
+    """Shapes as arrays over leading axes: rotation matrices (..., dim, dim),
+    centres and semi-axes (..., dim), exponents and their dual exponents
+    (..., dim - 1). A pair stack, as `proximity.closest_pair_arrays` takes,
+    has the leading axes (2, n): [0] holds the i side of every pair, [1] the
+    j side."""
+
+    rot: np.ndarray
+    pos: np.ndarray
+    axes: np.ndarray
+    eps: np.ndarray
+    q: np.ndarray
+
+    def take(self, index) -> "ShapeArrays":
+        """The shapes at `index` on the leading axis; a (2, n) index array
+        of shape rows gives a pair stack."""
+        return ShapeArrays(*(x[index] for x in self))
+
+
+def stack_shapes(shapes: Sequence[Superquadric]) -> ShapeArrays:
+    """Shapes of one dimension as arrays, one row per shape."""
+    eps = np.array([s.eps for s in shapes])
+    return ShapeArrays(np.array([s.pose.rotation_matrix() for s in shapes]),
+                       np.array([s.center for s in shapes]),
+                       np.array([s.axes for s in shapes]), eps, dual_exponents(eps))
+
+
+def stack_pairs(shapes_i: Sequence[Superquadric],
+                shapes_j: Sequence[Superquadric]) -> ShapeArrays:
+    """The pair stack of shapes_i[k] and shapes_j[k], for every k."""
+    n = len(shapes_i)
+    if len(shapes_j) != n or len({s.dim for s in [*shapes_i, *shapes_j]}) > 1:
+        raise ValueError("expected two equally long lists of shapes of one dimension")
+    return stack_shapes([*shapes_i, *shapes_j]).take(np.arange(2 * n).reshape(2, n))
 
 
 def _lq_gradients(xy, q):

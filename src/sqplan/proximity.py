@@ -3,22 +3,26 @@
 Every shape is convex (eps in [0.1, 2]) and has a closed-form support map, so
 the distance between two shapes is the distance from the origin to their
 Minkowski difference, found by GJK (Gilbert, Johnson & Keerthi, IEEE J. Robot.
-Autom. 1988). `closest_pairs` advances a whole batch of pairs at once: each
+Autom. 1988). `closest_pair_arrays` advances a whole batch of pairs, given
+as a pair stack of shape arrays (`geometry.ShapeArrays`), at once: each
 iteration evaluates every active pair's support points in one array pass and
-runs Johnson's distance subalgorithm, in closed form, for all of them.
+runs Johnson's distance subalgorithm, in closed form, for all of them. Its
+result, `PairArrays`, is the one form in which every caller reads batched
+GJK; `closest_pairs` and `closest_pair` are its front ends for shape lists
+and for one pair.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 # surface_point is not used here; perfbench's traced run patches this name
-from .geometry import (Superquadric, dual_exponents, support_points,  # noqa: F401
-                       surface_point)
+from .geometry import (ShapeArrays, Superquadric, stack_pairs,  # noqa: F401
+                       support_points, surface_point)
 
 MAX_ITER = 100
 REL_TOL = 1e-12      # duality gap: stop when |v|^2 - v.w <= REL_TOL * |v|^2
@@ -33,8 +37,6 @@ class ClosestPair:
     Overlapping shapes report distance 0 with a point of the overlap as
     both witnesses. `converged` is False only when the iteration cap was hit.
     `iterations` is the GJK iteration in which the pair stopped.
-    `lower_bound` is set only for a pair retired by a threshold query (see
-    `closest_pair_arrays`): a certified lower bound on the distance.
     """
 
     p_i: np.ndarray
@@ -42,21 +44,20 @@ class ClosestPair:
     distance: float
     converged: bool
     iterations: int
-    lower_bound: float | None = None
 
 
-class PairArrays(tuple):
-    """`closest_pair_arrays`' result: the tuple (p_i, p_j, distance,
-    converged, iterations) of arrays over the pairs, and as an attribute
-    `lower_bound`, each pair's certified lower bound on its distance if a
-    threshold retired it and NaN otherwise."""
+class PairArrays(NamedTuple):
+    """Batched GJK's result, arrays over the pairs: the witness points on
+    each side, the distance, whether the solve converged, the GJK iteration
+    in which it stopped, and its certified lower bound on the distance if a
+    threshold or a bound retired it, NaN otherwise."""
 
+    p_i: np.ndarray
+    p_j: np.ndarray
+    distance: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
     lower_bound: np.ndarray
-
-    def __new__(cls, fields, lower_bound):
-        self = super().__new__(cls, fields)
-        self.lower_bound = lower_bound
-        return self
 
 
 # Faces of the simplex [w, y1, y2, y3] that contain the newest support point w
@@ -134,44 +135,26 @@ def _nearest_face(y, count):
 
 def closest_pairs(shapes_i: Sequence[Superquadric],
                   shapes_j: Sequence[Superquadric],
-                  threshold: float | None = None) -> list[ClosestPair]:
-    """Closest points between shapes_i[k] and shapes_j[k], for every k (GJK).
-
-    The list front end of `closest_pair_arrays`: it stacks each shape's
-    rotation matrix, centre, semi-axes and dual exponents, solves every pair
-    with tol = 0 and the given threshold, and wraps the results as
-    ClosestPair records.
-    """
-    sides = (shapes_i, shapes_j)
-    if len(shapes_i) != len(shapes_j) or len({s.dim for side in sides for s in side}) > 1:
-        raise ValueError("expected two equally long lists of shapes of one dimension")
-    if not shapes_i:
-        return []
-    # (2, n, ...) arrays: [0] holds the i side, [1] the j side
-    result = _gjk(
-        np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
-        np.array([[s.center for s in side] for side in sides]),
-        np.array([[s.axes for s in side] for side in sides]),
-        dual_exponents([[s.eps for s in side] for side in sides]), 0.0, threshold)
-    p_i, p_j, distance, converged, iterations = result
-    lower = [None if math.isnan(b) else b for b in result.lower_bound.tolist()]
-    return [ClosestPair(*pair) for pair in zip(
-        p_i, p_j, distance.tolist(), converged.tolist(), iterations.tolist(), lower)]
+                  threshold: float | None = None) -> PairArrays:
+    """Closest points between shapes_i[k] and shapes_j[k], for every k: the
+    full solve, or a threshold query, of `closest_pair_arrays` on their
+    pair stack (`geometry.stack_pairs`)."""
+    return closest_pair_arrays(stack_pairs(shapes_i, shapes_j), threshold=threshold)
 
 
-def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0,
+def closest_pair_arrays(pairs: ShapeArrays, tol: float = 0.0,
                         threshold: float | None = None,
                         upper: float | None = None) -> PairArrays:
-    """GJK on posed shapes given as arrays, all pairs together.
+    """GJK on a pair stack of posed shapes, all pairs together.
 
-    rot is (2, n, dim, dim), pos and axes are (2, n, dim) and q is
-    (2, n, dim - 1) (see `dual_exponents`): [0] holds the i side of every
-    pair, [1] the j side. GJK runs on each Minkowski difference A - B from
-    the direction between the centres. A pair leaves the batch when a stop
-    rule fires: the duality gap |v|^2 - v.w closes to max(REL_TOL |v|^2,
-    tol |v|), the simplex encloses the origin (dim + 1 vertices, or |v| below
-    TOUCH_TOL times the simplex size), |v| stops decreasing, or MAX_ITER is
-    reached (then `converged` is False). Witnesses are the simplex's weights
+    pairs stacks the shapes with leading axes (2, n): [0] holds the i side
+    of every pair, [1] the j side (see `geometry.ShapeArrays`). GJK runs on
+    each Minkowski difference A - B from the direction between the centres.
+    A pair leaves the batch when a stop rule fires: the duality gap
+    |v|^2 - v.w closes to max(REL_TOL |v|^2, tol |v|), the simplex encloses
+    the origin (dim + 1 vertices, or |v| below TOUCH_TOL times the simplex
+    size), |v| stops decreasing, or MAX_ITER is reached (then `converged` is
+    False). Witnesses are the simplex's weights
     applied to each shape's support points. Every step is elementwise per
     pair, so a pair's result is bitwise the same in any batch.
 
@@ -201,19 +184,15 @@ def closest_pair_arrays(rot, pos, axes, q, tol: float = 0.0,
     When `upper` is at least the batch's least distance plus tol
     (np.inf, say), the least reported distance is within tol of it, up to
     rounding. upper = None retires no pair.
-
-    Returns a PairArrays: (p_i, p_j, distance, converged, iterations) as
-    arrays over the pairs, with `lower_bound` as an attribute; iterations
-    counts the GJK iterations up to the one in which the pair stopped.
     """
-    return _gjk(rot, pos, axes, q, tol, threshold, upper)
-
-
-# closest_pairs calls the core directly: a stand-in for closest_pair_arrays,
-# as the audit's tests install, then changes only the array front end's callers
-def _gjk(rot, pos, axes, q, tol, threshold, upper=None) -> PairArrays:
+    pos = pairs.pos
     n, dim = pos.shape[1], pos.shape[-1]
-    shape = [rot, pos, axes, q]
+    # each pair's witnesses, distance and flags, by pair index
+    witnesses, distance = np.empty((2, n, dim)), np.empty(n)
+    converged, iterations, lower = np.zeros(n, bool), np.full(n, MAX_ITER), np.full(n, np.nan)
+    if not n:  # as the diagram of fewer than two obstacles asks
+        return PairArrays(witnesses[0], witnesses[1], distance, converged, iterations, lower)
+    shape = [pairs.rot, pos, pairs.axes, pairs.q]
     sign = np.array([-1.0, 1.0])[:, None, None]  # A along -v, B along v
     v = pos[0] - pos[1]
     v[~v.any(axis=1), 0] = 1.0
@@ -221,9 +200,6 @@ def _gjk(rot, pos, axes, q, tol, threshold, upper=None) -> PairArrays:
     simplex = np.repeat(ab[:, :, None], 4, axis=2)           # (2, m, 4 slots, dim)
     lam = np.eye(4)[np.zeros(n, int)]                        # all weight on slot 0
     ids, count, v = np.arange(n), np.ones(n, int), ab[0] - ab[1]
-    # each pair's witnesses, distance and flags, by pair index
-    witnesses, distance = np.empty((2, n, dim)), np.empty(n)
-    converged, iterations, lower = np.zeros(n, bool), np.full(n, MAX_ITER), np.full(n, np.nan)
     bound = np.inf if upper is None else upper
 
     def finish(rows, simplex, lam, enclosed, done, it):
@@ -277,13 +253,15 @@ def _gjk(rot, pos, axes, q, tol, threshold, upper=None) -> PairArrays:
         v, simplex, lam, count = new_v, new_simplex, new_lam, _FACE_SIZE[face]
     else:
         finish(np.ones(len(ids), bool), simplex, lam, False, False, MAX_ITER)
-    return PairArrays((witnesses[0], witnesses[1], distance, converged, iterations),
+    return PairArrays(witnesses[0], witnesses[1], distance, converged, iterations,
                       np.minimum(lower, distance))
 
 
 def closest_pair(sq_i: Superquadric, sq_j: Superquadric) -> ClosestPair:
-    """Closest points between two superquadrics; see `closest_pairs`."""
-    return closest_pairs([sq_i], [sq_j])[0]
+    """Closest points between two superquadrics; see `closest_pair_arrays`."""
+    p_i, p_j, distance, converged, iterations, _ = closest_pairs([sq_i], [sq_j])
+    return ClosestPair(p_i[0], p_j[0], float(distance[0]), bool(converged[0]),
+                       int(iterations[0]))
 
 
 def overlaps(sq_i: Superquadric, sq_j: Superquadric,

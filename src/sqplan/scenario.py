@@ -238,14 +238,15 @@ def save_scenario(scn: Scenario, path: str) -> None:
 # --------------------------------------------------------- trajectory CSV i/o
 
 
+# a trajectory CSV's header, by dimension: time, position, orientation
+TRAJECTORY_COLUMNS = {2: ["t", "x", "y", "theta"], 3: ["t", "x", "y", "z", "wx", "wy", "wz"]}
+
+
 def save_trajectory(trajectory: PoseTrajectory, path: str) -> None:
     """CSV with header; one row per sample, 17 significant digits."""
-    dim = trajectory.dim
-    pos_cols = ["x", "y", "z"][:dim]
-    ori_cols = ["theta"] if dim == 2 else ["wx", "wy", "wz"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + pos_cols + ori_cols)
+    writer.writerow(TRAJECTORY_COLUMNS[trajectory.dim])
     for i in range(len(trajectory.times)):
         row = [trajectory.times[i], *trajectory.positions[i],
                *trajectory.orientations[i]]
@@ -254,19 +255,18 @@ def save_trajectory(trajectory: PoseTrajectory, path: str) -> None:
 
 
 def load_trajectory(path: str) -> PoseTrajectory:
-    """Read a trajectory CSV; a ScenarioError names the file, and the row
-    and column of a field that is not a finite number."""
+    """Read a trajectory CSV with one of the headers `save_trajectory`
+    writes; a ScenarioError names the file, and the row and column of a
+    field that is not a finite number."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "t":
             raise ScenarioError(f"{path}: missing trajectory header row")
-        if header[-1] == "theta":
-            dim = 2
-        elif header[-3:] == ["wx", "wy", "wz"]:
-            dim = 3
-        else:
-            raise ScenarioError(f"{path}: unrecognized column layout {header}")
+        dim = next((d for d, columns in TRAJECTORY_COLUMNS.items() if header == columns), None)
+        if dim is None:
+            raise ScenarioError(f"{path}: unrecognized column layout {header}; expected "
+                                + " or ".join(",".join(c) for c in TRAJECTORY_COLUMNS.values()))
         rows = []
         for k, row in enumerate(reader):
             if len(row) != len(header):

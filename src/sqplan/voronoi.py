@@ -1,22 +1,22 @@
 """Voronoi-style diagram over superquadric obstacles.
 
-Proximity runs in two batched GJK calls. The first decides, for every two
-expanded obstacles, whether they overlap (a threshold query against
-OVERLAP_TOL); overlapping obstacles are grouped into clusters. The second
-solves in full only the cross-cluster pairs that can still be the closest
-pair of their two clusters. One maximum-margin separating hyperplane is
-computed per cluster pair from its closest cross pair, and each cluster's
+Proximity runs in two batched GJK calls (`proximity.closest_pair_arrays`) on
+the expanded obstacles, stacked once as arrays. The first decides, for every
+two of them, whether they overlap (a threshold query against OVERLAP_TOL);
+a union-find over the overlapping pairs groups them into clusters. The
+second solves in full only the cross-cluster pairs that can still be the
+closest pair of their two clusters. One maximum-margin separating hyperplane
+is computed per cluster pair from its closest cross pair, and each cluster's
 cell is the world box clipped by its halfspaces.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Superquadric, expand
+from .geometry import Superquadric, expand, stack_shapes
 from .polytope import (
     EmptyIntersectionError,
     GEOM_TOL,
@@ -27,9 +27,10 @@ from .polytope import (
     compact_polyhedron,
     polyhedron_edges,
 )
-# closest_pair is not used here; perfbench's traced run patches this name
-from .proximity import (ClosestPair, OVERLAP_TOL, closest_pair,  # noqa: F401
-                        closest_pairs, overlaps)
+# closest_pair and overlaps are not used here; perfbench's traced run patches
+# these names
+from .proximity import (OVERLAP_TOL, closest_pair, closest_pair_arrays,  # noqa: F401
+                        overlaps)
 
 
 class ClusterInconsistencyError(RuntimeError):
@@ -121,83 +122,35 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def all_pairs(shapes: list[Superquadric]) -> dict[tuple[int, int], ClosestPair]:
-    """Every two shapes i < j, keyed (i, j), from one GJK threshold query.
+def build_clusters(n: int, pairs: np.ndarray, distance: np.ndarray) -> list[Cluster]:
+    """Connected components of the pairwise overlap relation over n shapes.
 
-    Each pair's distance is decided against OVERLAP_TOL, so `overlaps` on
-    these records answers as on a full solve; a pair retired by the
-    threshold carries a lower bound instead of its exact distance.
+    `pairs` is (2, m), two shape indices per column, and `distance` their
+    GJK distances, each at least decided against OVERLAP_TOL; the pairs at
+    or below it are joined. Cluster ids are assigned by lowest member index.
     """
-    return _solve(shapes, [(i, j) for i in range(len(shapes))
-                           for j in range(i + 1, len(shapes))], OVERLAP_TOL)
-
-
-def _solve(shapes, keys, threshold=None) -> dict[tuple[int, int], ClosestPair]:
-    return dict(zip(keys, closest_pairs([shapes[i] for i, _ in keys],
-                                        [shapes[j] for _, j in keys], threshold)))
-
-
-def closest_candidates(clusters: list[Cluster],
-                       pairs: dict[tuple[int, int], ClosestPair]) -> list[tuple[int, int]]:
-    """Cross-cluster pairs that need a full solve to find each cluster
-    pair's closest pair.
-
-    These are the pairs a threshold retired whose lower bound does not
-    exceed the least witness distance of their cluster pair. Every other
-    cross pair is either solved in full already or provably farther than
-    that witness distance.
-    """
-    label = {i: c.id for c in clusters for i in c.members}
-    cross = {(i, j): tuple(sorted((label[i], label[j]))) for i, j in pairs
-             if label[i] != label[j]}
-    least: dict[tuple[int, int], float] = {}
-    for key, sides in cross.items():
-        least[sides] = min(least.get(sides, math.inf), pairs[key].distance)
-    return [key for key, sides in cross.items() if pairs[key].lower_bound is not None
-            and pairs[key].lower_bound <= least[sides]]
-
-
-def build_clusters(expanded_obstacles: list[Superquadric],
-                   pairs: dict[tuple[int, int], ClosestPair]) -> list[Cluster]:
-    """Connected components of the pairwise overlap relation.
-
-    `pairs` holds every two obstacles, each at least decided against
-    OVERLAP_TOL (see `all_pairs`); the pairs that `overlaps` reports are
-    joined. Cluster ids are assigned by lowest member index.
-    """
-    shapes = expanded_obstacles
-    uf = _UnionFind(len(shapes))
-    for (i, j), pair in pairs.items():
-        if overlaps(shapes[i], shapes[j], pair):
-            uf.union(i, j)
+    uf = _UnionFind(n)
+    for i, j in pairs[:, distance <= OVERLAP_TOL].T.tolist():
+        uf.union(i, j)
     groups: dict[int, list[int]] = {}
-    for i in range(len(shapes)):
+    for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
-    return [Cluster(cid, sorted(members))
-            for cid, (_, members) in enumerate(sorted(groups.items()))]
+    return [Cluster(cid, members) for cid, (_, members) in enumerate(sorted(groups.items()))]
 
 
-def separating_hyperplane(ci: Cluster, cj: Cluster, shapes: list[Superquadric],
-                          pairs: dict[tuple[int, int], ClosestPair]) -> Hyperplane:
-    """Maximum-margin hyperplane between two clusters.
-
-    The witness pair is the minimum-distance cross pair of `pairs`; ties go to
-    the first cross pair in member order.
-    """
+def separating_hyperplane(ci: Cluster, cj: Cluster, p_i: np.ndarray, p_j: np.ndarray,
+                          distance: float) -> Hyperplane:
+    """Maximum-margin hyperplane between two clusters: the bisector of the
+    witness points p_i on ci and p_j on cj, `distance` apart, of their
+    closest cross pair."""
     if ci.id == cj.id:
         raise ValueError("clusters must be distinct")
-    cross = [(min(i, j), max(i, j)) for i in ci.members for j in cj.members]
-    best_key = min(cross, key=lambda key: pairs[key].distance)
-    best = pairs[best_key]
-    if best.distance <= OVERLAP_TOL:
+    if distance <= OVERLAP_TOL:
         raise ClusterInconsistencyError(
-            f"clusters {ci.id} and {cj.id} touch (witness distance {best.distance:.3e}); "
+            f"clusters {ci.id} and {cj.id} touch (witness distance {distance:.3e}); "
             "they should have been merged"
         )
-    # orient the witnesses so p_i lies on cluster ci
-    p_i, p_j = ((best.p_i, best.p_j) if best_key[0] in ci.members
-                else (best.p_j, best.p_i))
-    n = (p_i - p_j) / best.distance
+    n = (p_i - p_j) / distance
     mid = 0.5 * (p_i + p_j)
     return Hyperplane(n, float(n @ mid), ci.id, cj.id, p_i, p_j)
 
@@ -255,34 +208,62 @@ def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
                   world_lo, world_hi) -> Diagram:
     """Full pipeline: expand, cluster, closest cross pairs, hyperplanes, cells.
 
-    The first GJK call decides every obstacle pair against OVERLAP_TOL
-    (`all_pairs`) and its overlaps form the clusters. The second solves the
-    `closest_candidates` in full (it is empty when they are). Hyperplanes
-    come only from full solves, so the diagram is the one that solving every
-    pair in full gives.
+    The grown obstacles are stacked once. The first GJK call decides every
+    two of them against OVERLAP_TOL, and its overlaps form the clusters. A
+    cross pair that the threshold retired can be the closest pair of its
+    two clusters only when its lower bound is at most their least witness
+    distance; the second call solves just those in full (no call when there
+    are none). Each cluster pair's hyperplane comes from its cross pair of
+    least distance, ties to the first in member order (over the first
+    cluster's members, then the second's). That pair was solved in full, so
+    the diagram is the one that solving every pair in full gives.
     """
     dim = robot.dim
     if any(o.dim != dim for o in obstacles):
         raise ValueError("robot and obstacles must share a dimension")
     margin = float(robot.axes[0])
     grown = [expand(o, margin) for o in obstacles]
-    pairs = all_pairs(grown)
-    clusters = build_clusters(grown, pairs)
-    first = list(pairs.values())
-    full = _solve(grown, closest_candidates(clusters, pairs))
-    pairs.update(full)
-    solves = first + list(full.values())
-    hyperplanes = [separating_hyperplane(ci, cj, grown, pairs)
-                   for a, ci in enumerate(clusters) for cj in clusters[a + 1:]]
+    shapes = stack_shapes(grown)
+    index = np.arange(len(grown))
+    pairs = np.array(np.nonzero(index[:, None] < index))  # every i < j, in row order
+    first = closest_pair_arrays(shapes.take(pairs), threshold=OVERLAP_TOL)
+    solves = [first]
+    clusters = build_clusters(len(grown), pairs, first.distance)
+    label = {i: c.id for c in clusters for i in c.members}
+    rows_i = pairs[0].tolist()
+    # each cluster pair's cross pairs: (row, shape on the lower cluster, other shape)
+    cross: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for row, (i, j) in enumerate(zip(rows_i, pairs[1].tolist())):
+        if label[i] != label[j]:
+            a, b = (i, j) if label[i] < label[j] else (j, i)
+            cross.setdefault((label[a], label[b]), []).append((row, a, b))
+    distance, lower = first.distance.tolist(), first.lower_bound.tolist()
+    full = []
+    for rows in cross.values():
+        least = min(distance[row] for row, _, _ in rows)
+        full += [row for row, _, _ in rows if lower[row] <= least]  # False for NaN
+    if full:
+        solves.append(closest_pair_arrays(shapes.take(pairs[:, full])))
+        for x, y in zip(first[:3], solves[1][:3]):  # witnesses and distances
+            x[full] = y
+        distance = first.distance.tolist()
+    hyperplanes = []
+    for (ci, cj), rows in sorted(cross.items()):
+        row, a, _ = min(rows, key=lambda t: (distance[t[0]], t[1], t[2]))
+        p_i, p_j = first.p_i[row], first.p_j[row]
+        if a != rows_i[row]:  # the witnesses follow the pair's order, i < j
+            p_i, p_j = p_j, p_i
+        hyperplanes.append(separating_hyperplane(clusters[ci], clusters[cj], p_i, p_j,
+                                                 distance[row]))
     cells = [build_cell(cl, hyperplanes, world_lo, world_hi, dim) for cl in clusters]
     lo = np.asarray(world_lo, dtype=float)
     hi = np.asarray(world_hi, dtype=float)
     return Diagram(dim, lo, hi, robot, list(obstacles), grown, clusters, hyperplanes, cells,
-                   nonconverged=sum(not pr.converged for pr in solves),
-                   pairs=len(first),
-                   threshold_decided=sum(pr.lower_bound is not None for pr in first),
+                   nonconverged=sum(int(np.count_nonzero(~s.converged)) for s in solves),
+                   pairs=pairs.shape[1],
+                   threshold_decided=int(np.count_nonzero(~np.isnan(first.lower_bound))),
                    full_solves=len(full),
-                   gjk_iterations=sum(pr.iterations for pr in solves))
+                   gjk_iterations=sum(int(s.iterations.sum()) for s in solves))
 
 
 def diagram_to_dict(diagram: Diagram) -> dict:

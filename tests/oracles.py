@@ -12,12 +12,16 @@ roadmap build that calls it once per candidate edge, in insertion order.
 `per_edge_project_terminal` projects a terminal with one point-segment
 distance per live edge. Both write a `DictGraph`, the mutable roadmap the
 read-only `RoadmapGraph` replaced: a projection tombstones the edge it splits.
+`pair_records` lists `closest_pairs`' arrays as one `PairRecord` per pair,
+and `reference_diagram` is the precompute on those records, keyed (i, j) in
+dicts, before it worked on the arrays.
 `block_kernel` holds the maps of BLOCK steps of the rollout's linear RK4
 step map, which a block scan applies as two matmuls per block.
 `load_bench_scenes` imports perfbench's scene definitions.
 """
 
 import importlib.util
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,12 +31,13 @@ from scipy.spatial import cKDTree
 
 from sqplan.clearance import AUDIT_TOL, trajectory_collides
 from sqplan.dmp import ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, _basis
-from sqplan.geometry import (RigidPose, box_gaps, inside_outside,
-                             inside_outside_local, surface_samples)
+from sqplan.geometry import (RigidPose, box_gaps, expand, inside_outside,
+                             inside_outside_local, stack_shapes, surface_samples)
 from sqplan.poses import robot_pose_at, robot_rotations
-from sqplan.proximity import closest_pairs
+from sqplan.proximity import OVERLAP_TOL, ClosestPair, closest_pairs, overlaps
 from sqplan.roadmap import EDGE_SAMPLES, INSIDE_TOL, MERGE_TOL, _point_segment
-from sqplan.voronoi import _UnionFind
+from sqplan.voronoi import (Cluster, ClusterInconsistencyError, Hyperplane, _UnionFind,
+                            build_cell)
 
 
 def exact_distances(trajectory, robot, obstacles):
@@ -41,7 +46,82 @@ def exact_distances(trajectory, robot, obstacles):
              for p, o in zip(trajectory.positions, trajectory.orientations)]
     pairs = closest_pairs([shape for shape in posed for _ in obstacles],
                           [obs for _ in posed for obs in obstacles])
-    return np.array([pair.distance for pair in pairs]).reshape(len(posed), -1)
+    return pairs.distance.reshape(len(posed), -1)
+
+
+@dataclass
+class PairRecord(ClosestPair):
+    """One pair of a batched GJK result; `lower_bound` is None unless a
+    threshold retired the pair."""
+
+    lower_bound: float | None = None
+
+
+def pair_records(shapes_i, shapes_j, threshold=None) -> list[PairRecord]:
+    """`closest_pairs(shapes_i, shapes_j, threshold)` as one record per pair."""
+    result = closest_pairs(shapes_i, shapes_j, threshold)
+    lower = [None if math.isnan(b) else b for b in result.lower_bound.tolist()]
+    return [PairRecord(*pair) for pair in zip(
+        result.p_i, result.p_j, result.distance.tolist(), result.converged.tolist(),
+        result.iterations.tolist(), lower)]
+
+
+def reference_diagram(robot, obstacles, world_lo, world_hi, threshold=OVERLAP_TOL):
+    """`voronoi.build_diagram` on PairRecords in dicts keyed (i, j): every
+    pair decided against the threshold (threshold None: solved in full) in
+    one call, clusters joined pair by pair with `overlaps`, a full solve of
+    the retired cross pairs whose lower bound is at most their cluster
+    pair's least witness distance, and each hyperplane from the least of
+    its cross pairs in member order. Returns the clusters, hyperplanes,
+    cells and the five GJK work counters of `voronoi.Diagram`."""
+    grown = [expand(o, float(robot.axes[0])) for o in obstacles]
+
+    def solve(keys, threshold=None):
+        return dict(zip(keys, pair_records([grown[i] for i, _ in keys],
+                                           [grown[j] for _, j in keys], threshold)))
+
+    pairs = solve([(i, j) for i in range(len(grown)) for j in range(i + 1, len(grown))],
+                  threshold)
+    uf = _UnionFind(len(grown))
+    for (i, j), pair in pairs.items():
+        if overlaps(grown[i], grown[j], pair):
+            uf.union(i, j)
+    groups = {}
+    for i in range(len(grown)):
+        groups.setdefault(uf.find(i), []).append(i)
+    clusters = [Cluster(cid, sorted(members))
+                for cid, (_, members) in enumerate(sorted(groups.items()))]
+    label = {i: c.id for c in clusters for i in c.members}
+    cross = {(i, j): tuple(sorted((label[i], label[j]))) for i, j in pairs
+             if label[i] != label[j]}
+    least = {}
+    for key, sides in cross.items():
+        least[sides] = min(least.get(sides, math.inf), pairs[key].distance)
+    first = list(pairs.values())
+    full = solve([key for key, sides in cross.items() if pairs[key].lower_bound is not None
+                  and pairs[key].lower_bound <= least[sides]])
+    pairs.update(full)
+    hyperplanes = []
+    for a, ci in enumerate(clusters):
+        for cj in clusters[a + 1:]:
+            keys = [(min(i, j), max(i, j)) for i in ci.members for j in cj.members]
+            best_key = min(keys, key=lambda key: pairs[key].distance)
+            best = pairs[best_key]
+            if best.distance <= OVERLAP_TOL:
+                raise ClusterInconsistencyError(f"clusters {ci.id} and {cj.id} touch")
+            p_i, p_j = ((best.p_i, best.p_j) if best_key[0] in ci.members
+                        else (best.p_j, best.p_i))
+            n = (p_i - p_j) / best.distance
+            hyperplanes.append(Hyperplane(n, float(n @ (0.5 * (p_i + p_j))), ci.id, cj.id,
+                                          p_i, p_j))
+    cells = [build_cell(c, hyperplanes, world_lo, world_hi, robot.dim) for c in clusters]
+    solves = first + list(full.values())
+    counters = {"nonconverged": sum(not pr.converged for pr in solves),
+                "pairs": len(first),
+                "threshold_decided": sum(pr.lower_bound is not None for pr in first),
+                "full_solves": len(full),
+                "gjk_iterations": sum(pr.iterations for pr in solves)}
+    return clusters, hyperplanes, cells, counters
 
 
 def check_decision(trajectory, robot, obstacles):
@@ -72,7 +152,8 @@ def sampled_collides(trajectory, robot, obstacles):
     bounding radius r of an obstacle's box."""
     dim = robot.dim
     res = 64 if dim == 2 else 16
-    near = box_gaps(trajectory.positions, obstacles) <= robot.bounding_radius() * (1.0 + 1e-9)
+    near = (box_gaps(trajectory.positions, stack_shapes(obstacles))
+            <= robot.bounding_radius() * (1.0 + 1e-9))
     body = np.vstack([surface_samples(robot.with_pose(RigidPose.create(np.zeros(dim))), res),
                       np.zeros(dim)])
     for o, n in zip(obstacles, near):

@@ -6,7 +6,7 @@ from sqplan import clearance, pipeline
 from sqplan.clearance import (AUDIT_TOL, _pair_bounds, _upper_bounds,
                               min_trajectory_distance, trajectory_collides)
 from sqplan.dmp import PoseTrajectory, demonstration_trajectory, validate_and_finalize
-from sqplan.geometry import Superquadric, dual_exponents
+from sqplan.geometry import Superquadric, stack_pairs
 from sqplan.poses import robot_pose_at
 from sqplan.proximity import closest_pair
 from sqplan.scenario import (compute_metrics, generate_benchmark, metrics_to_dict,
@@ -115,17 +115,6 @@ def test_threshold_query_contact_only_at_the_last_pose(dim):
     assert distances[-1] == 0.0 and np.all(distances[:-1] > 0.0)
 
 
-def stacked_pairs(robots, obstacles):
-    """_pair_bounds' inputs: closest_pair_arrays' shape arrays, robot side
-    [0], and the stacked exponents."""
-    sides = (robots, obstacles)
-    return (np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
-            np.array([[s.center for s in side] for side in sides]),
-            np.array([[s.axes for s in side] for side in sides]),
-            dual_exponents([[s.eps for s in side] for side in sides]),
-            np.array([[s.eps for s in side] for side in sides]))
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pair_bounds_never_exceed_the_distance(dim):
     # boxy, round and pointed shapes at random poses, from overlapping to
@@ -136,13 +125,13 @@ def test_pair_bounds_never_exceed_the_distance(dim):
     for _ in range(400):
         robots.append(random_shape(rng, dim, 0.1, 0.5, rng.uniform(-1.0, 1.0, dim)))
         obstacles.append(random_shape(rng, dim, 0.2, 1.5, rng.uniform(-2.0, 2.0, dim)))
-    bounds, _ = _pair_bounds(*stacked_pairs(robots, obstacles))
+    bounds, _ = _pair_bounds(stack_pairs(robots, obstacles))
     exact = np.array([closest_pair(a, b).distance for a, b in zip(robots, obstacles)])
     assert np.all(bounds <= exact + 1e-12)
     assert np.count_nonzero(exact > 0.0) > 100 and np.count_nonzero(exact == 0.0) > 20
     assert np.median(bounds[exact > 0.5] / exact[exact > 0.5]) > 0.7
     for k in range(len(robots)):
-        _, contact = _pair_bounds(*(x[:, k:k + 1] for x in stacked_pairs(robots, obstacles)))
+        _, contact = _pair_bounds(stack_pairs(robots, obstacles).take(np.s_[:, k:k + 1]))
         assert not contact or exact[k] == 0.0
 
 
@@ -152,7 +141,7 @@ def test_pair_bounds_are_tight_along_the_contact_normal():
     # it), a boxy slab's face normal (obstacle side), and the centre line of
     # two balls on a diagonal (box-nearest)
     def bound(robot, obstacle):
-        return float(_pair_bounds(*stacked_pairs([robot], [obstacle]))[0][0])
+        return float(_pair_bounds(stack_pairs([robot], [obstacle]))[0][0])
 
     rotation = np.array([0.2, -0.3, 0.4])
     slab = Superquadric.create([0.1, 0.1], [0.1, 1.0, 1.0], np.zeros(3), rotation)
@@ -185,8 +174,7 @@ def test_upper_bounds_never_fall_below_the_distance(dim):
         centre = [rng.uniform(-3.0, 3.0, dim), inside, obstacle.center][k % 3]
         robots.append(shape(0.05, 0.5, centre))
         obstacles.append(obstacle)
-    arrays = stacked_pairs(robots, obstacles)
-    bounds = _upper_bounds(*arrays[:4], arrays[4][1])
+    bounds = _upper_bounds(stack_pairs(robots, obstacles))
     exact = np.array([closest_pair(a, b).distance for a, b in zip(robots, obstacles)])
     assert np.all(bounds >= exact - 1e-12)
     assert np.all(bounds[2::3] == 0.0)
@@ -198,8 +186,7 @@ def test_upper_bounds_never_fall_below_the_distance(dim):
     ball = Superquadric.create(np.ones(dim - 1), np.ones(dim), np.zeros(dim))
     for x, want in ((3.0, 1.9), (1e-200, 1.1)):
         robot = Superquadric.create(np.ones(dim - 1), np.full(dim, 0.1), x * np.eye(dim)[0])
-        arrays = stacked_pairs([robot], [ball])
-        assert _upper_bounds(*arrays[:4], arrays[4][1])[0] == pytest.approx(want, abs=1e-12)
+        assert _upper_bounds(stack_pairs([robot], [ball]))[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_threshold_query_builds_no_rotation_when_boxes_are_clear(monkeypatch):
@@ -251,9 +238,9 @@ def test_audit_first_round_is_stable_under_rounding_of_the_trajectory(monkeypatc
     rounds = []
     solve = clearance.closest_pair_arrays
 
-    def record(rot, pos, *args, **kwargs):
-        rounds.append(pos.copy())
-        return solve(rot, pos, *args, **kwargs)
+    def record(pairs, *args, **kwargs):
+        rounds.append(pairs.pos.copy())
+        return solve(pairs, *args, **kwargs)
 
     monkeypatch.setattr(clearance, "closest_pair_arrays", record)
 

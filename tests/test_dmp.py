@@ -12,7 +12,7 @@ from sqplan.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, Demonstration,
                         demonstration_trajectory, fit_lwr, interpolate_waypoints,
                         rollout, trajectory_collides, validate_and_finalize)
 from sqplan.geometry import (RigidPose, Superquadric, box_gaps, inside_outside,
-                             surface_samples)
+                             stack_shapes, surface_samples)
 from sqplan.poses import PoseWaypoint, robot_pose_at, robot_rotations
 from sqplan.rotations import exp_so3
 from sqplan.scenario import generate_benchmark, scenario_from_dict
@@ -560,7 +560,7 @@ def clear_point(rng, scn, lo, hi):
     hi = np.minimum(hi, scn.world_hi - r)
     while True:
         p = rng.uniform(lo, hi)
-        if np.all(box_gaps(p[None], scn.obstacles) > r):
+        if np.all(box_gaps(p[None], stack_shapes(scn.obstacles)) > r):
             return p
 
 
@@ -621,7 +621,7 @@ def test_box_broadphase_skips_poses_inside_the_bounding_sphere(monkeypatch):
                           np.vstack([far.orientations, np.zeros((1, 3))]))
     r = robot.bounding_radius()
     assert np.all(np.linalg.norm(far.positions, axis=1) < r + pillar.bounding_radius())
-    assert np.all(box_gaps(far.positions, [pillar]) > r)
+    assert np.all(box_gaps(far.positions, stack_shapes([pillar])) > r)
     tested = []
 
     def counting_rotations(dim, orientations):

@@ -3,7 +3,7 @@ import pytest
 
 from sqplan.geometry import (EPS_MAX, EPS_MIN, RigidPose, Superquadric,
                              box_gaps, expand, inside_outside, signed_pow,
-                             surface_point, surface_samples)
+                             stack_shapes, surface_point, surface_samples)
 from sqplan.poses import robot_pose_at
 from sqplan.proximity import closest_pairs
 
@@ -143,11 +143,12 @@ def test_box_gaps_is_the_distance_to_the_posed_box():
     box = Superquadric.create([0.2], [0.5, 1.0], [1.0, 2.0], [np.pi / 2])
     ball = Superquadric.create([1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
     # the box's long axis runs along world x after the quarter turn
-    assert np.allclose(box_gaps([[1.0, 2.0], [3.0, 2.0], [1.0, 3.0], [3.0, 3.5]], [box]),
+    assert np.allclose(box_gaps([[1.0, 2.0], [3.0, 2.0], [1.0, 3.0], [3.0, 3.5]],
+                                stack_shapes([box])),
                        [[0.0, 1.0, 0.5, np.hypot(1.0, 1.0)]], atol=1e-12)
-    assert np.array_equal(box_gaps([[0.5, 0.5, 0.5], [3.0, 0.0, 0.0]], [ball]),
+    assert np.array_equal(box_gaps([[0.5, 0.5, 0.5], [3.0, 0.0, 0.0]], stack_shapes([ball])),
                           [[0.0, 2.0]])
-    assert box_gaps(np.zeros((5, 3)), []).shape == (0, 5)
+    assert box_gaps(np.zeros((5, 3)), stack_shapes([])).shape == (0, 5)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -171,8 +172,8 @@ def test_box_gaps_minus_robot_radius_bounds_the_exact_distance(dim):
         robots.append(robot_pose_at(robot, position, rng.normal(size=k)))
         obstacles.append(obstacle)
         positions.append(position)
-    exact = np.array([p.distance for p in closest_pairs(robots, obstacles)])
-    bound = np.array([box_gaps(p[None], [o])[0, 0] - r.bounding_radius()
+    exact = closest_pairs(robots, obstacles).distance
+    bound = np.array([box_gaps(p[None], stack_shapes([o]))[0, 0] - r.bounding_radius()
                       for p, o, r in zip(positions, obstacles, robots)])
     sphere = np.array([np.linalg.norm(p - o.center) - o.bounding_radius() - r.bounding_radius()
                        for p, o, r in zip(positions, obstacles, robots)])

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import load_bench_scenes
+from oracles import load_bench_scenes, pair_records
 from sqplan import proximity, voronoi
-from sqplan.geometry import (EPS_MAX, Superquadric, dual_exponents, inside_outside,
-                             surface_samples)
+from sqplan.geometry import (EPS_MAX, Superquadric, expand, inside_outside, stack_pairs,
+                             stack_shapes, surface_samples)
 from sqplan.poses import robot_pose_at, robot_rotations
-from sqplan.proximity import (ClosestPair, closest_pair, closest_pair_arrays,
+from sqplan.proximity import (ClosestPair, PairArrays, closest_pair, closest_pair_arrays,
                               closest_pairs, overlaps)
 from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
 
@@ -153,7 +153,7 @@ def test_closest_pairs_batch_of_neighbours():
     shapes = [Superquadric.create([1.0], [0.2, 0.2], [float(k), 0.0])
               for k in range(4)]
     keys = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    pairs = closest_pairs([shapes[i] for i, _ in keys], [shapes[j] for _, j in keys])
+    pairs = pair_records([shapes[i] for i, _ in keys], [shapes[j] for _, j in keys])
     for (i, j), pair in zip(keys, pairs):
         assert abs(pair.distance - (j - i - 0.4)) <= 1e-9 and pair.converged
         assert np.allclose(pair.p_i, [i + 0.2, 0.0], atol=1e-6)
@@ -352,7 +352,7 @@ def oracle_cases(dim, eps_range, rng):
 def test_closest_pairs_match_one_pair_oracle(dim, eps_range):
     rng = np.random.default_rng([dim, int(10 * eps_range[0]), int(10 * eps_range[1])])
     cases = oracle_cases(dim, eps_range, rng)
-    got = closest_pairs([a for a, _ in cases], [b for _, b in cases])
+    got = pair_records([a for a, _ in cases], [b for _, b in cases])
     assert len(got) == len(cases)
     for pair, (a, b) in zip(got, cases):
         assert_matches_oracle(pair, a, b)
@@ -360,10 +360,10 @@ def test_closest_pairs_match_one_pair_oracle(dim, eps_range):
 
 
 def test_closest_pairs_empty_and_single_batches():
-    assert closest_pairs([], []) == []
+    assert all(len(x) == 0 for x in closest_pairs([], []))
     a = Superquadric.create([0.3, 1.7], [0.4, 0.6, 1.0], [0.0, 0.0, 0.0], [0.2, -0.4, 0.1])
     b = Superquadric.create([2.0, 0.1], [0.3, 0.5, 0.7], [2.0, 0.5, -0.3])
-    (single,) = closest_pairs([a], [b])
+    (single,) = pair_records([a], [b])
     assert same_result(single, closest_pair(a, b))
     assert_matches_oracle(single, a, b)
     with pytest.raises(ValueError):
@@ -382,7 +382,7 @@ def test_finished_pairs_stay_frozen_in_a_mixed_batch():
     slow = [(random_sq(rng, 3, eps_range=(eps, eps)), random_sq(rng, 3, eps_range=(eps, eps)))
             for eps in (0.1, 2.0, 0.1, 2.0)]
     cases = [fast[0], slow[0], slow[1], fast[1], slow[2], slow[3]]
-    got = closest_pairs([a for a, _ in cases], [b for _, b in cases])
+    got = pair_records([a for a, _ in cases], [b for _, b in cases])
     for pair, (a, b) in zip(got, cases):
         assert same_result(pair, closest_pair(a, b))
         assert_matches_oracle(pair, a, b)
@@ -394,9 +394,9 @@ def test_result_does_not_depend_on_the_batch(dim):
     cases = oracle_cases(dim, (0.1, 2.0), rng)
     alone = [closest_pair(a, b) for a, b in cases]
     for perm in (rng.permutation(len(cases)), np.arange(len(cases))[::-1]):
-        got = closest_pairs([cases[k][0] for k in perm], [cases[k][1] for k in perm])
+        got = pair_records([cases[k][0] for k in perm], [cases[k][1] for k in perm])
         assert all(same_result(g, alone[k]) for g, k in zip(got, perm))
-    half = closest_pairs([a for a, _ in cases[1::2]], [b for _, b in cases[1::2]])
+    half = pair_records([a for a, _ in cases[1::2]], [b for _, b in cases[1::2]])
     assert all(same_result(g, x) for g, x in zip(half, alone[1::2]))
 
 
@@ -413,30 +413,47 @@ def test_diagrams_match_one_pair_oracle(monkeypatch):
     def build(scn):
         return voronoi.build_diagram(scn.robot, scn.obstacles, scn.world_lo, scn.world_hi)
 
+    def obstacle_rows(scn, pairs):
+        """Each pair's two obstacle indices, found by their centres."""
+        centres = np.array([o.center for o in scn.obstacles])
+        assert len(np.unique(centres, axis=0)) == len(centres)
+        rows = [np.nonzero(np.all(side[:, None] == centres, axis=2))[1] for side in pairs.pos]
+        assert all(len(r) == pairs.pos.shape[1] for r in rows)
+        return rows
+
     calls = []
+    solve = voronoi.closest_pair_arrays
 
-    def counted(a, b, threshold=None):
-        calls.append((list(zip(a, b)), threshold))
-        return closest_pairs(a, b, threshold)
+    def counted(pairs, tol=0.0, threshold=None, upper=None):
+        calls.append((obstacle_rows(scn, pairs), tol, threshold, upper))
+        return solve(pairs, tol, threshold, upper)
 
-    monkeypatch.setattr(voronoi, "closest_pairs", counted)
+    monkeypatch.setattr(voronoi, "closest_pair_arrays", counted)
     got = []
     for scn in scenes:
         calls.clear()
         diagram = build(scn)
         got.append(diagram)
         n = len(scn.obstacles)
-        (first, threshold), *rest = calls
-        assert (len(first), threshold) == (n * (n - 1) // 2, proximity.OVERLAP_TOL)
+        ((i, j), *options), *rest = calls
+        assert (len(i), *options) == (n * (n - 1) // 2, 0.0, proximity.OVERLAP_TOL, None)
+        assert sorted(zip(i.tolist(), j.tolist())) == [(a, b) for a in range(n)
+                                                       for b in range(a + 1, n)]
         assert len(rest) <= 1
-        index = {id(shape): k for k, shape in enumerate(diagram.expanded)}
         label = {k: c.id for c in diagram.clusters for k in c.members}
-        for pairs, threshold in rest:
-            assert threshold is None
-            assert all(label[index[id(a)]] != label[index[id(b)]] for a, b in pairs)
+        for (i, j), *options in rest:
+            assert options == [0.0, None, None]
+            assert all(label[a] != label[b] for a, b in zip(i.tolist(), j.tolist()))
+
     # a full solve answers any threshold question
-    monkeypatch.setattr(voronoi, "closest_pairs", lambda a, b, threshold=None: [
-        oracle_closest_pair(x, y) for x, y in zip(a, b)])
+    def oracle(pairs, tol=0.0, threshold=None, upper=None):
+        grown = [expand(o, float(scn.robot.axes[0])) for o in scn.obstacles]
+        records = [oracle_closest_pair(grown[a], grown[b])
+                   for a, b in zip(*(r.tolist() for r in obstacle_rows(scn, pairs)))]
+        fields = zip(*((r.p_i, r.p_j, r.distance, r.converged, r.iterations) for r in records))
+        return PairArrays(*map(np.array, fields), np.full(len(records), np.nan))
+
+    monkeypatch.setattr(voronoi, "closest_pair_arrays", oracle)
     for diagram, scn in zip(got, scenes):
         want = build(scn)
         assert [c.members for c in diagram.clusters] == [c.members for c in want.clusters]
@@ -450,15 +467,6 @@ def test_diagrams_match_one_pair_oracle(monkeypatch):
 # ------------------------------------------- tolerance stop and array core
 
 
-def stacked_sides(shapes_i, shapes_j):
-    """closest_pair_arrays inputs for two lists of shapes."""
-    sides = (shapes_i, shapes_j)
-    return (np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
-            np.array([[s.center for s in side] for side in sides]),
-            np.array([[s.axes for s in side] for side in sides]),
-            dual_exponents([[s.eps for s in side] for side in sides]))
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("eps_range", [(0.2, 0.2), (0.1, 2.0)])
 def test_tolerance_stop_bounds_the_full_solve(dim, eps_range):
@@ -469,14 +477,14 @@ def test_tolerance_stop_bounds_the_full_solve(dim, eps_range):
         (random_sq(rng, dim, eps_range=eps_range), random_sq(rng, dim, eps_range=eps_range))
         for _ in range(20)]
     shapes_i, shapes_j = [a for a, _ in cases], [b for _, b in cases]
-    sides = stacked_sides(shapes_i, shapes_j)
-    full = closest_pairs(shapes_i, shapes_j)
-    for pair, *record in zip(full, *closest_pair_arrays(*sides, 0.0)):
+    sides = stack_pairs(shapes_i, shapes_j)
+    full = pair_records(shapes_i, shapes_j)
+    for pair, *record in zip(full, *closest_pair_arrays(sides, 0.0)[:5]):
         assert same_result(pair, ClosestPair(*record)) and pair.iterations == record[4]
         assert 1 <= pair.iterations < proximity.MAX_ITER
     stopped_early = 0
     for tol in (1e-9, 1e-6, 1e-3, 1e-1):
-        _, _, distance, converged, iterations = closest_pair_arrays(*sides, tol)
+        _, _, distance, converged, iterations, _ = closest_pair_arrays(sides, tol)
         for exact, d, ok, it in zip(full, distance, converged, iterations):
             assert ok
             assert exact.distance - 1e-12 <= d <= exact.distance + tol + 1e-12
@@ -498,17 +506,17 @@ def test_array_core_matches_list_front_end_on_robot_poses(dim, tol):
     orientations = rng.normal(size=(12, 1 if dim == 2 else 3))
     posed = [robot_pose_at(robot, p, o) for p, o in zip(positions, orientations)]
     rotations = (robot_rotations(dim, orientations) if dim == 2
-                 else np.array([s.pose.rotation_matrix() for s in posed]))
+                 else stack_shapes(posed).rot)
     i, j = np.divmod(np.arange(len(posed) * len(obstacles)), len(obstacles))
-    rot, pos, axes, q = stacked_sides([robot] * len(i), [obstacles[k] for k in j])
-    rot[0], pos[0] = rotations[i], positions[i]
+    sides = stack_pairs([robot] * len(i), [obstacles[k] for k in j])
+    sides.rot[0], sides.pos[0] = rotations[i], positions[i]
     posed_i, obstacles_j = [posed[k] for k in i], [obstacles[k] for k in j]
-    got = closest_pair_arrays(rot, pos, axes, q, tol)
-    want = closest_pair_arrays(*stacked_sides(posed_i, obstacles_j), tol)
+    got = closest_pair_arrays(sides, tol)
+    want = closest_pair_arrays(stack_pairs(posed_i, obstacles_j), tol)
     for x, y in zip(got, want):
-        assert np.array_equal(x, y)
+        assert np.array_equal(x, y, equal_nan=True)
     if tol == 0.0:
-        for pair, *record in zip(closest_pairs(posed_i, obstacles_j), *got):
+        for pair, *record in zip(pair_records(posed_i, obstacles_j), *got[:5]):
             assert same_result(pair, ClosestPair(*record))
             assert pair.iterations == record[4]
 
@@ -530,8 +538,8 @@ def test_threshold_query_decides_like_the_full_solve(dim, threshold):
     rng = np.random.default_rng([60 + dim, int(-math.log10(threshold))])
     cases = threshold_cases(dim, rng)
     shapes_i, shapes_j = [a for a, _ in cases], [b for _, b in cases]
-    full = closest_pairs(shapes_i, shapes_j)
-    got = closest_pairs(shapes_i, shapes_j, threshold)
+    full = pair_records(shapes_i, shapes_j)
+    got = pair_records(shapes_i, shapes_j, threshold)
     retired = 0
     for exact, pair in zip(full, got):
         assert (pair.distance <= threshold) == (exact.distance <= threshold)
@@ -544,13 +552,13 @@ def test_threshold_query_decides_like_the_full_solve(dim, threshold):
             assert exact.distance <= pair.distance + 1e-12
     assert retired > 0
     # the array core carries the same lower bounds, NaN for full solves
-    result = closest_pair_arrays(*stacked_sides(shapes_i, shapes_j), 0.0, threshold)
-    assert len(result) == 5
+    result = closest_pair_arrays(stack_pairs(shapes_i, shapes_j), 0.0, threshold)
+    assert len(result) == 6
     bound = [np.nan if p.lower_bound is None else p.lower_bound for p in got]
     assert np.array_equal(result.lower_bound, bound, equal_nan=True)
     # threshold None is the full solve
     assert all(same_result(x, y) and y.lower_bound is None
-               for x, y in zip(full, closest_pairs(shapes_i, shapes_j, None)))
+               for x, y in zip(full, pair_records(shapes_i, shapes_j, None)))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -558,19 +566,19 @@ def test_threshold_query_does_not_depend_on_the_batch(dim):
     rng = np.random.default_rng(70 + dim)
     cases = threshold_cases(dim, rng)
     threshold = 1e-3
-    alone = [closest_pairs([a], [b], threshold)[0] for a, b in cases]
+    alone = [pair_records([a], [b], threshold)[0] for a, b in cases]
 
     def same(x, y):
         return (same_result(x, y) and x.iterations == y.iterations
                 and x.lower_bound == y.lower_bound)
 
     for perm in (rng.permutation(len(cases)), np.arange(len(cases))[::-1]):
-        got = closest_pairs([cases[k][0] for k in perm], [cases[k][1] for k in perm],
-                            threshold)
+        got = pair_records([cases[k][0] for k in perm], [cases[k][1] for k in perm],
+                           threshold)
         assert all(same(g, alone[k]) for g, k in zip(got, perm))
-    half = closest_pairs([a for a, _ in cases[::2]], [b for _, b in cases[::2]], threshold)
+    half = pair_records([a for a, _ in cases[::2]], [b for _, b in cases[::2]], threshold)
     assert all(same(g, x) for g, x in zip(half, alone[::2]))
-    assert closest_pairs([], [], threshold) == []
+    assert all(len(x) == 0 for x in closest_pairs([], [], threshold))
 
 
 # ------------------------------------------------------------ min-search
@@ -587,16 +595,15 @@ def test_min_search_keeps_unretired_pairs_and_the_batch_minimum(dim, eps_range, 
     cases = oracle_cases(dim, eps_range, rng) + [
         (random_sq(rng, dim, eps_range=eps_range), random_sq(rng, dim, eps_range=eps_range))
         for _ in range(20)]
-    exact = np.array([p.distance for p in closest_pairs([a for a, _ in cases],
-                                                        [b for _, b in cases])])
+    exact = closest_pairs([a for a, _ in cases], [b for _, b in cases]).distance
     separated = [c for c, d in zip(cases, exact) if d > 1e-6]
     assert len(separated) >= 20
     retired_any = False
     for batch in (cases, separated, separated[::3]):
-        sides = stacked_sides([a for a, _ in batch], [b for _, b in batch])
+        sides = stack_pairs([a for a, _ in batch], [b for _, b in batch])
         want = np.array([closest_pair(a, b).distance for a, b in batch])
         for upper in (np.inf, want.min() + tol):
-            got = closest_pair_arrays(*sides, tol, upper=upper)
+            got = closest_pair_arrays(sides, tol, upper=upper)
             retired = ~np.isnan(got.lower_bound)
             retired_any |= retired.any()
             assert got[3].all()
@@ -604,8 +611,8 @@ def test_min_search_keeps_unretired_pairs_and_the_batch_minimum(dim, eps_range, 
                 assert 0.0 <= got.lower_bound[k] <= want[k] + 1e-12
                 assert want[k] <= got[2][k] + 1e-12
             for k in np.flatnonzero(~retired):
-                alone = closest_pair_arrays(*(x[:, k:k + 1] for x in sides), tol)
-                assert all(np.array_equal(x[k], y[0]) for x, y in zip(got, alone))
+                alone = closest_pair_arrays(sides.take(np.s_[:, k:k + 1]), tol)
+                assert all(np.array_equal(x[k], y[0]) for x, y in zip(got[:5], alone[:5]))
                 assert np.isnan(alone.lower_bound[0])
             assert want.min() - 1e-12 <= got[2].min() <= want.min() + tol + 1e-12
     assert retired_any
@@ -618,6 +625,6 @@ def test_min_search_below_the_minimum_retires_every_pair_with_a_bound():
     cases = [(random_sq(rng, 3), random_sq(rng, 3)) for _ in range(30)]
     want = np.array([closest_pair(a, b).distance for a, b in cases])
     far = want > 0.1
-    sides = stacked_sides([a for a, _ in cases], [b for _, b in cases])
-    got = closest_pair_arrays(*(x[:, far] for x in sides), 0.0, upper=0.0)
+    sides = stack_pairs([a for a, _ in cases], [b for _, b in cases])
+    got = closest_pair_arrays(sides.take(np.s_[:, far]), 0.0, upper=0.0)
     assert np.all(got.lower_bound <= want[far] + 1e-12) and np.all(got[4] <= 2)

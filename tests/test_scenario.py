@@ -6,8 +6,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from sqplan.dmp import PoseTrajectory
-from sqplan.geometry import (Superquadric, box_gaps, dual_exponents, expand,
-                             inside_outside, surface_samples)
+from sqplan.geometry import (Superquadric, box_gaps, expand, stack_pairs, stack_shapes,
+                             surface_samples)
 from sqplan.pipeline import plan
 from sqplan.poses import robot_pose_at, robot_rotations
 from sqplan import clearance, proximity
@@ -121,6 +121,17 @@ def test_trajectory_load_rejects_a_field_that_is_not_a_finite_number(tmp_path, f
         load_trajectory(str(path))
 
 
+@pytest.mark.parametrize("header", ["t,x,y,z,theta", "t,q,wx,wy,wz"])
+def test_trajectory_load_rejects_a_header_it_does_not_write(tmp_path, header):
+    # a header must be one that save_trajectory writes: read by its last
+    # column alone, these load as a 2D trajectory with two orientation
+    # columns, or as a 3D one with positions (q, wx, wy)
+    path = tmp_path / "t.csv"
+    path.write_text(header + "\n" + ",".join(["0"] * len(header.split(","))) + "\n")
+    with pytest.raises(ScenarioError, match="t.csv: unrecognized column layout"):
+        load_trajectory(str(path))
+
+
 def test_benchmarks_deterministic():
     for name in BENCHMARK_NAMES:
         a = scenario_to_dict(generate_benchmark(name, seed=3))
@@ -217,7 +228,7 @@ def per_pose_distances(trajectory, robot, obstacles):
              for p, o in zip(trajectory.positions, trajectory.orientations)]
     pairs = closest_pairs([shape for shape in posed for _ in obstacles],
                           [obs for _ in posed for obs in obstacles])
-    return np.array([pair.distance for pair in pairs]).reshape(len(posed), -1).min(axis=1)
+    return pairs.distance.reshape(len(posed), -1).min(axis=1)
 
 
 def per_pose_exact_distance(trajectory, robot, obstacles):
@@ -280,12 +291,7 @@ def interval_audit(trajectory, robot, obstacles, stats):
     steps = (np.linalg.norm(np.diff(positions, axis=0), axis=1)
              + r * np.linalg.norm(np.diff(rotations, axis=0), axis=(1, 2)))
     motion = np.concatenate([[0.0], np.cumsum(steps)]).tolist()
-    lb = (box_gaps(positions, obstacles) - r).tolist()
-    robot_q = dual_exponents(robot.eps)
-    stacked = (np.array([o.pose.rotation_matrix() for o in obstacles]),
-               np.array([o.center for o in obstacles]),
-               np.array([o.axes for o in obstacles]),
-               dual_exponents([o.eps for o in obstacles]))
+    lb = (box_gaps(positions, stack_shapes(obstacles)) - r).tolist()
     certified, best = {}, np.inf
 
     def bound(a, b, j):
@@ -298,11 +304,10 @@ def interval_audit(trajectory, robot, obstacles, stats):
     while todo:
         todo = sorted(todo)
         i, j = np.array(todo).T
-        rot_o, pos_o, axes_o, q_o = (x[j] for x in stacked)
-        _, _, distance, converged, iterations = proximity.closest_pair_arrays(
-            np.stack([rotations[i], rot_o]), np.stack([positions[i], pos_o]),
-            np.stack([np.broadcast_to(robot.axes, axes_o.shape), axes_o]),
-            np.stack([np.broadcast_to(robot_q, q_o.shape), q_o]), tol=half)
+        pairs = stack_pairs([robot] * len(j), [obstacles[k] for k in j])
+        pairs.rot[0], pairs.pos[0] = rotations[i], positions[i]
+        _, _, distance, converged, iterations, _ = proximity.closest_pair_arrays(
+            pairs, tol=half)
         stats.rounds += 1
         stats.solves += len(todo)
         stats.nonconverged += len(todo) - int(np.count_nonzero(converged))
@@ -412,14 +417,12 @@ def test_audit_does_not_certify_by_an_unconverged_distance(monkeypatch):
     pose_of = {p.tobytes(): k for k, p in enumerate(traj.positions)}
     solve = proximity.closest_pair_arrays
 
-    def too_far(rot, pos, axes, q, tol=0.0, threshold=None, upper=None):
-        result = solve(rot, pos, axes, q, tol, threshold, upper)
-        p_i, p_j, distance, converged, iterations = result
-        far = np.array([pose_of[p.tobytes()] not in (0, 85) for p in pos[0]])
-        return proximity.PairArrays(
-            (p_i, p_j, distance + 0.5 * far, converged & ~far, iterations), result.lower_bound)
+    def too_far(pairs, tol=0.0, threshold=None, upper=None):
+        result = solve(pairs, tol, threshold, upper)
+        far = np.array([pose_of[p.tobytes()] not in (0, 85) for p in pairs.pos[0]])
+        return result._replace(distance=result.distance + 0.5 * far,
+                               converged=result.converged & ~far)
 
-    monkeypatch.setattr(proximity, "closest_pair_arrays", too_far)
     monkeypatch.setattr(clearance, "closest_pair_arrays", too_far)
     stats = AuditStats()
     got = min_trajectory_distance(traj, robot, obstacles, stats)
@@ -542,15 +545,6 @@ def random_posed_pair(rng, dim):
     return shape(np.zeros(dim)), shape(rng.uniform(1.3, 3.0) * direction)
 
 
-def stacked_pair(shape_i, shape_j):
-    """closest_pair_arrays inputs for one pair."""
-    sides = ([shape_i], [shape_j])
-    return (np.array([[s.pose.rotation_matrix() for s in side] for side in sides]),
-            np.array([[s.center for s in side] for side in sides]),
-            np.array([[s.axes for s in side] for side in sides]),
-            dual_exponents([[s.eps for s in side] for side in sides]))
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_axis_gaps_bound_the_distance(dim):
     # any unit axis gives a lower bound; the witness normal of a converged,
@@ -559,18 +553,18 @@ def test_axis_gaps_bound_the_distance(dim):
     rng = np.random.default_rng([dim, 12])
     for _ in range(150):
         shape_i, shape_j = random_posed_pair(rng, dim)
-        arrays = stacked_pair(shape_i, shape_j)
-        distance = float(proximity.closest_pair_arrays(*arrays)[2][0])
+        arrays = stack_pairs([shape_i], [shape_j])
+        distance = float(proximity.closest_pair_arrays(arrays).distance[0])
         assert distance > 0.0
         normals = rng.normal(size=(8, dim))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        many = [np.repeat(x, 8, axis=1) for x in arrays]
-        assert np.all(clearance.axis_gaps(*many, normals) <= distance + 1e-12)
+        many = arrays.take(np.s_[:, np.zeros(8, int)])
+        assert np.all(clearance.axis_gaps(many, normals) <= distance + 1e-12)
         tol = clearance.AUDIT_TOL * shape_i.bounding_radius()
-        p_i, p_j, _, converged, _ = proximity.closest_pair_arrays(*arrays, tol=tol / 2)
+        p_i, p_j, _, converged, _, _ = proximity.closest_pair_arrays(arrays, tol=tol / 2)
         assert converged[0]
         witness = (p_j - p_i) / np.linalg.norm(p_j - p_i)
-        gap = float(clearance.axis_gaps(*arrays, witness)[0])
+        gap = float(clearance.axis_gaps(arrays, witness)[0])
         assert distance - tol <= gap <= distance + 1e-12
 
 

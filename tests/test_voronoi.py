@@ -1,13 +1,11 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
-from sqplan.geometry import Superquadric, expand
-from sqplan.proximity import closest_pair, closest_pairs
+from oracles import load_bench_scenes, reference_diagram
+from sqplan.geometry import Superquadric
+from sqplan.proximity import OVERLAP_TOL, closest_pair, closest_pairs
 from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
-from sqplan.voronoi import (all_pairs, build_cell, build_clusters, build_diagram,
-                            diagram_to_dict, separating_hyperplane)
+from sqplan.voronoi import (Cluster, build_clusters, build_diagram, diagram_to_dict,
+                            separating_hyperplane)
 
 
 def cell_of_point(diagram, point):
@@ -32,7 +30,9 @@ def test_clusters_merge_chains():
     circles = [Superquadric.create([1.0], [0.5, 0.5], [float(k) * 0.8, 0.0])
                for k in range(3)]
     circles.append(Superquadric.create([1.0], [0.5, 0.5], [10.0, 0.0]))
-    clusters = build_clusters(circles, all_pairs(circles))
+    pairs = np.array([(i, j) for i in range(4) for j in range(i + 1, 4)]).T
+    clusters = build_clusters(len(circles), pairs, closest_pairs(
+        [circles[i] for i in pairs[0]], [circles[j] for j in pairs[1]], OVERLAP_TOL).distance)
     assert [c.members for c in clusters] == [[0, 1, 2], [3]]
     assert [c.id for c in clusters] == [0, 1]
 
@@ -40,9 +40,9 @@ def test_clusters_merge_chains():
 def test_hyperplane_is_maximum_margin_bisector():
     a = Superquadric.create([1.0], [0.5, 0.5], [0.0, 0.0])
     b = Superquadric.create([1.0], [0.5, 0.5], [3.0, 0.0])
-    pairs = {(0, 1): closest_pair(a, b)}
-    from sqplan.voronoi import Cluster
-    hp = separating_hyperplane(Cluster(0, [0]), Cluster(1, [1]), [a, b], pairs)
+    pair = closest_pair(a, b)
+    hp = separating_hyperplane(Cluster(0, [0]), Cluster(1, [1]), pair.p_i, pair.p_j,
+                               pair.distance)
     assert np.allclose(np.abs(hp.normal), [1.0, 0.0], atol=1e-6)
     mid = 0.5 * (hp.witness_i + hp.witness_j)
     assert np.isclose(hp.normal @ mid, hp.offset, atol=1e-9)
@@ -50,6 +50,32 @@ def test_hyperplane_is_maximum_margin_bisector():
     # witnesses sit on the two surfaces, equidistant from the plane
     assert np.isclose(abs(hp.normal @ hp.witness_i - hp.offset),
                       abs(hp.normal @ hp.witness_j - hp.offset), atol=1e-9)
+
+
+def test_hyperplane_tie_goes_to_the_first_cross_pair_in_member_order():
+    # mirror-symmetric about x = 0: cluster 0 is a bar (0) with a post at
+    # each end (2 left, 3 right), cluster 1 a bar (5) with a block at each
+    # end (1 right, 4 left). Each post faces a block across the same gap, so
+    # the cross pairs (2, 4) and (1, 3) tie at exactly equal GJK distance.
+    # Member order (i over cluster 0's members, then j over cluster 1's)
+    # puts (2, 4) first; row order (i < j) would put (1, 3) first.
+    def box(axes, x, y):
+        return Superquadric.create([0.2], axes, [x, y])
+
+    obstacles = [box([4.5, 0.2], 0.0, 0.0), box([0.5, 0.5], 4.0, 5.5),
+                 box([0.2, 2.0], -4.0, 2.0), box([0.2, 2.0], 4.0, 2.0),
+                 box([0.5, 0.5], -4.0, 5.5), box([4.5, 0.3], 0.0, 6.2)]
+    case = (point_robot(2), obstacles, [-10.0, -10.0], [10.0, 10.0])
+    diagram = build_diagram(*case)
+    assert [c.members for c in diagram.clusters] == [[0, 2, 3], [1, 4, 5]]
+    grown = diagram.expanded
+    tied = closest_pairs([grown[2], grown[1]], [grown[4], grown[3]]).distance
+    assert tied[0] == tied[1] and np.all(closest_pairs(
+        [grown[i] for i, _ in ((0, 1), (0, 5), (2, 5), (3, 5))],
+        [grown[j] for _, j in ((0, 1), (0, 5), (2, 5), (3, 5))]).distance > tied[0])
+    (hp,) = diagram.hyperplanes
+    assert hp.witness_i[0] < 0.0 and hp.witness_j[0] < 0.0
+    assert_same_diagram(diagram, reference_diagram(*case))
 
 
 def test_point_site_diagram_matches_nearest_site_2d():
@@ -140,22 +166,8 @@ def test_diagram_counts_nonconverged_solves(monkeypatch):
 # ------------------------------------ two-pass diagram against every-pair full solve
 
 
-def every_pair_diagram(robot, obstacles, world_lo, world_hi):
-    """The reference diagram: every obstacle pair solved to full precision
-    in one call, clusters, hyperplanes and cells built from those results."""
-    grown = [expand(o, float(robot.axes[0])) for o in obstacles]
-    keys = [(i, j) for i in range(len(grown)) for j in range(i + 1, len(grown))]
-    pairs = dict(zip(keys, closest_pairs([grown[i] for i, _ in keys],
-                                         [grown[j] for _, j in keys])))
-    clusters = build_clusters(grown, pairs)
-    hyperplanes = [separating_hyperplane(ci, cj, grown, pairs)
-                   for a, ci in enumerate(clusters) for cj in clusters[a + 1:]]
-    cells = [build_cell(cl, hyperplanes, world_lo, world_hi, robot.dim) for cl in clusters]
-    return clusters, hyperplanes, cells
-
-
 def assert_same_diagram(diagram, reference):
-    clusters, hyperplanes, cells = reference
+    clusters, hyperplanes, cells, _ = reference
     assert [(c.id, c.members) for c in diagram.clusters] == [(c.id, c.members)
                                                            for c in clusters]
     assert len(diagram.hyperplanes) == len(hyperplanes)
@@ -184,10 +196,10 @@ def random_scene_2d(rng, count):
 
 
 def test_two_pass_diagram_equals_every_pair_full_solve():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
-    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    # the diagram equals the one from solving every pair in full, and
+    # bitwise, with the same GJK work, the one of the dict-based precompute
+    # on per-pair records
+    bench = load_bench_scenes()
     scenes = [generate_benchmark(name) for name in BENCHMARK_NAMES]
     scenes += [scenario_from_dict(bench.random_field(*f)) for f in bench.BUILD3D_FIELDS]
     rng = np.random.default_rng(11)
@@ -202,7 +214,10 @@ def test_two_pass_diagram_equals_every_pair_full_solve():
     full_solves = 0
     for case in cases:
         diagram = build_diagram(*case)
-        assert_same_diagram(diagram, every_pair_diagram(*case))
+        assert_same_diagram(diagram, reference_diagram(*case, threshold=None))
+        reference = reference_diagram(*case)
+        assert_same_diagram(diagram, reference)
+        assert {key: getattr(diagram, key) for key in reference[3]} == reference[3]
         n = len(case[1])
         assert diagram.pairs == n * (n - 1) // 2
         assert diagram.threshold_decided <= diagram.pairs
