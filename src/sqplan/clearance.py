@@ -235,7 +235,7 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
         second, upper = None, float(u) + half
     while todo.any():
         j, i = np.nonzero(todo)
-        p_r, p_o, distance, converged, iterations, lower_bound = closest_pair_arrays(
+        p_r, p_o, distance, converged, iterations, lower_bound, _ = closest_pair_arrays(
             pairs(j, i), tol=half, threshold=threshold, upper=upper)
         upper = None
         retired = ~np.isnan(lower_bound)

@@ -19,7 +19,7 @@ from .roadmap import graph_to_dict
 from .scenario import (BENCHMARK_NAMES, Scenario, ScenarioError, check_param,
                        compute_metrics, generate_benchmark, load_scenario,
                        metrics_to_dict, save_scenario, save_trajectory)
-from .voronoi import diagram_to_dict
+from .voronoi import diagram_to_dict, solve_counters
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -125,6 +125,8 @@ def cmd_bench(args) -> int:
                 no_plan = True
                 continue
             entry["runs"].append(metrics_to_dict(metrics))
+        if pre is not None:
+            entry["diagram"] = solve_counters(pre.diagram)
         ok = [r for r in entry["runs"] if r.get("success")]
         if ok:
             mean = {

@@ -104,6 +104,7 @@ class Diagram:
     threshold_decided: int  # of those, retired by the overlap threshold
     full_solves: int  # second-pass full solves of cross-cluster pairs
     gjk_iterations: int  # summed over both passes
+    newton_steps: int  # of those iterations, the ones that also took a Newton step
 
 
 class _UnionFind:
@@ -263,7 +264,8 @@ def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
                    pairs=pairs.shape[1],
                    threshold_decided=int(np.count_nonzero(~np.isnan(first.lower_bound))),
                    full_solves=len(full),
-                   gjk_iterations=sum(int(s.iterations.sum()) for s in solves))
+                   gjk_iterations=sum(int(s.iterations.sum()) for s in solves),
+                   newton_steps=sum(int(s.newton_steps.sum()) for s in solves))
 
 
 def diagram_to_dict(diagram: Diagram) -> dict:
@@ -292,9 +294,13 @@ def diagram_to_dict(diagram: Diagram) -> dict:
             "witness_j": hp.witness_j.tolist(),
         } for hp in diagram.hyperplanes],
         "cells": cells,
-        "nonconverged": diagram.nonconverged,
-        "pairs": diagram.pairs,
-        "threshold_decided": diagram.threshold_decided,
-        "full_solves": diagram.full_solves,
-        "gjk_iterations": diagram.gjk_iterations,
+        **solve_counters(diagram),
     }
+
+
+def solve_counters(diagram: Diagram) -> dict:
+    """The diagram's GJK work: pairs decided, full solves, iterations,
+    Newton steps and non-converged solves."""
+    return {key: getattr(diagram, key) for key in (
+        "nonconverged", "pairs", "threshold_decided", "full_solves", "gjk_iterations",
+        "newton_steps")}

@@ -14,7 +14,8 @@ distance per live edge. Both write a `DictGraph`, the mutable roadmap the
 read-only `RoadmapGraph` replaced: a projection tombstones the edge it splits.
 `pair_records` lists `closest_pairs`' arrays as one `PairRecord` per pair,
 and `reference_diagram` is the precompute on those records, keyed (i, j) in
-dicts, before it worked on the arrays.
+dicts, before it worked on the arrays. `plain_closest_pair_arrays` is
+batched GJK without the Newton polish of full solves, as it was before it.
 `block_kernel` holds the maps of BLOCK steps of the rollout's linear RK4
 step map, which a block scan applies as two matmuls per block.
 `load_bench_scenes` imports perfbench's scene definitions.
@@ -32,9 +33,12 @@ from scipy.spatial import cKDTree
 from sqplan.clearance import AUDIT_TOL, trajectory_collides
 from sqplan.dmp import ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, _basis
 from sqplan.geometry import (RigidPose, box_gaps, expand, inside_outside,
-                             inside_outside_local, stack_shapes, surface_samples)
+                             inside_outside_local, stack_pairs, stack_shapes,
+                             support_points, surface_samples)
 from sqplan.poses import robot_pose_at, robot_rotations
-from sqplan.proximity import OVERLAP_TOL, ClosestPair, closest_pairs, overlaps
+from sqplan.proximity import (_FACE_SIZE, _FACES, MAX_ITER, OVERLAP_TOL, REL_TOL,
+                              TOUCH_TOL, ClosestPair, PairArrays, _combine, _dot,
+                              _nearest_face, closest_pairs, overlaps)
 from sqplan.roadmap import EDGE_SAMPLES, INSIDE_TOL, MERGE_TOL, _point_segment
 from sqplan.voronoi import (Cluster, ClusterInconsistencyError, Hyperplane, _UnionFind,
                             build_cell)
@@ -55,15 +59,103 @@ class PairRecord(ClosestPair):
     threshold retired the pair."""
 
     lower_bound: float | None = None
+    newton_steps: int = 0
 
 
 def pair_records(shapes_i, shapes_j, threshold=None) -> list[PairRecord]:
     """`closest_pairs(shapes_i, shapes_j, threshold)` as one record per pair."""
-    result = closest_pairs(shapes_i, shapes_j, threshold)
+    return records_of(closest_pairs(shapes_i, shapes_j, threshold))
+
+
+def plain_pair_records(shapes_i, shapes_j, threshold=None) -> list[PairRecord]:
+    """`pair_records` by `plain_closest_pair_arrays`, without the polish."""
+    return records_of(plain_closest_pair_arrays(stack_pairs(shapes_i, shapes_j),
+                                                threshold=threshold))
+
+
+def records_of(result) -> list[PairRecord]:
+    """A `PairArrays` as one record per pair."""
     lower = [None if math.isnan(b) else b for b in result.lower_bound.tolist()]
     return [PairRecord(*pair) for pair in zip(
         result.p_i, result.p_j, result.distance.tolist(), result.converged.tolist(),
-        result.iterations.tolist(), lower)]
+        result.iterations.tolist(), lower, result.newton_steps.tolist())]
+
+
+def plain_closest_pair_arrays(pairs, tol=0.0, threshold=None, upper=None) -> PairArrays:
+    """`proximity.closest_pair_arrays` without the Newton polish: every solve
+    is GJK to the duality gap |v|^2 - v.w <= max(REL_TOL |v|^2, tol |v|),
+    and its witnesses are the last simplex's. Solves with tol > 0, a
+    threshold or an upper bound are this kernel's bit for bit."""
+    pos = pairs.pos
+    n, dim = pos.shape[1], pos.shape[-1]
+    witnesses, distance = np.empty((2, n, dim)), np.empty(n)
+    converged, iterations, lower = np.zeros(n, bool), np.full(n, MAX_ITER), np.full(n, np.nan)
+    if not n:
+        return PairArrays(witnesses[0], witnesses[1], distance, converged, iterations, lower,
+                          np.zeros(n, int))
+    shape = [pairs.rot, pos, pairs.axes, pairs.q]
+    sign = np.array([-1.0, 1.0])[:, None, None]
+    v = pos[0] - pos[1]
+    v[~v.any(axis=1), 0] = 1.0
+    ab = support_points(*shape, sign * v)
+    simplex = np.repeat(ab[:, :, None], 4, axis=2)
+    lam = np.eye(4)[np.zeros(n, int)]
+    ids, count, v = np.arange(n), np.ones(n, int), ab[0] - ab[1]
+    bound = np.inf if upper is None else upper
+
+    def finish(rows, simplex, lam, enclosed, done, it):
+        nonlocal bound
+        k = ids[rows]
+        p = _combine(lam[rows], simplex[:, rows])
+        d = np.where(enclosed, 0.0, np.sqrt(_dot(p[0] - p[1], p[0] - p[1])))
+        witnesses[:, k], distance[k] = p, d
+        converged[k], iterations[k] = done, it
+        bound = min(bound, d.min())
+
+    for it in range(1, MAX_ITER + 1):
+        ab = support_points(*shape, sign * v)
+        vv = _dot(v, v)
+        norm = np.sqrt(vv)
+        limit = REL_TOL * vv
+        if tol:
+            limit = np.maximum(limit, tol * norm)
+        vw = _dot(v, ab[0] - ab[1])
+        gap = vv - vw <= limit
+        new = np.concatenate([ab[:, :, None], simplex[:, :, :3]], axis=2)
+        y = new[0] - new[1]
+        face, new_lam, new_v, new_vv = _nearest_face(y, count)
+        rows, slots = np.arange(len(v))[:, None], _FACES[face]
+        new_simplex = new[:, rows, slots]
+        enclosed = ~gap & ((_FACE_SIZE[face] == dim + 1)
+                           | (new_vv <= TOUCH_TOL**2 * _dot(y, y)[rows, slots].max(axis=1)))
+        stop = ~gap & (enclosed | (new_vv >= vv))
+        decided = np.zeros(len(v), bool)
+        if threshold is not None:
+            decided |= (vw > threshold * norm) | (norm <= threshold)
+        if upper is not None:
+            bound = min(bound, norm.min(initial=np.inf))
+            decided |= vw > (bound - tol) * norm
+        decided &= ~(gap | stop)
+        n_gap, n_stop = np.count_nonzero(gap), np.count_nonzero(stop)
+        n_decided = np.count_nonzero(decided)
+        if n_gap:
+            finish(gap, simplex, lam, False, True, it)
+        if n_stop:
+            finish(stop, new_simplex, new_lam, enclosed[stop], True, it)
+        if n_decided:
+            finish(decided, simplex, lam, False, True, it)
+            lower[ids[decided]] = np.maximum(vw[decided] / norm[decided], 0.0)
+        if n_gap + n_stop + n_decided == len(v):
+            break
+        if n_gap + n_stop + n_decided:
+            go = ~(gap | stop | decided)
+            ids, new_v, new_lam, face = ids[go], new_v[go], new_lam[go], face[go]
+            new_simplex, shape = new_simplex[:, go], [x[:, go] for x in shape]
+        v, simplex, lam, count = new_v, new_simplex, new_lam, _FACE_SIZE[face]
+    else:
+        finish(np.ones(len(ids), bool), simplex, lam, False, False, MAX_ITER)
+    return PairArrays(witnesses[0], witnesses[1], distance, converged, iterations,
+                      np.minimum(lower, distance), np.zeros(n, int))
 
 
 def reference_diagram(robot, obstacles, world_lo, world_hi, threshold=OVERLAP_TOL):
@@ -73,7 +165,7 @@ def reference_diagram(robot, obstacles, world_lo, world_hi, threshold=OVERLAP_TO
     the retired cross pairs whose lower bound is at most their cluster
     pair's least witness distance, and each hyperplane from the least of
     its cross pairs in member order. Returns the clusters, hyperplanes,
-    cells and the five GJK work counters of `voronoi.Diagram`."""
+    cells and the six GJK work counters of `voronoi.Diagram`."""
     grown = [expand(o, float(robot.axes[0])) for o in obstacles]
 
     def solve(keys, threshold=None):
@@ -120,7 +212,8 @@ def reference_diagram(robot, obstacles, world_lo, world_hi, threshold=OVERLAP_TO
                 "pairs": len(first),
                 "threshold_decided": sum(pr.lower_bound is not None for pr in first),
                 "full_solves": len(full),
-                "gjk_iterations": sum(pr.iterations for pr in solves)}
+                "gjk_iterations": sum(pr.iterations for pr in solves),
+                "newton_steps": sum(pr.newton_steps for pr in solves)}
     return clusters, hyperplanes, cells, counters
 
 

@@ -142,6 +142,12 @@ def test_bench_2d_table_and_results(tmp_path, capsys):
         run, mean = entry["runs"][0], entry["mean"]
         assert np.isclose(run["arc_length_m"], mean["arc_length_m"])
         assert np.isclose(run["min_distance_m"], mean["min_distance_m"])
+        # the diagram's solve counters: every pair decided, all converged
+        counters = entry["diagram"]
+        assert set(counters) == {"pairs", "threshold_decided", "full_solves",
+                                 "gjk_iterations", "newton_steps", "nonconverged"}
+        assert counters["nonconverged"] == 0
+        assert counters["gjk_iterations"] >= counters["pairs"] + counters["full_solves"]
 
 
 def test_unknown_demo_name_rejected(tmp_path, capsys):

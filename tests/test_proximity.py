@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import load_bench_scenes, pair_records
+from oracles import (load_bench_scenes, pair_records, plain_closest_pair_arrays,
+                     plain_pair_records)
 from sqplan import proximity, voronoi
 from sqplan.geometry import (EPS_MAX, Superquadric, expand, inside_outside, stack_pairs,
                              stack_shapes, surface_samples)
@@ -451,7 +453,8 @@ def test_diagrams_match_one_pair_oracle(monkeypatch):
         records = [oracle_closest_pair(grown[a], grown[b])
                    for a, b in zip(*(r.tolist() for r in obstacle_rows(scn, pairs)))]
         fields = zip(*((r.p_i, r.p_j, r.distance, r.converged, r.iterations) for r in records))
-        return PairArrays(*map(np.array, fields), np.full(len(records), np.nan))
+        return PairArrays(*map(np.array, fields), np.full(len(records), np.nan),
+                          np.zeros(len(records), int))
 
     monkeypatch.setattr(voronoi, "closest_pair_arrays", oracle)
     for diagram, scn in zip(got, scenes):
@@ -482,9 +485,11 @@ def test_tolerance_stop_bounds_the_full_solve(dim, eps_range):
     for pair, *record in zip(full, *closest_pair_arrays(sides, 0.0)[:5]):
         assert same_result(pair, ClosestPair(*record)) and pair.iterations == record[4]
         assert 1 <= pair.iterations < proximity.MAX_ITER
+    # a tolerance stop cuts short the unpolished GJK full solve
+    full = plain_pair_records(shapes_i, shapes_j)
     stopped_early = 0
     for tol in (1e-9, 1e-6, 1e-3, 1e-1):
-        _, _, distance, converged, iterations, _ = closest_pair_arrays(sides, tol)
+        _, _, distance, converged, iterations, *_ = closest_pair_arrays(sides, tol)
         for exact, d, ok, it in zip(full, distance, converged, iterations):
             assert ok
             assert exact.distance - 1e-12 <= d <= exact.distance + tol + 1e-12
@@ -535,10 +540,11 @@ def threshold_cases(dim, rng):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("threshold", [proximity.OVERLAP_TOL, 1e-3, 0.1])
 def test_threshold_query_decides_like_the_full_solve(dim, threshold):
+    # the threshold query cuts short the unpolished GJK full solve
     rng = np.random.default_rng([60 + dim, int(-math.log10(threshold))])
     cases = threshold_cases(dim, rng)
     shapes_i, shapes_j = [a for a, _ in cases], [b for _, b in cases]
-    full = pair_records(shapes_i, shapes_j)
+    full = plain_pair_records(shapes_i, shapes_j)
     got = pair_records(shapes_i, shapes_j, threshold)
     retired = 0
     for exact, pair in zip(full, got):
@@ -553,12 +559,13 @@ def test_threshold_query_decides_like_the_full_solve(dim, threshold):
     assert retired > 0
     # the array core carries the same lower bounds, NaN for full solves
     result = closest_pair_arrays(stack_pairs(shapes_i, shapes_j), 0.0, threshold)
-    assert len(result) == 6
+    assert len(result) == 7
     bound = [np.nan if p.lower_bound is None else p.lower_bound for p in got]
     assert np.array_equal(result.lower_bound, bound, equal_nan=True)
     # threshold None is the full solve
     assert all(same_result(x, y) and y.lower_bound is None
-               for x, y in zip(full, pair_records(shapes_i, shapes_j, None)))
+               for x, y in zip(pair_records(shapes_i, shapes_j),
+                               pair_records(shapes_i, shapes_j, None)))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -595,13 +602,15 @@ def test_min_search_keeps_unretired_pairs_and_the_batch_minimum(dim, eps_range, 
     cases = oracle_cases(dim, eps_range, rng) + [
         (random_sq(rng, dim, eps_range=eps_range), random_sq(rng, dim, eps_range=eps_range))
         for _ in range(20)]
+    # the min-search cuts short the unpolished GJK full solve
     exact = closest_pairs([a for a, _ in cases], [b for _, b in cases]).distance
     separated = [c for c, d in zip(cases, exact) if d > 1e-6]
     assert len(separated) >= 20
     retired_any = False
     for batch in (cases, separated, separated[::3]):
         sides = stack_pairs([a for a, _ in batch], [b for _, b in batch])
-        want = np.array([closest_pair(a, b).distance for a, b in batch])
+        want = np.array([plain_closest_pair_arrays(stack_pairs([a], [b])).distance[0]
+                         for a, b in batch])
         for upper in (np.inf, want.min() + tol):
             got = closest_pair_arrays(sides, tol, upper=upper)
             retired = ~np.isnan(got.lower_bound)
@@ -610,8 +619,8 @@ def test_min_search_keeps_unretired_pairs_and_the_batch_minimum(dim, eps_range, 
             for k in np.flatnonzero(retired):
                 assert 0.0 <= got.lower_bound[k] <= want[k] + 1e-12
                 assert want[k] <= got[2][k] + 1e-12
-            for k in np.flatnonzero(~retired):
-                alone = closest_pair_arrays(sides.take(np.s_[:, k:k + 1]), tol)
+            for k in np.flatnonzero(~retired):  # the unpolished solve alone
+                alone = plain_closest_pair_arrays(sides.take(np.s_[:, k:k + 1]), tol)
                 assert all(np.array_equal(x[k], y[0]) for x, y in zip(got[:5], alone[:5]))
                 assert np.isnan(alone.lower_bound[0])
             assert want.min() - 1e-12 <= got[2].min() <= want.min() + tol + 1e-12
@@ -628,3 +637,188 @@ def test_min_search_below_the_minimum_retires_every_pair_with_a_bound():
     sides = stack_pairs([a for a, _ in cases], [b for _, b in cases])
     got = closest_pair_arrays(sides.take(np.s_[:, far]), 0.0, upper=0.0)
     assert np.all(got.lower_bound <= want[far] + 1e-12) and np.all(got[4] <= 2)
+
+
+# ------------------------------------------------------------ Newton polish
+
+
+def polish_cases(dim, rng, count=60):
+    """Random pairs over eps in [0.1, 2], B often stretched up to 4:1, slid
+    along the plain GJK solve's witness normal to distances spread from
+    1e-9 to 10 m."""
+    cases = []
+    for gap in np.logspace(-9, 1, count):
+        while True:
+            a, b = (random_sq(rng, dim, eps_range=(0.1, 2.0)) for _ in range(2))
+            stretch = np.where(rng.random(dim) < 0.5, rng.uniform(1.0, 4.0, dim), 1.0)
+            b = Superquadric.create(b.eps, np.sort(b.axes * stretch), b.center + 8.0,
+                                    b.pose.rotation)
+            pair = plain_closest_pair_arrays(stack_pairs([a], [b]))
+            if pair.distance[0] > 0.1:
+                break
+        normal = (pair.p_j[0] - pair.p_i[0]) / pair.distance[0]
+        cases.append((a, Superquadric.create(
+            b.eps, b.axes, b.center - (pair.distance[0] - gap) * normal, b.pose.rotation)))
+    return cases
+
+
+def parallel_boxes(rng, dim, gap):
+    """Two boxy shapes (eps = 0.1) in one random rotation whose facing flat
+    faces are parallel, gap apart and offset sideways."""
+    axes = [np.sort(rng.uniform(0.2, 1.5, dim)) for _ in range(2)]
+    rotation = rng.uniform(-np.pi, np.pi, 1 if dim == 2 else 3)
+    a = Superquadric.create([0.1] * (dim - 1), axes[0], rng.uniform(-1.0, 1.0, dim), rotation)
+    k = rng.integers(dim)
+    offset = rng.uniform(-0.3, 0.3, dim) * np.minimum(*axes)
+    offset[k] = axes[0][k] + axes[1][k] + gap
+    centre = a.center + a.pose.rotation_matrix() @ offset
+    return a, Superquadric.create([0.1] * (dim - 1), axes[1], centre, rotation)
+
+
+def recorded_lower_bounds(monkeypatch, sides):
+    """The full solve of a pair stack and, per pair, the greatest lower bound
+    u.x(u) / |u| over the support directions u that it evaluated, with x(u)
+    = s_A(-u) - s_B(u): read from its support calls, pairs told apart by
+    their centres."""
+    rows = {(i.tobytes(), j.tobytes()): k for k, (i, j) in enumerate(zip(*sides.pos))}
+    lower = np.full(len(rows), -np.inf)
+    support = proximity.support_points
+
+    def recorded(rot, pos, axes, q, d):
+        out = support(rot, pos, axes, q, d)
+        pos, d = np.broadcast_arrays(pos, d)
+        u, x = d[1], out[0] - out[1]
+        bounds = np.einsum("...i,...i->...", u, x) / np.linalg.norm(u, axis=-1)
+        dim = pos.shape[-1]
+        for b, i, j in zip(bounds.ravel(), pos[0].reshape(-1, dim), pos[1].reshape(-1, dim)):
+            k = rows[i.tobytes(), j.tobytes()]
+            lower[k] = max(lower[k], b)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(proximity, "support_points", recorded)
+        result = closest_pair_arrays(sides)
+    return result, lower
+
+
+ROUNDING = 1e-13  # a few ulps of coordinates up to about 20 m
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polished_solve_is_certified_and_matches_the_plain_kernel(dim, monkeypatch):
+    rng = np.random.default_rng(110 + dim)
+    cases = polish_cases(dim, rng)
+    sides = stack_pairs([a for a, _ in cases], [b for _, b in cases])
+    got, lower = recorded_lower_bounds(monkeypatch, sides)
+    plain = plain_closest_pair_arrays(sides)
+    d = got.distance
+    assert got.converged.all() and np.all(got.iterations <= plain.iterations)
+    assert np.all(got.newton_steps <= got.iterations)
+    assert np.count_nonzero(got.newton_steps) > len(cases) // 2
+    assert got.iterations.sum() < 0.7 * plain.iterations.sum()
+    # the witnesses attain the distance, and every bound seen is below it
+    assert np.allclose(d, np.linalg.norm(got.p_i - got.p_j, axis=1), rtol=1e-15, atol=0.0)
+    assert np.all(lower <= np.minimum(d, plain.distance) + ROUNDING)
+    # off contact the gap to the greatest bound seen is within REL_TOL, and
+    # the distance within 2 REL_TOL of plain GJK's; nearer, GJK stops on
+    # rounding and the least |x| seen is no larger than its last
+    far = plain.distance >= 1e-6
+    assert np.count_nonzero(far) >= 0.7 * len(cases) and np.count_nonzero(~far) >= 10
+    assert np.all((d - lower)[far] <= proximity.REL_TOL * d[far] + ROUNDING)
+    assert np.all(np.abs(d - plain.distance)[far] <= 2 * proximity.REL_TOL * d[far] + ROUNDING)
+    assert np.all(d[~far] <= plain.distance[~far] + ROUNDING)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polished_solve_does_not_depend_on_the_batch(dim):
+    rng = np.random.default_rng(120 + dim)
+    cases = polish_cases(dim, rng, 20) + oracle_cases(dim, (0.1, 2.0), rng)
+    alone = [closest_pair_arrays(stack_pairs([a], [b])) for a, b in cases]
+    assert any(x.newton_steps[0] for x in alone)
+    for perm in (rng.permutation(len(cases)), np.arange(len(cases))[::-1],
+                 np.arange(1, len(cases), 2)):
+        got = closest_pair_arrays(stack_pairs([cases[k][0] for k in perm],
+                                              [cases[k][1] for k in perm]))
+        for row, k in enumerate(perm):
+            assert all(np.array_equal(x[row], y[0], equal_nan=True)
+                       for x, y in zip(got, alone[k]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tolerance_threshold_and_bound_solves_are_plain_gjk(dim):
+    rng = np.random.default_rng(130 + dim)
+    cases = threshold_cases(dim, rng) + polish_cases(dim, rng, 20)
+    sides = stack_pairs([a for a, _ in cases], [b for _, b in cases])
+    least = plain_closest_pair_arrays(sides).distance.min()
+    for options in ((1e-9, None, None), (1e-3, None, None), (0.0, proximity.OVERLAP_TOL, None),
+                    (0.0, 0.1, None), (1e-4, 0.0, None), (0.0, None, np.inf),
+                    (1e-6, None, least + 1e-6)):
+        got = closest_pair_arrays(sides, *options)
+        want = plain_closest_pair_arrays(sides, *options)
+        assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(got, want))
+        assert not got.newton_steps.any()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polish_on_parallel_flat_faces_near_contact_and_containment(dim):
+    # rotated boxy shapes with parallel faces are where GJK converges only
+    # linearly and Newton on the normal stalls; down to 1e-9 m apart, and
+    # a small box inside a large one
+    rng = np.random.default_rng(140 + dim)
+    cases = [parallel_boxes(rng, dim, gap) for gap in (1.0, 0.1, 1e-3, 1e-6, 1e-9)
+             for _ in range(6)]
+    outer, inner = parallel_boxes(rng, dim, 0.5)
+    inner = Superquadric.create(inner.eps, inner.axes * 0.1, outer.center, [0.3] * (2 * dim - 3))
+    cases += [(outer, inner), (inner, outer)]
+    sides = stack_pairs([a for a, _ in cases], [b for _, b in cases])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = closest_pair_arrays(sides)
+    plain = plain_closest_pair_arrays(sides)
+    assert got.converged.all() and all(np.isfinite(x).all() for x in got[:5])
+    assert np.all(got.iterations <= plain.iterations)
+    assert got.iterations.max() <= proximity.MAX_ITER and np.count_nonzero(got.newton_steps) > 10
+    assert np.all(got.distance[-2:] == 0.0)
+    # GJK on long thin simplices along the faces stops on rounding below
+    # 1e-3 m, and the least |x| seen is no larger than its last
+    d, far = got.distance[:-2], plain.distance[:-2] >= 1e-3
+    assert np.all(np.abs(d - plain.distance[:-2])[far] <= 2 * proximity.REL_TOL * d[far]
+                  + ROUNDING)
+    assert np.all(d[~far] <= plain.distance[:-2][~far] + ROUNDING)
+
+
+def test_newton_steps_that_do_not_help_hand_the_pair_back_to_gjk(monkeypatch):
+    # steps that turn the normal away never shrink |x| - n.x, so each pair
+    # takes two Newton steps at most and GJK alone finishes it, with no
+    # more iterations than plain GJK and the same distance
+    def astray(n, tangents, x):
+        m = n + 0.5 * tangents[0]
+        return m / np.linalg.norm(m, axis=1, keepdims=True), np.ones(len(n), bool)
+
+    rng = np.random.default_rng(150)
+    cases = polish_cases(3, rng, 20) + polish_cases(2, rng, 20)
+    for batch in (cases[:20], cases[20:]):
+        sides = stack_pairs([a for a, _ in batch], [b for _, b in batch])
+        plain = plain_closest_pair_arrays(sides)
+        with monkeypatch.context() as patch:
+            patch.setattr(proximity, "_newton_normals", astray)
+            got = closest_pair_arrays(sides)
+        assert got.converged.all() and got.newton_steps.max() == 2
+        assert np.all(got.iterations <= plain.iterations)
+        far = plain.distance >= 1e-6
+        assert np.all(np.abs(got.distance - plain.distance)[far]
+                      <= 2 * proximity.REL_TOL * got.distance[far] + ROUNDING)
+
+
+def test_polish_stays_within_the_iteration_cap(monkeypatch):
+    rng = np.random.default_rng(160)
+    cases = polish_cases(3, rng, 20)
+    sides = stack_pairs([a for a, _ in cases], [b for _, b in cases])
+    full = closest_pair_arrays(sides)
+    for cap in (1, 2, 5, 8):
+        monkeypatch.setattr(proximity, "MAX_ITER", cap)
+        got = closest_pair_arrays(sides)
+        assert got.iterations.max() <= cap and np.all(got.newton_steps <= got.iterations)
+        assert np.all(got.iterations[~got.converged] == cap) and not got.converged.all()
+        # a capped pair reports the least |x| seen: a distance, not a bound below one
+        assert np.all(got.distance >= full.distance - ROUNDING)

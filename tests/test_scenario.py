@@ -306,7 +306,7 @@ def interval_audit(trajectory, robot, obstacles, stats):
         i, j = np.array(todo).T
         pairs = stack_pairs([robot] * len(j), [obstacles[k] for k in j])
         pairs.rot[0], pairs.pos[0] = rotations[i], positions[i]
-        _, _, distance, converged, iterations, _ = proximity.closest_pair_arrays(
+        _, _, distance, converged, iterations, *_ = proximity.closest_pair_arrays(
             pairs, tol=half)
         stats.rounds += 1
         stats.solves += len(todo)
@@ -561,7 +561,7 @@ def test_axis_gaps_bound_the_distance(dim):
         many = arrays.take(np.s_[:, np.zeros(8, int)])
         assert np.all(clearance.axis_gaps(many, normals) <= distance + 1e-12)
         tol = clearance.AUDIT_TOL * shape_i.bounding_radius()
-        p_i, p_j, _, converged, _, _ = proximity.closest_pair_arrays(arrays, tol=tol / 2)
+        p_i, p_j, _, converged, *_ = proximity.closest_pair_arrays(arrays, tol=tol / 2)
         assert converged[0]
         witness = (p_j - p_i) / np.linalg.norm(p_j - p_i)
         gap = float(clearance.axis_gaps(arrays, witness)[0])

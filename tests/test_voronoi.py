@@ -235,7 +235,9 @@ def test_diagram_records_its_gjk_work():
     assert 0 < diagram.threshold_decided <= diagram.pairs
     assert 0 < diagram.full_solves <= diagram.threshold_decided
     assert diagram.gjk_iterations >= diagram.pairs + diagram.full_solves
+    # only the full solves take Newton steps, in their own iterations
+    assert 0 < diagram.newton_steps < diagram.gjk_iterations - diagram.pairs
     out = json.loads(json.dumps(diagram_to_dict(diagram)))
     for key in ("nonconverged", "pairs", "threshold_decided", "full_solves",
-                "gjk_iterations"):
+                "gjk_iterations", "newton_steps"):
         assert out[key] == getattr(diagram, key)
