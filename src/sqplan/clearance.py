@@ -1,13 +1,13 @@
 """Certified clearance of a posed robot along a trajectory.
 
-One search answers both questions asked of a trajectory: how close the robot
-comes to an obstacle (the audit in `scenario.compute_metrics`) and whether it
-touches one (validation in `dmp.validate_and_finalize`, a threshold query at
-0). Each (obstacle, pose) pair keeps a certified lower bound on its distance,
-raised by box bounds, closed-form axis bounds and batched GJK solves
-(`proximity.closest_pair_arrays`). The audit opens with one GJK min-search
-over its likeliest pairs, bounded from above in closed form, and the
-validation with threshold queries.
+Two questions, one function each: how close the robot comes to an
+obstacle (`min_trajectory_distance`, the audit in `scenario.compute_metrics`)
+and whether it touches one (`trajectory_collides`, validation in
+`dmp.validate_and_finalize`). Both bound each (obstacle, pose) pair's
+distance from below by box bounds, closed-form axis bounds and batched GJK
+solves (`proximity.closest_pair_arrays`). The audit solves in rounds, the
+first a GJK min-search bounded from above in closed form; validation makes
+one GJK threshold query at 0 on the pairs that the closed forms leave open.
 """
 
 from __future__ import annotations
@@ -119,10 +119,19 @@ def _upper_bounds(pairs: ShapeArrays):
     return np.linalg.norm(s - surface, axis=1)
 
 
+def _pair_stack(robot: Superquadric, rotations, positions, shapes: ShapeArrays, j, i):
+    """The pair stack of the robot at rotations[i] and positions[i], side
+    [0], and obstacles j of `shapes`."""
+    o = shapes.take(j)
+    robot_shape = (robot.axes, robot.eps, dual_exponents(robot.eps))
+    robot_i = (rotations[i], positions[i],
+               *(np.broadcast_to(x, y.shape) for x, y in zip(robot_shape, o[2:])))
+    return ShapeArrays(*map(np.stack, zip(robot_i, o)))
+
+
 def min_trajectory_distance(trajectory, robot: Superquadric,
                             obstacles: list[Superquadric],
-                            stats: AuditStats | None = None,
-                            threshold: float | None = None) -> float:
+                            stats: AuditStats | None = None) -> float:
     """Certified minimum distance from the posed robot to any original obstacle.
 
     Each (obstacle, pose) pair keeps a certified lower bound on its distance,
@@ -138,8 +147,7 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     loses only second order in that turn, where a motion bound loses
     r |dR| (frame coherence: Cameron, ICRA 1997; van den Bergen, J. Graphics
     Tools 1999). Every round is one batched, tolerance-stopped
-    `closest_pair_arrays` call on the trajectory's rotation matrices and the
-    obstacle arrays stacked once. Each obstacle's pick is the centre of its
+    `closest_pair_arrays` call. Each obstacle's pick is the centre of its
     first run of poses tied at its least bound, and its stride poses are
     every AUDIT_STRIDE-th pose and every pose within half a stride of the
     pick. The first round is a GJK min-search (`closest_pair_arrays`'
@@ -162,18 +170,6 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     this sets the GJK time), the number of solves that a GJK bound retired,
     the number of pairs that axis bounds retired without a solve, and the
     index of the pose that attains the result.
-
-    A threshold t only decides the minimum against t, and the result is at
-    most t exactly when no proof that every pair is farther than t was found.
-    A pair is open while its bound is <= t. The open pairs' bounds are first
-    raised by `_pair_bounds`, with rotation matrices built only for their
-    poses; a support point inside the other shape returns 0.0. The pairs
-    still open then go through rounds of GJK threshold queries, without the
-    min-search: the open picks, then the open stride poses, then every
-    unsolved pair still open. A pair that the threshold retires takes its
-    certified lower bound, and a solve at or below t returns it at once.
-    Otherwise the result is the least bound, a certified lower bound above
-    t; an unconverged solve keeps a bound <= t and so counts as contact.
     """
     if not obstacles:
         return float("inf")
@@ -182,35 +178,18 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     r = robot.bounding_radius()
     shapes = stack_shapes(obstacles)
     lower = box_gaps(positions, shapes) - r   # (obstacle, pose) lower bounds
-    if threshold is not None and not np.any(lower <= threshold):
-        return float(lower.min())
     half = AUDIT_TOL * r / 2.0
-    robot_shape = (robot.axes, robot.eps, dual_exponents(robot.eps))
+    rotations = robot_rotations(robot.dim, trajectory.orientations)
 
     def pairs(j, i):
-        """The pair stack of the robot at poses i, side [0], and obstacles j."""
-        o = shapes.take(j)
-        robot_i = (rotations[i], positions[i],
-                   *(np.broadcast_to(x, y.shape) for x, y in zip(robot_shape, o[2:])))
-        return ShapeArrays(*map(np.stack, zip(robot_i, o)))
+        return _pair_stack(robot, rotations, positions, shapes, j, i)
 
     def below(bounds):
         """Open pairs: those whose bound may still undercut the answer."""
-        return bounds < best - half if threshold is None else bounds <= threshold
+        return bounds < best - half
 
     stats = AuditStats() if stats is None else stats
     best = np.inf
-    if threshold is None:
-        rotations = robot_rotations(robot.dim, trajectory.orientations)
-    else:
-        j, i = np.nonzero(below(lower))
-        open_poses = np.unique(i)
-        rotations = np.empty((n_poses, dim, dim))
-        rotations[open_poses] = robot_rotations(robot.dim, trajectory.orientations[open_poses])
-        bounds, contact = _pair_bounds(pairs(j, i))
-        if contact:
-            return 0.0
-        lower[j, i] = np.maximum(lower[j, i], bounds)
     normals = np.zeros(lower.shape + (dim,))     # witness normals of solved pairs
     solved = np.zeros(lower.shape, bool)
     # each obstacle's first pose: the centre of its first run of poses tied
@@ -221,22 +200,18 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     start = tied.argmax(axis=1)
     stop = np.where(~tied & (poses > start[:, None]), poses, n_poses).min(axis=1)
     first = (start + stop - 1) // 2
-    todo = (poses == first[:, None]) & below(lower)
-    # the stride poses: every AUDIT_STRIDE-th, and every one within half a
+    # one min-search round: the picks, and the stride poses whose bound is
+    # below U - h, U the least closed-form upper bound at the picks; the
+    # stride poses are every AUDIT_STRIDE-th, and every one within half a
     # stride of the obstacle's first, where its minimum most likely is
-    second = ((poses % AUDIT_STRIDE == 0)
-              | (np.abs(poses - first[:, None]) <= AUDIT_STRIDE // 2))
-    upper = None
-    if threshold is None:
-        # one min-search round: the picks and the stride poses whose bound
-        # is below U - h, U the least closed-form upper bound at the picks
-        u = _upper_bounds(pairs(np.arange(len(obstacles)), first)).min()
-        todo |= second & (lower < u - half)
-        second, upper = None, float(u) + half
+    u = _upper_bounds(pairs(np.arange(len(obstacles)), first)).min()
+    stride = (poses % AUDIT_STRIDE == 0) | (np.abs(poses - first[:, None]) <= AUDIT_STRIDE // 2)
+    todo = (poses == first[:, None]) | (stride & (lower < u - half))
+    upper = float(u) + half
     while todo.any():
         j, i = np.nonzero(todo)
         p_r, p_o, distance, converged, iterations, lower_bound, _ = closest_pair_arrays(
-            pairs(j, i), tol=half, threshold=threshold, upper=upper)
+            pairs(j, i), tol=half, upper=upper)
         upper = None
         retired = ~np.isnan(lower_bound)
         stats.rounds += 1
@@ -248,7 +223,7 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
         k = int(np.argmin(distance))
         if distance[k] < best:
             best, stats.worst_pose = float(distance[k]), int(i[k])
-        if best <= (threshold or 0.0):
+        if best <= 0.0:
             return best
         solved |= todo
         w = p_o - p_r
@@ -256,8 +231,8 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
         bound = distance - half
         bound[retired] = lower_bound[retired]
         lower[j[converged], i[converged]] = bound[converged]
-        if threshold is None:  # a retired pair still open is solved again
-            solved[j[retired], i[retired]] = ~below(bound[retired])
+        # a retired pair still open is solved again
+        solved[j[retired], i[retired]] = ~below(bound[retired])
         # raise the unsolved open pairs by the normals of the nearest solved
         # keys before and after theirs, in row-major (obstacle, pose) order,
         # taken only from the pair's own obstacle
@@ -275,14 +250,38 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
                                            gaps.reshape(2, -1).max(axis=0))
         todo = below(lower) & ~solved
         stats.axis_certified += len(open_keys) - int(np.count_nonzero(todo))
-        if second is not None and (todo & second).any():
-            todo &= second
-        second = None
-    return float(best) if threshold is None else float(lower.min())
+    return float(best)
 
 
 def trajectory_collides(trajectory, robot: Superquadric,
                         obstacles: list[Superquadric]) -> bool:
-    """True unless every pose of the robot is certified clear of every
-    obstacle: `min_trajectory_distance`'s threshold query at 0."""
-    return min_trajectory_distance(trajectory, robot, obstacles, threshold=0.0) <= 0.0
+    """True unless every pose of the robot is certified clear of every obstacle.
+
+    An (obstacle, pose) pair is open while its lower bound is <= 0: its box
+    bound `box_gaps` - r (r the robot's bounding radius), then its
+    `_pair_bounds`, with rotations built only for open pairs' poses, where a
+    support point inside the other shape proves contact. The pairs still
+    open go through one GJK threshold query at 0 stopped within
+    h = AUDIT_TOL * r / 2: a pair the threshold retires is clear, a solve d
+    is clear when d - h > 0, and an unconverged one counts as contact. So
+    the answer is True at distance 0, and False above AUDIT_TOL * r unless
+    a solve hits the iteration cap.
+    """
+    if not obstacles:
+        return False
+    r = robot.bounding_radius()
+    shapes = stack_shapes(obstacles)
+    j, i = np.nonzero(box_gaps(trajectory.positions, shapes) - r <= 0.0)
+    if not len(j):
+        return False
+    poses, i = np.unique(i, return_inverse=True)
+    rotations = robot_rotations(robot.dim, trajectory.orientations[poses])
+    pairs = _pair_stack(robot, rotations, trajectory.positions[poses], shapes, j, i)
+    bounds, contact = _pair_bounds(pairs)
+    if contact or not np.any(bounds <= 0.0):
+        return contact
+    half = AUDIT_TOL * r / 2.0
+    _, _, distance, converged, _, lower_bound, _ = closest_pair_arrays(
+        pairs.take(np.s_[:, bounds <= 0.0]), tol=half, threshold=0.0)
+    bound = np.where(np.isnan(lower_bound), distance - half, lower_bound)
+    return bool(np.any(~converged | (bound <= 0.0)))

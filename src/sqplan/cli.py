@@ -129,20 +129,12 @@ def cmd_bench(args) -> int:
             entry["diagram"] = solve_counters(pre.diagram)
         ok = [r for r in entry["runs"] if r.get("success")]
         if ok:
-            mean = {
-                "planning_time_s": sum(r["timing"]["planning_time_s"]
-                                       for r in ok) / len(ok),
-                "precompute_time_s": sum(r["timing"]["precompute_time_s"]
-                                         for r in ok) / len(ok),
+            mean = entry["mean"] = {
                 "arc_length_m": sum(r["arc_length_m"] for r in ok) / len(ok),
                 "min_distance_m": sum(r["min_distance_m"] for r in ok) / len(ok),
-            }
-            entry["mean"] = {"arc_length_m": mean["arc_length_m"],
-                             "min_distance_m": mean["min_distance_m"],
-                             "timing": {
-                                 "planning_time_s": mean["planning_time_s"],
-                                 "precompute_time_s": mean["precompute_time_s"]}}
-            rows.append((name, mean["planning_time_s"], mean["arc_length_m"],
+                "timing": {key: sum(r["timing"][key] for r in ok) / len(ok)
+                           for key in ("planning_time_s", "precompute_time_s")}}
+            rows.append((name, mean["timing"]["planning_time_s"], mean["arc_length_m"],
                          mean["min_distance_m"], failures))
         else:
             rows.append((name, None, None, None, failures))

@@ -3,9 +3,8 @@
 Pose waypoints are splined into a demonstration sampled at equal time steps,
 one DMP per degree of freedom is fitted with locally weighted regression (all
 channels at once), and the rollout is validated for collisions against the
-original obstacles by the certified threshold query of `clearance`
-(falling back to the raw demonstration if the smoothed path cuts a corner
-too tightly).
+original obstacles by `clearance.trajectory_collides` (falling back to the
+raw demonstration if the smoothed path cuts a corner too tightly).
 
 In normalised time t / tau the forcing target of N equally spaced samples is
 a fixed linear map of the samples, and so is each residual pass of the fit:

@@ -105,10 +105,7 @@ def scene_svg_2d(scenario: Scenario, result: PlanResult) -> str:
 
 def topdown_svg_3d(scenario: Scenario, result: PlanResult) -> str:
     """Orthographic top-down (x-y) projection of a 3D scene."""
-    flat = Scenario(
-        2, scenario.world_lo[:2], scenario.world_hi[:2], scenario.robot,
-        scenario.obstacles, scenario.start, scenario.goal, scenario.params)
-    frame = _Frame2D(flat.world_lo, flat.world_hi)
+    frame = _Frame2D(scenario.world_lo[:2], scenario.world_hi[:2])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{frame.width:.0f}" height="{frame.height:.0f}" '

@@ -61,12 +61,6 @@ class MetricsReport:
     audit: AuditStats  # the clearance audit's work counts
     min_distance_time_s: float | None  # time of the pose at the minimum
 
-    def __getattr__(self, name):
-        """audit_<count> reads that count of the audit, as metrics.json names it."""
-        if name.startswith("audit_"):
-            return getattr(self.audit, name[len("audit_"):])
-        raise AttributeError(name)
-
 
 # --------------------------------------------------------------- file loading
 

@@ -211,11 +211,11 @@ def test_metrics_report_fields():
     assert np.isclose(report.arc_length_m, 0.02, atol=1e-12)
     assert report.min_distance_m > 0.0
     assert report.success and not report.fallback
-    assert report.audit_solves > 0 and report.audit_rounds > 0
-    assert report.audit_nonconverged == 0
+    assert report.audit.solves > 0 and report.audit.rounds > 0
+    assert report.audit.nonconverged == 0
     out = metrics_to_dict(report)
     assert (out["audit_solves"], out["audit_rounds"], out["audit_nonconverged"]) == (
-        report.audit_solves, report.audit_rounds, 0)
+        report.audit.solves, report.audit.rounds, 0)
 
 
 # ------------------------------------------- audit vs the per-pose routines
