@@ -155,8 +155,10 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
     whose bound is below U - h, U the least closed-form upper bound at the
     picks (`_upper_bounds`). A pair that the search's running bound retires
     takes its certified lower bound, and stays unsolved while that is below
-    the best d - h. Each later round solves every unsolved pair still below.
-    The search ends when no unsolved pair is below the best d - h.
+    the best d - h. The second round solves, without an upper bound, every
+    unsolved pair still below, so it retires none; a pair it leaves unsolved
+    was not below before it, and the best d - h only falls, so no pair is
+    open after it: the audit runs at most two rounds.
 
     The result is never below the minimum over all (pose, obstacle) pairs,
     and 0.0 as soon as a solve reports contact. When no solve hits the

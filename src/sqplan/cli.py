@@ -1,9 +1,10 @@
 """Command-line interface: plan scenarios, run benchmark suites, emit demos.
 
-Exit codes: 0 success; 2 scenario validation error or bad argument; 3 no
-feasible passage; 4 internal error. `bench` records every run, then exits 4
-if any run raised, else 3 if any run found no plan. Log verbosity comes from
-the SQPLAN_LOG environment variable (debug/info/warning/error).
+Exit codes: 0 success; 2 scenario validation error or bad argument, such
+as an --out that cannot be created; 3 no feasible passage; 4 internal
+error. `bench` records every run, then exits 4 if any run raised, else 3 if
+any run found no plan. Log verbosity comes from the SQPLAN_LOG environment
+variable (debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    for key, flag in (("h", "--h"), ("dmp_basis", "--dmp-basis"), ("dt", "--dt")):
-        value = getattr(args, key, None)
-        if value is not None:
-            check_param(key, value, flag)
-            scenario.params[key] = value
-    return scenario
+def _make_out(path: str) -> None:
+    """Create the output directory before any work; one that cannot be
+    created is a bad argument."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out {path}: cannot create the directory "
+                            f"({exc.strerror or exc})") from None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -61,8 +63,11 @@ def _run_one(scenario: Scenario, pre=None):
 
 
 def cmd_plan(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
+    scenario = load_scenario(args.scenario)
+    if args.dmp_basis is not None:
+        check_param("dmp_basis", args.dmp_basis, "--dmp-basis")
+        scenario.params["dmp_basis"] = args.dmp_basis
     result, metrics = _run_one(scenario)
     if not result.success:
         _write_json(os.path.join(args.out, "metrics.json"),
@@ -95,7 +100,7 @@ def cmd_plan(args) -> int:
 
 def cmd_bench(args) -> int:
     """Run the suite; exit 4 if any run raised, else 3 if any found no plan."""
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     names = SUITES[args.suite]
     rows = []
     raised = no_plan = False
@@ -157,8 +162,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    _make_out(args.out)
     scenario = generate_benchmark(args.name, args.seed)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{args.name}.json")
     save_scenario(scenario, path)
     print(path)
@@ -172,27 +177,24 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 ok, 2 validation error, 3 no feasible passage, "
                "4 internal error")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: the retired --h would otherwise read as --help
 
-    p = sub.add_parser("plan", help="plan a scenario file")
+    p = sub.add_parser("plan", help="plan a scenario file", allow_abbrev=False)
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--plot", action="store_true", help="write plot files")
-    p.add_argument("--h", type=float, help="bridging distance override (m)")
     p.add_argument("--dmp-basis", type=int, dest="dmp_basis",
-                   help="DMP basis functions per degree of freedom")
-    p.add_argument("--dt", type=float,
-                   help="largest rollout step (s): the rollout takes ceil(duration / dt) "
-                        "equal steps per duration")
+                   help="DMP basis functions per degree of freedom, 2 to 100")
     p.set_defaults(func=cmd_plan)
 
-    b = sub.add_parser("bench", help="run a benchmark suite")
+    b = sub.add_parser("bench", help="run a benchmark suite", allow_abbrev=False)
     b.add_argument("--suite", choices=sorted(SUITES), default="all")
     b.add_argument("--runs", type=int, default=5, help="runs per scenario")
     b.add_argument("--out", required=True, help="output directory")
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=cmd_bench)
 
-    d = sub.add_parser("demo", help="write a benchmark scenario file")
+    d = sub.add_parser("demo", help="write a benchmark scenario file", allow_abbrev=False)
     d.add_argument("--name", required=True, choices=BENCHMARK_NAMES)
     d.add_argument("--out", required=True, help="output directory")
     d.add_argument("--seed", type=int, default=0)

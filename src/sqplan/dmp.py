@@ -41,6 +41,9 @@ ALPHA_Z = 25.0
 BETA_Z = ALPHA_Z / 4.0  # critical damping
 ALPHA_X = ALPHA_Z / 3.0
 DEFAULT_BASIS = 25
+# most basis functions: from 141 on, _phase_basis's sum underflows to 0 on
+# the rollout's settle tail and the forcing columns turn non-finite
+MAX_BASIS = 100
 MIN_SAMPLES = 3  # least demonstration samples: fit_lwr takes second differences
 REFERENCE_SPEED = 1.0  # m/s; converts arc length into a nominal duration
 RESPONSES = 4  # cached rollout responses; one basis and step count takes one

@@ -18,7 +18,7 @@ from .dmp import (DEFAULT_BASIS, Demonstration, PoseTrajectory,
                   interpolate_waypoints, rollout, validate_and_finalize)
 from .poses import PoseWaypoint, plan_poses
 from .roadmap import RoadmapGraph, build_graph, project_terminal, shortest_path
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario
 from .voronoi import Diagram, build_diagram
 
 NO_FEASIBLE_PASSAGE = "no-feasible-passage"
@@ -56,14 +56,12 @@ def default_bridging_distance(scenario: Scenario) -> float:
 
 
 def precompute(scenario: Scenario) -> Precomputed:
-    """Build the Voronoi diagram and roadmap graph for a scenario."""
+    """Build the Voronoi diagram and roadmap graph for a scenario, bridging
+    holes up to `default_bridging_distance` across."""
     t0 = time.perf_counter()
     diagram = build_diagram(scenario.robot, scenario.obstacles,
                             scenario.world_lo, scenario.world_hi)
-    h = scenario.params.get("h")
-    if h is None:
-        h = default_bridging_distance(scenario)
-    graph = build_graph(diagram, float(h))
+    graph = build_graph(diagram, default_bridging_distance(scenario))
     return Precomputed(diagram, graph, time.perf_counter() - t0)
 
 
@@ -73,7 +71,9 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
     A shared Precomputed structure lets repeated queries on the same scene
     skip the diagram/graph construction. Its graph is read-only: projecting
     the terminals derives the query's own graph, which the result carries.
-    A roadmap without an edge has no feasible passage.
+    A roadmap without an edge has no feasible passage. The demonstration
+    takes max(400, 100 per waypoint) samples and the rollout 400 steps per
+    duration; only the DMP's basis size comes from `scenario.params`.
     """
     if pre is None:
         pre = precompute(scenario)
@@ -99,20 +99,9 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
         except ValueError:
             waypoints = _degenerate_waypoints(scenario, graph, path[0])
 
-    n_samples = scenario.params.get("n_samples")
-    if n_samples is None:
-        n_samples = max(400, 100 * len(waypoints))
-    demo = interpolate_waypoints(waypoints, n_samples=int(n_samples))
+    demo = interpolate_waypoints(waypoints, n_samples=max(400, 100 * len(waypoints)))
     model = fit_lwr(demo, p=int(scenario.params.get("dmp_basis", DEFAULT_BASIS)))
-    duration = float(demo.times[-1])
-    dt = scenario.params.get("dt")
-    if dt is None:
-        dt = duration / 400.0
-    elif dt > duration / 10.0:
-        # the limit depends on the planned path, so it is checked per query
-        raise ScenarioError(f"params.dt: {dt:g} s exceeds a tenth of the trajectory's "
-                            f"duration: limit {duration / 10.0:.6g} s, duration {duration:.6g} s")
-    smoothed = rollout(model, float(dt))
+    smoothed = rollout(model, float(demo.times[-1]) / 400.0)
     trajectory, report = validate_and_finalize(smoothed, demo, scenario.robot,
                                                scenario.obstacles)
     timings["query_s"] = time.perf_counter() - t0

@@ -16,17 +16,16 @@ from .clearance import AuditStats, min_trajectory_distance
 from .geometry import RigidPose, Superquadric, inside_outside
 # closest_pair is not used here; perfbench's traced run patches this name
 from .proximity import closest_pair  # noqa: F401
-from .dmp import DEFAULT_BASIS, MIN_SAMPLES, PoseTrajectory
+from .dmp import DEFAULT_BASIS, MAX_BASIS, PoseTrajectory
 
 BENCHMARK_NAMES = ("narrow2d", "t_block", "u_block",
                    "pillars3d", "moderate3d", "dense3d")
 
+# the one settable value; the pipeline derives the rest per scene and query:
+# bridging distance 2% of the world diagonal, demonstration samples
+# max(400, 100 per waypoint), rollout step duration / 400
 DEFAULT_PARAMS = {
-    "h": None,          # bridging distance (m); None -> 2% of world diagonal, 0 -> no bridges
     "dmp_basis": DEFAULT_BASIS,  # forcing-term basis functions per degree of freedom
-    "dt": None,         # largest rollout step (s): ceil(duration / dt) equal steps
-                        # per duration; None -> duration / 400, 400 steps
-    "n_samples": None,  # demonstration samples; None -> max(400, 100 per waypoint)
 }
 
 
@@ -112,22 +111,14 @@ def _pose(obj: dict, dim: int, where: str) -> RigidPose:
     return RigidPose.create(position, rotation)
 
 
-def _real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # each parameter's rule, as a test and its description
 PARAM_RULES = {
-    "h": (lambda v: v is None or _real(v) and v >= 0, "null or a finite number >= 0"),
-    "dmp_basis": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),
-    "dt": (lambda v: v is None or _real(v) and v > 0, "null or a finite number > 0"),
-    "n_samples": (lambda v: v is None or _integer(v) and v >= MIN_SAMPLES,
-                  f"null or an integer >= {MIN_SAMPLES}"),
+    "dmp_basis": (lambda v: _integer(v) and 2 <= v <= MAX_BASIS,
+                  f"an integer in [2, {MAX_BASIS}]"),
 }
 
 

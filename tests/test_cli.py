@@ -220,15 +220,22 @@ def _narrow2d_with(tmp_path, params):
     return str(path)
 
 
+# parameters the planner derives: bridging distance, rollout step and
+# demonstration samples; a scene that still sets one, even as null, is
+# rejected like any unknown key
+RETIRED_PARAMS = ("params.h", "params.dt", "params.n_samples")
+
+
 @pytest.mark.parametrize("params, where", [
-    ({"dt": 0}, "params.dt"), ({"dt": -1}, "params.dt"), ({"dt": "x"}, "params.dt"),
-    ({"dt": float("inf")}, "params.dt"), ({"dt": True}, "params.dt"),
-    ({"n_samples": 0}, "params.n_samples"), ({"n_samples": 2}, "params.n_samples"),
-    ({"n_samples": 2.5}, "params.n_samples"), ({"n_samples": True}, "params.n_samples"),
+    ({"dt": None}, "params.dt"), ({"dt": 0.001}, "params.dt"), ({"dt": 1e-7}, "params.dt"),
+    ({"dt": 5}, "params.dt"), ({"dt": 0}, "params.dt"),
+    ({"n_samples": None}, "params.n_samples"), ({"n_samples": 3}, "params.n_samples"),
+    ({"n_samples": 400}, "params.n_samples"), ({"n_samples": 0}, "params.n_samples"),
     ({"dmp_basis": 1}, "params.dmp_basis"), ({"dmp_basis": 2.7}, "params.dmp_basis"),
     ({"dmp_basis": None}, "params.dmp_basis"), ({"dmp_basis": True}, "params.dmp_basis"),
-    ({"h": -1}, "params.h"), ({"h": "a"}, "params.h"), ({"h": float("nan")}, "params.h"),
-    ([1], "params"),
+    ({"h": None}, "params.h"), ({"h": 0}, "params.h"), ({"h": 0.01}, "params.h"),
+    ([1], "params"), ({"dmp_basis": 101}, "params.dmp_basis"),
+    ({"dmp_basis": 150}, "params.dmp_basis"), ({"dmp_basis": 20000}, "params.dmp_basis"),
 ])
 def test_plan_invalid_params_exit_2(tmp_path, capsys, params, where):
     path = _narrow2d_with(tmp_path, params)
@@ -237,25 +244,30 @@ def test_plan_invalid_params_exit_2(tmp_path, capsys, params, where):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"invalid scenario: {where}:" in err and "internal error" not in err
+    if where in RETIRED_PARAMS:
+        assert f"{where}: unknown parameter" in err
+    elif where == "params.dmp_basis":
+        assert "expected an integer in [2, 100]" in err
 
 
-@pytest.mark.parametrize("params", [
-    {"n_samples": 3, "dmp_basis": 2}, {"dt": 0.001, "h": 0, "n_samples": None},
-])
+@pytest.mark.parametrize("params", [{"dmp_basis": 2}, {"dmp_basis": 100}])
 def test_plan_boundary_params_plan(tmp_path, params):
     path = _narrow2d_with(tmp_path, params)
     assert main(["plan", "--scenario", path, "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_plan_dt_beyond_a_tenth_of_the_duration_exits_2(tmp_path, capsys):
-    # the limit depends on the planned path, so it is only known per query
-    path = _narrow2d_with(tmp_path, {})
+    # the rollout step is derived from the planned path, so dt is no longer
+    # a parameter: a scene asking for one exits 2 at load, before planning,
+    # not in the middle of a query
+    path = _narrow2d_with(tmp_path, {"dt": 5})
     capsys.readouterr()
-    code = main(["plan", "--scenario", path, "--out", str(tmp_path / "o"), "--dt", "5"])
+    out = tmp_path / "o"
+    code = main(["plan", "--scenario", path, "--out", str(out)])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "params.dt: 5 s exceeds a tenth of the trajectory's duration" in err
-    assert "limit" in err and "duration" in err and "internal error" not in err
+    assert "invalid scenario: params.dt: unknown parameter" in err
+    assert "internal error" not in err and not any(out.iterdir())
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -277,11 +289,36 @@ def test_plan_unreadable_scenario_file_exits_2(tmp_path, capsys, kind, message):
 
 @pytest.mark.parametrize("flag, value", [
     ("--h", "-1"), ("--h", "nan"), ("--dmp-basis", "1"), ("--dt", "0"), ("--dt", "inf"),
+    ("--dmp-basis", "101"), ("--h", "0.01"), ("--dt", "0.001"),
 ])
 def test_plan_invalid_override_flags_exit_2(tmp_path, capsys, flag, value):
+    # --dmp-basis outside [2, 100] is rejected by the params rule; --h and
+    # --dt are gone, so argparse rejects them whatever their value (and --h
+    # is not read as an abbreviation of --help)
     path = _narrow2d_with(tmp_path, {})
     capsys.readouterr()
-    code = main(["plan", "--scenario", path, "--out", str(tmp_path / "o"), flag, value])
+    try:
+        code = main(["plan", "--scenario", path, "--out", str(tmp_path / "o"), flag, value])
+    except SystemExit as exc:
+        code = exc.code
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert f"invalid scenario: {flag}: expected" in err and "internal error" not in err
+    want = (f"invalid scenario: --dmp-basis: expected an integer in [2, 100], got {value}"
+            if flag == "--dmp-basis" else f"unrecognized arguments: {flag} {value}")
+    assert want in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--scenario", "missing.json"], ["bench", "--suite", "2d", "--runs", "1"],
+    ["demo", "--name", "narrow2d"],
+])
+def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, argv):
+    # --out is created before any work, and a path that cannot be a
+    # directory is a bad argument, not an internal error
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    code = main(argv + ["--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"--out {out}: cannot create the directory" in err
+    assert "internal error" not in err and out.read_text() == "a file\n"

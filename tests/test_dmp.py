@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -783,6 +784,19 @@ def test_response_arrays_are_read_only_and_cache_is_bounded():
     assert dmp._response.cache_info().hits == hits + 1
     # without forcing, a unit start and a unit goal sum to a state at rest
     assert np.allclose(rows[:, 0] + rows[:, 1], 1.0, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [10, 400, 4000])
+def test_response_is_finite_up_to_the_largest_basis(n):
+    # the settle tail runs the phase to exp(-2 ALPHA_X), where the basis
+    # sum underflows from 141 functions on; MAX_BASIS keeps well below
+    dmp._response.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = dmp._response(n, dmp.MAX_BASIS)
+    assert rows.shape == (2 * n + 1, dmp.MAX_BASIS + 2)
+    assert np.all(np.isfinite(rows))
+    dmp._response.cache_clear()
 
 
 @pytest.mark.parametrize("stream", ["pillars", "narrow-wall"])

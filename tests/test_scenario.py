@@ -38,8 +38,8 @@ def minimal_dict():
 def test_minimal_scenario_gets_defaults():
     scn = scenario_from_dict(minimal_dict())
     assert scn.dim == 2
-    assert scn.params["dmp_basis"] == 25
-    assert scn.params["h"] is None
+    # the basis size is the one parameter; the planner derives the rest
+    assert scn.params == {"dmp_basis": 25}
 
 
 def test_load_error_names_obstacle_index():
@@ -68,11 +68,14 @@ def test_load_error_unknown_param_and_version():
     data["params"] = {"bogus": 1}
     with pytest.raises(ScenarioError, match="bogus"):
         scenario_from_dict(data)
-    # scenes carry no randomness, so seed is not a parameter; h = 0 turns
-    # bridging off, so bridging is not one either
-    for key, value in (("seed", 0), ("bridging", False)):
+    # scenes carry no randomness, so seed is not a parameter, and bridging
+    # is not one either; the planner derives the bridging distance h, the
+    # rollout step dt and the demonstration samples, so a scene may not set
+    # them, not even to null
+    for key, value in (("seed", 0), ("bridging", False), ("h", None), ("h", 0.1),
+                       ("dt", None), ("dt", 1e-7), ("n_samples", None), ("n_samples", 400)):
         data["params"] = {key: value}
-        with pytest.raises(ScenarioError, match=f"params.{key}"):
+        with pytest.raises(ScenarioError, match=f"params.{key}: unknown parameter"):
             scenario_from_dict(data)
     data = minimal_dict()
     data["version"] = 99
@@ -330,11 +333,11 @@ def interval_audit(trajectory, robot, obstacles, stats):
     return float(best)
 
 
-def check_audit(trajectory, robot, obstacles, sampled=np.inf):
+def check_audit(trajectory, robot, obstacles, sampled=np.inf, stats=None):
     """The audit is never below the all-pairs minimum, at most 1e-6 r above
     it (r the robot's bounding radius), and never above the sampled audit's
-    value."""
-    got = min_trajectory_distance(trajectory, robot, obstacles)
+    value. `stats` receives the audit's counts."""
+    got = min_trajectory_distance(trajectory, robot, obstacles, stats)
     tol = 1e-6 * robot.bounding_radius()
     exact = per_pose_exact_distance(trajectory, robot, obstacles)
     assert exact - 1e-12 <= got <= exact + tol
@@ -373,7 +376,10 @@ def test_audit_equals_per_pose_routine_on_random_scenes(dim, n_poses):
         traj = wandering_trajectory(rng, dim, n_poses, 0.0, 2.0)
         want, _, refined = per_pose_min_distance(traj, robot, obstacles)
         assert refined > 0
-        check_audit(traj, robot, obstacles, want)
+        stats = AuditStats()
+        check_audit(traj, robot, obstacles, want, stats)
+        # the second round solves every open pair without an upper bound
+        assert 1 <= stats.rounds <= 2
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -436,8 +442,9 @@ def test_audit_does_not_certify_by_an_unconverged_distance(monkeypatch):
 @pytest.mark.parametrize("dim, seed", [(2, 16), (2, 22), (3, 0), (3, 8)])
 def test_audit_solves_again_what_a_too_low_opening_bound_retired(dim, seed, monkeypatch):
     # an opening bound of 0 retires the min-search round's solves on lower
-    # bounds below the round's best distance: those pairs stay open and a
-    # later round solves them, so the audit keeps its certificate
+    # bounds below the round's best distance: those pairs stay open and the
+    # second round solves them without a bound, so the audit keeps its
+    # certificate and ends there
     rng = np.random.default_rng([dim, 300, seed])
     robot, obstacles = random_scene(rng, dim)
     traj = wandering_trajectory(rng, dim, 120, 0.0, 2.0)
@@ -445,7 +452,7 @@ def test_audit_solves_again_what_a_too_low_opening_bound_retired(dim, seed, monk
     stats = AuditStats()
     got = check_audit(traj, robot, obstacles)
     assert min_trajectory_distance(traj, robot, obstacles, stats) == got
-    assert stats.rounds > 1 and stats.bound_retired > 0 and stats.nonconverged == 0
+    assert stats.rounds == 2 and stats.bound_retired > 0 and stats.nonconverged == 0
 
 
 @pytest.mark.parametrize("move", ["translate", "rotate"])
