@@ -4,7 +4,9 @@ Pose waypoints are splined into a demonstration sampled at equal time steps,
 one DMP per degree of freedom is fitted with locally weighted regression (all
 channels at once), and the rollout is validated for collisions against the
 original obstacles by `clearance.trajectory_collides` (falling back to the
-raw demonstration if the smoothed path cuts a corner too tightly).
+raw demonstration if the smoothed path cuts a corner too tightly). The
+demonstration and the rollout are both a `PoseTrajectory`; only the rollout
+is `smoothed`, so a plan that fell back returns its demonstration itself.
 
 In normalised time t / tau the forcing target of N equally spaced samples is
 a fixed linear map of the samples, and so is each residual pass of the fit:
@@ -51,16 +53,10 @@ LWR_MAPS = 8  # cached LWR maps; one basis and sample count takes one
 
 
 @dataclass
-class Demonstration:
-    """Time-indexed augmented pose samples [position, orientation]."""
-
-    times: np.ndarray    # (N,), equally spaced, starting at 0
-    samples: np.ndarray  # (N, K)
-    dim: int             # spatial dimension (2 or 3)
-
-
-@dataclass
 class PoseTrajectory:
+    """Time-indexed poses: a DMP rollout, or (smoothed False) the splined
+    demonstration it was fitted to, equally spaced from time 0."""
+
     times: np.ndarray
     positions: np.ndarray     # (N, dim)
     orientations: np.ndarray  # (N, 1) angles or (N, 3) rotation vectors
@@ -114,8 +110,9 @@ def _minjerk(tau: np.ndarray) -> np.ndarray:
     return 10.0 * tau**3 - 15.0 * tau**4 + 6.0 * tau**5
 
 
-def interpolate_waypoints(waypoints: list[PoseWaypoint], n_samples: int = 200) -> Demonstration:
-    """Natural cubic spline through the waypoints over arc-length time.
+def interpolate_waypoints(waypoints: list[PoseWaypoint], n_samples: int = 200) -> PoseTrajectory:
+    """Natural cubic spline through the waypoints over arc-length time, as
+    an unsmoothed PoseTrajectory.
 
     Duration is total positional arc length at the reference speed. The
     n_samples times are equally spaced over the duration and the spline is
@@ -163,7 +160,7 @@ def interpolate_waypoints(waypoints: list[PoseWaypoint], n_samples: int = 200) -
     samples = spline(_minjerk(times / duration) * duration)
     samples[0] = knot_v[0]
     samples[-1] = knot_v[-1]
-    return Demonstration(times, samples, dim)
+    return PoseTrajectory(times, samples[:, :dim], samples[:, dim:], smoothed=False)
 
 
 def _basis(p: int):
@@ -225,17 +222,18 @@ def _lwr_map(n: int, p: int):
     return h, q, k0
 
 
-def fit_lwr(demo: Demonstration, p: int = DEFAULT_BASIS) -> DMPModel:
+def fit_lwr(demo: PoseTrajectory, p: int = DEFAULT_BASIS) -> DMPModel:
     """Fit forcing-term weights by per-basis weighted least squares.
 
-    The demonstration's times must be equally spaced from 0. Each channel's
-    target is scaled by its forcing amplitude c, so per basis the regression
-    divides by den = Q c^2 + 1e-12, and a residual pass adds
+    The channels are the demonstration's positions, then its orientations,
+    and its times must be equally spaced from 0; p is in [2, MAX_BASIS].
+    Each channel's target is scaled by its forcing amplitude c, so per basis
+    the regression divides by den = Q c^2 + 1e-12, and a residual pass adds
     (u - c^2 K0 w) / den to the weights w, u = (H (y - g)) c, with H, Q and
     K0 from the cached `_lwr_map` of the sample count and basis.
     """
-    if p < 2:
-        raise ValueError("need at least two basis functions")
+    if not 2 <= p <= MAX_BASIS:
+        raise ValueError(f"need 2 to {MAX_BASIS} basis functions, got {p}")
     t = demo.times
     n = len(t)
     if n < MIN_SAMPLES:
@@ -245,7 +243,7 @@ def fit_lwr(demo: Demonstration, p: int = DEFAULT_BASIS) -> DMPModel:
         raise ValueError("demonstration has zero duration")
     if np.max(np.abs(t - np.linspace(0.0, duration, n))) > 1e-9 * duration / (n - 1):
         raise ValueError("demonstration times must be equally spaced from 0")
-    y = demo.samples
+    y = np.hstack([demo.positions, demo.orientations])
     u_start, u_goal = y[0].copy(), y[-1].copy()
     forcing_scale = u_goal - u_start
     degenerate = np.abs(forcing_scale) < 1e-12
@@ -363,16 +361,8 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     r = out[n:] - goal
     first = np.flatnonzero(np.einsum("ij,ij->i", r, r) <= settle_tol * settle_tol)
     m = n + 1 + int(first[0]) if len(first) else 2 * n + 1
-    return _to_trajectory(tau * (np.arange(m) / n), out[:m], model.dim)
-
-
-def _to_trajectory(times, samples, dim, smoothed=True) -> PoseTrajectory:
-    return PoseTrajectory(np.asarray(times), np.asarray(samples[:, :dim]),
-                          np.asarray(samples[:, dim:]), smoothed)
-
-
-def demonstration_trajectory(demo: Demonstration) -> PoseTrajectory:
-    return _to_trajectory(demo.times, demo.samples, demo.dim, smoothed=False)
+    dim = model.dim
+    return PoseTrajectory(tau * (np.arange(m) / n), out[:m, :dim], out[:m, dim:])
 
 
 @dataclass
@@ -380,9 +370,10 @@ class ValidationReport:
     fallback: bool
 
 
-def validate_and_finalize(smoothed: PoseTrajectory, raw_demo: Demonstration,
+def validate_and_finalize(smoothed: PoseTrajectory, raw_demo: PoseTrajectory,
                           robot: Superquadric, obstacles: list[Superquadric]):
-    """Return the smoothed trajectory, or the raw demonstration if it collides.
+    """Return the smoothed trajectory, or the raw demonstration itself if
+    the smoothed one collides.
 
     A colliding raw demonstration means the roadmap stage violated its
     clearance guarantees, which is a hard error.
@@ -391,8 +382,7 @@ def validate_and_finalize(smoothed: PoseTrajectory, raw_demo: Demonstration,
         raise ValueError("trajectories must be nonempty")
     if not trajectory_collides(smoothed, robot, obstacles):
         return smoothed, ValidationReport(fallback=False)
-    raw = demonstration_trajectory(raw_demo)
-    if trajectory_collides(raw, robot, obstacles):
+    if trajectory_collides(raw_demo, robot, obstacles):
         raise RuntimeError("raw demonstration collides with an obstacle; "
                            "roadmap clearance invariant violated")
-    return raw, ValidationReport(fallback=True)
+    return raw_demo, ValidationReport(fallback=True)

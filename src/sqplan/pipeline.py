@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmp import (DEFAULT_BASIS, Demonstration, PoseTrajectory,
-                  ValidationReport, demonstration_trajectory, fit_lwr,
+from .dmp import (DEFAULT_BASIS, PoseTrajectory, ValidationReport, fit_lwr,
                   interpolate_waypoints, rollout, validate_and_finalize)
 from .poses import PoseWaypoint, plan_poses
 from .roadmap import RoadmapGraph, build_graph, project_terminal, shortest_path
@@ -32,16 +31,11 @@ class PlanResult:
     graph: RoadmapGraph
     path: list[int] | None
     waypoints: list[PoseWaypoint] | None
-    demonstration: Demonstration | None
+    demonstration: PoseTrajectory | None
+    # the rollout, or the demonstration itself when validation fell back
     trajectory: PoseTrajectory | None
     validation: ValidationReport | None
-    timings: dict
-
-    @property
-    def raw_trajectory(self) -> PoseTrajectory | None:
-        if self.demonstration is None:
-            return None
-        return demonstration_trajectory(self.demonstration)
+    timings: dict  # precompute_s and query_s
 
 
 @dataclass
@@ -78,7 +72,7 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
     if pre is None:
         pre = precompute(scenario)
     diagram, graph = pre.diagram, pre.graph
-    timings = {"precompute_s": pre.seconds, "success": False, "fallback": False}
+    timings = {"precompute_s": pre.seconds}
 
     t0 = time.perf_counter()
     path = None
@@ -95,7 +89,7 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
         waypoints = _degenerate_waypoints(scenario, graph, path[0])
     else:
         try:
-            waypoints = plan_poses(path, graph, scenario.robot)
+            waypoints = plan_poses(path, graph, scenario.robot, diagram.hyperplanes)
         except ValueError:
             waypoints = _degenerate_waypoints(scenario, graph, path[0])
 
@@ -105,8 +99,6 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
     trajectory, report = validate_and_finalize(smoothed, demo, scenario.robot,
                                                scenario.obstacles)
     timings["query_s"] = time.perf_counter() - t0
-    timings["success"] = True
-    timings["fallback"] = report.fallback
     return PlanResult(True, None, diagram, graph, path, waypoints, demo,
                       trajectory, report, timings)
 
@@ -123,5 +115,4 @@ def _degenerate_waypoints(scenario: Scenario, graph: RoadmapGraph,
                  and np.linalg.norm(mid - b) > 1e-12 else []) + [b]
     dim = scenario.dim
     ori = np.zeros(1) if dim == 2 else np.zeros(3)
-    return [PoseWaypoint(np.asarray(p, dtype=float), ori.copy(), k)
-            for k, p in enumerate(pts)]
+    return [PoseWaypoint(np.asarray(p, dtype=float), ori.copy()) for p in pts]

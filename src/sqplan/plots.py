@@ -81,7 +81,7 @@ def scene_svg_2d(scenario: Scenario, result: PlanResult) -> str:
         parts.append(f'<path d="{_svg_path(seg, False)}"/>')
     parts.append("</g>")
 
-    raw = result.raw_trajectory
+    raw = result.demonstration
     if raw is not None:
         parts.append('<g id="raw-path" stroke="#c04040" stroke-width="2" '
                      'fill="none">')
@@ -179,7 +179,7 @@ def scene_obj_3d(scenario: Scenario, result: PlanResult, res: int = 24) -> str:
     for k, edge in enumerate(result.graph.live_edges()):
         add_polyline(np.array([result.graph.nodes[edge.u],
                                result.graph.nodes[edge.v]]), f"edge_{k}")
-    raw = result.raw_trajectory
+    raw = result.demonstration
     if raw is not None:
         add_polyline(raw.positions, "raw_path")
     if result.trajectory is not None:

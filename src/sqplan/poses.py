@@ -14,6 +14,7 @@ import numpy as np
 from .geometry import RigidPose, Superquadric
 from .roadmap import RoadmapGraph
 from .rotations import exp_so3, exp_so3_batch, log_so3
+from .voronoi import Hyperplane
 
 PARALLEL_TOL = 1e-6
 
@@ -28,7 +29,6 @@ _AXIS_CONVENTION = np.array([[0.0, 0.0, 1.0],
 class PoseWaypoint:
     position: np.ndarray
     orientation: np.ndarray  # (1,) angle in 2D, (3,) rotation vector in 3D
-    segment_index: int
 
 
 def heading_2d(v_i, v_next) -> float:
@@ -97,21 +97,24 @@ def _fallback_normal(r1: np.ndarray) -> np.ndarray:
     return n / np.linalg.norm(n)
 
 
-def _segment_normal(edge) -> np.ndarray | None:
-    """Normal of the widest-gap bisector face adjacent to the edge."""
-    if edge is None or not edge.normals:
+def _segment_normal(edge, hyperplanes: list[Hyperplane]) -> np.ndarray | None:
+    """Normal of the widest-gap bisector face adjacent to the edge, ties to
+    the lowest hyperplane id."""
+    if edge is None or not edge.faces:
         return None
-    best = sorted(edge.normals, key=lambda x: (-x[1], x[0]))[0]
-    return np.asarray(best[2], dtype=float)
+    best = min(edge.faces, key=lambda t: (-hyperplanes[t].witness_distance, t))
+    return hyperplanes[best].normal
 
 
-def plan_poses(path: list[int], graph: RoadmapGraph,
-               robot: Superquadric) -> list[PoseWaypoint]:
+def plan_poses(path: list[int], graph: RoadmapGraph, robot: Superquadric,
+               hyperplanes: list[Hyperplane]) -> list[PoseWaypoint]:
     """One pose waypoint per path node.
 
     Each node takes its outgoing segment's orientation (the final node takes
-    the last segment's). Segments without a bisector face (bridges, stubs,
-    box-only edges) inherit the nearest face-bearing neighbor's normal.
+    the last segment's). In 3D a segment's bisector faces are the
+    hyperplanes its edge names by id. Segments without a bisector face
+    (bridges, stubs, box-only edges) inherit the nearest face-bearing
+    neighbor's normal.
     """
     if len(path) < 2:
         raise ValueError("path must contain at least two nodes")
@@ -139,11 +142,10 @@ def plan_poses(path: list[int], graph: RoadmapGraph,
                 prev = next((j for j in range(k - 1, -1, -1) if is_cell[j]), None)
                 nxt = next((j for j in range(k + 1, n_seg) if is_cell[j]), None)
                 thetas[k] = thetas[prev if prev is not None else nxt]
-        ways = [PoseWaypoint(positions[k], np.array([thetas[min(k, n_seg - 1)]]), min(k, n_seg - 1))
+        return [PoseWaypoint(positions[k], np.array([thetas[min(k, n_seg - 1)]]))
                 for k in range(len(positions))]
-        return ways
 
-    raw = [_segment_normal(e) for e in edges]
+    raw = [_segment_normal(e, hyperplanes) for e in edges]
     first = next((n for n in raw if n is not None), None)
     rotations = []
     prev_r3 = None
@@ -166,6 +168,5 @@ def plan_poses(path: list[int], graph: RoadmapGraph,
         r = frame_3d(positions[k], positions[k + 1], n)
         prev_r3 = r[:, 2]
         rotations.append(log_so3(r))
-    ways = [PoseWaypoint(positions[k], rotations[min(k, n_seg - 1)], min(k, n_seg - 1))
+    return [PoseWaypoint(positions[k], rotations[min(k, n_seg - 1)])
             for k in range(len(positions))]
-    return ways

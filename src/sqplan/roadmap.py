@@ -5,7 +5,9 @@ the linear bisector approximation are bridged. Every edge is collision-checked
 against the expanded obstacles so boundary edges cannot tunnel through
 obstacles that touch the world box: `segments_clear` decides a batch of
 segments at once, and a build decides its cell edges in one batch and its
-bridge candidates in another. A built graph is read-only, so all queries of
+bridge candidates in another. A cell edge names the bisector hyperplanes
+of its faces by their ids in the diagram's list; their normals and witness
+distances stay in the diagram. A built graph is read-only, so all queries of
 a scene share it: `project_terminal` derives a query's graph from it by
 dropping the split edge's row and appending the halves and the stub.
 """
@@ -37,21 +39,20 @@ class Edge(NamedTuple):
     v: int
     weight: float
     kind: str  # "cell" | "bridge" | "stub"
-    # (hyperplane id, witness distance, unit normal) per adjacent bisector face
-    normals: tuple[tuple[int, float, np.ndarray], ...]
+    faces: tuple[int, ...]  # hyperplane ids of the adjacent bisector faces
 
 
 @dataclass(frozen=True, eq=False)
 class RoadmapGraph:
     """Node and edge rows. The arrays are not writeable, and kinds and
-    normals are tuples; `create` builds a graph from plain rows."""
+    faces are tuples; `create` builds a graph from plain rows."""
 
     nodes: np.ndarray  # (V, dim)
     node_kinds: tuple[str, ...]  # "cell" | "projection" | "terminal"
     edges: np.ndarray  # (E, 2) node ids
     weights: np.ndarray  # (E,) edge lengths
     edge_kinds: tuple[str, ...]
-    edge_normals: tuple[tuple[tuple[int, float, np.ndarray], ...], ...]
+    edge_faces: tuple[tuple[int, ...], ...]
     # build_graph's tallies: segments decided and rejected, bridges added
     segments_decided: int = 0
     segments_rejected: int = 0
@@ -62,14 +63,14 @@ class RoadmapGraph:
             a.setflags(write=False)
 
     @classmethod
-    def create(cls, nodes, node_kinds, edges, edge_kinds, edge_normals=None,
+    def create(cls, nodes, node_kinds, edges, edge_kinds, edge_faces=None,
                **counts) -> RoadmapGraph:
         """Graph over copies of the given rows; each weight is its edge's length."""
         nodes = np.array(nodes, dtype=float)
         edges = np.array(edges, dtype=np.intp).reshape(-1, 2)
-        normals = ((),) * len(edges) if edge_normals is None else tuple(map(tuple, edge_normals))
+        faces = ((),) * len(edges) if edge_faces is None else tuple(map(tuple, edge_faces))
         return cls(nodes, tuple(node_kinds), edges, _lengths(nodes, edges), tuple(edge_kinds),
-                   normals, **counts)
+                   faces, **counts)
 
     @cached_property
     def csr(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -83,7 +84,7 @@ class RoadmapGraph:
 
     def edge(self, k: int) -> Edge:
         u, v = self.edges[k].tolist()
-        return Edge(u, v, float(self.weights[k]), self.edge_kinds[k], self.edge_normals[k])
+        return Edge(u, v, float(self.weights[k]), self.edge_kinds[k], self.edge_faces[k])
 
     def edge_between(self, u: int, v: int) -> Edge | None:
         indptr, neighbors, edge_ids = self.csr
@@ -136,8 +137,8 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
     touch the boundary; bridges must patch holes, not tunnel). Each distinct
     cell edge is decided once, all in one `segments_clear` call, and the
     edges are then inserted in cell order, repeats merging their bisector
-    normals into the first. Node pairs closer than h that the cell edges
-    leave unjoined are decided in a second call. The graph counts the
+    hyperplane ids into the first. Node pairs closer than h that the cell
+    edges leave unjoined are decided in a second call. The graph counts the
     segments decided and rejected and the bridges added.
     """
     if h < 0.0:
@@ -164,14 +165,10 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
         segs = np.array(segs, dtype=int).reshape(-1, 2)
         return segs, segments_clear(node_pts[segs[:, 0]], node_pts[segs[:, 1]], diagram.expanded)
 
-    def hp_info(tag):
-        hp = diagram.hyperplanes[tag]
-        return (tag, hp.witness_distance, hp.normal)
-
     # the first (nu, nv) of each unordered node pair is the segment decided;
-    # every cell edge between the pair merges its bisector normals into it
+    # every cell edge between the pair merges its bisector ids into it
     firsts = []
-    normals = []
+    faces = []
     pair_of: dict[tuple[int, int], int] = {}
     for off, cell in zip(offsets, diagram.cells):
         for u, v, tags in cell.edges:
@@ -182,10 +179,9 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
             if key not in pair_of:
                 pair_of[key] = len(firsts)
                 firsts.append((nu, nv))
-                normals.append([])
-            merged = normals[pair_of[key]]
-            known = {t for t, _, _ in merged}
-            merged.extend(hp_info(t) for t in sorted(set(tags)) if t >= 0 and t not in known)
+                faces.append([])
+            merged = faces[pair_of[key]]
+            merged.extend(int(t) for t in sorted(set(tags)) if t >= 0 and t not in merged)
     cells, clear = decide(firsts)
     bridges, ok = np.empty((0, 2), dtype=int), np.empty(0, dtype=bool)
     if len(node_pts) > 1 and h > 0.0:
@@ -196,7 +192,7 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
     return RoadmapGraph.create(
         node_pts, ["cell"] * len(node_pts), np.concatenate([cells[clear], bridges[ok]]),
         ["cell"] * int(np.count_nonzero(clear)) + ["bridge"] * bridged,
-        [n for n, c in zip(normals, clear) if c] + [()] * bridged,
+        [f for f, c in zip(faces, clear) if c] + [()] * bridged,
         segments_decided=len(cells) + len(bridges),
         segments_rejected=int(np.count_nonzero(~clear) + np.count_nonzero(~ok)),
         bridges_added=bridged)
@@ -253,8 +249,8 @@ def project_terminal(point, graph: RoadmapGraph) -> tuple[RoadmapGraph, int]:
     else:
         proj, drop = len(nodes), k
         added.append((p, "projection"))
-        kind, normals = graph.edge_kinds[k], graph.edge_normals[k]
-        rows += [Edge(u, proj, du, kind, normals), Edge(proj, v, dv, kind, normals)]
+        kind, faces = graph.edge_kinds[k], graph.edge_faces[k]
+        rows += [Edge(u, proj, du, kind, faces), Edge(proj, v, dv, kind, faces)]
     node = proj
     if d > MERGE_TOL:
         node = len(nodes) + len(added)
@@ -276,7 +272,7 @@ def _extended(graph: RoadmapGraph, drop: int, added, rows: list[Edge]) -> Roadma
         np.concatenate([graph.edges[:drop], graph.edges[drop + 1:], [e[:2] for e in rows]]),
         np.concatenate([graph.weights[:drop], graph.weights[drop + 1:], [e.weight for e in rows]]),
         graph.edge_kinds[:drop] + graph.edge_kinds[drop + 1:] + tuple(e.kind for e in rows),
-        graph.edge_normals[:drop] + graph.edge_normals[drop + 1:] + tuple(e.normals for e in rows),
+        graph.edge_faces[:drop] + graph.edge_faces[drop + 1:] + tuple(e.faces for e in rows),
         graph.segments_decided, graph.segments_rejected, graph.bridges_added)
 
 
@@ -323,7 +319,7 @@ def graph_to_dict(graph: RoadmapGraph) -> dict:
                   for p, k in zip(graph.nodes, graph.node_kinds)],
         "edges": [{
             "u": e.u, "v": e.v, "weight": e.weight, "kind": e.kind,
-            "hyperplanes": [int(t) for t, _, _ in e.normals],
+            "hyperplanes": list(e.faces),
         } for e in graph.live_edges()],
         "segments_decided": graph.segments_decided,
         "segments_rejected": graph.segments_rejected,

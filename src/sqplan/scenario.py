@@ -55,8 +55,7 @@ class MetricsReport:
     precompute_time_s: float
     arc_length_m: float
     min_distance_m: float
-    success: bool
-    fallback: bool
+    fallback: bool  # the plan returned its raw demonstration
     audit: AuditStats  # the clearance audit's work counts
     min_distance_time_s: float | None  # time of the pose at the minimum
 
@@ -389,7 +388,8 @@ def generate_benchmark(name: str, seed: int = 0) -> Scenario:
 def compute_metrics(trajectory: PoseTrajectory, scenario: Scenario,
                     timings: dict) -> MetricsReport:
     """Arc length, minimum clearance and the time of its pose, the audit's
-    work counts, and the supplied timing split."""
+    work counts, whether the trajectory is the unsmoothed fallback, and the
+    timing split of `PlanResult.timings`."""
     audit = AuditStats()
     min_distance = min_trajectory_distance(trajectory, scenario.robot,
                                            scenario.obstacles, audit)
@@ -398,8 +398,7 @@ def compute_metrics(trajectory: PoseTrajectory, scenario: Scenario,
         precompute_time_s=float(timings.get("precompute_s", 0.0)),
         arc_length_m=trajectory.arc_length(),
         min_distance_m=min_distance,
-        success=bool(timings.get("success", True)),
-        fallback=bool(timings.get("fallback", False)),
+        fallback=not trajectory.smoothed,
         audit=audit,
         min_distance_time_s=(None if audit.worst_pose is None
                              else float(trajectory.times[audit.worst_pose])),
@@ -410,7 +409,7 @@ def metrics_to_dict(report: MetricsReport) -> dict:
     return {
         "arc_length_m": report.arc_length_m,
         "min_distance_m": report.min_distance_m,
-        "success": report.success,
+        "success": True,  # a report is of a planned trajectory
         "fallback": report.fallback,
         **{f"audit_{k}": v for k, v in asdict(report.audit).items() if k != "worst_pose"},
         "min_distance_time_s": report.min_distance_time_s,

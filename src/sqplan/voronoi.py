@@ -93,8 +93,6 @@ class Diagram:
     dim: int
     world_lo: np.ndarray
     world_hi: np.ndarray
-    robot: Superquadric
-    obstacles: list[Superquadric]
     expanded: list[Superquadric]
     clusters: list[Cluster]
     hyperplanes: list[Hyperplane]
@@ -259,7 +257,7 @@ def build_diagram(robot: Superquadric, obstacles: list[Superquadric],
     cells = [build_cell(cl, hyperplanes, world_lo, world_hi, dim) for cl in clusters]
     lo = np.asarray(world_lo, dtype=float)
     hi = np.asarray(world_hi, dtype=float)
-    return Diagram(dim, lo, hi, robot, list(obstacles), grown, clusters, hyperplanes, cells,
+    return Diagram(dim, lo, hi, grown, clusters, hyperplanes, cells,
                    nonconverged=sum(int(np.count_nonzero(~s.converged)) for s in solves),
                    pairs=pairs.shape[1],
                    threshold_decided=int(np.count_nonzero(~np.isnan(first.lower_bound))),

@@ -271,7 +271,7 @@ def reference_fit_lwr(demo, p):
     on the (N, P) sample arrays."""
     t = demo.times
     duration = float(t[-1])
-    y = demo.samples
+    y = np.hstack([demo.positions, demo.orientations])
     u_start, u_goal = y[0].copy(), y[-1].copy()
     yd = np.gradient(y, t, axis=0, edge_order=2)
     ydd = np.gradient(yd, t, axis=0, edge_order=2)
@@ -346,7 +346,7 @@ class DictEdge:
     v: int
     weight: float
     kind: str
-    normals: list = field(default_factory=list)
+    faces: list = field(default_factory=list)  # hyperplane ids
 
 
 class DictGraph:
@@ -364,7 +364,7 @@ class DictGraph:
         for p, kind in zip(graph.nodes, graph.node_kinds):
             g.add_node(p, kind)
         for e in graph.live_edges():
-            g.add_edge(e.u, e.v, e.kind, list(e.normals))
+            g.add_edge(e.u, e.v, e.kind, list(e.faces))
         g.segments_decided, g.segments_rejected, g.bridges_added = (
             graph.segments_decided, graph.segments_rejected, graph.bridges_added)
         return g
@@ -375,11 +375,11 @@ class DictGraph:
         self.adjacency[len(self.nodes) - 1] = {}
         return len(self.nodes) - 1
 
-    def add_edge(self, u, v, kind, normals=None):
+    def add_edge(self, u, v, kind, faces=None):
         if u == v or v in self.adjacency[u]:
             return None
         w = float(np.linalg.norm(self.nodes[u] - self.nodes[v]))
-        self.edges.append(DictEdge(u, v, w, kind, normals or []))
+        self.edges.append(DictEdge(u, v, w, kind, faces or []))
         k = len(self.edges) - 1
         self.adjacency[u][v] = k
         self.adjacency[v][u] = k
@@ -435,15 +435,13 @@ def reference_build_graph(diagram, h):
             nu, nv = node_of[uf.find(off + u)], node_of[uf.find(off + v)]
             if nu == nv:
                 continue
-            normals = [(t, diagram.hyperplanes[t].witness_distance, diagram.hyperplanes[t].normal)
-                       for t in sorted(set(tags)) if t >= 0]
+            faces = [t for t in sorted(set(tags)) if t >= 0]
             existing = graph.edge_between(nu, nv)
             if existing is not None:
-                known = {t for t, _, _ in existing.normals}
-                existing.normals.extend(x for x in normals if x[0] not in known)
+                existing.faces.extend(t for t in faces if t not in existing.faces)
                 continue
             if clear(graph.nodes[nu], graph.nodes[nv]):
-                graph.add_edge(nu, nv, "cell", normals)
+                graph.add_edge(nu, nv, "cell", faces)
 
     node_pts = np.array(graph.nodes)
     if len(node_pts) > 1 and h > 0.0:
@@ -479,8 +477,8 @@ def per_edge_project_terminal(point, graph):
     else:
         proj = graph.add_node(p, "projection")
         graph.remove_edge(k)
-        graph.add_edge(e.u, proj, e.kind, list(e.normals))
-        graph.add_edge(proj, e.v, e.kind, list(e.normals))
+        graph.add_edge(e.u, proj, e.kind, list(e.faces))
+        graph.add_edge(proj, e.v, e.kind, list(e.faces))
     if d <= MERGE_TOL:
         return proj
     term = graph.add_node(q, "terminal")

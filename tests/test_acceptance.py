@@ -12,7 +12,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from sqplan.cli import main
-from sqplan.dmp import DMPModel, fit_lwr, rollout
+from sqplan.dmp import DMPModel, PoseTrajectory, fit_lwr, rollout
 from sqplan.geometry import (RigidPose, Superquadric, expand, inside_outside,
                              surface_samples)
 from sqplan.pipeline import NO_FEASIBLE_PASSAGE, plan
@@ -278,12 +278,12 @@ def test_criterion_09_dmp_convergence(bench):
     t = np.linspace(0.0, 2.0, 400)
     s = t / 2.0
     prof = 10 * s**3 - 15 * s**4 + 6 * s**5
-    from sqplan.dmp import Demonstration
-    demo = Demonstration(t, np.stack([2 * prof, prof, 0 * prof], axis=-1), 2)
+    demo = PoseTrajectory(t, np.stack([2 * prof, prof], axis=-1), np.zeros((400, 1)),
+                          smoothed=False)
     model = fit_lwr(demo)
     line = rollout(model, dt=0.005)
-    rx = np.interp(line.times, t, demo.samples[:, 0])
-    ry = np.interp(line.times, t, demo.samples[:, 1])
+    rx = np.interp(line.times, t, demo.positions[:, 0])
+    ry = np.interp(line.times, t, demo.positions[:, 1])
     rms = float(np.sqrt(np.mean((line.positions[:, 0] - rx) ** 2
                                 + (line.positions[:, 1] - ry) ** 2)))
     track = rms / line.arc_length()

@@ -5,7 +5,7 @@ from oracles import check_decision, exact_distances, load_bench_scenes, sampled_
 from sqplan import clearance, dmp, pipeline
 from sqplan.clearance import (AUDIT_TOL, _pair_bounds, _upper_bounds,
                               min_trajectory_distance, trajectory_collides)
-from sqplan.dmp import PoseTrajectory, demonstration_trajectory, validate_and_finalize
+from sqplan.dmp import PoseTrajectory, validate_and_finalize
 from sqplan.geometry import Superquadric, stack_pairs
 from sqplan.poses import robot_pose_at
 from sqplan.proximity import closest_pair
@@ -213,8 +213,7 @@ def test_pillars_query_93_falls_back_to_a_clear_trajectory(monkeypatch):
     assert min_trajectory_distance(smoothed[0], scn.robot, scn.obstacles) == 0.0
     assert not sampled_collides(smoothed[0], scn.robot, scn.obstacles)
     assert result.trajectory is not smoothed[0]
-    assert np.array_equal(result.trajectory.positions,
-                          demonstration_trajectory(result.demonstration).positions)
+    assert result.trajectory is result.demonstration
     assert min_trajectory_distance(result.trajectory, scn.robot, scn.obstacles) > 0.0
 
 

@@ -8,10 +8,9 @@ from oracles import (BLOCK, block_kernel, check_decision, exact_distances, load_
                      reference_fit_lwr, sampled_collides)
 from sqplan import clearance, dmp, pipeline
 from sqplan.clearance import AUDIT_TOL, min_trajectory_distance
-from sqplan.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, Demonstration,
-                        PoseTrajectory, _basis, _rk4_maps,
-                        demonstration_trajectory, fit_lwr, interpolate_waypoints,
-                        rollout, trajectory_collides, validate_and_finalize)
+from sqplan.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, PoseTrajectory, _basis,
+                        _rk4_maps, fit_lwr, interpolate_waypoints, rollout,
+                        trajectory_collides, validate_and_finalize)
 from sqplan.geometry import (RigidPose, Superquadric, box_gaps, inside_outside,
                              stack_shapes, surface_samples)
 from sqplan.poses import PoseWaypoint, robot_pose_at, robot_rotations
@@ -24,33 +23,34 @@ def straight_demo(n=400, duration=2.0):
     t = np.linspace(0.0, duration, n)
     s = t / duration
     prof = 10 * s**3 - 15 * s**4 + 6 * s**5
-    samples = np.stack([prof * 2.0, prof * 1.0, np.zeros(n)], axis=-1)
-    return Demonstration(t, samples, 2)
+    return PoseTrajectory(t, np.stack([prof * 2.0, prof * 1.0], axis=-1), np.zeros((n, 1)),
+                          smoothed=False)
 
 
 def test_interpolate_two_waypoints_is_linear():
-    ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.3]), 0),
-            PoseWaypoint(np.array([2.0, 1.0]), np.array([0.3]), 0)]
+    ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.3])),
+            PoseWaypoint(np.array([2.0, 1.0]), np.array([0.3]))]
     demo = interpolate_waypoints(ways, n_samples=100)
     d = np.array([2.0, 1.0])
     # all samples on the segment
-    p = demo.samples[:, :2]
+    p = demo.positions
     cross = p[:, 0] * d[1] - p[:, 1] * d[0]
     assert np.max(np.abs(cross)) <= 1e-9
-    assert np.allclose(demo.samples[0, :2], [0.0, 0.0], atol=1e-12)
-    assert np.allclose(demo.samples[-1, :2], [2.0, 1.0], atol=1e-9)
-    assert np.allclose(demo.samples[:, 2], 0.3, atol=1e-9)
+    assert np.allclose(p[0], [0.0, 0.0], atol=1e-12)
+    assert np.allclose(p[-1], [2.0, 1.0], atol=1e-9)
+    assert np.allclose(demo.orientations[:, 0], 0.3, atol=1e-9)
+    assert not demo.smoothed
     assert np.all(np.diff(demo.times) > 0.0)
     # duration from arc length at unit reference speed
     assert np.isclose(demo.times[-1], np.linalg.norm(d), atol=1e-9)
 
 
 def test_interpolate_collinear_waypoints_zero_curvature():
-    ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0]), 0),
-            PoseWaypoint(np.array([1.0, 1.0]), np.array([0.0]), 1),
-            PoseWaypoint(np.array([2.0, 2.0]), np.array([0.0]), 1)]
+    ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0])),
+            PoseWaypoint(np.array([1.0, 1.0]), np.array([0.0])),
+            PoseWaypoint(np.array([2.0, 2.0]), np.array([0.0]))]
     demo = interpolate_waypoints(ways, n_samples=200)
-    p = demo.samples[:, :2]
+    p = demo.positions
     cross = p[:, 0] - p[:, 1]
     assert np.max(np.abs(cross)) <= 1e-9
 
@@ -58,26 +58,26 @@ def test_interpolate_collinear_waypoints_zero_curvature():
 def test_demonstration_samples_equal_time_steps():
     pts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 1.0]),
            np.array([3.0, 1.5])]
-    ways = [PoseWaypoint(p, np.array([0.2 * k]), min(k, 1)) for k, p in enumerate(pts)]
+    ways = [PoseWaypoint(p, np.array([0.2 * k])) for k, p in enumerate(pts)]
     for n in (3, 50, 401):
         demo = interpolate_waypoints(ways, n_samples=n)
         assert np.isclose(demo.times[-1], 2.0 + np.hypot(2.0, 0.5), rtol=1e-15)
         assert np.array_equal(demo.times, np.linspace(0.0, demo.times[-1], n))
-        assert np.array_equal(demo.samples[[0, -1], :2], [pts[0], pts[-1]])
+        assert np.array_equal(demo.positions[[0, -1]], [pts[0], pts[-1]])
 
 
 def test_interpolate_collapses_duplicates_and_errors():
-    w = PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0]), 0)
+    w = PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         interpolate_waypoints([w, w], n_samples=50)
 
 
 def test_interpolate_hemisphere_alignment_3d():
     v = np.array([0.0, 0.0, 3.0])  # same rotation as -pi-side vector
-    ways = [PoseWaypoint(np.array([0.0, 0.0, 0.0]), v, 0),
-            PoseWaypoint(np.array([1.0, 0.0, 0.0]), -v * (2 * np.pi - 3.0) / 3.0, 0)]
+    ways = [PoseWaypoint(np.array([0.0, 0.0, 0.0]), v),
+            PoseWaypoint(np.array([1.0, 0.0, 0.0]), -v * (2 * np.pi - 3.0) / 3.0)]
     demo = interpolate_waypoints(ways, n_samples=50)
-    steps = np.linalg.norm(np.diff(demo.samples[:, 3:], axis=0), axis=1)
+    steps = np.linalg.norm(np.diff(demo.orientations, axis=0), axis=1)
     assert steps.max() < 0.1  # no +-pi jump in the rotation channels
 
 
@@ -93,8 +93,8 @@ def test_fit_straight_line_tracks_within_one_percent():
     demo = straight_demo()
     model = fit_lwr(demo, p=25)
     traj = rollout(model, dt=demo.times[-1] / 400.0)
-    ref = np.interp(traj.times, demo.times, demo.samples[:, 0])
-    ref_y = np.interp(traj.times, demo.times, demo.samples[:, 1])
+    ref = np.interp(traj.times, demo.times, demo.positions[:, 0])
+    ref_y = np.interp(traj.times, demo.times, demo.positions[:, 1])
     err = np.sqrt(np.mean((traj.positions[:, 0] - ref) ** 2 +
                           (traj.positions[:, 1] - ref_y) ** 2))
     path_len = traj.arc_length()
@@ -107,9 +107,7 @@ def test_fit_self_consistency_known_weights():
     goal = np.array([1.0, 2.0, 0.5])
     model0 = DMPModel(w0, 2.0, np.zeros(3), goal, 2, goal.copy())
     traj0 = rollout(model0, dt=0.002)
-    demo = Demonstration(traj0.times,
-                         np.hstack([traj0.positions, traj0.orientations]), 2)
-    model = fit_lwr(demo, p=15)
+    model = fit_lwr(traj0, p=15)
     traj = rollout(model, dt=0.002)
     rms = np.sqrt(np.mean((traj.positions - traj0.positions) ** 2))
     assert rms <= 1e-3
@@ -117,7 +115,7 @@ def test_fit_self_consistency_known_weights():
 
 def test_constant_demo_stays_put():
     t = np.linspace(0.0, 1.0, 100)
-    demo = Demonstration(t, np.zeros((100, 3)) + 0.7, 2)
+    demo = PoseTrajectory(t, np.full((100, 2), 0.7), np.full((100, 1), 0.7), smoothed=False)
     model = fit_lwr(demo, p=10)
     traj = rollout(model, dt=0.01)
     assert np.max(np.abs(traj.positions - 0.7)) <= 1e-6
@@ -158,9 +156,9 @@ def test_rollout_endpoint_exactness():
 
 
 def test_rollout_rotations_stay_proper_3d():
-    ways = [PoseWaypoint(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0]), 0),
-            PoseWaypoint(np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.2]), 0),
-            PoseWaypoint(np.array([2.0, 0.0, 0.5]), np.array([0.4, 0.0, 1.2]), 1)]
+    ways = [PoseWaypoint(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0])),
+            PoseWaypoint(np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.2])),
+            PoseWaypoint(np.array([2.0, 0.0, 0.5]), np.array([0.4, 0.0, 1.2]))]
     demo = interpolate_waypoints(ways, n_samples=300)
     model = fit_lwr(demo, p=20)
     traj = rollout(model, dt=demo.times[-1] / 300.0)
@@ -171,14 +169,14 @@ def test_rollout_rotations_stay_proper_3d():
 
 
 def test_smoothness_no_new_jerk_spikes():
-    ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0]), 0),
-            PoseWaypoint(np.array([1.0, 0.0]), np.array([np.pi / 2]), 0),
-            PoseWaypoint(np.array([1.0, 1.0]), np.array([np.pi / 2]), 1)]
+    ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0])),
+            PoseWaypoint(np.array([1.0, 0.0]), np.array([np.pi / 2])),
+            PoseWaypoint(np.array([1.0, 1.0]), np.array([np.pi / 2]))]
     demo = interpolate_waypoints(ways, n_samples=400)
     model = fit_lwr(demo, p=25)
     dt = demo.times[-1] / 399.0
     traj = rollout(model, dt=dt)
-    acc_demo = np.max(np.abs(np.diff(demo.samples[:, :2], 2, axis=0)))
+    acc_demo = np.max(np.abs(np.diff(demo.positions, 2, axis=0)))
     acc_dmp = np.max(np.abs(np.diff(traj.positions, 2, axis=0)))
     assert acc_dmp <= 3.0 * acc_demo
 
@@ -187,7 +185,7 @@ def test_validate_returns_clean_trajectory_unchanged():
     robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
     obstacles = [Superquadric.create([1.0], [0.05, 0.05], [5.0, 5.0])]
     demo = straight_demo()
-    traj = demonstration_trajectory(demo)
+    traj = rollout(fit_lwr(demo), demo.times[-1] / 400.0)
     out, report = validate_and_finalize(traj, demo, robot, obstacles)
     assert out is traj and not report.fallback
 
@@ -198,23 +196,21 @@ def test_validate_falls_back_on_collision():
     obstacles = [Superquadric.create([1.0], [0.2, 0.2], [1.0, -0.5])]
     demo = straight_demo()
     bad = PoseTrajectory(demo.times.copy(),
-                         np.stack([demo.samples[:, 0],
-                                   demo.samples[:, 0] * 0.5 - 1.0], axis=-1),
-                         demo.samples[:, 2:3])
+                         np.stack([demo.positions[:, 0],
+                                   demo.positions[:, 0] * 0.5 - 1.0], axis=-1),
+                         demo.orientations)
     assert trajectory_collides(bad, robot, obstacles)
     out, report = validate_and_finalize(bad, demo, robot, obstacles)
     assert report.fallback
-    assert np.allclose(out.positions, demo.samples[:, :2], atol=1e-12)
-    assert not out.smoothed
+    assert out is demo and not out.smoothed
 
 
 def test_validate_raw_collision_is_hard_error():
     robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
     obstacles = [Superquadric.create([1.0], [0.3, 0.3], [1.0, 0.5])]
     demo = straight_demo()
-    traj = demonstration_trajectory(demo)
     with pytest.raises(RuntimeError):
-        validate_and_finalize(traj, demo, robot, obstacles)
+        validate_and_finalize(demo, demo, robot, obstacles)
 
 
 # ------------------------------------------------- rollout reference
@@ -589,7 +585,7 @@ def test_box_broadphase_matches_sphere_broadphase_on_query_streams(stream, monke
     trajectories = []
 
     def capture(smoothed, demo, robot, obstacles):
-        trajectories.extend([smoothed, demonstration_trajectory(demo)])
+        trajectories.extend([smoothed, demo])
         return validate_and_finalize(smoothed, demo, robot, obstacles)
 
     monkeypatch.setattr(pipeline, "validate_and_finalize", capture)
@@ -799,6 +795,23 @@ def test_response_is_finite_up_to_the_largest_basis(n):
     dmp._response.cache_clear()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_rejects_more_than_the_largest_basis():
+    # from 141 functions on the rollout's forcing columns underflow; the fit
+    # refuses any basis above MAX_BASIS, in the library as at load
+    demo = straight_demo()
+    for p in (dmp.MAX_BASIS + 1, 150):
+        with pytest.raises(ValueError, match="basis functions"):
+            fit_lwr(demo, p)
+    traj = rollout(fit_lwr(demo, dmp.MAX_BASIS), demo.times[-1] / 400.0)
+    assert all(np.all(np.isfinite(a)) for a in (traj.times, traj.positions, traj.orientations))
+    assert np.linalg.norm(traj.positions[-1] - demo.positions[-1]) <= 1e-3
+    scn = generate_benchmark("narrow2d")
+    scn.params["dmp_basis"] = 150
+    with pytest.raises(ValueError, match="basis functions"):
+        pipeline.plan(scn)
+
+
 @pytest.mark.parametrize("stream", ["pillars", "narrow-wall"])
 def test_query_streams_create_at_most_two_responses(stream, monkeypatch):
     # perfbench's scene and query sampler (seed 1001): dt = duration / 400
@@ -877,16 +890,15 @@ def test_rollout_is_stable_under_one_ulp_waypoint_changes(monkeypatch):
     for trial in range(22):
         toward = [np.full(3, [np.inf, -np.inf][trial]) if trial < 2
                   else np.where(rng.random(3) < 0.5, np.inf, -np.inf) for _ in waypoints]
-        moved = positions([PoseWaypoint(np.nextafter(w.position, d), w.orientation,
-                                        w.segment_index)
+        moved = positions([PoseWaypoint(np.nextafter(w.position, d), w.orientation)
                            for w, d in zip(waypoints, toward)])
         assert moved.shape == base.shape
         assert np.max(np.abs(moved - base)) <= 1e-9
 
 
 def test_min_samples_is_the_least_that_plans_two_waypoints():
-    ways = [PoseWaypoint(np.array([0.1, 0.1]), np.zeros(1), 0),
-            PoseWaypoint(np.array([0.4, 0.3]), np.zeros(1), 1)]
+    ways = [PoseWaypoint(np.array([0.1, 0.1]), np.zeros(1)),
+            PoseWaypoint(np.array([0.4, 0.3]), np.zeros(1))]
     for n in range(dmp.MIN_SAMPLES, dmp.MIN_SAMPLES + 3):
         demo = interpolate_waypoints(ways, n_samples=n)
         assert len(demo.times) == n
@@ -920,8 +932,8 @@ def profile_demo(n, offset=0.0, duration=2.0):
     s = t / duration
     prof = 10 * s**3 - 15 * s**4 + 6 * s**5
     samples = np.stack([2.0 * prof + 0.4, -prof, np.full(n, 0.7), 1e-7 * prof,
-                        1e-7 * np.sin(np.pi * s), 1e-9 * prof], axis=-1)
-    return Demonstration(t, samples + offset, 3)
+                        1e-7 * np.sin(np.pi * s), 1e-9 * prof], axis=-1) + offset
+    return PoseTrajectory(t, samples[:, :3], samples[:, 3:], smoothed=False)
 
 
 @pytest.mark.parametrize("plans", ["pillars", "narrow-wall", "benchmarks"])
@@ -960,7 +972,8 @@ def test_fit_is_the_reference_fit_of_goal_centred_samples():
     # applies its map to the goal-centred samples
     for n in (5, 9, 400, 1000):
         demo = profile_demo(n, offset=5.0)
-        centred = Demonstration(demo.times, demo.samples - demo.samples[-1], demo.dim)
+        centred = PoseTrajectory(demo.times, demo.positions - demo.positions[-1],
+                                 demo.orientations - demo.orientations[-1], smoothed=False)
         got, ref = fit_lwr(demo, 25), reference_fit_lwr(centred, 25)
         scale = np.max(np.abs(ref.weights), axis=1, keepdims=True)
         assert np.all(np.abs(got.weights - ref.weights) <= 1e-12 * scale)
@@ -971,11 +984,9 @@ def test_fit_rejects_unequally_spaced_times():
     for times in (demo.times ** 1.5, demo.times + 0.1, np.sort(demo.times * (1.0 + 1e-6
                   * np.random.default_rng(3).random(50)))):
         with pytest.raises(ValueError, match="equally spaced"):
-            fit_lwr(Demonstration(times, demo.samples, demo.dim))
+            fit_lwr(PoseTrajectory(times, demo.positions, demo.orientations, smoothed=False))
     # the rollout's grid and a linspace grid are accepted
-    traj = rollout(fit_lwr(demo), demo.times[-1] / 37.0)
-    fit_lwr(Demonstration(traj.times, np.hstack([traj.positions, traj.orientations]),
-                          demo.dim))
+    fit_lwr(rollout(fit_lwr(demo), demo.times[-1] / 37.0))
 
 
 def test_lwr_maps_are_read_only_and_cache_is_bounded():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import load_bench_scenes
 from sqplan.geometry import Superquadric, inside_outside
 from sqplan.pipeline import NO_FEASIBLE_PASSAGE, default_bridging_distance, \
     plan, precompute
-from sqplan.scenario import Scenario, generate_benchmark
+from sqplan.scenario import (BENCHMARK_NAMES, Scenario, compute_metrics, generate_benchmark,
+                             scenario_from_dict)
 from sqplan.geometry import RigidPose
 
 
@@ -63,7 +65,7 @@ def test_raw_demonstration_avoids_expanded_obstacles():
     assert result.success
     margin = float(scn.robot.axes[0])
     from sqplan.geometry import expand
-    raw = result.raw_trajectory
+    raw = result.demonstration
     for obs in scn.obstacles:
         grown = expand(obs, margin)
         assert np.all(inside_outside(grown, raw.positions) > 0.0)
@@ -127,10 +129,9 @@ def graph_arrays(graph):
 
 
 def graph_state(graph):
-    """Every array's bytes, the kinds, the normals, the CSR rows and the counts."""
+    """Every array's bytes, the kinds, the faces, the CSR rows and the counts."""
     return ([a.tobytes() for a in graph_arrays(graph)], graph.node_kinds, graph.edge_kinds,
-            [[(t, np.float64(w).tobytes(), n.tobytes()) for t, w, n in normals]
-             for normals in graph.edge_normals], graph.csr,
+            graph.edge_faces, graph.csr,
             (graph.segments_decided, graph.segments_rejected, graph.bridges_added))
 
 
@@ -152,3 +153,60 @@ def test_queries_share_the_precomputed_graph_read_only(name):
         assert result.graph.edge_kinds.count("stub") == 2
         assert not any(a.flags.writeable for a in graph_arrays(result.graph))
     assert graph_state(pre.graph) == before
+
+
+def reachable_arrays(obj, seen=None):
+    """Every numpy array reachable from obj through attributes, cached
+    properties, tuples, lists and dict values."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (str, bytes, int, float, bool, type(None))):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (tuple, list)):
+        items = list(obj)
+    else:
+        items = list(vars(obj).values()) if hasattr(obj, "__dict__") else []
+    return [a for item in items for a in reachable_arrays(item, seen)]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_no_array_reachable_from_a_graph_is_writeable(name):
+    # the precomputed graph and a query's derived graph, CSR rows built
+    scn = generate_benchmark(name, 0)
+    pre = precompute(scn)
+    result = plan(scn, pre)
+    assert result.success and result.graph is not pre.graph
+    for graph in (pre.graph, result.graph):
+        graph.csr
+        arrays = reachable_arrays(graph)
+        assert len(arrays) >= 3
+        assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("scene", ["narrow-wall", "pillars"])
+def test_the_fallback_is_recorded_once(scene):
+    # the first 60 seed-1001 queries of perfbench's scene: the validation
+    # report, the trajectory and the metrics agree on every fallback
+    bench = load_bench_scenes()
+    spec, regions = {"narrow-wall": (bench.narrow_wall(), bench.wall_regions()),
+                     "pillars": (bench.pillars(), bench.pillar_regions())}[scene]
+    pre = precompute(scenario_from_dict(spec))
+    sampler = bench.QuerySampler(spec, regions, 1001)
+    fallbacks = 0
+    for _ in range(60):
+        scn = scenario_from_dict(sampler.next())
+        result = plan(scn, pre)
+        assert result.success
+        assert set(result.timings) == {"precompute_s", "query_s"}
+        fallback = result.validation.fallback
+        assert fallback == (not result.trajectory.smoothed)
+        assert (result.trajectory is result.demonstration) == fallback
+        assert result.demonstration is not None and not result.demonstration.smoothed
+        report = compute_metrics(result.trajectory, scn, {"query_s": 1.0, "precompute_s": 2.0})
+        assert report.fallback == fallback
+        fallbacks += fallback
+    assert fallbacks > 0

@@ -6,6 +6,7 @@ from sqplan.poses import (PoseWaypoint, frame_3d, heading_2d, plan_poses,
                           robot_pose_at, robot_rotations)
 from sqplan.roadmap import RoadmapGraph
 from sqplan.rotations import exp_so3, rot2d
+from sqplan.voronoi import Hyperplane
 
 
 def test_heading_2d_trivial():
@@ -59,6 +60,12 @@ def test_frame_3d_parallel_rejected():
         frame_3d([0, 0, 0], [1, 0, 0], [1, 0, 0])
 
 
+def bisector(normal, gap):
+    """Hyperplane through the origin with the given normal and witness gap."""
+    n = np.asarray(normal, dtype=float)
+    return Hyperplane(n, 0.0, 0, 1, 0.5 * gap * n, -0.5 * gap * n)
+
+
 def line_graph_2d(points, kinds=None):
     ids = list(range(len(points)))
     g = RoadmapGraph.create(points, ["cell"] * len(points), list(zip(ids, ids[1:])),
@@ -69,7 +76,7 @@ def line_graph_2d(points, kinds=None):
 def test_plan_poses_2d_straight():
     robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
     g, ids = line_graph_2d([[0.0, 0.0], [1.0, 0.0]])
-    ways = plan_poses(ids, g, robot)
+    ways = plan_poses(ids, g, robot, [])
     assert len(ways) == 2
     assert all(np.isclose(w.orientation[0], 0.0) for w in ways)
 
@@ -77,7 +84,7 @@ def test_plan_poses_2d_straight():
 def test_plan_poses_2d_l_shape():
     robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
     g, ids = line_graph_2d([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    ways = plan_poses(ids, g, robot)
+    ways = plan_poses(ids, g, robot, [])
     assert np.isclose(ways[0].orientation[0], 0.0)
     assert np.isclose(ways[1].orientation[0], np.pi / 2.0)
     assert np.isclose(ways[2].orientation[0], np.pi / 2.0)
@@ -88,7 +95,7 @@ def test_plan_poses_2d_stub_inherits_cell_heading():
     robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
     g, ids = line_graph_2d([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]],
                            kinds=["stub", "cell", "stub"])
-    ways = plan_poses(ids, g, robot)
+    ways = plan_poses(ids, g, robot, [])
     assert all(np.isclose(w.orientation[0], 0.0) for w in ways)
 
 
@@ -96,8 +103,8 @@ def test_plan_poses_3d_aligns_short_axis_with_face_normal():
     robot = Superquadric.create([1.0, 1.0], [0.3, 0.5, 0.9], [0.0, 0.0, 0.0])
     normal = np.array([1.0, 0.0, 0.0])
     g = RoadmapGraph.create([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ["cell"] * 2, [(0, 1)],
-                            ["cell"], [[(0, 0.4, normal)]])
-    ways = plan_poses([0, 1], g, robot)
+                            ["cell"], [[0]])
+    ways = plan_poses([0, 1], g, robot, [bisector(normal, 0.4)])
     for w in ways:
         assert np.linalg.norm(w.orientation) <= np.pi + 1e-12
         r = exp_so3(w.orientation)
@@ -113,15 +120,25 @@ def test_plan_poses_3d_aligns_short_axis_with_face_normal():
                            atol=1e-9)
 
 
+def test_plan_poses_3d_takes_the_widest_gap_face_ties_to_the_lowest_id():
+    robot = Superquadric.create([1.0, 1.0], [0.3, 0.5, 0.9], [0.0, 0.0, 0.0])
+    x, z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+    for faces, planes, want in (([0, 1], [bisector(x, 0.4), bisector(z, 0.6)], z),
+                                ([1, 0], [bisector(x, 0.6), bisector(z, 0.6)], x)):
+        g = RoadmapGraph.create([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ["cell"] * 2, [(0, 1)],
+                                ["cell"], [faces])
+        for w in plan_poses([0, 1], g, robot, planes):
+            assert np.allclose(exp_so3(w.orientation)[:, 2], want, atol=1e-9)
+
+
 def test_plan_poses_3d_continuity_no_flip():
     robot = Superquadric.create([1.0, 1.0], [0.3, 0.5, 0.9], [0.0, 0.0, 0.0])
     pts = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0, 0.0]]
     ids = [0, 1, 2]
     # second face normal stored with flipped sign; continuity must unflip it
-    g = RoadmapGraph.create(pts, ["cell"] * 3, [(0, 1), (1, 2)], ["cell"] * 2,
-                            [[(0, 0.4, np.array([0.0, 0.0, 1.0]))],
-                             [(1, 0.4, np.array([0.0, 0.0, -1.0]))]])
-    ways = plan_poses(ids, g, robot)
+    g = RoadmapGraph.create(pts, ["cell"] * 3, [(0, 1), (1, 2)], ["cell"] * 2, [[0], [1]])
+    ways = plan_poses(ids, g, robot, [bisector([0.0, 0.0, 1.0], 0.4),
+                                      bisector([0.0, 0.0, -1.0], 0.4)])
     r3s = [exp_so3(w.orientation)[:, 2] for w in ways]
     for k in range(len(r3s) - 1):
         assert r3s[k] @ r3s[k + 1] > 0.0
@@ -157,4 +174,4 @@ def test_plan_poses_requires_two_nodes():
     robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
     g, ids = line_graph_2d([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        plan_poses([ids[0]], g, robot)
+        plan_poses([ids[0]], g, robot, [])

@@ -248,7 +248,7 @@ def twelve_scenes():
 
 
 def graph_bytes(graph):
-    """Nodes, kinds, live edges with weights and normals, adjacency and
+    """Nodes, kinds, live edges with weights and faces, adjacency and
     counts of a RoadmapGraph or a DictGraph. The adjacency lists each node's
     (neighbour, edge's u, edge's v): in CSR row order for a RoadmapGraph, in
     ascending neighbour id for a DictGraph."""
@@ -261,7 +261,7 @@ def graph_bytes(graph):
                       for s in range(indptr[u], indptr[u + 1])] for u in range(len(graph.nodes))]
     return (np.array(graph.nodes).tobytes(), list(graph.node_kinds),
             [(e.u, e.v, np.float64(e.weight).tobytes(), e.kind,
-              [(t, np.float64(w).tobytes(), n.tobytes()) for t, w, n in e.normals])
+              list(e.faces))
              for e in graph.live_edges()],
             adjacency,
             (graph.segments_decided, graph.segments_rejected, graph.bridges_added))

@@ -207,18 +207,21 @@ def test_metrics_report_fields():
                           np.linspace(scn.start.position,
                                       scn.start.position + [0.0, 0.02], 20),
                           np.zeros((20, 1)))
-    report = compute_metrics(traj, scn, {"query_s": 0.5, "precompute_s": 1.0,
-                                         "success": True, "fallback": False})
+    report = compute_metrics(traj, scn, {"query_s": 0.5, "precompute_s": 1.0})
     assert report.planning_time_s == 0.5
     assert report.precompute_time_s == 1.0
     assert np.isclose(report.arc_length_m, 0.02, atol=1e-12)
     assert report.min_distance_m > 0.0
-    assert report.success and not report.fallback
+    assert not report.fallback
     assert report.audit.solves > 0 and report.audit.rounds > 0
     assert report.audit.nonconverged == 0
     out = metrics_to_dict(report)
+    assert out["success"] is True and out["fallback"] is False
     assert (out["audit_solves"], out["audit_rounds"], out["audit_nonconverged"]) == (
         report.audit.solves, report.audit.rounds, 0)
+    # the fallback is the unsmoothed trajectory
+    traj.smoothed = False
+    assert compute_metrics(traj, scn, {"query_s": 0.5, "precompute_s": 1.0}).fallback
 
 
 # ------------------------------------------- audit vs the per-pose routines
