@@ -17,7 +17,7 @@ import sys
 
 from . import pipeline, plots, scenario as scn_io
 from .roadmap import graph_to_dict
-from .scenario import (BENCHMARK_NAMES, Scenario, ScenarioError, check_param,
+from .scenario import (BENCHMARK_NAMES, Scenario, ScenarioError, check_basis,
                        compute_metrics, generate_benchmark, load_scenario,
                        metrics_to_dict, save_scenario, save_trajectory)
 from .voronoi import diagram_to_dict, solve_counters
@@ -66,8 +66,7 @@ def cmd_plan(args) -> int:
     _make_out(args.out)
     scenario = load_scenario(args.scenario)
     if args.dmp_basis is not None:
-        check_param("dmp_basis", args.dmp_basis, "--dmp-basis")
-        scenario.params["dmp_basis"] = args.dmp_basis
+        scenario.dmp_basis = check_basis(args.dmp_basis, "--dmp-basis")
     result, metrics = _run_one(scenario)
     if not result.success:
         _write_json(os.path.join(args.out, "metrics.json"),

@@ -1,12 +1,13 @@
 """Trajectory smoothing with dynamical movement primitives.
 
-Pose waypoints are splined into a demonstration sampled at equal time steps,
-one DMP per degree of freedom is fitted with locally weighted regression (all
-channels at once), and the rollout is validated for collisions against the
-original obstacles by `clearance.trajectory_collides` (falling back to the
-raw demonstration if the smoothed path cuts a corner too tightly). The
-demonstration and the rollout are both a `PoseTrajectory`; only the rollout
-is `smoothed`, so a plan that fell back returns its demonstration itself.
+Pose waypoints are splined into a demonstration of max(400, 100 per
+waypoint) samples at equal time steps, one DMP per degree of freedom is
+fitted with locally weighted regression (all channels at once), and the
+rollout is validated for collisions against the original obstacles by
+`clearance.trajectory_collides` (falling back to the raw demonstration if
+the smoothed path cuts a corner too tightly). The demonstration and the
+rollout are both a `PoseTrajectory`; only the rollout is `smoothed`, so a
+plan that fell back returns its demonstration itself.
 
 In normalised time t / tau the forcing target of N equally spaced samples is
 a fixed linear map of the samples, and so is each residual pass of the fit:
@@ -14,13 +15,13 @@ the regression's sample-side products depend on N and the basis only, are
 built once (`_lwr_map`) and kept in a small cache, so a fit is a few matmuls
 on (P, K) arrays.
 
-The rollout integrates every channel with RK4 on a uniform grid of n equal
-steps per duration, n = ceil(tau / dt), as one linear step map s <- P s + d.
-In normalised time t / tau that grid and its map depend on n only, so the
-rollout up to 2 tau is a fixed linear map of the start, the goal and the
-scaled weights, given n and the basis size: its response is built once (the
-2n steps of the map, applied to all of its columns at a time) and kept in a
-small cache, so a rollout is one matmul.
+The rollout integrates every channel with RK4 on a uniform grid of
+ROLLOUT_STEPS = 400 equal steps per duration, as one linear step map
+s <- P s + d. In normalised time t / tau that grid and its map are the same
+for every duration, so the rollout up to 2 tau is a fixed linear map of the
+start, the goal and the scaled weights, given the basis size: its response
+is built once (the 800 steps of the map, applied to all of its columns at a
+time) and kept in a small cache, so a rollout is one matmul.
 
 The gains are the standard alpha_z = 25, beta_z = alpha_z / 4 and
 alpha_x = alpha_z / 3, and the basis is fixed by its size (`_basis`).
@@ -48,7 +49,8 @@ DEFAULT_BASIS = 25
 MAX_BASIS = 100
 MIN_SAMPLES = 3  # least demonstration samples: fit_lwr takes second differences
 REFERENCE_SPEED = 1.0  # m/s; converts arc length into a nominal duration
-RESPONSES = 4  # cached rollout responses; one basis and step count takes one
+ROLLOUT_STEPS = 400  # RK4 steps per duration
+RESPONSES = 4  # cached rollout responses; one basis size takes one
 LWR_MAPS = 8  # cached LWR maps; one basis and sample count takes one
 
 
@@ -110,14 +112,15 @@ def _minjerk(tau: np.ndarray) -> np.ndarray:
     return 10.0 * tau**3 - 15.0 * tau**4 + 6.0 * tau**5
 
 
-def interpolate_waypoints(waypoints: list[PoseWaypoint], n_samples: int = 200) -> PoseTrajectory:
+def interpolate_waypoints(waypoints: list[PoseWaypoint]) -> PoseTrajectory:
     """Natural cubic spline through the waypoints over arc-length time, as
     an unsmoothed PoseTrajectory.
 
     Duration is total positional arc length at the reference speed. The
-    n_samples times are equally spaced over the duration and the spline is
-    read through a minimum-jerk time profile, so the demonstration starts and
-    ends at rest; it passes the waypoints between samples. Duplicate
+    max(400, 100 per waypoint) sample times are equally spaced over the
+    duration and the spline is read through a minimum-jerk time profile, so
+    the demonstration starts and ends at rest; it passes the waypoints
+    between samples. Duplicate
     consecutive positions are collapsed.
 
     Long segments receive collinear helper knots so the spline cannot
@@ -156,7 +159,7 @@ def interpolate_waypoints(waypoints: list[PoseWaypoint], n_samples: int = 200) -
     knot_v = np.vstack([np.concatenate([pos[0], ori[0]]), np.hstack([p, o])])
 
     spline = CubicSpline(knot_t, knot_v, axis=0, bc_type="natural")
-    times = np.linspace(0.0, duration, int(n_samples))
+    times = np.linspace(0.0, duration, max(400, 100 * len(waypoints)))
     samples = spline(_minjerk(times / duration) * duration)
     samples[0] = knot_v[0]
     samples[-1] = knot_v[-1]
@@ -295,15 +298,17 @@ def _rk4_maps(a: np.ndarray, h: float):
 
 
 @functools.lru_cache(maxsize=RESPONSES)
-def _response(n: int, p: int) -> np.ndarray:
-    """The DMP's response on the normalised grid k / n, k = 0..2n, to a unit
-    start (column 0), a unit goal (column 1) and each forcing column of
-    `_phase_basis` of `_basis(p)` (2..): read-only (2n + 1, p + 2) y rows.
+def _response(p: int) -> np.ndarray:
+    """The DMP's response on the normalised grid k / n, k = 0..2n, for n =
+    ROLLOUT_STEPS, to a unit start (column 0), a unit goal (column 1) and
+    each forcing column of `_phase_basis` of `_basis(p)` (2..): read-only
+    (2n + 1, p + 2) y rows.
 
     In normalised time the system is s' = A0 s + e2 b with A0 = tau * A and
-    b = ALPHA_Z * BETA_Z * g + f, so a rollout of n steps per duration is
-    these rows times [start; goal; weights.T * scale], whatever tau is.
+    b = ALPHA_Z * BETA_Z * g + f, so a rollout is these rows times
+    [start; goal; weights.T * scale], whatever tau is.
     """
+    n = ROLLOUT_STEPS
     steps = 2 * n
     a = np.array([[0.0, 1.0], [-ALPHA_Z * BETA_Z, -ALPHA_Z]])
     step_map, q = _rk4_maps(a, 1.0 / n)
@@ -325,15 +330,13 @@ def _response(n: int, p: int) -> np.ndarray:
     return rows
 
 
-def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
+def rollout(model: DMPModel) -> PoseTrajectory:
     """Integrate the canonical and transformation systems start to goal with
     RK4 on a uniform time grid, as a cached linear response.
 
-    The grid takes n = ceil(tau / dt) equal steps of tau / n per duration, so
-    dt is the largest step; a step may exceed dt by a relative 1e-9, which
-    keeps dt = tau / n at n steps whatever the rounding of tau / dt. After
-    the nominal duration the forcing term has decayed with the phase but the
-    state may still lag the goal by the residual fitting error, so
+    The grid takes n = ROLLOUT_STEPS equal steps of tau / n per duration.
+    After the nominal duration the forcing term has decayed with the phase,
+    but the state may still lag the goal by the residual fitting error, so
     integration continues on the same grid (up to one extra duration) until
     the state settles within a small fraction of the start-goal span. The
     appended samples are nearly unforced critically damped motion straight to
@@ -343,16 +346,14 @@ def rollout(model: DMPModel, dt: float) -> PoseTrajectory:
     A for every channel, and b depends on time only (the goal term plus the
     forcing term), linearly in the start, the goal and the weights. In
     normalised time t / tau the grid k / n and its step map are the same for
-    every model of one basis and n: `_response` holds the y rows for a unit
+    every model of one basis: `_response` holds the y rows for a unit
     start, a unit goal and each forcing column, and the rollout is one matmul
     with [start; goal; weights.T * scale]. It ends at the first settled state
     at or after the duration, as a step-by-step loop would.
     """
     tau = model.duration
-    if dt <= 0.0 or dt > tau / 10.0:
-        raise ValueError("dt must be positive and at most a tenth of the duration")
-    n = int(np.ceil(tau / dt * (1.0 - 1e-9)))
-    rows = _response(n, model.weights.shape[1])
+    n = ROLLOUT_STEPS
+    rows = _response(model.weights.shape[1])
     goal = model.u_goal
     out = rows @ np.vstack([model.u_start, goal, model.weights.T * model.forcing_scale])
     # the first settled state at or after the duration ends the rollout

@@ -3,7 +3,8 @@
 Timing is split into a precompute phase (all-pairs proximity, Voronoi cells,
 roadmap construction — reusable across queries in a static scene) and a query
 phase (terminal projection, graph search, pose planning, DMP smoothing,
-validation).
+validation). The one setting a scenario carries is its DMP basis size; each
+stage derives the rest from the scene and the query.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmp import (DEFAULT_BASIS, PoseTrajectory, ValidationReport, fit_lwr,
-                  interpolate_waypoints, rollout, validate_and_finalize)
+from .dmp import (PoseTrajectory, ValidationReport, fit_lwr, interpolate_waypoints,
+                  rollout, validate_and_finalize)
 from .poses import PoseWaypoint, plan_poses
 from .roadmap import RoadmapGraph, build_graph, project_terminal, shortest_path
 from .scenario import Scenario
@@ -45,17 +46,12 @@ class Precomputed:
     seconds: float
 
 
-def default_bridging_distance(scenario: Scenario) -> float:
-    return 0.02 * scenario.world_diagonal
-
-
 def precompute(scenario: Scenario) -> Precomputed:
-    """Build the Voronoi diagram and roadmap graph for a scenario, bridging
-    holes up to `default_bridging_distance` across."""
+    """Build the Voronoi diagram and roadmap graph for a scenario."""
     t0 = time.perf_counter()
     diagram = build_diagram(scenario.robot, scenario.obstacles,
                             scenario.world_lo, scenario.world_hi)
-    graph = build_graph(diagram, default_bridging_distance(scenario))
+    graph = build_graph(diagram)
     return Precomputed(diagram, graph, time.perf_counter() - t0)
 
 
@@ -65,9 +61,7 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
     A shared Precomputed structure lets repeated queries on the same scene
     skip the diagram/graph construction. Its graph is read-only: projecting
     the terminals derives the query's own graph, which the result carries.
-    A roadmap without an edge has no feasible passage. The demonstration
-    takes max(400, 100 per waypoint) samples and the rollout 400 steps per
-    duration; only the DMP's basis size comes from `scenario.params`.
+    A roadmap without an edge has no feasible passage.
     """
     if pre is None:
         pre = precompute(scenario)
@@ -93,9 +87,9 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
         except ValueError:
             waypoints = _degenerate_waypoints(scenario, graph, path[0])
 
-    demo = interpolate_waypoints(waypoints, n_samples=max(400, 100 * len(waypoints)))
-    model = fit_lwr(demo, p=int(scenario.params.get("dmp_basis", DEFAULT_BASIS)))
-    smoothed = rollout(model, float(demo.times[-1]) / 400.0)
+    demo = interpolate_waypoints(waypoints)
+    model = fit_lwr(demo, p=scenario.dmp_basis)
+    smoothed = rollout(model)
     trajectory, report = validate_and_finalize(smoothed, demo, scenario.robot,
                                                scenario.obstacles)
     timings["query_s"] = time.perf_counter() - t0

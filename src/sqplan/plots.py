@@ -14,6 +14,7 @@ from .pipeline import PlanResult
 from .scenario import Scenario
 
 SVG_SIZE = 800.0
+MESH_RES = 24  # rows and columns of an obstacle mesh in the OBJ export
 
 
 def _svg_path(points: np.ndarray, closed: bool) -> str:
@@ -39,10 +40,6 @@ class _Frame2D:
         return out
 
 
-def _polygon(sq: Superquadric, n: int = 128) -> np.ndarray:
-    return surface_samples(sq, n)
-
-
 def scene_svg_2d(scenario: Scenario, result: PlanResult) -> str:
     """Layered SVG: obstacles, expansion, cells, graph, raw and smooth paths."""
     frame = _Frame2D(scenario.world_lo, scenario.world_hi)
@@ -56,13 +53,13 @@ def scene_svg_2d(scenario: Scenario, result: PlanResult) -> str:
 
     parts.append('<g id="expanded-obstacles" fill="#dce6f2" stroke="none">')
     for sq in result.diagram.expanded:
-        parts.append(f'<path d="{_svg_path(frame(_polygon(sq)), True)}"/>')
+        parts.append(f'<path d="{_svg_path(frame(surface_samples(sq, 128)), True)}"/>')
     parts.append("</g>")
 
     parts.append('<g id="obstacles" fill="#5b7aa0" stroke="black" '
                  'stroke-width="1">')
     for sq in scenario.obstacles:
-        parts.append(f'<path d="{_svg_path(frame(_polygon(sq)), True)}"/>')
+        parts.append(f'<path d="{_svg_path(frame(surface_samples(sq, 128)), True)}"/>')
     parts.append("</g>")
 
     parts.append('<g id="cells" stroke="#b08040" stroke-width="1" '
@@ -142,7 +139,7 @@ def _convex_hull_2d(pts: np.ndarray) -> np.ndarray:
     return pts[hull.vertices]
 
 
-def scene_obj_3d(scenario: Scenario, result: PlanResult, res: int = 24) -> str:
+def scene_obj_3d(scenario: Scenario, result: PlanResult) -> str:
     """Wavefront OBJ: obstacle meshes, roadmap polylines, and the path."""
     lines = ["# sqplan scene export"]
     base = 1
@@ -150,18 +147,18 @@ def scene_obj_3d(scenario: Scenario, result: PlanResult, res: int = 24) -> str:
     def add_mesh(sq: Superquadric, name: str):
         nonlocal base
         lines.append(f"o {name}")
-        eta = np.linspace(-np.pi / 2.0, np.pi / 2.0, res)
-        om = np.linspace(-np.pi, np.pi, res)
+        eta = np.linspace(-np.pi / 2.0, np.pi / 2.0, MESH_RES)
+        om = np.linspace(-np.pi, np.pi, MESH_RES)
         ee, oo = np.meshgrid(eta, om, indexing="ij")
         pts = surface_point(sq, np.stack([ee, oo], axis=-1)).reshape(-1, 3)
         for p in pts:
             lines.append(f"v {p[0]:.6f} {p[1]:.6f} {p[2]:.6f}")
-        for i in range(res - 1):
-            for j in range(res - 1):
-                a = base + i * res + j
+        for i in range(MESH_RES - 1):
+            for j in range(MESH_RES - 1):
+                a = base + i * MESH_RES + j
                 b = a + 1
-                c = a + res + 1
-                d = a + res
+                c = a + MESH_RES + 1
+                d = a + MESH_RES
                 lines.append(f"f {a} {b} {c} {d}")
         base += len(pts)
 

@@ -1,15 +1,16 @@
 """Weighted roadmap graph over Voronoi cell vertices and edges.
 
-Cell edges provide the maximum-clearance skeleton; nearby vertices left by
-the linear bisector approximation are bridged. Every edge is collision-checked
-against the expanded obstacles so boundary edges cannot tunnel through
-obstacles that touch the world box: `segments_clear` decides a batch of
-segments at once, and a build decides its cell edges in one batch and its
-bridge candidates in another. A cell edge names the bisector hyperplanes
-of its faces by their ids in the diagram's list; their normals and witness
-distances stay in the diagram. A built graph is read-only, so all queries of
-a scene share it: `project_terminal` derives a query's graph from it by
-dropping the split edge's row and appending the halves and the stub.
+Cell edges provide the maximum-clearance skeleton; vertices that the linear
+bisector approximation leaves within 2% of the world diagonal of each other
+are bridged. Every edge is collision-checked against the expanded obstacles
+so boundary edges cannot tunnel through obstacles that touch the world box:
+`segments_clear` decides a batch of segments at once, and a build decides
+its cell edges in one batch and its bridge candidates in another. A cell
+edge names the bisector hyperplanes of its faces by their ids in the
+diagram's list; their normals and witness distances stay in the diagram. A
+built graph is read-only, so all queries of a scene share it:
+`project_terminal` derives a query's graph from it by dropping the split
+edge's row and appending the halves and the stub.
 """
 
 from __future__ import annotations
@@ -104,17 +105,17 @@ def _lengths(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
                     dtype=float)
 
 
-def segments_clear(a, b, shapes, samples=EDGE_SAMPLES) -> np.ndarray:
-    """bool[E]: True where no interior sample of segment a[k]-b[k] is
-    strictly inside (below -INSIDE_TOL) any shape. A shape is tested only on
-    the segments whose bounding sphere meets its own and that are still
-    clear, all their samples in one pass per shape."""
+def segments_clear(a, b, shapes) -> np.ndarray:
+    """bool[E]: True where none of the EDGE_SAMPLES interior samples of
+    segment a[k]-b[k] is strictly inside (below -INSIDE_TOL) any shape. A
+    shape is tested only on the segments whose bounding sphere meets its own
+    and that are still clear, all their samples in one pass per shape."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     clear = np.ones(len(a), dtype=bool)
     if len(a) == 0:
         return clear
-    ts = np.arange(1, samples + 1) / (samples + 1.0)
+    ts = np.arange(1, EDGE_SAMPLES + 1) / (EDGE_SAMPLES + 1.0)
     pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
     seg_r = 0.5 * np.linalg.norm(b - a, axis=1)
     mid = 0.5 * (a + b)
@@ -124,26 +125,24 @@ def segments_clear(a, b, shapes, samples=EDGE_SAMPLES) -> np.ndarray:
         if len(near) == 0:
             continue
         f = inside_outside(sq, pts[near].reshape(-1, a.shape[1]))
-        clear[near[np.any(f.reshape(len(near), samples) < -INSIDE_TOL, axis=1)]] = False
+        clear[near[np.any(f.reshape(len(near), EDGE_SAMPLES) < -INSIDE_TOL, axis=1)]] = False
     return clear
 
 
-def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
+def build_graph(diagram: Diagram) -> RoadmapGraph:
     """Roadmap from cell vertices/edges plus hole-bridging edges.
 
-    Vertices within MERGE_TOL are merged; node pairs closer than h gain a
-    bridging edge. Edges whose interior samples enter an expanded obstacle
-    are rejected (cell edges along the world box can cross obstacles that
-    touch the boundary; bridges must patch holes, not tunnel). Each distinct
+    Vertices within MERGE_TOL are merged; node pairs closer than h, 2% of
+    the diagram's world diagonal, gain a bridging edge. Edges whose interior
+    samples enter an expanded obstacle are rejected (cell edges along the
+    world box can cross obstacles that touch the boundary; bridges must
+    patch holes, not tunnel). Each distinct
     cell edge is decided once, all in one `segments_clear` call, and the
     edges are then inserted in cell order, repeats merging their bisector
     hyperplane ids into the first. Node pairs closer than h that the cell
     edges leave unjoined are decided in a second call. The graph counts the
     segments decided and rejected and the bridges added.
     """
-    if h < 0.0:
-        raise ValueError("bridging threshold must be non-negative")
-
     all_pts = []
     offsets = []
     for cell in diagram.cells:
@@ -183,11 +182,10 @@ def build_graph(diagram: Diagram, h: float) -> RoadmapGraph:
             merged = faces[pair_of[key]]
             merged.extend(int(t) for t in sorted(set(tags)) if t >= 0 and t not in merged)
     cells, clear = decide(firsts)
-    bridges, ok = np.empty((0, 2), dtype=int), np.empty(0, dtype=bool)
-    if len(node_pts) > 1 and h > 0.0:
-        joined = {key for key, k in pair_of.items() if clear[k]}
-        bridges, ok = decide([pair for pair in sorted(cKDTree(node_pts).query_pairs(h))
-                              if pair not in joined])
+    h = 0.02 * float(np.linalg.norm(diagram.world_hi - diagram.world_lo))
+    joined = {key for key, k in pair_of.items() if clear[k]}
+    bridges, ok = decide([pair for pair in sorted(cKDTree(node_pts).query_pairs(h))
+                          if pair not in joined])
     bridged = int(np.count_nonzero(ok))
     return RoadmapGraph.create(
         node_pts, ["cell"] * len(node_pts), np.concatenate([cells[clear], bridges[ok]]),

@@ -8,7 +8,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,14 +20,6 @@ from .dmp import DEFAULT_BASIS, MAX_BASIS, PoseTrajectory
 
 BENCHMARK_NAMES = ("narrow2d", "t_block", "u_block",
                    "pillars3d", "moderate3d", "dense3d")
-
-# the one settable value; the pipeline derives the rest per scene and query:
-# bridging distance 2% of the world diagonal, demonstration samples
-# max(400, 100 per waypoint), rollout step duration / 400
-DEFAULT_PARAMS = {
-    "dmp_basis": DEFAULT_BASIS,  # forcing-term basis functions per degree of freedom
-}
-
 
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario content; message names the field."""
@@ -42,7 +34,9 @@ class Scenario:
     obstacles: list[Superquadric]
     start: RigidPose
     goal: RigidPose
-    params: dict = field(default_factory=lambda: dict(DEFAULT_PARAMS))
+    # forcing-term basis functions per degree of freedom; the file's one
+    # param, "params": {"dmp_basis": n}
+    dmp_basis: int = DEFAULT_BASIS
 
     @property
     def world_diagonal(self) -> float:
@@ -114,31 +108,23 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# each parameter's rule, as a test and its description
-PARAM_RULES = {
-    "dmp_basis": (lambda v: _integer(v) and 2 <= v <= MAX_BASIS,
-                  f"an integer in [2, {MAX_BASIS}]"),
-}
+def check_basis(value, where: str) -> int:
+    """value, if it is a DMP basis size; else a ScenarioError naming `where`."""
+    if not (_integer(value) and 2 <= value <= MAX_BASIS):
+        raise ScenarioError(f"{where}: expected an integer in [2, {MAX_BASIS}], got {value!r}")
+    return value
 
 
-def check_param(key: str, value, where: str) -> None:
-    """Raise a ScenarioError naming `where` unless value meets the rule of
-    parameter `key`."""
-    valid, rule = PARAM_RULES[key]
-    if not valid(value):
-        raise ScenarioError(f"{where}: expected {rule}, got {value!r}")
-
-
-def _params(raw) -> dict:
+def _dmp_basis(raw) -> int:
+    """The basis size of a file's params, keys checked in file order."""
     if not isinstance(raw, dict):
         raise ScenarioError("params: expected an object")
-    params = dict(DEFAULT_PARAMS)
+    basis = DEFAULT_BASIS
     for key, value in raw.items():
-        if key not in DEFAULT_PARAMS:
+        if key != "dmp_basis":
             raise ScenarioError(f"params.{key}: unknown parameter")
-        check_param(key, value, f"params.{key}")
-        params[key] = value
-    return params
+        basis = check_basis(value, "params.dmp_basis")
+    return basis
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -164,7 +150,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     start = _pose(_need(data, "start", "top level"), dim, "start")
     goal = _pose(_need(data, "goal", "top level"), dim, "goal")
 
-    params = _params(data.get("params", {}))
+    dmp_basis = _dmp_basis(data.get("params", {}))
     for label, pose in (("start", start), ("goal", goal)):
         if np.any(pose.position < lo) or np.any(pose.position > hi):
             raise ScenarioError(f"{label}.position: outside the world box")
@@ -172,7 +158,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             if float(inside_outside(obs, pose.position)) <= 0.0:
                 raise ScenarioError(
                     f"{label}.position: inside obstacles[{k}]")
-    return Scenario(dim, lo, hi, robot, obstacles, start, goal, params)
+    return Scenario(dim, lo, hi, robot, obstacles, start, goal, dmp_basis)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -203,7 +189,7 @@ def scenario_to_dict(scn: Scenario) -> dict:
                   "rotation": scn.start.rotation.tolist()},
         "goal": {"position": scn.goal.position.tolist(),
                  "rotation": scn.goal.rotation.tolist()},
-        "params": {k: scn.params[k] for k in sorted(scn.params)},
+        "params": {"dmp_basis": scn.dmp_basis},
     }
 
 

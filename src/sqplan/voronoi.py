@@ -78,14 +78,6 @@ class PolytopeCell:
     vertices: np.ndarray                       # (V, dim)
     edges: list[tuple[int, int, list[int]]]    # (u, v, adjacent tags)
     faces: list[tuple[list[int], int]] | None  # 3D only: (loop, tag)
-    halfspaces: list[tuple[np.ndarray, float, int]]  # (normal, offset, tag)
-
-    def contains(self, points, tol=GEOM_TOL) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        ok = np.ones(pts.shape[:-1], dtype=bool)
-        for n, b, _ in self.halfspaces:
-            ok &= pts @ n >= b - tol
-        return ok
 
 
 @dataclass
@@ -159,9 +151,8 @@ def build_cell(ci: Cluster, planes: list[Hyperplane], world_lo, world_hi,
     """World box clipped by every halfspace of the cluster.
 
     `planes` is the diagram's whole hyperplane list; the planes that do not
-    bound this cluster are skipped. Halfspaces, edges and faces are tagged
-    with their plane's index in `planes` (box walls with negative tags), and
-    halfspaces that do not change the cell are pruned from its generating set.
+    bound this cluster are skipped. Edges and faces are tagged with their
+    plane's index in `planes` (box walls with negative tags).
     """
     lo = np.asarray(world_lo, dtype=float)
     hi = np.asarray(world_hi, dtype=float)
@@ -173,34 +164,19 @@ def build_cell(ci: Cluster, planes: list[Hyperplane], world_lo, world_hi,
     # polygon tags are per edge, polyhedron faces (vertex loop, tag) pairs
     verts, parts = box_polygon(lo, hi) if dim == 2 else box_polyhedron(lo, hi)
     clip = clip_polygon if dim == 2 else clip_polyhedron
-    kept = []
     for n, b, k in oriented:
-        new_v, new_p, changed = clip(verts, parts, n, b, k, tol)
-        if new_v is None:
+        verts, parts, _ = clip(verts, parts, n, b, k, tol)
+        if verts is None:
             raise EmptyIntersectionError(
                 f"cell of cluster {ci.id} vanished; hyperplane orientation is wrong")
-        if changed:
-            kept.append((n, b, k))
-        verts, parts = new_v, new_p
     if dim == 2:
         m = len(verts)
         edges = [(u, (u + 1) % m, [parts[u]]) for u in range(m)]
-        faces, used = None, set(parts)
+        faces = None
     else:
         verts, faces = compact_polyhedron(verts, parts)
         edges = [(u, v, tags) for (u, v), tags in sorted(polyhedron_edges(faces).items())]
-        used = {t for _, t in faces}
-    half = [(n, float(b), k) for n, b, k in kept if k in used]
-    _add_box_halfspaces(half, lo, hi, dim)
-    return PolytopeCell(ci.id, verts, edges, faces, half)
-
-
-def _add_box_halfspaces(half, lo, hi, dim):
-    for axis in range(dim):
-        n = np.zeros(dim)
-        n[axis] = 1.0
-        half.append((n.copy(), float(lo[axis]), -1 - 2 * axis))
-        half.append((-n, float(-hi[axis]), -2 - 2 * axis))
+    return PolytopeCell(ci.id, verts, edges, faces)
 
 
 def build_diagram(robot: Superquadric, obstacles: list[Superquadric],

@@ -16,8 +16,10 @@ read-only `RoadmapGraph` replaced: a projection tombstones the edge it splits.
 and `reference_diagram` is the precompute on those records, keyed (i, j) in
 dicts, before it worked on the arrays. `plain_closest_pair_arrays` is
 batched GJK without the Newton polish of full solves, as it was before it.
-`block_kernel` holds the maps of BLOCK steps of the rollout's linear RK4
-step map, which a block scan applies as two matmuls per block.
+`cell_contains` tests points against every diagram hyperplane that bounds a
+cell's cluster and against the world box. `block_kernel` holds the maps of
+BLOCK steps of the rollout's linear RK4 step map, which a block scan applies
+as two matmuls per block.
 `load_bench_scenes` imports perfbench's scene definitions.
 """
 
@@ -35,6 +37,7 @@ from sqplan.dmp import ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, _basis
 from sqplan.geometry import (RigidPose, box_gaps, expand, inside_outside,
                              inside_outside_local, stack_pairs, stack_shapes,
                              support_points, surface_samples)
+from sqplan.polytope import GEOM_TOL
 from sqplan.poses import robot_pose_at, robot_rotations
 from sqplan.proximity import (_FACE_SIZE, _FACES, MAX_ITER, OVERLAP_TOL, REL_TOL,
                               TOUCH_TOL, ClosestPair, PairArrays, _combine, _dot,
@@ -217,6 +220,20 @@ def reference_diagram(robot, obstacles, world_lo, world_hi, threshold=OVERLAP_TO
     return clusters, hyperplanes, cells, counters
 
 
+def cell_contains(diagram, k, points, tol=GEOM_TOL):
+    """bool[...]: which points lie in cell k of the diagram, within tol: on
+    the kept side of every diagram hyperplane that bounds the cell's cluster,
+    and in the world box."""
+    pts = np.asarray(points, dtype=float)
+    cid = diagram.cells[k].cluster_id
+    ok = np.all((pts >= diagram.world_lo - tol) & (pts <= diagram.world_hi + tol), axis=-1)
+    for hp in diagram.hyperplanes:
+        if cid in (hp.cluster_i, hp.cluster_j):
+            n, b = hp.oriented(cid)
+            ok &= pts @ n >= b - tol
+    return ok
+
+
 def check_decision(trajectory, robot, obstacles):
     """trajectory_collides against the exact minimum distance d: contact when
     d is 0, clear when d is above the audit's tolerance AUDIT_TOL * r (r the
@@ -326,9 +343,9 @@ def block_kernel(p, b):
     return powers[1:].transpose(1, 0, 2).copy(), np.ascontiguousarray(kernel)
 
 
-def segment_clear(a, b, expanded, samples=EDGE_SAMPLES) -> bool:
+def segment_clear(a, b, expanded) -> bool:
     """True when no interior sample of segment a-b is strictly inside any shape."""
-    ts = np.arange(1, samples + 1) / (samples + 1.0)
+    ts = np.arange(1, EDGE_SAMPLES + 1) / (EDGE_SAMPLES + 1.0)
     pts = a + ts[:, None] * (b - a)
     seg_r = 0.5 * np.linalg.norm(b - a)
     mid = 0.5 * (a + b)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from oracles import cell_contains
 from sqplan.cli import main
 from sqplan.dmp import DMPModel, PoseTrajectory, fit_lwr, rollout
 from sqplan.geometry import (RigidPose, Superquadric, expand, inside_outside,
@@ -147,8 +148,8 @@ def test_criterion_06_point_site_voronoi():
     nearest = np.argmin(np.linalg.norm(pts[:, None] - sites[None], axis=2),
                         axis=1)
     hits = np.zeros(len(pts), dtype=bool)
-    for k, cell in enumerate(diagram.cells):
-        hits |= (nearest == k) & cell.contains(pts, tol=1e-7)
+    for k in range(len(diagram.cells)):
+        hits |= (nearest == k) & cell_contains(diagram, k, pts, tol=1e-7)
     frac = hits.mean()
     report(6, "point-site Voronoi equivalence", frac >= 0.995,
            f"grid agreement={frac * 100.0:.2f}%")
@@ -260,7 +261,7 @@ def test_criterion_09_dmp_convergence(bench):
     for name in ("narrow2d", "u_block", "pillars3d"):
         _, result, _ = bench[name]
         model = fit_lwr(result.demonstration)
-        traj = rollout(model, dt=model.duration / 400.0)
+        traj = rollout(model)
         end = np.hstack([traj.positions[-1], traj.orientations[-1]])
         rel = (np.linalg.norm(end - model.u_goal)
                / max(np.linalg.norm(model.u_goal - model.u_start), 1e-12))
@@ -268,7 +269,7 @@ def test_criterion_09_dmp_convergence(bench):
 
     goal = np.array([1.0, -2.0, 0.5])
     zero = DMPModel(np.zeros((3, 20)), 2.0, np.zeros(3), goal, 2, goal.copy())
-    traj = rollout(zero, dt=0.002)
+    traj = rollout(zero)
     y = np.hstack([traj.positions, traj.orientations])
     monotone = all(
         bool(np.all(np.diff(y[:, ch] * np.sign(g)) >= -1e-9))
@@ -281,7 +282,7 @@ def test_criterion_09_dmp_convergence(bench):
     demo = PoseTrajectory(t, np.stack([2 * prof, prof], axis=-1), np.zeros((400, 1)),
                           smoothed=False)
     model = fit_lwr(demo)
-    line = rollout(model, dt=0.005)
+    line = rollout(model)
     rx = np.interp(line.times, t, demo.positions[:, 0])
     ry = np.interp(line.times, t, demo.positions[:, 1])
     rms = float(np.sqrt(np.mean((line.positions[:, 0] - rx) ** 2

@@ -236,6 +236,8 @@ RETIRED_PARAMS = ("params.h", "params.dt", "params.n_samples")
     ({"h": None}, "params.h"), ({"h": 0}, "params.h"), ({"h": 0.01}, "params.h"),
     ([1], "params"), ({"dmp_basis": 101}, "params.dmp_basis"),
     ({"dmp_basis": 150}, "params.dmp_basis"), ({"dmp_basis": 20000}, "params.dmp_basis"),
+    # keys are checked in file order
+    ({"h": 1, "dmp_basis": 101}, "params.h"), ({"dmp_basis": 101, "h": 1}, "params.dmp_basis"),
 ])
 def test_plan_invalid_params_exit_2(tmp_path, capsys, params, where):
     path = _narrow2d_with(tmp_path, params)
@@ -254,6 +256,20 @@ def test_plan_invalid_params_exit_2(tmp_path, capsys, params, where):
 def test_plan_boundary_params_plan(tmp_path, params):
     path = _narrow2d_with(tmp_path, params)
     assert main(["plan", "--scenario", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_dmp_basis_flag_plans_like_the_file_param(tmp_path):
+    # --dmp-basis 40 on a scene without params and params.dmp_basis 40 in
+    # the file write the same trajectory, and not the default basis's
+    csv = {}
+    for label, params, flags in (("flag", {}, ["--dmp-basis", "40"]),
+                                 ("file", {"dmp_basis": 40}, []),
+                                 ("default", {}, [])):
+        path = _narrow2d_with(tmp_path / label, params)
+        out = tmp_path / label / "o"
+        assert main(["plan", "--scenario", path, "--out", str(out)] + flags) == EXIT_OK
+        csv[label] = (out / "trajectory.csv").read_bytes()
+    assert csv["flag"] == csv["file"] != csv["default"]
 
 
 def test_plan_dt_beyond_a_tenth_of_the_duration_exits_2(tmp_path, capsys):

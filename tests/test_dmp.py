@@ -30,7 +30,7 @@ def straight_demo(n=400, duration=2.0):
 def test_interpolate_two_waypoints_is_linear():
     ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.3])),
             PoseWaypoint(np.array([2.0, 1.0]), np.array([0.3]))]
-    demo = interpolate_waypoints(ways, n_samples=100)
+    demo = interpolate_waypoints(ways)
     d = np.array([2.0, 1.0])
     # all samples on the segment
     p = demo.positions
@@ -49,18 +49,20 @@ def test_interpolate_collinear_waypoints_zero_curvature():
     ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0])),
             PoseWaypoint(np.array([1.0, 1.0]), np.array([0.0])),
             PoseWaypoint(np.array([2.0, 2.0]), np.array([0.0]))]
-    demo = interpolate_waypoints(ways, n_samples=200)
+    demo = interpolate_waypoints(ways)
     p = demo.positions
     cross = p[:, 0] - p[:, 1]
     assert np.max(np.abs(cross)) <= 1e-9
 
 
 def test_demonstration_samples_equal_time_steps():
+    # max(400, 100 per waypoint) samples, a repeated waypoint counted
     pts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 1.0]),
            np.array([3.0, 1.5])]
-    ways = [PoseWaypoint(p, np.array([0.2 * k])) for k, p in enumerate(pts)]
-    for n in (3, 50, 401):
-        demo = interpolate_waypoints(ways, n_samples=n)
+    for count, n in ((4, 400), (5, 500), (9, 900)):
+        ways = [PoseWaypoint(p, np.array([0.2 * k]))
+                for k, p in enumerate(pts[:1] * (count - 3) + pts[1:])]
+        demo = interpolate_waypoints(ways)
         assert np.isclose(demo.times[-1], 2.0 + np.hypot(2.0, 0.5), rtol=1e-15)
         assert np.array_equal(demo.times, np.linspace(0.0, demo.times[-1], n))
         assert np.array_equal(demo.positions[[0, -1]], [pts[0], pts[-1]])
@@ -69,14 +71,14 @@ def test_demonstration_samples_equal_time_steps():
 def test_interpolate_collapses_duplicates_and_errors():
     w = PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0]))
     with pytest.raises(ValueError):
-        interpolate_waypoints([w, w], n_samples=50)
+        interpolate_waypoints([w, w])
 
 
 def test_interpolate_hemisphere_alignment_3d():
     v = np.array([0.0, 0.0, 3.0])  # same rotation as -pi-side vector
     ways = [PoseWaypoint(np.array([0.0, 0.0, 0.0]), v),
             PoseWaypoint(np.array([1.0, 0.0, 0.0]), -v * (2 * np.pi - 3.0) / 3.0)]
-    demo = interpolate_waypoints(ways, n_samples=50)
+    demo = interpolate_waypoints(ways)
     steps = np.linalg.norm(np.diff(demo.orientations, axis=0), axis=1)
     assert steps.max() < 0.1  # no +-pi jump in the rotation channels
 
@@ -92,7 +94,7 @@ def test_basis_widths_overlap_at_half():
 def test_fit_straight_line_tracks_within_one_percent():
     demo = straight_demo()
     model = fit_lwr(demo, p=25)
-    traj = rollout(model, dt=demo.times[-1] / 400.0)
+    traj = rollout(model)
     ref = np.interp(traj.times, demo.times, demo.positions[:, 0])
     ref_y = np.interp(traj.times, demo.times, demo.positions[:, 1])
     err = np.sqrt(np.mean((traj.positions[:, 0] - ref) ** 2 +
@@ -106,9 +108,9 @@ def test_fit_self_consistency_known_weights():
     w0 = rng.normal(scale=20.0, size=(3, 15))
     goal = np.array([1.0, 2.0, 0.5])
     model0 = DMPModel(w0, 2.0, np.zeros(3), goal, 2, goal.copy())
-    traj0 = rollout(model0, dt=0.002)
+    traj0 = rollout(model0)
     model = fit_lwr(traj0, p=15)
-    traj = rollout(model, dt=0.002)
+    traj = rollout(model)
     rms = np.sqrt(np.mean((traj.positions - traj0.positions) ** 2))
     assert rms <= 1e-3
 
@@ -117,14 +119,14 @@ def test_constant_demo_stays_put():
     t = np.linspace(0.0, 1.0, 100)
     demo = PoseTrajectory(t, np.full((100, 2), 0.7), np.full((100, 1), 0.7), smoothed=False)
     model = fit_lwr(demo, p=10)
-    traj = rollout(model, dt=0.01)
+    traj = rollout(model)
     assert np.max(np.abs(traj.positions - 0.7)) <= 1e-6
 
 
 def test_zero_weights_monotone_no_overshoot():
     goal = np.array([1.0, -2.0, 0.5])
     model = DMPModel(np.zeros((3, 10)), 2.0, np.zeros(3), goal, 2, goal.copy())
-    traj = rollout(model, dt=0.002)
+    traj = rollout(model)
     y = np.hstack([traj.positions, traj.orientations])
     for ch, g in enumerate([1.0, -2.0, 0.5]):
         v = y[:, ch] * np.sign(g)
@@ -137,8 +139,8 @@ def test_zero_weights_goal_scaling_linear():
     g1 = np.array([1.0, 0.5, -0.3])
     m1 = DMPModel(np.zeros((3, 10)), 1.5, np.zeros(3), g1, 2, g1.copy())
     m2 = DMPModel(np.zeros((3, 10)), 1.5, np.zeros(3), 2.0 * g1, 2, 2.0 * g1)
-    t1 = rollout(m1, dt=0.003)
-    t2 = rollout(m2, dt=0.003)
+    t1 = rollout(m1)
+    t2 = rollout(m2)
     y1 = np.hstack([t1.positions, t1.orientations])
     y2 = np.hstack([t2.positions, t2.orientations])
     assert np.max(np.abs(y2 - 2.0 * y1)) <= 1e-9
@@ -147,7 +149,7 @@ def test_zero_weights_goal_scaling_linear():
 def test_rollout_endpoint_exactness():
     demo = straight_demo()
     model = fit_lwr(demo, p=25)
-    traj = rollout(model, dt=0.005)
+    traj = rollout(model)
     start = np.hstack([traj.positions[0], traj.orientations[0]])
     assert np.array_equal(start, model.u_start)
     end = np.hstack([traj.positions[-1], traj.orientations[-1]])
@@ -159,9 +161,9 @@ def test_rollout_rotations_stay_proper_3d():
     ways = [PoseWaypoint(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0])),
             PoseWaypoint(np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.2])),
             PoseWaypoint(np.array([2.0, 0.0, 0.5]), np.array([0.4, 0.0, 1.2]))]
-    demo = interpolate_waypoints(ways, n_samples=300)
+    demo = interpolate_waypoints(ways)
     model = fit_lwr(demo, p=20)
-    traj = rollout(model, dt=demo.times[-1] / 300.0)
+    traj = rollout(model)
     for v in traj.orientations[::10]:
         r = exp_so3(v)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-6)
@@ -172,10 +174,9 @@ def test_smoothness_no_new_jerk_spikes():
     ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0])),
             PoseWaypoint(np.array([1.0, 0.0]), np.array([np.pi / 2])),
             PoseWaypoint(np.array([1.0, 1.0]), np.array([np.pi / 2]))]
-    demo = interpolate_waypoints(ways, n_samples=400)
+    demo = interpolate_waypoints(ways)
     model = fit_lwr(demo, p=25)
-    dt = demo.times[-1] / 399.0
-    traj = rollout(model, dt=dt)
+    traj = rollout(model)
     acc_demo = np.max(np.abs(np.diff(demo.positions, 2, axis=0)))
     acc_dmp = np.max(np.abs(np.diff(traj.positions, 2, axis=0)))
     assert acc_dmp <= 3.0 * acc_demo
@@ -185,7 +186,7 @@ def test_validate_returns_clean_trajectory_unchanged():
     robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
     obstacles = [Superquadric.create([1.0], [0.05, 0.05], [5.0, 5.0])]
     demo = straight_demo()
-    traj = rollout(fit_lwr(demo), demo.times[-1] / 400.0)
+    traj = rollout(fit_lwr(demo))
     out, report = validate_and_finalize(traj, demo, robot, obstacles)
     assert out is traj and not report.fallback
 
@@ -216,23 +217,17 @@ def test_validate_raw_collision_is_hard_error():
 # ------------------------------------------------- rollout reference
 
 
-def grid_steps(tau, dt):
-    """Steps per duration of the rollout's grid: the least n with tau / n <= dt,
-    up to a relative 1e-9."""
-    return int(np.ceil(tau / dt * (1.0 - 1e-9)))
-
-
 def model_of_ends(weights, duration, start, goal, dim):
     """A DMPModel with the standard forcing scale, goal - start."""
     return DMPModel(weights, duration, start, goal, dim, goal - start)
 
 
-def two_loop_rollout(model, dt):
+def two_loop_rollout(model):
     """Reference rollout: the forcing term evaluated inside deriv at every RK4
-    stage, one loop over the n equal steps up to the duration and a second
-    settle loop after it, on the same steps up to 2 tau."""
+    stage, one loop over the n = ROLLOUT_STEPS equal steps up to the duration
+    and a second settle loop after it, on the same steps up to 2 tau."""
     tau = model.duration
-    n = grid_steps(tau, dt)
+    n = dmp.ROLLOUT_STEPS
     times = tau * (np.arange(2 * n + 1) / n)
     h = tau / n
     k = model.u_start.shape[0]
@@ -272,51 +267,25 @@ def test_rollout_matches_two_loop_reference():
     rng = np.random.default_rng(0)
     for trial in range(8):
         k = 3 if trial % 2 else 6
-        model = model_of_ends(rng.normal(scale=[50.0, 300.0][trial % 2], size=(k, 15)),
+        # at 50, two of the 6-channel models settle at the duration on the
+        # planner's grid and skip the settle loop
+        model = model_of_ends(rng.normal(scale=[150.0, 300.0][trial % 2], size=(k, 15)),
                               float(rng.uniform(0.5, 3.0)), rng.normal(size=k),
                               rng.normal(size=k), 2 if k == 3 else 3)
-        dt = model.duration / int(rng.integers(20, 400))
-        times, samples = two_loop_rollout(model, dt)
-        traj = rollout(model, dt)
+        times, samples = two_loop_rollout(model)
+        traj = rollout(model)
         assert len(traj.times) == len(times)
         assert np.array_equal(traj.times, times)
         got = np.hstack([traj.positions, traj.orientations])
         assert np.max(np.abs(got - samples)) <= 1e-12
         # the state had not settled at the duration, and settled before 2x
-        assert model.duration + 1e-12 < times[-1] < 2.0 * model.duration - dt
+        assert model.duration + 1e-12 < times[-1] < 2.0 * model.duration - model.duration / 400.0
 
 
-def test_rollout_uneven_dt_matches_two_loop_reference():
-    # dt = 0.03 does not divide the duration: 34 equal steps of 1 / 34 per
-    # duration; a zero start-goal span never settles, so the settle phase
-    # runs on the same steps to exactly 2x the duration
-    rng = np.random.default_rng(3)
-    start = rng.normal(size=3)
-    model = DMPModel(rng.normal(scale=50.0, size=(3, 15)), 1.0,
-                     start, start.copy(), 2, forcing_scale=np.ones(3))
-    dt = 0.03
-    times, samples = two_loop_rollout(model, dt)
-    traj = rollout(model, dt)
-    assert np.array_equal(traj.times, times)
-    got = np.hstack([traj.positions, traj.orientations])
-    assert np.max(np.abs(got - samples)) <= 1e-12
-    steps = np.diff(traj.times)
-    assert len(steps) == 68 and np.allclose(steps, 1.0 / 34.0, rtol=1e-12, atol=0.0)
-    assert traj.times[34] == model.duration and traj.times[-1] == 2.0 * model.duration
-    # without forcing the state has settled at the duration: no settle step
-    model.weights[:] = 0.0
-    model.u_goal = start + 1.0
-    times, samples = two_loop_rollout(model, dt)
-    traj = rollout(model, dt)
-    assert np.array_equal(traj.times, times) and traj.times[-1] == model.duration
-    got = np.hstack([traj.positions, traj.orientations])
-    assert np.max(np.abs(got - samples)) <= 1e-12
-
-
-def assert_matches_two_loop_reference(model, dt):
+def assert_matches_two_loop_reference(model):
     """Same time grid as the reference, values within 1e-12; returns its length."""
-    times, samples = two_loop_rollout(model, dt)
-    traj = rollout(model, dt)
+    times, samples = two_loop_rollout(model)
+    traj = rollout(model)
     assert len(traj.times) == len(times)
     assert np.array_equal(traj.times, times)
     got = np.hstack([traj.positions, traj.orientations])
@@ -327,16 +296,15 @@ def assert_matches_two_loop_reference(model, dt):
 @pytest.mark.parametrize("name", ["pillars3d", "narrow2d"])
 def test_rollout_matches_two_loop_reference_on_plan_models(name, monkeypatch):
     # models fitted from the scene's reference plan and from a seeded stream
-    # of start/goal queries, at the planner's dt = duration / 400, which
-    # takes 400 steps per duration whatever the rounding of duration / dt
+    # of start/goal queries
     _, _, _, box_a, box_b = STREAMS[{"pillars3d": "pillars", "narrow2d": "narrow-wall"}[name]]
     scn = generate_benchmark(name, 0)
     pre = pipeline.precompute(scn)
     models = []
 
-    def capture(model, dt):
-        models.append((model, dt))
-        return rollout(model, dt)
+    def capture(model):
+        models.append(model)
+        return rollout(model)
 
     monkeypatch.setattr(pipeline, "rollout", capture)
     assert pipeline.plan(scn, pre).success
@@ -347,17 +315,15 @@ def test_rollout_matches_two_loop_reference_on_plan_models(name, monkeypatch):
         scn.goal = RigidPose.create(clear_point(rng, scn, *map(np.asarray, b)))
         assert pipeline.plan(scn, pre).success
     assert len(models) == 5
-    for model, dt in models:
-        assert dt == model.duration / 400.0
-        assert 401 <= assert_matches_two_loop_reference(model, dt) <= 801
-        assert rollout(model, dt).times[400] == model.duration
+    for model in models:
+        assert 401 <= assert_matches_two_loop_reference(model) <= 801
+        assert rollout(model).times[400] == model.duration
 
 
 def test_rollout_block_edges_match_two_loop_reference():
     rng = np.random.default_rng(8)
-    # dt = duration / 10, the largest allowed: the main phase is 10 steps,
-    # shorter than one block; models that settle at the duration, a few
-    # steps later, or never (a zero start-goal span)
+    # models that settle at the duration, some steps later, or never (a zero
+    # start-goal span)
     lengths = set()
     for trial, scale in enumerate([0.0, 50.0, 300.0] * 2 + [50.0]):
         start = rng.normal(size=3)
@@ -365,14 +331,13 @@ def test_rollout_block_edges_match_two_loop_reference():
         model = DMPModel(rng.normal(scale=scale, size=(3, 15)),
                          float(rng.uniform(0.5, 3.0)), start, goal, 2,
                          forcing_scale=np.ones(3))
-        lengths.add(assert_matches_two_loop_reference(model, model.duration / 10.0))
-    assert min(lengths) == 11 and max(lengths) == 21 and len(lengths) > 3
+        lengths.add(assert_matches_two_loop_reference(model))
+    assert min(lengths) == 401 and max(lengths) == 801 and len(lengths) > 3
     # forcing scaled until the state first settles on the first, and on the
     # last, step of a block of the block scan: the block from step i holds
     # the states after steps i + 1 .. i + BLOCK
     weights = rng.normal(size=(6, 15))
     start, goal = rng.normal(size=6), rng.normal(size=6)
-    dt = 1.0 / 400.0
 
     def model_of(scale):
         return model_of_ends(weights * scale, 1.0, start, goal, 3)
@@ -383,7 +348,7 @@ def test_rollout_block_edges_match_two_loop_reference():
         lo, hi = 0.0, 10.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if len(rollout(model_of(10.0 ** mid), dt).times) - 1 < index:
+            if len(rollout(model_of(10.0 ** mid)).times) - 1 < index:
                 lo = mid
             else:
                 hi = mid
@@ -394,9 +359,9 @@ def test_rollout_block_edges_match_two_loop_reference():
     for settled in (first, last):
         # midway between the onsets, no state sits at the tolerance itself
         model = model_of(10.0 ** (0.5 * (onset(settled) + onset(settled + 1))))
-        assert assert_matches_two_loop_reference(model, dt) == settled + 1
-        steps = np.diff(rollout(model, dt).times)
-        assert np.all(np.abs(steps - dt) <= 1e-9 * dt)
+        assert assert_matches_two_loop_reference(model) == settled + 1
+        steps = np.diff(rollout(model).times)
+        assert np.all(np.abs(steps - 1.0 / 400.0) <= 1e-9 / 400.0)
 
 
 def test_rk4_maps_reproduce_one_explicit_step():
@@ -646,13 +611,13 @@ def bench_stream(stream):
 # --------------------------------------------------- cached rollout response
 
 
-def block_scan_rollout(model, dt):
-    """Reference rollout: the forcing term over the whole uniform grid up to
-    2 tau, then the linear step map scanned BLOCK steps at a time from the
-    start, stopping after the first block that holds a settled state at or
-    after the duration."""
+def block_scan_rollout(model):
+    """Reference rollout: the forcing term over the whole uniform grid of
+    ROLLOUT_STEPS steps per duration up to 2 tau, then the linear step map
+    scanned BLOCK steps at a time from the start, stopping after the first
+    block that holds a settled state at or after the duration."""
     tau = model.duration
-    n = grid_steps(tau, dt)
+    n = dmp.ROLLOUT_STEPS
     times = tau * (np.arange(2 * n + 1) / n)
     h = tau / n
     centers, widths = _basis(model.weights.shape[1])
@@ -694,10 +659,10 @@ def block_scan_rollout(model, dt):
     return times[:m], out[:m]
 
 
-def assert_matches_block_scan(model, dt):
+def assert_matches_block_scan(model):
     """Same time grid as the block scan, values within 1e-12; returns its length."""
-    times, samples = block_scan_rollout(model, dt)
-    traj = rollout(model, dt)
+    times, samples = block_scan_rollout(model)
+    traj = rollout(model)
     assert np.array_equal(traj.times, times)
     got = np.hstack([traj.positions, traj.orientations])
     assert np.max(np.abs(got - samples)) <= 1e-12
@@ -715,15 +680,15 @@ def trajectory_bytes(traj):
 
 @pytest.mark.parametrize("name", ["pillars3d", "narrow2d"])
 def test_rollout_matches_block_scan_on_plan_models(name, monkeypatch):
-    # the reference plan's model and a seeded stream's, at dt = duration / 400
+    # the reference plan's model and a seeded stream's
     _, _, _, box_a, box_b = STREAMS[{"pillars3d": "pillars", "narrow2d": "narrow-wall"}[name]]
     scn = generate_benchmark(name, 0)
     pre = pipeline.precompute(scn)
     models = []
 
-    def capture(model, dt):
-        models.append((model, dt))
-        return rollout(model, dt)
+    def capture(model):
+        models.append(model)
+        return rollout(model)
 
     monkeypatch.setattr(pipeline, "rollout", capture)
     assert pipeline.plan(scn, pre).success
@@ -734,63 +699,61 @@ def test_rollout_matches_block_scan_on_plan_models(name, monkeypatch):
         scn.goal = RigidPose.create(clear_point(rng, scn, *map(np.asarray, b)))
         assert pipeline.plan(scn, pre).success
     assert len(models) == 5
-    for model, dt in models:
-        assert_matches_block_scan(model, dt)
-        assert_matches_two_loop_reference(model, dt)
+    for model in models:
+        assert_matches_block_scan(model)
+        assert_matches_two_loop_reference(model)
 
 
 def test_rollout_is_bitwise_equal_with_cold_warm_and_shared_cache():
     rng = np.random.default_rng(21)
     model = random_model(rng, 25, 6, 1.7, scale=300.0)
-    dt = model.duration / 400.0
     dmp._response.cache_clear()
-    cold = trajectory_bytes(rollout(model, dt))
+    cold = trajectory_bytes(rollout(model))
     assert dmp._response.cache_info().misses == 1
-    warm = trajectory_bytes(rollout(model, dt))
+    warm = trajectory_bytes(rollout(model))
     assert dmp._response.cache_info().hits == 1
-    # other step counts and basis counts fill (and overflow) the cache
+    # other durations share the entry; other basis counts fill (and
+    # overflow) the cache
     dmp._response.cache_clear()
-    for p, steps in [(25, 300), (15, 400), (10, 57), (25, 123), (20, 400), (25, 77)]:
+    for p in [25, 15, 10, 25, 20, 30, 40, 12]:
         other = random_model(rng, p, 3, float(rng.uniform(0.5, 3.0)))
-        rollout(other, other.duration / steps)
+        rollout(other)
     assert dmp._response.cache_info().currsize == dmp.RESPONSES
-    shared = trajectory_bytes(rollout(model, dt))
+    assert dmp._response.cache_info().misses == 7
+    shared = trajectory_bytes(rollout(model))
     assert cold == warm == shared
 
 
 def test_response_arrays_are_read_only_and_cache_is_bounded():
     rng = np.random.default_rng(22)
     dmp._response.cache_clear()
-    for steps in range(40, 40 + 3 * dmp.RESPONSES):
-        model = random_model(rng, 12, 3, 1.0)
-        rollout(model, model.duration / steps)
+    for p in range(2, 2 + 3 * dmp.RESPONSES):
+        rollout(random_model(rng, p, 3, 1.0))
         assert dmp._response.cache_info().currsize <= dmp.RESPONSES
-    key = (40, 12)
-    rows = dmp._response(*key)
-    # y rows on the grid k / 40 up to 2: a unit start, a unit goal and each
+    rows = dmp._response(12)
+    # y rows on the grid k / 400 up to 2: a unit start, a unit goal and each
     # forcing column
-    assert rows.shape == (81, 14)
+    assert rows.shape == (801, 14)
     assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 2.0
-    assert dmp._response(*key) is rows
-    # a rollout of 40 steps per duration reads this entry
+    assert dmp._response(12) is rows
+    # a rollout of 12 basis functions reads this entry, whatever its duration
     hits = dmp._response.cache_info().hits
-    rollout(random_model(rng, 12, 3, 2.5), 2.5 / 40.0)
+    rollout(random_model(rng, 12, 3, 2.5))
     assert dmp._response.cache_info().hits == hits + 1
     # without forcing, a unit start and a unit goal sum to a state at rest
     assert np.allclose(rows[:, 0] + rows[:, 1], 1.0, rtol=0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("n", [10, 400, 4000])
-def test_response_is_finite_up_to_the_largest_basis(n):
+def test_response_is_finite_up_to_the_largest_basis():
     # the settle tail runs the phase to exp(-2 ALPHA_X), where the basis
     # sum underflows from 141 functions on; MAX_BASIS keeps well below
     dmp._response.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rows = dmp._response(n, dmp.MAX_BASIS)
-    assert rows.shape == (2 * n + 1, dmp.MAX_BASIS + 2)
+        rows = dmp._response(dmp.MAX_BASIS)
+    assert rows.shape == (2 * dmp.ROLLOUT_STEPS + 1, dmp.MAX_BASIS + 2)
     assert np.all(np.isfinite(rows))
     dmp._response.cache_clear()
 
@@ -803,25 +766,25 @@ def test_fit_rejects_more_than_the_largest_basis():
     for p in (dmp.MAX_BASIS + 1, 150):
         with pytest.raises(ValueError, match="basis functions"):
             fit_lwr(demo, p)
-    traj = rollout(fit_lwr(demo, dmp.MAX_BASIS), demo.times[-1] / 400.0)
+    traj = rollout(fit_lwr(demo, dmp.MAX_BASIS))
     assert all(np.all(np.isfinite(a)) for a in (traj.times, traj.positions, traj.orientations))
     assert np.linalg.norm(traj.positions[-1] - demo.positions[-1]) <= 1e-3
     scn = generate_benchmark("narrow2d")
-    scn.params["dmp_basis"] = 150
+    scn.dmp_basis = 150
     with pytest.raises(ValueError, match="basis functions"):
         pipeline.plan(scn)
 
 
 @pytest.mark.parametrize("stream", ["pillars", "narrow-wall"])
 def test_query_streams_create_at_most_two_responses(stream, monkeypatch):
-    # perfbench's scene and query sampler (seed 1001): dt = duration / 400
-    # takes 400 steps per duration on every query, so the stream shares one
+    # perfbench's scene and query sampler (seed 1001): every query takes 400
+    # steps per duration and the default basis, so the stream shares one
     # response
     pre, sampler = bench_stream(stream)
     ends = []
 
-    def capture(model, dt):
-        traj = rollout(model, dt)
+    def capture(model):
+        traj = rollout(model)
         ends.append(traj.times[400] == model.duration)
         return traj
 
@@ -835,30 +798,19 @@ def test_query_streams_create_at_most_two_responses(stream, monkeypatch):
 
 def test_default_dt_takes_400_equal_steps():
     # a zero start-goal span never settles, so the rollout runs to 2 tau: 800
-    # steps at dt = tau / 400, whatever the rounding of tau / dt, and 401
-    # steps per duration once dt is a relative 2e-9 smaller
+    # equal steps of tau / 400, whatever tau is
     rng = np.random.default_rng(23)
     start = rng.normal(size=6)
     model = DMPModel(rng.normal(scale=50.0, size=(6, 25)), 1.0,
                      start, start.copy(), 3, forcing_scale=np.ones(6))
     for tau in np.concatenate([[26.59995192128542], 10.0 ** rng.uniform(-3.0, 3.0, 200)]):
         model.duration = float(tau)
-        dt = tau / 400.0
-        traj = rollout(model, dt)
+        traj = rollout(model)
         assert len(traj.times) == 801
         assert traj.times[400] == tau and traj.times[-1] == 2.0 * tau
-        assert np.max(np.diff(traj.times)) <= dt * (1.0 + 1e-9)
-        assert len(rollout(model, dt * (1.0 - 2e-9)).times) == 803
-    length = assert_matches_block_scan(model, model.duration / 400.0)
-    assert assert_matches_two_loop_reference(model, model.duration / 400.0) == length == 801
-
-
-def test_long_grid_matches_two_loop_reference():
-    # dt = tau / 4000: a response of 8000 steps, ten times the planner's
-    rng = np.random.default_rng(24)
-    for _ in range(3):
-        model = random_model(rng, 25, 6, float(rng.uniform(0.5, 3.0)), scale=300.0)
-        assert assert_matches_two_loop_reference(model, model.duration / 4000.0) > 4001
+        assert np.allclose(np.diff(traj.times), tau / 400.0, rtol=1e-12, atol=0.0)
+    length = assert_matches_block_scan(model)
+    assert assert_matches_two_loop_reference(model) == length == 801
 
 
 def test_rollout_is_stable_under_one_ulp_waypoint_changes(monkeypatch):
@@ -873,17 +825,16 @@ def test_rollout_is_stable_under_one_ulp_waypoint_changes(monkeypatch):
         sampler.next()
     captured = []
 
-    def capture(waypoints, n_samples):
-        captured.append((waypoints, n_samples))
-        return interpolate_waypoints(waypoints, n_samples=n_samples)
+    def capture(waypoints):
+        captured.append(waypoints)
+        return interpolate_waypoints(waypoints)
 
     monkeypatch.setattr(pipeline, "interpolate_waypoints", capture)
     assert pipeline.plan(scenario_from_dict(sampler.next()), pre).success
-    (waypoints, n_samples), = captured
+    waypoints, = captured
 
     def positions(ways):
-        demo = interpolate_waypoints(ways, n_samples=n_samples)
-        return rollout(fit_lwr(demo), demo.times[-1] / 400.0).positions
+        return rollout(fit_lwr(interpolate_waypoints(ways))).positions
 
     base = positions(waypoints)
     rng = np.random.default_rng(0)
@@ -897,15 +848,12 @@ def test_rollout_is_stable_under_one_ulp_waypoint_changes(monkeypatch):
 
 
 def test_min_samples_is_the_least_that_plans_two_waypoints():
-    ways = [PoseWaypoint(np.array([0.1, 0.1]), np.zeros(1)),
-            PoseWaypoint(np.array([0.4, 0.3]), np.zeros(1))]
+    # a straight demonstration between two waypoints, of the fewest samples
     for n in range(dmp.MIN_SAMPLES, dmp.MIN_SAMPLES + 3):
-        demo = interpolate_waypoints(ways, n_samples=n)
-        assert len(demo.times) == n
-        traj = rollout(fit_lwr(demo), demo.times[-1] / 400.0)
-        assert np.linalg.norm(traj.positions[-1] - [0.4, 0.3]) <= 1e-3
+        traj = rollout(fit_lwr(straight_demo(n)))
+        assert np.linalg.norm(traj.positions[-1] - [2.0, 1.0]) <= 1e-3
     with pytest.raises(ValueError):
-        fit_lwr(interpolate_waypoints(ways, n_samples=dmp.MIN_SAMPLES - 1))
+        fit_lwr(straight_demo(dmp.MIN_SAMPLES - 1))
 
 
 # ------------------------------------------------------------ cached LWR map
@@ -920,8 +868,7 @@ def assert_fit_matches_reference(demo, p):
     for field in ("u_start", "u_goal", "forcing_scale"):
         assert np.array_equal(getattr(got, field), getattr(ref, field))
     assert got.duration == ref.duration and got.dim == ref.dim
-    dt = demo.times[-1] / 400.0
-    assert len(rollout(got, dt).times) == len(rollout(ref, dt).times)
+    assert len(rollout(got).times) == len(rollout(ref).times)
 
 
 def profile_demo(n, offset=0.0, duration=2.0):
@@ -986,7 +933,7 @@ def test_fit_rejects_unequally_spaced_times():
         with pytest.raises(ValueError, match="equally spaced"):
             fit_lwr(PoseTrajectory(times, demo.positions, demo.orientations, smoothed=False))
     # the rollout's grid and a linspace grid are accepted
-    fit_lwr(rollout(fit_lwr(demo), demo.times[-1] / 37.0))
+    fit_lwr(rollout(fit_lwr(demo)))
 
 
 def test_lwr_maps_are_read_only_and_cache_is_bounded():

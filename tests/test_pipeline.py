@@ -1,10 +1,15 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from oracles import load_bench_scenes
+from sqplan import roadmap
 from sqplan.geometry import Superquadric, inside_outside
-from sqplan.pipeline import NO_FEASIBLE_PASSAGE, default_bridging_distance, \
-    plan, precompute
+from sqplan.pipeline import NO_FEASIBLE_PASSAGE, plan, precompute
+from sqplan.roadmap import MERGE_TOL
 from sqplan.scenario import (BENCHMARK_NAMES, Scenario, compute_metrics, generate_benchmark,
                              scenario_from_dict)
 from sqplan.geometry import RigidPose
@@ -79,10 +84,23 @@ def test_all_benchmarks_succeed():
         assert result.trajectory.arc_length() > 0.0
 
 
-def test_default_bridging_distance_scales_with_world():
-    scn = generate_benchmark("narrow2d")
-    assert np.isclose(default_bridging_distance(scn),
-                      0.02 * scn.world_diagonal)
+def test_default_bridging_distance_scales_with_world(monkeypatch):
+    # the roadmap merges cell vertices within MERGE_TOL and bridges node
+    # pairs within 2% of the world diagonal: 0.014 m on the 0.5 m square,
+    # 0.42 m in the 12 m cube
+    radii = []
+
+    class Tree(cKDTree):
+        def query_pairs(self, r, *args, **kwargs):
+            radii.append(r)
+            return super().query_pairs(r, *args, **kwargs)
+
+    monkeypatch.setattr(roadmap, "cKDTree", Tree)
+    for name in ("narrow2d", "pillars3d"):
+        scn = generate_benchmark(name)
+        radii.clear()
+        precompute(scn)
+        assert radii == [MERGE_TOL, 0.02 * scn.world_diagonal], name
 
 
 def test_trajectory_endpoints_match_terminals():
@@ -210,3 +228,20 @@ def test_the_fallback_is_recorded_once(scene):
         assert report.fallback == fallback
         fallbacks += fallback
     assert fallbacks > 0
+
+
+def test_every_perfbench_patch_point_resolves(monkeypatch):
+    # perfbench's traced run wraps sqplan functions where each module looks
+    # them up, some through imports the module itself does not use (the
+    # re-exports marked noqa: F401); a name renamed or dropped fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("spans").Tracer()
+    try:
+        workloads.install_tracing(tracer)
+        patched = list(tracer._patched)
+        assert len(patched) == 26
+        assert all(getattr(module, attr) is not original for module, attr, original in patched)
+    finally:
+        tracer.unpatch()
+    assert all(getattr(module, attr) is original for module, attr, original in patched)

@@ -40,7 +40,7 @@ def small_diagram():
 
 def test_graph_nodes_on_cell_vertices_and_weights():
     diagram = small_diagram()
-    graph = build_graph(diagram, h=0.2)
+    graph = build_graph(diagram)
     assert len(graph.nodes) > 0
     for e in graph.live_edges():
         w = np.linalg.norm(graph.nodes[e.u] - graph.nodes[e.v])
@@ -53,7 +53,7 @@ def test_graph_nodes_on_cell_vertices_and_weights():
 
 def test_shared_cell_boundary_vertices_are_merged():
     diagram = small_diagram()
-    graph = build_graph(diagram, h=0.0)
+    graph = build_graph(diagram)
     pts = np.array(graph.nodes)
     d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
     np.fill_diagonal(d, np.inf)
@@ -62,7 +62,7 @@ def test_shared_cell_boundary_vertices_are_merged():
 
 def test_edges_avoid_expanded_obstacles():
     diagram = small_diagram()
-    graph = build_graph(diagram, h=0.5)
+    graph = build_graph(diagram)
     for e in graph.live_edges():
         a, b = graph.nodes[e.u], graph.nodes[e.v]
         ts = np.linspace(0.0, 1.0, 16)[1:-1]
@@ -138,10 +138,12 @@ def test_bridging_connects_near_vertices():
                               (0.6, [5.0, 7.5]))]
     robot = Superquadric.create([1.0], [0.1, 0.1], [0.0, 0.0])
     diagram = build_diagram(robot, obstacles, [0.0, 0.0], [10.0, 10.0])
-    sparse = build_graph(diagram, h=0.0)
-    bridged = build_graph(diagram, h=2.0)
-    assert len(bridged.live_edges()) >= len(sparse.live_edges())
-    assert any(e.kind == "bridge" for e in bridged.live_edges())
+    sparse = reference_build_graph(diagram, 0.0)
+    bridged = build_graph(diagram)
+    assert len(bridged.live_edges()) > len(sparse.live_edges())
+    bridges = [e for e in bridged.live_edges() if e.kind == "bridge"]
+    # node pairs within 2% of the world diagonal, 0.28 m here
+    assert bridges and all(e.weight < 0.02 * np.hypot(10.0, 10.0) for e in bridges)
 
 
 def test_project_terminal_skips_stub_edges():
@@ -278,15 +280,12 @@ def test_build_graph_matches_the_per_edge_build_and_makes_two_calls(monkeypatch)
     bridged = 0
     for name, scn in twelve_scenes().items():
         diagram = build_diagram(scn.robot, scn.obstacles, scn.world_lo, scn.world_hi)
-        h = pipeline.default_bridging_distance(scn)
         calls.clear()
-        graph = build_graph(diagram, h)
-        assert graph_bytes(graph) == graph_bytes(reference_build_graph(diagram, h)), name
+        graph = build_graph(diagram)
+        reference = reference_build_graph(diagram, 0.02 * scn.world_diagonal)
+        assert graph_bytes(graph) == graph_bytes(reference), name
         assert len(calls) == 2 and sum(calls) == graph.segments_decided, name
         bridged += graph.bridges_added > 0
-        calls.clear()
-        build_graph(diagram, 0.0)
-        assert len(calls) == 1, name
     assert bridged >= 2
 
 

@@ -39,7 +39,7 @@ def test_minimal_scenario_gets_defaults():
     scn = scenario_from_dict(minimal_dict())
     assert scn.dim == 2
     # the basis size is the one parameter; the planner derives the rest
-    assert scn.params == {"dmp_basis": 25}
+    assert scn.dmp_basis == 25
 
 
 def test_load_error_names_obstacle_index():
@@ -81,6 +81,16 @@ def test_load_error_unknown_param_and_version():
     data["version"] = 99
     with pytest.raises(ScenarioError, match="version"):
         scenario_from_dict(data)
+
+
+def test_dmp_basis_survives_save_and_load(tmp_path):
+    scn = generate_benchmark("narrow2d")
+    scn.dmp_basis = 40
+    path = str(tmp_path / "a.json")
+    save_scenario(scn, path)
+    with open(path) as fh:
+        assert json.load(fh)["params"] == {"dmp_basis": 40}
+    assert load_scenario(path).dmp_basis == 40
 
 
 def test_scenario_roundtrip_byte_identical(tmp_path):
