@@ -20,14 +20,17 @@ def signed_pow(x, e):
     return np.sign(x) * np.abs(x) ** e
 
 
-@dataclass
+@dataclass(frozen=True)
 class RigidPose:
-    """Rigid transform: translation plus a planar angle (2D) or rotation vector (3D)."""
+    """Rigid transform: translation plus a planar angle (2D) or rotation vector
+    (3D), with its rotation matrix, built once and shared read-only."""
 
     position: np.ndarray
     rotation: np.ndarray  # shape (1,) angle for 2D, (3,) rotation vector for 3D
-    _matrix: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    matrix: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
 
     @staticmethod
     def create(position, rotation=None) -> "RigidPose":
@@ -42,34 +45,25 @@ class RigidPose:
             if r.shape != (1,):
                 raise ValueError("2D rotation must be a single angle")
             r = np.array([wrap_angle(r[0])])
-        else:
-            if r.shape != (3,):
-                raise ValueError("3D rotation must be a rotation vector")
-            r = canonical_rotvec(r)
-        return RigidPose(p, r)
+            return RigidPose(p, r, rot2d(r[0]))
+        if r.shape != (3,):
+            raise ValueError("3D rotation must be a rotation vector")
+        r = canonical_rotvec(r)
+        return RigidPose(p, r, exp_so3(r))
 
     @property
     def dim(self) -> int:
         return self.position.shape[0]
 
-    def rotation_matrix(self) -> np.ndarray:
-        """The pose's rotation matrix, computed once per pose (poses are not
-        mutated after creation) and shared read-only by every caller."""
-        if self._matrix is None:
-            r = rot2d(self.rotation[0]) if self.dim == 2 else exp_so3(self.rotation)
-            r.setflags(write=False)
-            self._matrix = r
-        return self._matrix
-
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Local -> world. Accepts (..., dim) arrays."""
         pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation_matrix().T + self.position
+        return pts @ self.matrix.T + self.position
 
     def inverse_transform(self, points: np.ndarray) -> np.ndarray:
         """World -> local."""
         pts = np.asarray(points, dtype=float)
-        return (pts - self.position) @ self.rotation_matrix()
+        return (pts - self.position) @ self.matrix
 
 
 @dataclass
@@ -131,8 +125,8 @@ def _canonicalize_axes(a, e, pose):
         return a, pose
     if a.shape[0] == 2:
         theta = wrap_angle(pose.rotation[0] + np.pi / 2.0)
-        return a[order], _with_matrix(RigidPose(pose.position, np.array([theta])),
-                                      pose.rotation_matrix() @ [[0.0, -1.0], [1.0, 0.0]])
+        return a[order], RigidPose(pose.position, np.array([theta]),
+                                   pose.matrix @ [[0.0, -1.0], [1.0, 0.0]])
     # 3D: axis relabeling must be a proper rotation that preserves the shape.
     # The first two local axes share an exponent and may be swapped freely;
     # moving the third axis only preserves the shape when the exponents match.
@@ -146,14 +140,8 @@ def _canonicalize_axes(a, e, pose):
         m[old_i, new_i] = 1.0
     if np.linalg.det(m) < 0.0:
         m[:, 1] *= -1.0  # shapes are symmetric under axis negation
-    r_new = pose.rotation_matrix() @ m
-    return a[order], _with_matrix(RigidPose(pose.position, log_so3(r_new)), r_new)
-
-
-def _with_matrix(pose: RigidPose, matrix: np.ndarray) -> RigidPose:
-    matrix.setflags(write=False)
-    pose._matrix = matrix
-    return pose
+    r_new = pose.matrix @ m
+    return a[order], RigidPose(pose.position, log_so3(r_new), r_new)
 
 
 def inside_outside(sq: Superquadric, points) -> np.ndarray:
@@ -262,7 +250,7 @@ class ShapeArrays(NamedTuple):
 def stack_shapes(shapes: Sequence[Superquadric]) -> ShapeArrays:
     """Shapes of one dimension as arrays, one row per shape."""
     eps = np.array([s.eps for s in shapes])
-    return ShapeArrays(np.array([s.pose.rotation_matrix() for s in shapes]),
+    return ShapeArrays(np.array([s.pose.matrix for s in shapes]),
                        np.array([s.center for s in shapes]),
                        np.array([s.axes for s in shapes]), eps, dual_exponents(eps))
 

@@ -20,7 +20,8 @@ MESH_RES = 24  # rows and columns of an obstacle mesh in the OBJ export
 def _svg_path(points: np.ndarray, closed: bool) -> str:
     cmds = [f"{'M' if k == 0 else 'L'} {p[0]:.3f} {p[1]:.3f}"
             for k, p in enumerate(points)]
-    return " ".join(cmds) + (" Z" if closed else "")
+    d = " ".join(cmds) + (" Z" if closed else "")
+    return f'<path d="{d}"/>'
 
 
 class _Frame2D:
@@ -40,9 +41,9 @@ class _Frame2D:
         return out
 
 
-def scene_svg_2d(scenario: Scenario, result: PlanResult) -> str:
-    """Layered SVG: obstacles, expansion, cells, graph, raw and smooth paths."""
-    frame = _Frame2D(scenario.world_lo, scenario.world_hi)
+def _svg(frame: _Frame2D, groups) -> str:
+    """SVG document of the frame's size: a framed white ground, then one
+    <g> per (attributes, elements) group, in order."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{frame.width:.0f}" height="{frame.height:.0f}" '
@@ -50,87 +51,63 @@ def scene_svg_2d(scenario: Scenario, result: PlanResult) -> str:
         f'<rect width="{frame.width:.3f}" height="{frame.height:.3f}" '
         f'fill="white" stroke="black"/>',
     ]
-
-    parts.append('<g id="expanded-obstacles" fill="#dce6f2" stroke="none">')
-    for sq in result.diagram.expanded:
-        parts.append(f'<path d="{_svg_path(frame(surface_samples(sq, 128)), True)}"/>')
-    parts.append("</g>")
-
-    parts.append('<g id="obstacles" fill="#5b7aa0" stroke="black" '
-                 'stroke-width="1">')
-    for sq in scenario.obstacles:
-        parts.append(f'<path d="{_svg_path(frame(surface_samples(sq, 128)), True)}"/>')
-    parts.append("</g>")
-
-    parts.append('<g id="cells" stroke="#b08040" stroke-width="1" '
-                 'stroke-dasharray="6 4" fill="none">')
-    for cell in result.diagram.cells:
-        for u, v, _tags in cell.edges:
-            seg = frame(np.array([cell.vertices[u], cell.vertices[v]]))
-            parts.append(f'<path d="{_svg_path(seg, False)}"/>')
-    parts.append("</g>")
-
-    parts.append('<g id="graph" stroke="#70a070" stroke-width="1.5" '
-                 'fill="none">')
-    for edge in result.graph.live_edges():
-        seg = frame(np.array([result.graph.nodes[edge.u],
-                              result.graph.nodes[edge.v]]))
-        parts.append(f'<path d="{_svg_path(seg, False)}"/>')
-    parts.append("</g>")
-
-    raw = result.demonstration
-    if raw is not None:
-        parts.append('<g id="raw-path" stroke="#c04040" stroke-width="2" '
-                     'fill="none">')
-        parts.append(f'<path d="{_svg_path(frame(raw.positions), False)}"/>')
-        parts.append("</g>")
-    if result.trajectory is not None:
-        parts.append('<g id="smoothed-path" stroke="#2040c0" '
-                     'stroke-width="2" fill="none">')
-        parts.append(
-            f'<path d="{_svg_path(frame(result.trajectory.positions), False)}"/>')
-        parts.append("</g>")
-
-    parts.append('<g id="terminals" fill="black">')
-    for p, r in ((scenario.start.position, 5), (scenario.goal.position, 5)):
-        c = frame(p)[0]
-        parts.append(f'<circle cx="{c[0]:.3f}" cy="{c[1]:.3f}" r="{r}"/>')
-    parts.append("</g>")
+    for attributes, elements in groups:
+        parts += [f"<g {attributes}>", *elements, "</g>"]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _graph_paths(frame: _Frame2D, result: PlanResult) -> list[str]:
+    """The live roadmap edges, projected onto the frame's first two axes."""
+    nodes = result.graph.nodes
+    return [_svg_path(frame(np.array([nodes[e.u][:2], nodes[e.v][:2]])), False)
+            for e in result.graph.live_edges()]
+
+
+def scene_svg_2d(scenario: Scenario, result: PlanResult) -> str:
+    """Layered SVG: obstacles, expansion, cells, graph, raw and smooth paths."""
+    frame = _Frame2D(scenario.world_lo, scenario.world_hi)
+    groups = [
+        ('id="expanded-obstacles" fill="#dce6f2" stroke="none"',
+         [_svg_path(frame(surface_samples(sq, 128)), True)
+          for sq in result.diagram.expanded]),
+        ('id="obstacles" fill="#5b7aa0" stroke="black" stroke-width="1"',
+         [_svg_path(frame(surface_samples(sq, 128)), True)
+          for sq in scenario.obstacles]),
+        ('id="cells" stroke="#b08040" stroke-width="1" stroke-dasharray="6 4" '
+         'fill="none"',
+         [_svg_path(frame(np.array([cell.vertices[u], cell.vertices[v]])), False)
+          for cell in result.diagram.cells for u, v, _tags in cell.edges]),
+        ('id="graph" stroke="#70a070" stroke-width="1.5" fill="none"',
+         _graph_paths(frame, result)),
+    ]
+    if result.demonstration is not None:
+        groups.append(('id="raw-path" stroke="#c04040" stroke-width="2" fill="none"',
+                       [_svg_path(frame(result.demonstration.positions), False)]))
+    if result.trajectory is not None:
+        groups.append(('id="smoothed-path" stroke="#2040c0" stroke-width="2" fill="none"',
+                       [_svg_path(frame(result.trajectory.positions), False)]))
+    circles = [f'<circle cx="{c[0]:.3f}" cy="{c[1]:.3f}" r="5"/>'
+               for c in (frame(scenario.start.position)[0],
+                         frame(scenario.goal.position)[0])]
+    return _svg(frame, groups + [('id="terminals" fill="black"', circles)])
 
 
 def topdown_svg_3d(scenario: Scenario, result: PlanResult) -> str:
     """Orthographic top-down (x-y) projection of a 3D scene."""
     frame = _Frame2D(scenario.world_lo[:2], scenario.world_hi[:2])
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{frame.width:.0f}" height="{frame.height:.0f}" '
-        f'viewBox="0 0 {frame.width:.3f} {frame.height:.3f}">',
-        f'<rect width="{frame.width:.3f}" height="{frame.height:.3f}" '
-        f'fill="white" stroke="black"/>',
+    groups = [
+        ('id="obstacles" fill="#5b7aa0" fill-opacity="0.6" stroke="black" '
+         'stroke-width="1"',
+         [_svg_path(frame(_convex_hull_2d(surface_samples(sq, 24)[:, :2])), True)
+          for sq in scenario.obstacles]),
+        ('id="graph" stroke="#70a070" stroke-width="1" fill="none"',
+         _graph_paths(frame, result)),
     ]
-    parts.append('<g id="obstacles" fill="#5b7aa0" fill-opacity="0.6" '
-                 'stroke="black" stroke-width="1">')
-    for sq in scenario.obstacles:
-        pts = surface_samples(sq, 24)[:, :2]
-        hull = _convex_hull_2d(pts)
-        parts.append(f'<path d="{_svg_path(frame(hull), True)}"/>')
-    parts.append("</g>")
-    parts.append('<g id="graph" stroke="#70a070" stroke-width="1" fill="none">')
-    for edge in result.graph.live_edges():
-        seg = frame(np.array([result.graph.nodes[edge.u][:2],
-                              result.graph.nodes[edge.v][:2]]))
-        parts.append(f'<path d="{_svg_path(seg, False)}"/>')
-    parts.append("</g>")
     if result.trajectory is not None:
-        parts.append('<g id="smoothed-path" stroke="#2040c0" '
-                     'stroke-width="2" fill="none">')
-        parts.append(
-            f'<path d="{_svg_path(frame(result.trajectory.positions[:, :2]), False)}"/>')
-        parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        groups.append(('id="smoothed-path" stroke="#2040c0" stroke-width="2" fill="none"',
+                       [_svg_path(frame(result.trajectory.positions[:, :2]), False)]))
+    return _svg(frame, groups)
 
 
 def _convex_hull_2d(pts: np.ndarray) -> np.ndarray:

@@ -13,13 +13,11 @@ close, in the same support call, and stops on a certified gap between the
 best lower and upper bounds that either method has seen. Solves with a
 tolerance, a threshold or an upper bound are plain GJK. The result,
 `PairArrays`, is the one form in which every caller reads batched GJK;
-`closest_pairs` and `closest_pair` are its front ends for shape lists and
-for one pair.
+`closest_pair` is its front end for one pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -178,15 +176,6 @@ def _newton_normals(n, tangents, x):
     t = np.where(ok, num / np.where(ok, det, 1.0), 0.0)
     m = n + (t[..., None] * tangents).sum(axis=0)
     return m / np.sqrt(_dot(m, m))[:, None], ok
-
-
-def closest_pairs(shapes_i: Sequence[Superquadric],
-                  shapes_j: Sequence[Superquadric],
-                  threshold: float | None = None) -> PairArrays:
-    """Closest points between shapes_i[k] and shapes_j[k], for every k: the
-    full solve, or a threshold query, of `closest_pair_arrays` on their
-    pair stack (`geometry.stack_pairs`)."""
-    return closest_pair_arrays(stack_pairs(shapes_i, shapes_j), threshold=threshold)
 
 
 def closest_pair_arrays(pairs: ShapeArrays, tol: float = 0.0,
@@ -365,7 +354,8 @@ def closest_pair_arrays(pairs: ShapeArrays, tol: float = 0.0,
 
 def closest_pair(sq_i: Superquadric, sq_j: Superquadric) -> ClosestPair:
     """Closest points between two superquadrics; see `closest_pair_arrays`."""
-    p_i, p_j, distance, converged, iterations, *_ = closest_pairs([sq_i], [sq_j])
+    p_i, p_j, distance, converged, iterations, *_ = closest_pair_arrays(
+        stack_pairs([sq_i], [sq_j]))
     return ClosestPair(p_i[0], p_j[0], float(distance[0]), bool(converged[0]),
                        int(iterations[0]))
 

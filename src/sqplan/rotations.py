@@ -11,29 +11,14 @@ def rot2d(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix such that hat(v) @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def exp_so3(rotvec: np.ndarray) -> np.ndarray:
-    """Rotation matrix from a rotation vector (Rodrigues' formula)."""
-    v = np.asarray(rotvec, dtype=float)
-    theta = np.linalg.norm(v)
-    if theta < 1e-12:
-        k = hat(v)
-        return np.eye(3) + k + 0.5 * (k @ k)
-    k = hat(v / theta)
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    """Rotation matrix of one rotation vector, the one-row exp_so3_batch."""
+    return exp_so3_batch(np.asarray(rotvec, dtype=float)[None])[0]
 
 
 def exp_so3_batch(rotvecs: np.ndarray) -> np.ndarray:
-    """Rotation matrices of an (N, 3) stack of rotation vectors, (N, 3, 3).
-
-    Array form of exp_so3 with the same arithmetic, so each matrix equals
-    exp_so3 of its vector; exp_so3 stays the fast path for one vector.
-    """
+    """Rotation matrices of an (N, 3) stack of rotation vectors, (N, 3, 3),
+    by Rodrigues' formula."""
     v = np.asarray(rotvecs, dtype=float)
     # v.v as a matmul rounds like np.linalg.norm of a single vector
     theta = np.sqrt(v[:, None, :] @ v[:, :, None])

@@ -131,11 +131,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("top level: expected a JSON object")
     version = _need(data, "version", "top level")
-    if version != 1:
-        raise ScenarioError(f"version: unsupported value {version!r} (expected 1)")
+    if not (_integer(version) and version == 1):
+        raise ScenarioError(f"version: unsupported value {version!r} (expected the integer 1)")
     dim = _need(data, "dim", "top level")
-    if dim not in (2, 3):
-        raise ScenarioError(f"dim: must be 2 or 3, got {dim!r}")
+    if not (_integer(dim) and dim in (2, 3)):
+        raise ScenarioError(f"dim: must be the integer 2 or 3, got {dim!r}")
     world = _need(data, "world", "top level")
     lo = _vector(_need(world, "min", "world"), dim, "world.min")
     hi = _vector(_need(world, "max", "world"), dim, "world.max")

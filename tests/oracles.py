@@ -12,7 +12,8 @@ roadmap build that calls it once per candidate edge, in insertion order.
 `per_edge_project_terminal` projects a terminal with one point-segment
 distance per live edge. Both write a `DictGraph`, the mutable roadmap the
 read-only `RoadmapGraph` replaced: a projection tombstones the edge it splits.
-`pair_records` lists `closest_pairs`' arrays as one `PairRecord` per pair,
+`closest_pairs` is batched GJK on two lists of shapes, and `pair_records`
+lists its arrays as one `PairRecord` per pair,
 and `reference_diagram` is the precompute on those records, keyed (i, j) in
 dicts, before it worked on the arrays. `plain_closest_pair_arrays` is
 batched GJK without the Newton polish of full solves, as it was before it.
@@ -20,6 +21,9 @@ batched GJK without the Newton polish of full solves, as it was before it.
 cell's cluster and against the world box. `block_kernel` holds the maps of
 BLOCK steps of the rollout's linear RK4 step map, which a block scan applies
 as two matmuls per block.
+`hat` and `reference_exp_so3` are Rodrigues' formula on one rotation
+vector, as `rotations.exp_so3` computed it before it became the one-row
+case of `exp_so3_batch`.
 `load_bench_scenes` imports perfbench's scene definitions.
 """
 
@@ -41,10 +45,34 @@ from sqplan.polytope import GEOM_TOL
 from sqplan.poses import robot_pose_at, robot_rotations
 from sqplan.proximity import (_FACE_SIZE, _FACES, MAX_ITER, OVERLAP_TOL, REL_TOL,
                               TOUCH_TOL, ClosestPair, PairArrays, _combine, _dot,
-                              _nearest_face, closest_pairs, overlaps)
+                              _nearest_face, closest_pair_arrays, overlaps)
 from sqplan.roadmap import EDGE_SAMPLES, INSIDE_TOL, MERGE_TOL, _point_segment
 from sqplan.voronoi import (Cluster, ClusterInconsistencyError, Hyperplane, _UnionFind,
                             build_cell)
+
+
+def closest_pairs(shapes_i, shapes_j, threshold=None) -> PairArrays:
+    """Closest points between shapes_i[k] and shapes_j[k], for every k: the
+    full solve, or a threshold query, of `closest_pair_arrays` on their pair
+    stack."""
+    return closest_pair_arrays(stack_pairs(shapes_i, shapes_j), threshold=threshold)
+
+
+def hat(v: np.ndarray) -> np.ndarray:
+    """Skew-symmetric matrix such that hat(v) @ w == cross(v, w)."""
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def reference_exp_so3(rotvec: np.ndarray) -> np.ndarray:
+    """Rotation matrix of one rotation vector by Rodrigues' formula, scalar."""
+    v = np.asarray(rotvec, dtype=float)
+    theta = np.linalg.norm(v)
+    if theta < 1e-12:
+        k = hat(v)
+        return np.eye(3) + k + 0.5 * (k @ k)
+    k = hat(v / theta)
+    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
 
 
 def exact_distances(trajectory, robot, obstacles):

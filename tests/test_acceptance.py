@@ -14,14 +14,12 @@ from scipy.spatial import cKDTree
 from oracles import cell_contains
 from sqplan.cli import main
 from sqplan.dmp import DMPModel, PoseTrajectory, fit_lwr, rollout
-from sqplan.geometry import (RigidPose, Superquadric, expand, inside_outside,
-                             surface_samples)
+from sqplan.geometry import RigidPose, Superquadric, inside_outside, surface_samples
 from sqplan.pipeline import NO_FEASIBLE_PASSAGE, plan
 from sqplan.poses import frame_3d, robot_pose_at
 from sqplan.proximity import closest_pair
 from sqplan.rotations import exp_so3, log_so3
-from sqplan.scenario import (Scenario, compute_metrics, generate_benchmark,
-                             min_trajectory_distance)
+from sqplan.scenario import Scenario, compute_metrics, generate_benchmark
 from sqplan.voronoi import build_diagram
 
 BENCH_2D = ("narrow2d", "t_block", "u_block")
@@ -126,7 +124,7 @@ def test_criterion_05_pillar_orientation(bench):
     for k in order:
         posed = robot_pose_at(scenario.robot, traj.positions[k],
                               traj.orientations[k])
-        short_axis = posed.pose.rotation_matrix()[:, 0]
+        short_axis = posed.pose.matrix[:, 0]
         ang = np.degrees(np.arccos(np.clip(abs(short_axis @ gap_normal),
                                            -1.0, 1.0)))
         worst = max(worst, ang)

@@ -138,7 +138,7 @@ def test_pair_bounds_are_tight_along_the_contact_normal():
 
     rotation = np.array([0.2, -0.3, 0.4])
     slab = Superquadric.create([0.1, 0.1], [0.1, 1.0, 1.0], np.zeros(3), rotation)
-    normal = slab.pose.rotation_matrix()[:, 0]
+    normal = slab.pose.matrix[:, 0]
     ball = Superquadric.create([1.0, 1.0], [0.5, 0.5, 0.5], 0.7 * normal)
     assert bound(slab, ball) == pytest.approx(0.1, abs=1e-12)
     assert bound(ball, slab) == pytest.approx(0.1, abs=1e-12)

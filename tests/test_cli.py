@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +45,51 @@ def test_plan_3d_writes_obj(tmp_path):
     assert code == EXIT_OK
     assert os.path.exists(os.path.join(run, "scene.obj"))
     assert os.path.exists(os.path.join(run, "scene_topdown.svg"))
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def svg_groups(path):
+    """(id, child tags) of each <g> of an SVG file, in document order."""
+    root = ET.parse(path).getroot()
+    return [(g.get("id"), [c.tag.removeprefix(SVG) for c in g]) for g in root.iter(SVG + "g")]
+
+
+def plotted(tmp_path, name):
+    """`sqplan plan --plot` on a benchmark's demo file: the output directory
+    and the same plan in-process."""
+    out = str(tmp_path)
+    main(["demo", "--name", name, "--out", out])
+    scenario_path = os.path.join(out, f"{name}.json")
+    assert main(["plan", "--scenario", scenario_path, "--out", out, "--plot"]) == EXIT_OK
+    return out, pipeline.plan(load_scenario(scenario_path))
+
+
+def test_scene_svg_has_a_path_per_shape_and_edge(tmp_path):
+    # one path per grown obstacle, obstacle, cell edge and graph edge, one per
+    # path, and a circle per terminal
+    out, result = plotted(tmp_path, "narrow2d")
+    n_obstacles, n_edges = len(result.diagram.expanded), len(result.graph.live_edges())
+    n_cell_edges = sum(len(cell.edges) for cell in result.diagram.cells)
+    assert n_obstacles == 3 and n_cell_edges > 0 and n_edges > 0
+    assert svg_groups(os.path.join(out, "scene.svg")) == [
+        ("expanded-obstacles", ["path"] * n_obstacles), ("obstacles", ["path"] * n_obstacles),
+        ("cells", ["path"] * n_cell_edges), ("graph", ["path"] * n_edges),
+        ("raw-path", ["path"]), ("smoothed-path", ["path"]), ("terminals", ["circle"] * 2)]
+
+
+def test_topdown_svg_and_obj_have_an_element_per_obstacle_and_edge(tmp_path):
+    out, result = plotted(tmp_path, "pillars3d")
+    n_obstacles, n_edges = len(result.diagram.expanded), len(result.graph.live_edges())
+    assert n_obstacles > 0 and n_edges > 0
+    assert svg_groups(os.path.join(out, "scene_topdown.svg")) == [
+        ("obstacles", ["path"] * n_obstacles), ("graph", ["path"] * n_edges),
+        ("smoothed-path", ["path"])]
+    with open(os.path.join(out, "scene.obj")) as f:
+        objects = [line.split()[1] for line in f if line.startswith("o ")]
+    assert objects == ([f"obstacle_{k}" for k in range(n_obstacles)]
+                       + [f"edge_{k}" for k in range(n_edges)] + ["raw_path", "smoothed_path"])
 
 
 def test_plan_invalid_scenario_exits_2(tmp_path, capsys):

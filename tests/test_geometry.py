@@ -1,11 +1,13 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
+from oracles import closest_pairs
 from sqplan.geometry import (EPS_MAX, EPS_MIN, RigidPose, Superquadric,
                              box_gaps, expand, inside_outside, signed_pow,
                              stack_shapes, surface_point, surface_samples)
 from sqplan.poses import robot_pose_at
-from sqplan.proximity import closest_pairs
 
 
 def test_signed_pow():
@@ -22,16 +24,19 @@ def test_pose_roundtrip():
     assert np.allclose(back, pts, atol=1e-12)
 
 
-def test_rotation_matrix_cached_and_exact():
+def test_pose_matrix_built_with_the_pose_frozen_and_read_only():
     from sqplan.rotations import exp_so3, rot2d
     pose3 = RigidPose.create([1.0, -2.0, 0.5], [0.3, -0.2, 0.9])
     pose2 = RigidPose.create([1.0, -2.0], [2.5])
-    assert np.array_equal(pose3.rotation_matrix(), exp_so3(pose3.rotation))
-    assert np.array_equal(pose2.rotation_matrix(), rot2d(pose2.rotation[0]))
+    assert np.array_equal(pose3.matrix, exp_so3(pose3.rotation))
+    assert np.array_equal(pose2.matrix, rot2d(pose2.rotation[0]))
     for pose in (pose2, pose3):
-        r = pose.rotation_matrix()
-        assert pose.rotation_matrix() is r
-        assert not r.flags.writeable
+        assert not pose.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            pose.matrix[0, 0] = 2.0
+        for name in ("position", "rotation", "matrix"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pose, name, getattr(pose, name).copy())
 
 
 def test_axis_relabeling_keeps_exact_rotation():
@@ -41,14 +46,14 @@ def test_axis_relabeling_keeps_exact_rotation():
     from sqplan.rotations import exp_so3, rot2d
     a = Superquadric.create([0.2], [0.055, 0.02], [0.0, 0.0])
     b = Superquadric.create([0.2], [0.055, 0.02], [0.2, 0.0])
-    assert np.array_equal(a.pose.rotation_matrix(), [[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(a.pose.rotation_matrix(), rot2d(a.pose.rotation[0]), atol=1e-15)
-    assert not a.pose.rotation_matrix().flags.writeable
+    assert np.array_equal(a.pose.matrix, [[0.0, -1.0], [1.0, 0.0]])
+    assert np.allclose(a.pose.matrix, rot2d(a.pose.rotation[0]), atol=1e-15)
+    assert not a.pose.matrix.flags.writeable
     pair = closest_pair(a, b)
     assert np.allclose(pair.p_i, [0.055, 0.0], rtol=0.0, atol=1e-15)
     assert np.allclose(pair.p_j, [0.145, 0.0], rtol=0.0, atol=1e-15)
     box = Superquadric.create([0.5, 0.5], [0.4, 0.2, 0.9], [0.0, 0.0, 0.0])
-    r = box.pose.rotation_matrix()
+    r = box.pose.matrix
     assert np.array_equal(np.abs(r), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.linalg.det(r) == 1.0
     assert np.allclose(r, exp_so3(box.pose.rotation), atol=1e-12)

@@ -7,11 +7,12 @@ from scipy.spatial import cKDTree
 
 from oracles import load_bench_scenes
 from sqplan import roadmap
+from sqplan.cli import EXIT_OK, main
 from sqplan.geometry import Superquadric, inside_outside
 from sqplan.pipeline import NO_FEASIBLE_PASSAGE, plan, precompute
 from sqplan.roadmap import MERGE_TOL
 from sqplan.scenario import (BENCHMARK_NAMES, Scenario, compute_metrics, generate_benchmark,
-                             scenario_from_dict)
+                             save_scenario, scenario_from_dict)
 from sqplan.geometry import RigidPose
 
 
@@ -122,6 +123,30 @@ def test_goal_is_not_projected_onto_start_stub():
     assert result.success
     for node in result.path[1:-1]:
         assert result.graph.node_kinds[node] != "terminal"
+
+
+@pytest.mark.parametrize("name", ["narrow2d", "pillars3d"])
+def test_terminals_on_one_node_go_straight_from_start_to_goal(name, tmp_path):
+    # start == goal, and two terminals either side of one roadmap node within
+    # MERGE_TOL: both paths are that one node, so the waypoints run straight
+    # from the start to the goal, through the node when it lies between them
+    scn = generate_benchmark(name)
+    pre = precompute(scn)
+    node = next(p for p in pre.graph.nodes if scn.world_lo[0] < p[0] < scn.world_hi[0])
+    off = np.zeros(scn.dim)
+    off[0] = 0.5 * MERGE_TOL
+    queries = [(scn.start.position, scn.start.position), (node + off, node - off)]
+    for k, (a, b) in enumerate(queries):
+        scn.start, scn.goal = RigidPose.create(a), RigidPose.create(b)
+        result = plan(scn, pre)
+        assert result.success and len(result.path) == 1
+        assert len(result.waypoints) == 2 + k
+        # a zero-length demonstration is moved 1e-9 m off the start per axis
+        assert np.allclose(result.trajectory.positions[0], a, rtol=0.0, atol=1e-12)
+        assert np.allclose(result.trajectory.positions[-1], b, rtol=0.0, atol=2e-9)
+        path = str(tmp_path / f"query{k}.json")
+        save_scenario(scn, path)
+        assert main(["plan", "--scenario", path, "--out", str(tmp_path / f"out{k}")]) == EXIT_OK
 
 
 def empty_roadmap_scenario():

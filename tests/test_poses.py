@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sqplan.geometry import Superquadric
-from sqplan.poses import (PoseWaypoint, frame_3d, heading_2d, plan_poses,
-                          robot_pose_at, robot_rotations)
+from sqplan.poses import (frame_3d, heading_2d, plan_poses, robot_pose_at,
+                          robot_rotations)
 from sqplan.roadmap import RoadmapGraph
 from sqplan.rotations import exp_so3, rot2d
 from sqplan.voronoi import Hyperplane
@@ -112,7 +112,7 @@ def test_plan_poses_3d_aligns_short_axis_with_face_normal():
         assert np.allclose(r[:, 2], normal, atol=1e-9)  # r3 = face normal
         assert np.allclose(r[:, 0], [0.0, 1.0, 0.0], atol=1e-9)  # r1 = travel
         posed = robot_pose_at(robot, w.position, w.orientation)
-        rm = posed.pose.rotation_matrix()
+        rm = posed.pose.matrix
         # shortest local axis (axes ascending) ends up on the face normal
         assert np.allclose(np.abs(rm[:, 0] @ normal), 1.0, atol=1e-9)
         # longest local axis along travel
@@ -149,7 +149,7 @@ def test_plan_poses_2d_robot_pose_convention():
     # compensates for the local long axis being +y
     robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
     posed = robot_pose_at(robot, [0.5, 0.5], [0.0])
-    r = posed.pose.rotation_matrix()
+    r = posed.pose.matrix
     long_world = r @ np.array([0.0, 1.0])
     assert np.allclose(np.abs(long_world), [1.0, 0.0], atol=1e-12)
 
@@ -161,7 +161,7 @@ def test_robot_rotations_match_robot_pose_at(dim):
     robot = Superquadric.create(np.ones(dim - 1), axes, np.zeros(dim))
     ori = rng.uniform(-4.0, 4.0, size=(30, 1 if dim == 2 else 3))
     ori[0] = np.pi / 2.0 - np.pi  # heading that wraps to exactly -pi
-    want = np.stack([robot_pose_at(robot, np.zeros(dim), o).pose.rotation_matrix()
+    want = np.stack([robot_pose_at(robot, np.zeros(dim), o).pose.matrix
                      for o in ori])
     got = robot_rotations(dim, ori)
     if dim == 2:

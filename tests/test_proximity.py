@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import (load_bench_scenes, pair_records, plain_closest_pair_arrays,
-                     plain_pair_records)
+from oracles import (closest_pairs, load_bench_scenes, pair_records,
+                     plain_closest_pair_arrays, plain_pair_records)
 from sqplan import proximity, voronoi
 from sqplan.geometry import (EPS_MAX, Superquadric, expand, inside_outside, stack_pairs,
                              stack_shapes, surface_samples)
 from sqplan.poses import robot_pose_at, robot_rotations
 from sqplan.proximity import (ClosestPair, PairArrays, closest_pair, closest_pair_arrays,
-                              closest_pairs, overlaps)
+                              overlaps)
 from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
 
 
@@ -190,7 +190,7 @@ def _lq_gradient(x, y, q):
 
 def scalar_support(sq):
     """World direction (3,) -> support point (3,); 2D shapes in z = 0."""
-    rot, pos, a = sq.pose.rotation_matrix(), sq.center, sq.axes
+    rot, pos, a = sq.pose.matrix, sq.center, sq.axes
     if sq.dim == 2:
         q = _dual_exponent(sq.eps[0])
 
@@ -671,7 +671,7 @@ def parallel_boxes(rng, dim, gap):
     k = rng.integers(dim)
     offset = rng.uniform(-0.3, 0.3, dim) * np.minimum(*axes)
     offset[k] = axes[0][k] + axes[1][k] + gap
-    centre = a.center + a.pose.rotation_matrix() @ offset
+    centre = a.center + a.pose.matrix @ offset
     return a, Superquadric.create([0.1] * (dim - 1), axes[1], centre, rotation)
 
 

@@ -1,10 +1,10 @@
 import json
-import os
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from oracles import closest_pairs
 from sqplan.dmp import PoseTrajectory
 from sqplan.geometry import (Superquadric, box_gaps, expand, stack_pairs, stack_shapes,
                              surface_samples)
@@ -12,7 +12,7 @@ from sqplan.pipeline import plan
 from sqplan.poses import robot_pose_at, robot_rotations
 from sqplan import clearance, proximity
 from sqplan.clearance import AuditStats
-from sqplan.proximity import closest_pair, closest_pairs, overlaps
+from sqplan.proximity import closest_pair, overlaps
 from sqplan.scenario import (BENCHMARK_NAMES, Scenario, ScenarioError,
                              compute_metrics, generate_benchmark,
                              load_scenario, load_trajectory, metrics_to_dict,
@@ -80,6 +80,16 @@ def test_load_error_unknown_param_and_version():
     data = minimal_dict()
     data["version"] = 99
     with pytest.raises(ScenarioError, match="version"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("key, value", [("version", True), ("version", 1.0),
+                                        ("dim", 2.0), ("dim", "2")])
+def test_load_error_version_and_dim_must_be_integers(key, value):
+    # True == 1 and 2.0 == 2, so a value test alone would take them
+    data = minimal_dict()
+    data[key] = value
+    with pytest.raises(ScenarioError, match=f"^{key}: .*integer"):
         scenario_from_dict(data)
 
 

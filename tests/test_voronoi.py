@@ -1,8 +1,8 @@
 import numpy as np
 
-from oracles import cell_contains, load_bench_scenes, reference_diagram
+from oracles import cell_contains, closest_pairs, load_bench_scenes, reference_diagram
 from sqplan.geometry import Superquadric
-from sqplan.proximity import OVERLAP_TOL, closest_pair, closest_pairs
+from sqplan.proximity import OVERLAP_TOL, closest_pair
 from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict
 from sqplan.voronoi import (Cluster, build_clusters, build_diagram, diagram_to_dict,
                             separating_hyperplane)
