@@ -110,9 +110,6 @@ class Superquadric:
     def center(self) -> np.ndarray:
         return self.pose.position
 
-    def with_pose(self, pose: RigidPose) -> "Superquadric":
-        return Superquadric(self.eps, self.axes, pose)
-
 
 def _canonicalize_axes(a, e, pose):
     """Sort semi-axes ascending, folding the axis relabeling into the rotation.

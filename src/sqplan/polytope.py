@@ -12,10 +12,6 @@ import numpy as np
 GEOM_TOL = 1e-9
 
 
-class EmptyIntersectionError(RuntimeError):
-    pass
-
-
 def box_side_tag(side: int) -> int:
     return -1 - side
 
@@ -112,20 +108,15 @@ def box_polyhedron(lo, hi):
     return verts, faces
 
 
-def _newell_normal(pts):
-    n = np.zeros(3)
-    m = len(pts)
-    for i in range(m):
-        a, b = pts[i], pts[(i + 1) % m]
-        n += np.cross(a, b)
-    return n
-
-
 def clip_polyhedron(vertices, faces, n, b, hp_tag, tol=GEOM_TOL):
     """Clip a convex polyhedron to n.x >= b.
 
-    vertices: list of 3-vectors; faces: list of (vertex-index loop, tag).
-    Returns (vertices, faces, changed); vertices is None when empty.
+    vertices: list of 3-vectors, which may hold some that no face uses (they
+    decide nothing); faces: list of (vertex-index loop, tag). Returns
+    (vertices, faces, changed); vertices is None when empty. The cut face is
+    a convex polygon: the kept vertices on the plane, ordered clockwise about
+    n (its outward normal is -n) by their angle around their centroid, from
+    the least id.
     """
     verts = [np.asarray(v, dtype=float) for v in vertices]
     s = np.array([v @ n - b for v in verts])
@@ -133,9 +124,10 @@ def clip_polyhedron(vertices, faces, n, b, hp_tag, tol=GEOM_TOL):
     for i in np.flatnonzero(snap):
         verts[i] = verts[i] - s[i] * n
         s[i] = 0.0
-    if np.all(s >= 0.0):
+    used = s[sorted({i for loop, _ in faces for i in loop})]
+    if np.all(used >= 0.0):
         return verts, [(list(loop), t) for loop, t in faces], False
-    if np.all(s <= 0.0):
+    if np.all(used <= 0.0):
         return None, None, True
 
     cut_cache: dict[tuple[int, int], int] = {}
@@ -148,9 +140,7 @@ def clip_polyhedron(vertices, faces, n, b, hp_tag, tol=GEOM_TOL):
             cut_cache[key] = len(verts) - 1
         return cut_cache[key]
 
-    on_plane = {int(i) for i in np.flatnonzero(s == 0.0)}
     new_faces = []
-    boundary_pairs: list[tuple[int, int]] = []
     for loop, tag in faces:
         m = len(loop)
         out = []
@@ -166,44 +156,16 @@ def clip_polyhedron(vertices, faces, n, b, hp_tag, tol=GEOM_TOL):
         dedup = [x for k, x in enumerate(out) if x != out[k - 1]] if out else []
         if len(dedup) >= 3:
             new_faces.append((dedup, tag))
-            flags = [x in on_plane or x in cut_cache.values() for x in dedup]
-            for k in range(len(dedup)):
-                if flags[k] and flags[(k + 1) % len(dedup)]:
-                    boundary_pairs.append((dedup[k], dedup[(k + 1) % len(dedup)]))
 
-    # edges appearing once bound the cut region; shared on-plane edges do not
-    count: dict[tuple[int, int], int] = {}
-    for u, v in boundary_pairs:
-        key = (u, v) if u < v else (v, u)
-        count[key] = count.get(key, 0) + 1
-    ring = [key for key, c in count.items() if c == 1]
-    if ring:
-        cut_loop = _chain_loop(ring)
-        pts = [verts[i] for i in cut_loop]
-        if _newell_normal(pts) @ n > 0.0:
-            cut_loop.reverse()
-        new_faces.append((cut_loop, hp_tag))
+    # cut points have ids past s; clockwise about n is counter-clockwise
+    # in the tangent basis (e1, e1 x n)
+    on = sorted({x for loop, _ in new_faces for x in loop if x >= len(s) or s[x] == 0.0})
+    d = np.array([verts[i] for i in on])
+    d -= d.mean(axis=0)
+    e1 = np.cross(n, np.eye(3)[np.argmin(np.abs(n))])
+    order = np.argsort(np.arctan2(d @ np.cross(e1, n), d @ e1))
+    new_faces.append(([on[i] for i in np.roll(order, -np.argmin(order))], hp_tag))
     return verts, new_faces, True
-
-
-def _chain_loop(edges):
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(len(nb) != 2 for nb in adj.values()):
-        raise RuntimeError("cut boundary does not form a simple cycle")
-    start = min(adj)
-    loop = [start, adj[start][0]]
-    while True:
-        prev, cur = loop[-2], loop[-1]
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == start:
-            break
-        loop.append(nxt)
-        if len(loop) > len(edges):
-            raise RuntimeError("cut boundary walk did not close")
-    return loop
 
 
 def compact_polyhedron(vertices, faces):

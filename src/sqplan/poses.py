@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RigidPose, Superquadric
+from .geometry import Superquadric
 from .roadmap import RoadmapGraph
-from .rotations import exp_so3, exp_so3_batch, log_so3
+# exp_so3 is not used here; perfbench's traced run patches this name
+from .rotations import exp_so3, exp_so3_batch, log_so3  # noqa: F401
 from .voronoi import Hyperplane
 
 PARALLEL_TOL = 1e-6
@@ -60,24 +61,12 @@ def frame_3d(v_i, v_next, face_normal) -> np.ndarray:
     return np.column_stack([r1, r2, r3])
 
 
-def robot_pose_at(robot: Superquadric, position, orientation) -> Superquadric:
-    """Robot posed at a waypoint: longest axis along travel, shortest on the normal."""
-    orientation = np.atleast_1d(np.asarray(orientation, dtype=float))
-    if robot.dim == 2:
-        theta = orientation[0] - np.pi / 2.0  # local long axis is +y
-        pose = RigidPose.create(position, theta)
-    else:
-        r = exp_so3(orientation) @ _AXIS_CONVENTION
-        pose = RigidPose.create(position, log_so3(r))
-    return robot.with_pose(pose)
-
-
 def robot_rotations(dim: int, orientations: np.ndarray) -> np.ndarray:
-    """(N, dim, dim) rotation matrices of the robot as robot_pose_at poses it.
+    """(N, dim, dim) robot rotations: longest axis along travel, shortest on the normal.
 
     Built in one array pass from (N, 1) angles or (N, 3) rotation vectors,
     without the rotation-vector round trip of a RigidPose. In 2D the heading
-    is wrapped as RigidPose.create wraps it, so the matrices are the same.
+    is wrapped as RigidPose.create wraps it, so the matrices are a pose's.
     """
     orientations = np.asarray(orientations, dtype=float)
     if dim == 3:

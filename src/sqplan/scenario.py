@@ -137,6 +137,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not (_integer(dim) and dim in (2, 3)):
         raise ScenarioError(f"dim: must be the integer 2 or 3, got {dim!r}")
     world = _need(data, "world", "top level")
+    if not isinstance(world, dict):
+        raise ScenarioError("world: expected an object")
     lo = _vector(_need(world, "min", "world"), dim, "world.min")
     hi = _vector(_need(world, "max", "world"), dim, "world.max")
     if np.any(hi <= lo):

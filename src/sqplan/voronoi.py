@@ -18,7 +18,6 @@ import numpy as np
 
 from .geometry import Superquadric, expand, stack_shapes
 from .polytope import (
-    EmptyIntersectionError,
     GEOM_TOL,
     box_polygon,
     box_polyhedron,
@@ -34,6 +33,10 @@ from .proximity import (OVERLAP_TOL, closest_pair, closest_pair_arrays,  # noqa:
 
 
 class ClusterInconsistencyError(RuntimeError):
+    pass
+
+
+class EmptyIntersectionError(RuntimeError):
     pass
 
 

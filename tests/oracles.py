@@ -24,6 +24,13 @@ as two matmuls per block.
 `hat` and `reference_exp_so3` are Rodrigues' formula on one rotation
 vector, as `rotations.exp_so3` computed it before it became the one-row
 case of `exp_so3_batch`.
+`with_pose` moves a shape to another pose, and `robot_pose_at` poses the
+robot at one waypoint through a `RigidPose`: the reference that
+`poses.robot_rotations` is compared against.
+`reference_clip_polyhedron` is the polyhedron clip that closed its cut face
+by walking a boundary graph: the on-plane vertex pairs of the kept faces
+that appear once, chained into a loop (`chain_loop`) and oriented by its
+Newell normal (`newell_normal`).
 `load_bench_scenes` imports perfbench's scene definitions.
 """
 
@@ -38,15 +45,16 @@ from scipy.spatial import cKDTree
 
 from sqplan.clearance import AUDIT_TOL, trajectory_collides
 from sqplan.dmp import ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, _basis
-from sqplan.geometry import (RigidPose, box_gaps, expand, inside_outside,
+from sqplan.geometry import (RigidPose, Superquadric, box_gaps, expand, inside_outside,
                              inside_outside_local, stack_pairs, stack_shapes,
                              support_points, surface_samples)
 from sqplan.polytope import GEOM_TOL
-from sqplan.poses import robot_pose_at, robot_rotations
+from sqplan.poses import _AXIS_CONVENTION, robot_rotations
 from sqplan.proximity import (_FACE_SIZE, _FACES, MAX_ITER, OVERLAP_TOL, REL_TOL,
                               TOUCH_TOL, ClosestPair, PairArrays, _combine, _dot,
                               _nearest_face, closest_pair_arrays, overlaps)
 from sqplan.roadmap import EDGE_SAMPLES, INSIDE_TOL, MERGE_TOL, _point_segment
+from sqplan.rotations import exp_so3, log_so3
 from sqplan.voronoi import (Cluster, ClusterInconsistencyError, Hyperplane, _UnionFind,
                             build_cell)
 
@@ -73,6 +81,23 @@ def reference_exp_so3(rotvec: np.ndarray) -> np.ndarray:
         return np.eye(3) + k + 0.5 * (k @ k)
     k = hat(v / theta)
     return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+
+
+def with_pose(shape: Superquadric, pose: RigidPose) -> Superquadric:
+    """The shape at another pose."""
+    return Superquadric(shape.eps, shape.axes, pose)
+
+
+def robot_pose_at(robot: Superquadric, position, orientation) -> Superquadric:
+    """Robot posed at a waypoint: longest axis along travel, shortest on the normal."""
+    orientation = np.atleast_1d(np.asarray(orientation, dtype=float))
+    if robot.dim == 2:
+        theta = orientation[0] - np.pi / 2.0  # local long axis is +y
+        pose = RigidPose.create(position, theta)
+    else:
+        r = exp_so3(orientation) @ _AXIS_CONVENTION
+        pose = RigidPose.create(position, log_so3(r))
+    return with_pose(robot, pose)
 
 
 def exact_distances(trajectory, robot, obstacles):
@@ -292,7 +317,7 @@ def sampled_collides(trajectory, robot, obstacles):
     res = 64 if dim == 2 else 16
     near = (box_gaps(trajectory.positions, stack_shapes(obstacles))
             <= robot.bounding_radius() * (1.0 + 1e-9))
-    body = np.vstack([surface_samples(robot.with_pose(RigidPose.create(np.zeros(dim))), res),
+    body = np.vstack([surface_samples(with_pose(robot, RigidPose.create(np.zeros(dim))), res),
                       np.zeros(dim)])
     for o, n in zip(obstacles, near):
         if not n.any():
@@ -529,6 +554,102 @@ def per_edge_project_terminal(point, graph):
     term = graph.add_node(q, "terminal")
     graph.add_edge(term, proj, "stub")
     return term
+
+
+def newell_normal(pts):
+    """Newell's normal of a polygon loop: its area vector, along the normal
+    the loop turns counter-clockwise about."""
+    n = np.zeros(3)
+    m = len(pts)
+    for i in range(m):
+        a, b = pts[i], pts[(i + 1) % m]
+        n += np.cross(a, b)
+    return n
+
+
+def chain_loop(edges):
+    """The cycle of undirected edges, from its least vertex towards that
+    vertex's first neighbour."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(len(nb) != 2 for nb in adj.values()):
+        raise RuntimeError("cut boundary does not form a simple cycle")
+    start = min(adj)
+    loop = [start, adj[start][0]]
+    while True:
+        prev, cur = loop[-2], loop[-1]
+        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+        if nxt == start:
+            break
+        loop.append(nxt)
+        if len(loop) > len(edges):
+            raise RuntimeError("cut boundary walk did not close")
+    return loop
+
+
+def reference_clip_polyhedron(vertices, faces, n, b, hp_tag, tol=GEOM_TOL):
+    """`polytope.clip_polyhedron` with the cut face closed by a boundary
+    walk: the consecutive on-plane vertex pairs of the kept faces that
+    appear once, chained into a loop and reversed when its Newell normal
+    points along n. Its early returns test every vertex, unused ones too."""
+    verts = [np.asarray(v, dtype=float) for v in vertices]
+    s = np.array([v @ n - b for v in verts])
+    snap = np.abs(s) <= tol
+    for i in np.flatnonzero(snap):
+        verts[i] = verts[i] - s[i] * n
+        s[i] = 0.0
+    if np.all(s >= 0.0):
+        return verts, [(list(loop), t) for loop, t in faces], False
+    if np.all(s <= 0.0):
+        return None, None, True
+
+    cut_cache: dict[tuple[int, int], int] = {}
+
+    def cut_point(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in cut_cache:
+            t = s[i] / (s[i] - s[j])
+            verts.append(verts[i] + t * (verts[j] - verts[i]))
+            cut_cache[key] = len(verts) - 1
+        return cut_cache[key]
+
+    on_plane = {int(i) for i in np.flatnonzero(s == 0.0)}
+    new_faces = []
+    boundary_pairs: list[tuple[int, int]] = []
+    for loop, tag in faces:
+        m = len(loop)
+        out = []
+        for k in range(m):
+            u, v = loop[k], loop[(k + 1) % m]
+            su, sv = s[u], s[v]
+            if su >= 0.0:
+                out.append(u)
+                if sv < 0.0 < su:
+                    out.append(cut_point(u, v))
+            elif sv > 0.0:
+                out.append(cut_point(u, v))
+        dedup = [x for k, x in enumerate(out) if x != out[k - 1]] if out else []
+        if len(dedup) >= 3:
+            new_faces.append((dedup, tag))
+            flags = [x in on_plane or x in cut_cache.values() for x in dedup]
+            for k in range(len(dedup)):
+                if flags[k] and flags[(k + 1) % len(dedup)]:
+                    boundary_pairs.append((dedup[k], dedup[(k + 1) % len(dedup)]))
+
+    # edges appearing once bound the cut region; shared on-plane edges do not
+    count: dict[tuple[int, int], int] = {}
+    for u, v in boundary_pairs:
+        key = (u, v) if u < v else (v, u)
+        count[key] = count.get(key, 0) + 1
+    ring = [key for key, c in count.items() if c == 1]
+    if ring:
+        cut_loop = chain_loop(ring)
+        if newell_normal([verts[i] for i in cut_loop]) @ n > 0.0:
+            cut_loop.reverse()
+        new_faces.append((cut_loop, hp_tag))
+    return verts, new_faces, True
 
 
 def load_bench_scenes():

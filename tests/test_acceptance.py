@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import cell_contains
+from oracles import cell_contains, robot_pose_at
 from sqplan.cli import main
 from sqplan.dmp import DMPModel, PoseTrajectory, fit_lwr, rollout
 from sqplan.geometry import RigidPose, Superquadric, inside_outside, surface_samples
 from sqplan.pipeline import NO_FEASIBLE_PASSAGE, plan
-from sqplan.poses import frame_3d, robot_pose_at
+from sqplan.poses import frame_3d
 from sqplan.proximity import closest_pair
 from sqplan.rotations import exp_so3, log_so3
 from sqplan.scenario import Scenario, compute_metrics, generate_benchmark

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import check_decision, exact_distances, load_bench_scenes, sampled_collides
+from oracles import (check_decision, exact_distances, load_bench_scenes, robot_pose_at,
+                     sampled_collides, with_pose)
 from sqplan import clearance, dmp, pipeline
 from sqplan.clearance import (AUDIT_TOL, _pair_bounds, _upper_bounds,
                               min_trajectory_distance, trajectory_collides)
 from sqplan.dmp import PoseTrajectory, validate_and_finalize
 from sqplan.geometry import Superquadric, stack_pairs
-from sqplan.poses import robot_pose_at
 from sqplan.proximity import closest_pair
 from sqplan.scenario import (compute_metrics, generate_benchmark, metrics_to_dict,
                              scenario_from_dict)
@@ -143,7 +143,7 @@ def test_pair_bounds_are_tight_along_the_contact_normal():
     assert bound(slab, ball) == pytest.approx(0.1, abs=1e-12)
     assert bound(ball, slab) == pytest.approx(0.1, abs=1e-12)
     other = Superquadric.create([1.0, 1.0], [0.5, 0.5, 0.5], np.full(3, 1.1 / np.sqrt(3.0)))
-    assert bound(ball.with_pose(slab.pose), other) == pytest.approx(0.1, abs=1e-12)
+    assert bound(with_pose(ball, slab.pose), other) == pytest.approx(0.1, abs=1e-12)
     for robot, obstacle in ((slab, ball), (ball, slab)):
         assert closest_pair(robot, obstacle).distance == pytest.approx(0.1, abs=1e-9)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (BLOCK, block_kernel, check_decision, exact_distances, load_bench_scenes,
-                     reference_fit_lwr, sampled_collides)
+                     reference_fit_lwr, robot_pose_at, sampled_collides)
 from sqplan import clearance, dmp, pipeline
 from sqplan.clearance import AUDIT_TOL, min_trajectory_distance
 from sqplan.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, PoseTrajectory, _basis,
@@ -13,7 +13,7 @@ from sqplan.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, PoseTrajectory, _bas
                         trajectory_collides, validate_and_finalize)
 from sqplan.geometry import (RigidPose, Superquadric, box_gaps, inside_outside,
                              stack_shapes, surface_samples)
-from sqplan.poses import PoseWaypoint, robot_pose_at, robot_rotations
+from sqplan.poses import PoseWaypoint, robot_rotations
 from sqplan.rotations import exp_so3
 from sqplan.scenario import generate_benchmark, scenario_from_dict
 

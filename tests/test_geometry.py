@@ -3,11 +3,10 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from oracles import closest_pairs
+from oracles import closest_pairs, robot_pose_at
 from sqplan.geometry import (EPS_MAX, EPS_MIN, RigidPose, Superquadric,
                              box_gaps, expand, inside_outside, signed_pow,
                              stack_shapes, surface_point, surface_samples)
-from sqplan.poses import robot_pose_at
 
 
 def test_signed_pow():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -8,7 +9,8 @@ from scipy.spatial import cKDTree
 from oracles import load_bench_scenes
 from sqplan import roadmap
 from sqplan.cli import EXIT_OK, main
-from sqplan.geometry import Superquadric, inside_outside
+from sqplan.clearance import trajectory_collides
+from sqplan.geometry import Superquadric, box_gaps, inside_outside, stack_shapes
 from sqplan.pipeline import NO_FEASIBLE_PASSAGE, plan, precompute
 from sqplan.roadmap import MERGE_TOL
 from sqplan.scenario import (BENCHMARK_NAMES, Scenario, compute_metrics, generate_benchmark,
@@ -270,3 +272,39 @@ def test_every_perfbench_patch_point_resolves(monkeypatch):
     finally:
         tracer.unpatch()
     assert all(getattr(module, attr) is original for module, attr, original in patched)
+
+
+def whole_box_terminals(scenario, count, rng):
+    """count points drawn uniformly in the world box, keeping those where the
+    robot's bounding sphere clears every wall and every obstacle's box."""
+    r = scenario.robot.bounding_radius()
+    shapes = stack_shapes(scenario.obstacles)
+    points = []
+    while len(points) < count:
+        p = rng.uniform(scenario.world_lo, scenario.world_hi, size=(64, scenario.dim))
+        walls = np.minimum(p - scenario.world_lo, scenario.world_hi - p).min(axis=1)
+        points.extend(p[(walls > r) & (box_gaps(p, shapes).min(axis=0) > r)])
+    return points[:count]
+
+
+@pytest.mark.parametrize("name", [
+    *(n for n in BENCHMARK_NAMES if n != "dense3d"),
+    pytest.param("dense3d", marks=pytest.mark.xfail(
+        strict=True, raises=RuntimeError,
+        reason="roadmap edges are certified for a point, not the posed robot "
+               "(ROADMAP item 3): some raw demonstrations collide")),
+])
+def test_whole_box_queries_plan_clear_or_say_why(name):
+    # ROADMAP item 13's first invariant on whole-box terminals: plan never
+    # raises, and every success is certified clear
+    scn = generate_benchmark(name)
+    pre = precompute(scn)
+    points = whole_box_terminals(scn, 80, np.random.default_rng(7))
+    for start, goal in zip(points[0::2], points[1::2]):
+        query = dataclasses.replace(scn, start=RigidPose.create(start),
+                                    goal=RigidPose.create(goal))
+        result = plan(query, pre)
+        if result.success:
+            assert not trajectory_collides(result.trajectory, scn.robot, scn.obstacles)
+        else:
+            assert result.reason == NO_FEASIBLE_PASSAGE

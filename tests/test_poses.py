@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import robot_pose_at
 from sqplan.geometry import Superquadric
-from sqplan.poses import (frame_3d, heading_2d, plan_poses, robot_pose_at,
-                          robot_rotations)
+from sqplan.poses import frame_3d, heading_2d, plan_poses, robot_rotations
 from sqplan.roadmap import RoadmapGraph
 from sqplan.rotations import exp_so3, rot2d
 from sqplan.voronoi import Hyperplane

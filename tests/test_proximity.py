@@ -6,11 +6,11 @@ import pytest
 from scipy.spatial import cKDTree
 
 from oracles import (closest_pairs, load_bench_scenes, pair_records,
-                     plain_closest_pair_arrays, plain_pair_records)
+                     plain_closest_pair_arrays, plain_pair_records, robot_pose_at)
 from sqplan import proximity, voronoi
 from sqplan.geometry import (EPS_MAX, Superquadric, expand, inside_outside, stack_pairs,
                              stack_shapes, surface_samples)
-from sqplan.poses import robot_pose_at, robot_rotations
+from sqplan.poses import robot_rotations
 from sqplan.proximity import (ClosestPair, PairArrays, closest_pair, closest_pair_arrays,
                               overlaps)
 from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_dict

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import closest_pairs
+from oracles import closest_pairs, robot_pose_at
+from sqplan.cli import EXIT_VALIDATION, main
 from sqplan.dmp import PoseTrajectory
 from sqplan.geometry import (Superquadric, box_gaps, expand, stack_pairs, stack_shapes,
                              surface_samples)
 from sqplan.pipeline import plan
-from sqplan.poses import robot_pose_at, robot_rotations
+from sqplan.poses import robot_rotations
 from sqplan import clearance, proximity
 from sqplan.clearance import AuditStats
 from sqplan.proximity import closest_pair, overlaps
@@ -91,6 +92,21 @@ def test_load_error_version_and_dim_must_be_integers(key, value):
     data[key] = value
     with pytest.raises(ScenarioError, match=f"^{key}: .*integer"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("world", [5, None, "min max", ["min", "max"]])
+def test_load_error_world_must_be_an_object(world, tmp_path, capsys):
+    # a string holding "min" passed the key test and was then indexed
+    data = minimal_dict()
+    data["world"] = world
+    with pytest.raises(ScenarioError, match="^world: expected an object$"):
+        scenario_from_dict(data)
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(data))
+    code = main(["plan", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "world: expected an object" in err and "internal error" not in err
 
 
 def test_dmp_basis_survives_save_and_load(tmp_path):
