@@ -1,13 +1,12 @@
 """Certified clearance of a posed robot along a trajectory.
 
-Two questions, one function each: how close the robot comes to an
-obstacle (`min_trajectory_distance`, the audit in `scenario.compute_metrics`)
-and whether it touches one (`trajectory_collides`, validation in
-`dmp.validate_and_finalize`). Both bound each (obstacle, pose) pair's
-distance from below by box bounds, closed-form axis bounds and batched GJK
-solves (`proximity.closest_pair_arrays`). The audit solves in rounds, the
-first a GJK min-search bounded from above in closed form; validation makes
-one GJK threshold query at 0 on the pairs that the closed forms leave open.
+`pose_bounds`, the pose-batch kernel, bounds each (obstacle, pose) pair's
+distance from below: box bounds, closed-form axis bounds with a contact
+proof, and one GJK threshold query at 0. Validation (`trajectory_collides`)
+reduces its result. The audit (`min_trajectory_distance`) starts from the
+same box bounds and solves in at most two rounds. Every GJK call is a
+`_certify` step: a converged solve d certifies d - h, a retired pair its
+retiring bound, and an unconverged solve keeps its bound.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ class AuditStats:
     nonconverged: int = 0
     iterations: int = 0        # GJK iterations summed over the solves
     axis_certified: int = 0    # pairs retired by an axis bound, unsolved
-    round_iterations: int = 0  # per round its slowest solve's GJK iterations, summed
+    round_iterations: int = 0  # per round its slowest solve's GJK iterations, summed,
+    # which sets the GJK time: a batched iteration costs about the same at any size
     bound_retired: int = 0     # solves a GJK bound retired before convergence
     worst_pose: int | None = None  # index of the pose that attains the minimum
 
@@ -129,115 +129,149 @@ def _pair_stack(robot: Superquadric, rotations, positions, shapes: ShapeArrays, 
     return ShapeArrays(*map(np.stack, zip(robot_i, o)))
 
 
+def _box_bounds(robot: Superquadric, positions, shapes: ShapeArrays):
+    """Each (obstacle, pose) pair's box bound `box_gaps` - r, r the robot's
+    bounding radius, and the GJK tolerance h = AUDIT_TOL * r / 2."""
+    r = robot.bounding_radius()
+    return box_gaps(positions, shapes) - r, AUDIT_TOL * r / 2.0
+
+
+def _certify(pairs: ShapeArrays, bounds, half: float, **query):
+    """One batched GJK step that raises the certified lower bounds of pairs.
+
+    pairs is a pair stack, robot side [0], whose lower bounds are `bounds`;
+    query is `closest_pair_arrays`' threshold or upper bound. GJK stops each
+    solve once its duality gap is within h = half, so its distance d has
+    d - h <= exact <= d: a converged solve's bound becomes d - h, a pair that
+    the threshold or the upper bound retires takes its certified
+    `lower_bound`, and an unconverged solve, whose d may overstate the
+    distance, keeps its bound. Returns the new bounds, the unit normals from
+    the robot's witness to the obstacle's where d > 0 (else 0), and the
+    `PairArrays` result.
+    """
+    result = closest_pair_arrays(pairs, tol=half, **query)
+    certified = np.where(np.isnan(result.lower_bound), result.distance - half, result.lower_bound)
+    w = result.p_j - result.p_i
+    normals = np.divide(w, np.linalg.norm(w, axis=1, keepdims=True), out=np.zeros_like(w),
+                        where=result.distance[:, None] > 0.0)
+    return np.where(result.converged, certified, bounds), normals, result
+
+
+def pose_bounds(positions, orientations, robot: Superquadric, shapes: ShapeArrays):
+    """Certified lower bounds of the distances of the posed robot to obstacles.
+
+    positions (n, dim) and orientations (n, 1 or 3) pose the robot; shapes
+    stacks the obstacles. A pair is open while its bound is <= 0. Box bounds
+    of open pairs are raised by `_pair_bounds`, with rotations built only for
+    their poses, then by one `_certify` threshold query at 0. Returns the
+    (obstacle, pose) bounds and whether a support point inside the other
+    shape proved contact, which skips the query.
+    """
+    bounds, half = _box_bounds(robot, positions, shapes)
+    j, i = np.nonzero(bounds <= 0.0)
+    if not len(j):
+        return bounds, False
+    poses, k = np.unique(i, return_inverse=True)
+    rotations = robot_rotations(robot.dim, orientations[poses])
+    pairs = _pair_stack(robot, rotations, positions[poses], shapes, j, k)
+    closed, contact = _pair_bounds(pairs)
+    bounds[j, i] = np.maximum(bounds[j, i], closed)
+    still = closed <= 0.0
+    if contact or not still.any():
+        return bounds, contact
+    j, i = j[still], i[still]
+    bounds[j, i] = _certify(pairs.take(np.s_[:, still]), bounds[j, i], half, threshold=0.0)[0]
+    return bounds, False
+
+
+def trajectory_collides(trajectory, robot: Superquadric,
+                        obstacles: list[Superquadric]) -> bool:
+    """True unless `pose_bounds` certifies every pose clear of every obstacle:
+    True at distance 0, False above AUDIT_TOL * r unless a solve hits the cap."""
+    if not obstacles:
+        return False
+    bounds, contact = pose_bounds(trajectory.positions, trajectory.orientations, robot,
+                                  stack_shapes(obstacles))
+    return contact or bool(np.any(bounds <= 0.0))
+
+
 def min_trajectory_distance(trajectory, robot: Superquadric,
                             obstacles: list[Superquadric],
                             stats: AuditStats | None = None) -> float:
     """Certified minimum distance from the posed robot to any original obstacle.
 
-    Each (obstacle, pose) pair keeps a certified lower bound on its distance,
-    the pose's box bound `box_gaps` - r to start with (r the robot's bounding
-    radius). GJK stops each solve once its duality gap is within
-    h = AUDIT_TOL * r / 2, so a solved distance d satisfies
-    d - h <= exact <= d: a converged solve sets its pair's bound to d - h,
-    and the result is the least d. Each solve also keeps the unit normal of
-    its witness points. After every round, each unsolved pair below the best
-    d - h is raised to the larger `axis_gaps` bound at the normals of the
-    nearest solved poses of its obstacle before and after it. The closest
-    points' normal turns little between nearby poses, and the axis bound
-    loses only second order in that turn, where a motion bound loses
-    r |dR| (frame coherence: Cameron, ICRA 1997; van den Bergen, J. Graphics
-    Tools 1999). Every round is one batched, tolerance-stopped
-    `closest_pair_arrays` call. Each obstacle's pick is the centre of its
-    first run of poses tied at its least bound, and its stride poses are
-    every AUDIT_STRIDE-th pose and every pose within half a stride of the
-    pick. The first round is a GJK min-search (`closest_pair_arrays`'
-    `upper`, started at U + h): it solves the picks and the stride poses
-    whose bound is below U - h, U the least closed-form upper bound at the
-    picks (`_upper_bounds`). A pair that the search's running bound retires
-    takes its certified lower bound, and stays unsolved while that is below
-    the best d - h. The second round solves, without an upper bound, every
-    unsolved pair still below, so it retires none; a pair it leaves unsolved
-    was not below before it, and the best d - h only falls, so no pair is
-    open after it: the audit runs at most two rounds.
+    Each (obstacle, pose) pair keeps a certified lower bound, its box bound
+    to start with. A round is one `_certify` step on the open pairs, those
+    whose bound is below the least solved distance d less h; the result is
+    the least d. After a round, each open unsolved pair is raised to the
+    larger `axis_gaps` bound at the normals of the nearest solved poses of
+    its obstacle before and after it: that normal turns little between
+    nearby poses, and the axis bound loses only second order in the turn,
+    where a motion bound loses r |dR| (frame coherence: Cameron, ICRA 1997;
+    van den Bergen, J. Graphics Tools 1999). The first round is a GJK
+    min-search (`upper` started at U + h) over each obstacle's pick, the
+    centre of its first run of poses tied at its least bound (a path along a
+    box face ties over many poses, and rounding moves the centre less than
+    the first), and over its stride poses (every AUDIT_STRIDE-th, and those
+    within half a stride of the pick) whose bound is below U - h, U the least
+    closed-form upper bound at the picks (`_upper_bounds`). A pair it retires
+    stays unsolved while open. The second round solves every unsolved open
+    pair without an upper bound, so it retires none; a pair it leaves
+    unsolved was not open before it, and d only falls, so no pair is open
+    after it: the audit runs at most two rounds.
 
     The result is never below the minimum over all (pose, obstacle) pairs,
     and 0.0 as soon as a solve reports contact. When no solve hits the
     iteration cap (stats.nonconverged == 0) it is also at most AUDIT_TOL * r
-    above that minimum. An unconverged d may overstate its pair's distance,
-    so such a solve keeps its box bound (its normal still serves its
-    neighbours' axis bounds), and then only the lower side holds. `stats`,
-    when given, receives the solve, round, non-converged and summed GJK
-    iteration counts, the sum over rounds of each round's largest iteration
-    count (a batched iteration costs about the same at any batch size, so
-    this sets the GJK time), the number of solves that a GJK bound retired,
-    the number of pairs that axis bounds retired without a solve, and the
-    index of the pose that attains the result.
+    above that minimum. `stats`, when given, receives the work counts.
     """
     if not obstacles:
         return float("inf")
     positions = trajectory.positions
     n_poses, dim = positions.shape
-    r = robot.bounding_radius()
     shapes = stack_shapes(obstacles)
-    lower = box_gaps(positions, shapes) - r   # (obstacle, pose) lower bounds
-    half = AUDIT_TOL * r / 2.0
+    lower, half = _box_bounds(robot, positions, shapes)   # (obstacle, pose) lower bounds
     rotations = robot_rotations(robot.dim, trajectory.orientations)
 
     def pairs(j, i):
         return _pair_stack(robot, rotations, positions, shapes, j, i)
 
     def below(bounds):
-        """Open pairs: those whose bound may still undercut the answer."""
         return bounds < best - half
 
     stats = AuditStats() if stats is None else stats
     best = np.inf
     normals = np.zeros(lower.shape + (dim,))     # witness normals of solved pairs
     solved = np.zeros(lower.shape, bool)
-    # each obstacle's first pose: the centre of its first run of poses tied
-    # at its least bound (a path along a box face ties over many poses), which
-    # rounding in the trajectory moves less than the run's first pose
     poses = np.arange(n_poses)
     tied = lower == lower.min(axis=1, keepdims=True)
     start = tied.argmax(axis=1)
     stop = np.where(~tied & (poses > start[:, None]), poses, n_poses).min(axis=1)
     first = (start + stop - 1) // 2
-    # one min-search round: the picks, and the stride poses whose bound is
-    # below U - h, U the least closed-form upper bound at the picks; the
-    # stride poses are every AUDIT_STRIDE-th, and every one within half a
-    # stride of the obstacle's first, where its minimum most likely is
     u = _upper_bounds(pairs(np.arange(len(obstacles)), first)).min()
     stride = (poses % AUDIT_STRIDE == 0) | (np.abs(poses - first[:, None]) <= AUDIT_STRIDE // 2)
     todo = (poses == first[:, None]) | (stride & (lower < u - half))
     upper = float(u) + half
     while todo.any():
         j, i = np.nonzero(todo)
-        p_r, p_o, distance, converged, iterations, lower_bound, _ = closest_pair_arrays(
-            pairs(j, i), tol=half, upper=upper)
+        bound, normals[j, i], result = _certify(pairs(j, i), lower[j, i], half, upper=upper)
         upper = None
-        retired = ~np.isnan(lower_bound)
+        retired = ~np.isnan(result.lower_bound)
         stats.rounds += 1
         stats.solves += len(j)
-        stats.nonconverged += len(j) - int(np.count_nonzero(converged))
-        stats.iterations += int(iterations.sum())
-        stats.round_iterations += int(iterations.max())
+        stats.nonconverged += len(j) - int(np.count_nonzero(result.converged))
+        stats.iterations += int(result.iterations.sum())
+        stats.round_iterations += int(result.iterations.max())
         stats.bound_retired += int(np.count_nonzero(retired))
-        k = int(np.argmin(distance))
-        if distance[k] < best:
-            best, stats.worst_pose = float(distance[k]), int(i[k])
+        k = int(np.argmin(result.distance))
+        if result.distance[k] < best:
+            best, stats.worst_pose = float(result.distance[k]), int(i[k])
         if best <= 0.0:
             return best
+        lower[j, i] = bound
         solved |= todo
-        w = p_o - p_r
-        normals[j, i] = w / np.linalg.norm(w, axis=1, keepdims=True)
-        bound = distance - half
-        bound[retired] = lower_bound[retired]
-        lower[j[converged], i[converged]] = bound[converged]
-        # a retired pair still open is solved again
         solved[j[retired], i[retired]] = ~below(bound[retired])
-        # raise the unsolved open pairs by the normals of the nearest solved
-        # keys before and after theirs, in row-major (obstacle, pose) order,
-        # taken only from the pair's own obstacle
+        # each open key's nearest solved keys before and after, row-major
         keys = np.flatnonzero(solved)
         open_keys = np.flatnonzero(below(lower) & ~solved)
         at = np.searchsorted(keys, open_keys)
@@ -253,37 +287,3 @@ def min_trajectory_distance(trajectory, robot: Superquadric,
         todo = below(lower) & ~solved
         stats.axis_certified += len(open_keys) - int(np.count_nonzero(todo))
     return float(best)
-
-
-def trajectory_collides(trajectory, robot: Superquadric,
-                        obstacles: list[Superquadric]) -> bool:
-    """True unless every pose of the robot is certified clear of every obstacle.
-
-    An (obstacle, pose) pair is open while its lower bound is <= 0: its box
-    bound `box_gaps` - r (r the robot's bounding radius), then its
-    `_pair_bounds`, with rotations built only for open pairs' poses, where a
-    support point inside the other shape proves contact. The pairs still
-    open go through one GJK threshold query at 0 stopped within
-    h = AUDIT_TOL * r / 2: a pair the threshold retires is clear, a solve d
-    is clear when d - h > 0, and an unconverged one counts as contact. So
-    the answer is True at distance 0, and False above AUDIT_TOL * r unless
-    a solve hits the iteration cap.
-    """
-    if not obstacles:
-        return False
-    r = robot.bounding_radius()
-    shapes = stack_shapes(obstacles)
-    j, i = np.nonzero(box_gaps(trajectory.positions, shapes) - r <= 0.0)
-    if not len(j):
-        return False
-    poses, i = np.unique(i, return_inverse=True)
-    rotations = robot_rotations(robot.dim, trajectory.orientations[poses])
-    pairs = _pair_stack(robot, rotations, trajectory.positions[poses], shapes, j, i)
-    bounds, contact = _pair_bounds(pairs)
-    if contact or not np.any(bounds <= 0.0):
-        return contact
-    half = AUDIT_TOL * r / 2.0
-    _, _, distance, converged, _, lower_bound, _ = closest_pair_arrays(
-        pairs.take(np.s_[:, bounds <= 0.0]), tol=half, threshold=0.0)
-    bound = np.where(np.isnan(lower_bound), distance - half, lower_bound)
-    return bool(np.any(~converged | (bound <= 0.0)))

@@ -84,9 +84,9 @@ def clip_polygon(verts, tags, n, b, hp_tag, tol=GEOM_TOL):
 
 
 def box_polyhedron(lo, hi):
-    """Axis-aligned box with outward-oriented faces tagged by side.
-
-    Sides are ordered (x-, x+, y-, y+, z-, z+).
+    """Axis-aligned box with faces tagged by side, ordered (x-, x+, y-, y+,
+    z-, z+). Each side winds clockwise seen from outside (its Newell normal
+    points inwards), unlike the cut faces `clip_polyhedron` adds.
     """
     x0, y0, z0 = lo
     x1, y1, z1 = hi

@@ -3,11 +3,11 @@ import pytest
 
 from oracles import (check_decision, exact_distances, load_bench_scenes, robot_pose_at,
                      sampled_collides, with_pose)
-from sqplan import clearance, dmp, pipeline
+from sqplan import clearance, dmp, pipeline, proximity
 from sqplan.clearance import (AUDIT_TOL, _pair_bounds, _upper_bounds,
-                              min_trajectory_distance, trajectory_collides)
+                              min_trajectory_distance, pose_bounds, trajectory_collides)
 from sqplan.dmp import PoseTrajectory, validate_and_finalize
-from sqplan.geometry import Superquadric, stack_pairs
+from sqplan.geometry import Superquadric, stack_pairs, stack_shapes
 from sqplan.proximity import closest_pair
 from sqplan.scenario import (compute_metrics, generate_benchmark, metrics_to_dict,
                              scenario_from_dict)
@@ -51,6 +51,47 @@ def test_threshold_query_matches_per_pair_loop_on_random_scenes(dim):
         assert d == exact
         decisions.append(got)
     assert 5 <= sum(decisions) <= 25
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pose_bounds_never_exceed_the_exact_distances(monkeypatch, dim):
+    # every (obstacle, pose) bound of the kernel is at most the exact pair
+    # distance, at most 0 where that is 0, and its reduction is validation's
+    # decision; the threshold query runs on some of the scenes
+    rng = np.random.default_rng([dim, 31])
+    solves = []
+
+    def record(pairs, *args, **kwargs):
+        solves.append(pairs.pos.shape[1])
+        return proximity.closest_pair_arrays(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(clearance, "closest_pair_arrays", record)
+    decisions = []
+    for trial in range(30):
+        robot = random_shape(rng, dim, 0.05, 0.3, np.zeros(dim))
+        obstacles = [random_shape(rng, dim, 0.1, 0.6, rng.uniform(0.0, 2.0, dim))
+                     for _ in range(3)]
+        traj = wandering(rng, dim, [1, 2, 40][trial % 3], 0.0, 2.0)
+        bounds, contact = pose_bounds(traj.positions, traj.orientations, robot,
+                                      stack_shapes(obstacles))
+        exact = exact_distances(traj, robot, obstacles).T   # (obstacle, pose)
+        assert bounds.shape == exact.shape
+        assert np.all(bounds <= exact)
+        assert np.all(bounds[exact == 0.0] <= 0.0)
+        decisions.append(contact or bool(np.any(bounds <= 0.0)))
+        assert decisions[-1] == check_decision(traj, robot, obstacles)[0]
+    assert 5 <= sum(decisions) <= 25 and solves
+
+
+def test_unconverged_threshold_solve_counts_as_contact(monkeypatch):
+    # a pair that only the threshold query can decide: clear at the default
+    # iteration cap, and contact when the cap stops its solve unconverged
+    robot = Superquadric.create([1.0, 1.0], [0.1, 0.2, 0.3], np.zeros(3))
+    obstacle = Superquadric.create([0.6, 1.3], [0.5, 0.7, 0.9], np.zeros(3), [0.3, 0.5, 0.2])
+    traj = PoseTrajectory(np.zeros(1), np.array([[0.85, 0.3, 0.2]]), np.array([[0.4, 0.1, 0.7]]))
+    assert trajectory_collides(traj, robot, [obstacle]) is False
+    monkeypatch.setattr(proximity, "MAX_ITER", 1)
+    assert trajectory_collides(traj, robot, [obstacle]) is True
 
 
 @pytest.mark.parametrize("dim", [2, 3])
