@@ -38,7 +38,6 @@ from scipy.interpolate import CubicSpline
 from .clearance import trajectory_collides
 # inside_outside is not used here; perfbench's traced run patches this name
 from .geometry import Superquadric, inside_outside  # noqa: F401
-from .poses import PoseWaypoint
 
 ALPHA_Z = 25.0
 BETA_Z = ALPHA_Z / 4.0  # critical damping
@@ -85,19 +84,18 @@ class DMPModel:
     forcing_scale: np.ndarray
 
 
-def _aligned_orientations(waypoints: list[PoseWaypoint], dim: int) -> np.ndarray:
-    """Orientation channels made continuous for splining.
+def _aligned_orientations(orientations: np.ndarray) -> np.ndarray:
+    """Orientation channels, (n, 1) angles or (n, 3) rotation vectors, made
+    continuous for splining.
 
     2D angles are unwrapped; 3D rotation vectors are re-expressed (same
     rotation, complementary axis) whenever that lands closer to the previous
     sample, avoiding jumps across the +/- pi boundary.
     """
-    if dim == 2:
-        th = np.array([w.orientation[0] for w in waypoints])
-        return np.unwrap(th)[:, None]
-    out = [np.asarray(waypoints[0].orientation, dtype=float)]
-    for w in waypoints[1:]:
-        v = np.asarray(w.orientation, dtype=float)
+    if orientations.shape[1] == 1:
+        return np.unwrap(orientations[:, 0])[:, None]
+    out = [orientations[0]]
+    for v in orientations[1:]:
         theta = np.linalg.norm(v)
         if theta > 1e-12:
             alt = v * (1.0 - 2.0 * np.pi / theta)
@@ -112,16 +110,17 @@ def _minjerk(tau: np.ndarray) -> np.ndarray:
     return 10.0 * tau**3 - 15.0 * tau**4 + 6.0 * tau**5
 
 
-def interpolate_waypoints(waypoints: list[PoseWaypoint]) -> PoseTrajectory:
-    """Natural cubic spline through the waypoints over arc-length time, as
-    an unsmoothed PoseTrajectory.
+def interpolate_waypoints(positions, orientations) -> PoseTrajectory:
+    """Natural cubic spline through the waypoints, positions (n, dim) and
+    orientations (n, 1 or 3), over arc-length time, as an unsmoothed
+    PoseTrajectory.
 
     Duration is total positional arc length at the reference speed. The
     max(400, 100 per waypoint) sample times are equally spaced over the
     duration and the spline is read through a minimum-jerk time profile, so
     the demonstration starts and ends at rest; it passes the waypoints
-    between samples. Duplicate
-    consecutive positions are collapsed.
+    between samples. A waypoint within 1e-12 of the last one kept is
+    dropped.
 
     Long segments receive collinear helper knots so the spline cannot
     overshoot corridor centerlines between far-apart waypoints. Each
@@ -129,17 +128,18 @@ def interpolate_waypoints(waypoints: list[PoseWaypoint]) -> PoseTrajectory:
     the next orientation near the segment end, where the corner (a Voronoi
     vertex) offers the most clearance to turn in.
     """
-    if len(waypoints) < 2:
+    positions = np.asarray(positions, dtype=float)
+    if len(positions) < 2:
         raise ValueError("need at least two waypoints")
-    distinct = [waypoints[0]]
-    for w in waypoints[1:]:
-        if np.linalg.norm(np.asarray(w.position) - np.asarray(distinct[-1].position)) > 1e-12:
-            distinct.append(w)
+    distinct = [0]
+    for k in range(1, len(positions)):
+        if np.linalg.norm(positions[k] - positions[distinct[-1]]) > 1e-12:
+            distinct.append(k)
     if len(distinct) < 2:
         raise ValueError("waypoints collapse to a single position")
-    pos = np.array([w.position for w in distinct], dtype=float)
+    pos = positions[distinct]
     dim = pos.shape[1]
-    ori = _aligned_orientations(distinct, dim)
+    ori = _aligned_orientations(np.asarray(orientations, dtype=float)[distinct])
     seg = np.linalg.norm(np.diff(pos, axis=0), axis=1)
     t_way = np.concatenate([[0.0], np.cumsum(seg)]) / REFERENCE_SPEED
     duration = float(t_way[-1])
@@ -159,7 +159,7 @@ def interpolate_waypoints(waypoints: list[PoseWaypoint]) -> PoseTrajectory:
     knot_v = np.vstack([np.concatenate([pos[0], ori[0]]), np.hstack([p, o])])
 
     spline = CubicSpline(knot_t, knot_v, axis=0, bc_type="natural")
-    times = np.linspace(0.0, duration, max(400, 100 * len(waypoints)))
+    times = np.linspace(0.0, duration, max(400, 100 * len(positions)))
     samples = spline(_minjerk(times / duration) * duration)
     samples[0] = knot_v[0]
     samples[-1] = knot_v[-1]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dmp import (PoseTrajectory, ValidationReport, fit_lwr, interpolate_waypoints,
                   rollout, validate_and_finalize)
-from .poses import PoseWaypoint, plan_poses
+from .poses import plan_poses
 from .roadmap import RoadmapGraph, build_graph, project_terminal, shortest_path
 from .scenario import Scenario
 from .voronoi import Diagram, build_diagram
@@ -31,7 +31,7 @@ class PlanResult:
     diagram: Diagram
     graph: RoadmapGraph
     path: list[int] | None
-    waypoints: list[PoseWaypoint] | None
+    waypoints: tuple[np.ndarray, np.ndarray] | None  # (positions, orientations)
     demonstration: PoseTrajectory | None
     # the rollout, or the demonstration itself when validation fell back
     trajectory: PoseTrajectory | None
@@ -69,25 +69,23 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
     timings = {"precompute_s": pre.seconds}
 
     t0 = time.perf_counter()
-    path = None
+    found = None
     if len(graph.edges):
         graph, start_node = project_terminal(scenario.start.position, graph)
         graph, goal_node = project_terminal(scenario.goal.position, graph)
-        path = shortest_path(graph, start_node, goal_node)
-    if path is None:
+        found = shortest_path(graph, start_node, goal_node)
+    if found is None:
         timings["query_s"] = time.perf_counter() - t0
         return PlanResult(False, NO_FEASIBLE_PASSAGE, diagram, graph, None,
                           None, None, None, None, timings)
 
+    path, edges = found
     if len(path) == 1:
         waypoints = _degenerate_waypoints(scenario, graph, path[0])
     else:
-        try:
-            waypoints = plan_poses(path, graph, scenario.robot, diagram.hyperplanes)
-        except ValueError:
-            waypoints = _degenerate_waypoints(scenario, graph, path[0])
+        waypoints = plan_poses(graph.nodes[path], edges, diagram.hyperplanes)
 
-    demo = interpolate_waypoints(waypoints)
+    demo = interpolate_waypoints(*waypoints)
     model = fit_lwr(demo, p=scenario.dmp_basis)
     smoothed = rollout(model)
     trajectory, report = validate_and_finalize(smoothed, demo, scenario.robot,
@@ -98,7 +96,7 @@ def plan(scenario: Scenario, pre: Precomputed | None = None) -> PlanResult:
 
 
 def _degenerate_waypoints(scenario: Scenario, graph: RoadmapGraph,
-                          node: int) -> list[PoseWaypoint]:
+                          node: int) -> tuple[np.ndarray, np.ndarray]:
     """Start and goal collapse onto one graph node: go there directly."""
     a = np.asarray(scenario.start.position, dtype=float)
     b = np.asarray(scenario.goal.position, dtype=float)
@@ -107,6 +105,4 @@ def _degenerate_waypoints(scenario: Scenario, graph: RoadmapGraph,
     mid = graph.nodes[node]
     pts = [a] + ([mid] if np.linalg.norm(mid - a) > 1e-12
                  and np.linalg.norm(mid - b) > 1e-12 else []) + [b]
-    dim = scenario.dim
-    ori = np.zeros(1) if dim == 2 else np.zeros(3)
-    return [PoseWaypoint(np.asarray(p, dtype=float), ori.copy()) for p in pts]
+    return np.array(pts), np.zeros((len(pts), 1 if scenario.dim == 2 else 3))

@@ -90,12 +90,12 @@ def box_polyhedron(lo, hi):
     """
     x0, y0, z0 = lo
     x1, y1, z1 = hi
-    verts = [
-        np.array([x0, y0, z0]), np.array([x1, y0, z0]),
-        np.array([x1, y1, z0]), np.array([x0, y1, z0]),
-        np.array([x0, y0, z1]), np.array([x1, y0, z1]),
-        np.array([x1, y1, z1]), np.array([x0, y1, z1]),
-    ]
+    verts = np.array([
+        [x0, y0, z0], [x1, y0, z0],
+        [x1, y1, z0], [x0, y1, z0],
+        [x0, y0, z1], [x1, y0, z1],
+        [x1, y1, z1], [x0, y1, z1],
+    ])
     loops = [
         [0, 3, 7, 4],  # x-
         [1, 5, 6, 2],  # x+
@@ -111,12 +111,12 @@ def box_polyhedron(lo, hi):
 def clip_polyhedron(vertices, faces, n, b, hp_tag, tol=GEOM_TOL):
     """Clip a convex polyhedron to n.x >= b.
 
-    vertices: list of 3-vectors, which may hold some that no face uses (they
-    decide nothing); faces: list of (vertex-index loop, tag). Returns
-    (vertices, faces, changed); vertices is None when empty. The cut face is
-    a convex polygon: the kept vertices on the plane, ordered clockwise about
-    n (its outward normal is -n) by their angle around their centroid, from
-    the least id.
+    vertices: 3-vectors, each used by some face; faces: list of
+    (vertex-index loop, tag). Returns (vertices, faces, changed); vertices
+    is None when empty. The result holds the vertices its faces use, as a
+    (V, 3) array renumbered in id order. The cut face is a convex polygon:
+    the kept vertices on the plane, ordered clockwise about n (its outward
+    normal is -n) by their angle around their centroid, from the least id.
     """
     verts = [np.asarray(v, dtype=float) for v in vertices]
     s = np.array([v @ n - b for v in verts])
@@ -124,10 +124,9 @@ def clip_polyhedron(vertices, faces, n, b, hp_tag, tol=GEOM_TOL):
     for i in np.flatnonzero(snap):
         verts[i] = verts[i] - s[i] * n
         s[i] = 0.0
-    used = s[sorted({i for loop, _ in faces for i in loop})]
-    if np.all(used >= 0.0):
-        return verts, [(list(loop), t) for loop, t in faces], False
-    if np.all(used <= 0.0):
+    if np.all(s >= 0.0):
+        return np.array(verts), [(list(loop), t) for loop, t in faces], False
+    if np.all(s <= 0.0):
         return None, None, True
 
     cut_cache: dict[tuple[int, int], int] = {}
@@ -165,16 +164,11 @@ def clip_polyhedron(vertices, faces, n, b, hp_tag, tol=GEOM_TOL):
     e1 = np.cross(n, np.eye(3)[np.argmin(np.abs(n))])
     order = np.argsort(np.arctan2(d @ np.cross(e1, n), d @ e1))
     new_faces.append(([on[i] for i in np.roll(order, -np.argmin(order))], hp_tag))
-    return verts, new_faces, True
-
-
-def compact_polyhedron(vertices, faces):
-    """Drop vertices not referenced by any face, remapping face loops."""
-    used = sorted({i for loop, _ in faces for i in loop})
+    # renumbering the used vertices in order keeps the cut face's start least
+    used = sorted({i for loop, _ in new_faces for i in loop})
     remap = {old: new for new, old in enumerate(used)}
-    verts = np.array([vertices[i] for i in used])
-    new_faces = [([remap[i] for i in loop], tag) for loop, tag in faces]
-    return verts, new_faces
+    return (np.array([verts[i] for i in used]),
+            [([remap[i] for i in loop], tag) for loop, tag in new_faces], True)
 
 
 def polyhedron_edges(faces):

@@ -2,20 +2,25 @@
 
 The robot travels along its longest axis; in 3D its shortest axis is held
 normal to the bisector face that generated the current edge, which is the
-direction the passage constrains.
+direction the passage constrains. `plan_poses` maps the path's node
+positions and the Edge rows Dijkstra took to orientation arrays, and
+`robot_rotations` maps those to the robot's rotations: both halves of the
+axis convention. Roadmap and diagram types are imported for type checking
+only, so that the roadmap can import `clearance`, which imports this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Superquadric
-from .roadmap import RoadmapGraph
 # exp_so3 is not used here; perfbench's traced run patches this name
 from .rotations import exp_so3, exp_so3_batch, log_so3  # noqa: F401
-from .voronoi import Hyperplane
+
+if TYPE_CHECKING:
+    from .roadmap import Edge
+    from .voronoi import Hyperplane
 
 PARALLEL_TOL = 1e-6
 
@@ -24,12 +29,6 @@ PARALLEL_TOL = 1e-6
 _AXIS_CONVENTION = np.array([[0.0, 0.0, 1.0],
                              [0.0, -1.0, 0.0],
                              [1.0, 0.0, 0.0]])
-
-
-@dataclass
-class PoseWaypoint:
-    position: np.ndarray
-    orientation: np.ndarray  # (1,) angle in 2D, (3,) rotation vector in 3D
 
 
 def heading_2d(v_i, v_next) -> float:
@@ -86,18 +85,19 @@ def _fallback_normal(r1: np.ndarray) -> np.ndarray:
     return n / np.linalg.norm(n)
 
 
-def _segment_normal(edge, hyperplanes: list[Hyperplane]) -> np.ndarray | None:
+def _segment_normal(edge: Edge, hyperplanes: list[Hyperplane]) -> np.ndarray | None:
     """Normal of the widest-gap bisector face adjacent to the edge, ties to
     the lowest hyperplane id."""
-    if edge is None or not edge.faces:
+    if not edge.faces:
         return None
     best = min(edge.faces, key=lambda t: (-hyperplanes[t].witness_distance, t))
     return hyperplanes[best].normal
 
 
-def plan_poses(path: list[int], graph: RoadmapGraph, robot: Superquadric,
-               hyperplanes: list[Hyperplane]) -> list[PoseWaypoint]:
-    """One pose waypoint per path node.
+def plan_poses(nodes: np.ndarray, edges: list[Edge],
+               hyperplanes: list[Hyperplane]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (n, dim) and orientations (n, 1 or 3) of the robot at the
+    n path nodes, given the n - 1 Edge rows the path took between them.
 
     Each node takes its outgoing segment's orientation (the final node takes
     the last segment's). In 3D a segment's bisector faces are the
@@ -105,25 +105,16 @@ def plan_poses(path: list[int], graph: RoadmapGraph, robot: Superquadric,
     (bridges, stubs, box-only edges) inherit the nearest face-bearing
     neighbor's normal.
     """
-    if len(path) < 2:
-        raise ValueError("path must contain at least two nodes")
-    positions, edges = [graph.nodes[path[0]]], []
-    for k in range(len(path) - 1):
-        p = graph.nodes[path[k + 1]]
-        if np.linalg.norm(p - positions[-1]) == 0.0:
-            continue
-        edges.append(graph.edge_between(path[k], path[k + 1]))
-        positions.append(p)
+    positions = np.asarray(nodes, dtype=float)
     if len(positions) < 2:
-        raise ValueError("path collapsed to a single point")
-
-    n_seg = len(positions) - 1
-    if robot.dim == 2:
+        raise ValueError("path must contain at least two nodes")
+    n_seg = len(edges)
+    if positions.shape[1] == 2:
         thetas = [heading_2d(positions[k], positions[k + 1]) for k in range(n_seg)]
         # stubs and bridges are connective tissue, not clearance-bearing
         # segments; give them the nearest cell segment's heading so the
         # interpolated rotation is not smeared across a narrow passage
-        is_cell = [e is not None and e.kind == "cell" for e in edges]
+        is_cell = [e.kind == "cell" for e in edges]
         if any(is_cell):
             for k in range(n_seg):
                 if is_cell[k]:
@@ -131,8 +122,7 @@ def plan_poses(path: list[int], graph: RoadmapGraph, robot: Superquadric,
                 prev = next((j for j in range(k - 1, -1, -1) if is_cell[j]), None)
                 nxt = next((j for j in range(k + 1, n_seg) if is_cell[j]), None)
                 thetas[k] = thetas[prev if prev is not None else nxt]
-        return [PoseWaypoint(positions[k], np.array([thetas[min(k, n_seg - 1)]]))
-                for k in range(len(positions))]
+        return positions, np.array(thetas + thetas[-1:])[:, None]
 
     raw = [_segment_normal(e, hyperplanes) for e in edges]
     first = next((n for n in raw if n is not None), None)
@@ -157,5 +147,4 @@ def plan_poses(path: list[int], graph: RoadmapGraph, robot: Superquadric,
         r = frame_3d(positions[k], positions[k + 1], n)
         prev_r3 = r[:, 2]
         rotations.append(log_so3(r))
-    return [PoseWaypoint(positions[k], rotations[min(k, n_seg - 1)])
-            for k in range(len(positions))]
+    return positions, np.array(rotations + rotations[-1:])

@@ -10,14 +10,15 @@ edge names the bisector hyperplanes of its faces by their ids in the
 diagram's list; their normals and witness distances stay in the diagram. A
 built graph is read-only, so all queries of a scene share it:
 `project_terminal` derives a query's graph from it by dropping the split
-edge's row and appending the halves and the stub.
+edge's row and appending the halves and the stub. `shortest_path` returns
+the path's node ids with the Edge rows it took between them, which the
+pose stage reads.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -86,11 +87,6 @@ class RoadmapGraph:
     def edge(self, k: int) -> Edge:
         u, v = self.edges[k].tolist()
         return Edge(u, v, float(self.weights[k]), self.edge_kinds[k], self.edge_faces[k])
-
-    def edge_between(self, u: int, v: int) -> Edge | None:
-        indptr, neighbors, edge_ids = self.csr
-        i = bisect_left(neighbors, v, indptr[u], indptr[u + 1])
-        return self.edge(edge_ids[i]) if i < indptr[u + 1] and neighbors[i] == v else None
 
     def live_edges(self) -> list[Edge]:
         """Every edge row, in order."""
@@ -274,8 +270,10 @@ def _extended(graph: RoadmapGraph, drop: int, added, rows: list[Edge]) -> Roadma
         graph.segments_decided, graph.segments_rejected, graph.bridges_added)
 
 
-def shortest_path(graph: RoadmapGraph, start: int, goal: int) -> list[int] | None:
-    """Dijkstra over the CSR rows; None when the goal is unreachable.
+def shortest_path(graph: RoadmapGraph, start: int,
+                  goal: int) -> tuple[list[int], list[Edge]] | None:
+    """Dijkstra over the CSR rows: the path's node ids and the Edge rows it
+    took between them; None when the goal is unreachable.
 
     Neighbours are relaxed in ascending id, and a node's distance is
     replaced only when it falls by more than 1e-15, for determinism.
@@ -286,7 +284,7 @@ def shortest_path(graph: RoadmapGraph, start: int, goal: int) -> list[int] | Non
     indptr, neighbors, edge_ids = graph.csr
     weights = graph.weights.tolist()
     dist = {start: 0.0}
-    prev: dict[int, int] = {}
+    prev: dict[int, tuple[int, int]] = {}  # node: (previous node, edge id)
     heap = [(0.0, start)]
     done = set()
     while heap:
@@ -301,14 +299,16 @@ def shortest_path(graph: RoadmapGraph, start: int, goal: int) -> list[int] | Non
             nd = d + weights[edge_ids[s]]
             if v not in dist or nd < dist[v] - 1e-15:
                 dist[v] = nd
-                prev[v] = u
+                prev[v] = (u, edge_ids[s])
                 heapq.heappush(heap, (nd, v))
     if goal not in done:
         return None
-    path = [goal]
+    path, edges = [goal], []
     while path[-1] != start:
-        path.append(prev[path[-1]])
-    return path[::-1]
+        u, k = prev[path[-1]]
+        path.append(u)
+        edges.append(graph.edge(k))
+    return path[::-1], edges[::-1]
 
 
 def graph_to_dict(graph: RoadmapGraph) -> dict:

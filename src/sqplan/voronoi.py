@@ -23,7 +23,6 @@ from .polytope import (
     box_polyhedron,
     clip_polygon,
     clip_polyhedron,
-    compact_polyhedron,
     polyhedron_edges,
 )
 # closest_pair and overlaps are not used here; perfbench's traced run patches
@@ -175,11 +174,9 @@ def build_cell(ci: Cluster, planes: list[Hyperplane], world_lo, world_hi,
     if dim == 2:
         m = len(verts)
         edges = [(u, (u + 1) % m, [parts[u]]) for u in range(m)]
-        faces = None
-    else:
-        verts, faces = compact_polyhedron(verts, parts)
-        edges = [(u, v, tags) for (u, v), tags in sorted(polyhedron_edges(faces).items())]
-    return PolytopeCell(ci.id, verts, edges, faces)
+        return PolytopeCell(ci.id, verts, edges, None)
+    edges = [(u, v, tags) for (u, v), tags in sorted(polyhedron_edges(parts).items())]
+    return PolytopeCell(ci.id, verts, edges, parts)
 
 
 def build_diagram(robot: Superquadric, obstacles: list[Superquadric],

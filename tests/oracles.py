@@ -30,7 +30,10 @@ robot at one waypoint through a `RigidPose`: the reference that
 `reference_clip_polyhedron` is the polyhedron clip that closed its cut face
 by walking a boundary graph: the on-plane vertex pairs of the kept faces
 that appear once, chained into a loop (`chain_loop`) and oriented by its
-Newell normal (`newell_normal`).
+Newell normal (`newell_normal`); it keeps the vertices no face uses, which
+`compact_polyhedron` drops, renumbering the rest in order.
+`whole_box_terminals` draws query terminals anywhere in the world box, or
+in a part of it, clear of the walls and of the obstacles' boxes.
 `load_bench_scenes` imports perfbench's scene definitions.
 """
 
@@ -650,6 +653,31 @@ def reference_clip_polyhedron(vertices, faces, n, b, hp_tag, tol=GEOM_TOL):
             cut_loop.reverse()
         new_faces.append((cut_loop, hp_tag))
     return verts, new_faces, True
+
+
+def compact_polyhedron(vertices, faces):
+    """Drop vertices not referenced by any face, remapping face loops."""
+    used = sorted({i for loop, _ in faces for i in loop})
+    remap = {old: new for new, old in enumerate(used)}
+    verts = np.array([vertices[i] for i in used])
+    new_faces = [([remap[i] for i in loop], tag) for loop, tag in faces]
+    return verts, new_faces
+
+
+def whole_box_terminals(scenario, count, rng, lo=None, hi=None):
+    """count points drawn uniformly in the world box, or in its part from lo
+    to hi, keeping those where the robot's bounding sphere clears every wall
+    and every obstacle's box."""
+    lo = scenario.world_lo if lo is None else lo
+    hi = scenario.world_hi if hi is None else hi
+    r = scenario.robot.bounding_radius()
+    shapes = stack_shapes(scenario.obstacles)
+    points = []
+    while len(points) < count:
+        p = rng.uniform(lo, hi, size=(64, scenario.dim))
+        walls = np.minimum(p - scenario.world_lo, scenario.world_hi - p).min(axis=1)
+        points.extend(p[(walls > r) & (box_gaps(p, shapes).min(axis=0) > r)])
+    return points[:count]
 
 
 def load_bench_scenes():

@@ -13,7 +13,7 @@ from sqplan.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, DMPModel, PoseTrajectory, _bas
                         trajectory_collides, validate_and_finalize)
 from sqplan.geometry import (RigidPose, Superquadric, box_gaps, inside_outside,
                              stack_shapes, surface_samples)
-from sqplan.poses import PoseWaypoint, robot_rotations
+from sqplan.poses import robot_rotations
 from sqplan.rotations import exp_so3
 from sqplan.scenario import generate_benchmark, scenario_from_dict
 
@@ -28,9 +28,7 @@ def straight_demo(n=400, duration=2.0):
 
 
 def test_interpolate_two_waypoints_is_linear():
-    ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.3])),
-            PoseWaypoint(np.array([2.0, 1.0]), np.array([0.3]))]
-    demo = interpolate_waypoints(ways)
+    demo = interpolate_waypoints([[0.0, 0.0], [2.0, 1.0]], [[0.3], [0.3]])
     d = np.array([2.0, 1.0])
     # all samples on the segment
     p = demo.positions
@@ -46,10 +44,7 @@ def test_interpolate_two_waypoints_is_linear():
 
 
 def test_interpolate_collinear_waypoints_zero_curvature():
-    ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0])),
-            PoseWaypoint(np.array([1.0, 1.0]), np.array([0.0])),
-            PoseWaypoint(np.array([2.0, 2.0]), np.array([0.0]))]
-    demo = interpolate_waypoints(ways)
+    demo = interpolate_waypoints([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], np.zeros((3, 1)))
     p = demo.positions
     cross = p[:, 0] - p[:, 1]
     assert np.max(np.abs(cross)) <= 1e-9
@@ -60,25 +55,24 @@ def test_demonstration_samples_equal_time_steps():
     pts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 1.0]),
            np.array([3.0, 1.5])]
     for count, n in ((4, 400), (5, 500), (9, 900)):
-        ways = [PoseWaypoint(p, np.array([0.2 * k]))
-                for k, p in enumerate(pts[:1] * (count - 3) + pts[1:])]
-        demo = interpolate_waypoints(ways)
+        demo = interpolate_waypoints(pts[:1] * (count - 3) + pts[1:],
+                                     0.2 * np.arange(count)[:, None])
         assert np.isclose(demo.times[-1], 2.0 + np.hypot(2.0, 0.5), rtol=1e-15)
         assert np.array_equal(demo.times, np.linspace(0.0, demo.times[-1], n))
         assert np.array_equal(demo.positions[[0, -1]], [pts[0], pts[-1]])
 
 
 def test_interpolate_collapses_duplicates_and_errors():
-    w = PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0]))
     with pytest.raises(ValueError):
-        interpolate_waypoints([w, w])
+        interpolate_waypoints(np.zeros((2, 2)), np.zeros((2, 1)))
+    with pytest.raises(ValueError):  # one point within 1e-12 of the other
+        interpolate_waypoints([[0.0, 0.0], [1e-13, 0.0]], np.zeros((2, 1)))
 
 
 def test_interpolate_hemisphere_alignment_3d():
     v = np.array([0.0, 0.0, 3.0])  # same rotation as -pi-side vector
-    ways = [PoseWaypoint(np.array([0.0, 0.0, 0.0]), v),
-            PoseWaypoint(np.array([1.0, 0.0, 0.0]), -v * (2 * np.pi - 3.0) / 3.0)]
-    demo = interpolate_waypoints(ways)
+    demo = interpolate_waypoints([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                                 [v, -v * (2 * np.pi - 3.0) / 3.0])
     steps = np.linalg.norm(np.diff(demo.orientations, axis=0), axis=1)
     assert steps.max() < 0.1  # no +-pi jump in the rotation channels
 
@@ -158,10 +152,8 @@ def test_rollout_endpoint_exactness():
 
 
 def test_rollout_rotations_stay_proper_3d():
-    ways = [PoseWaypoint(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0])),
-            PoseWaypoint(np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.2])),
-            PoseWaypoint(np.array([2.0, 0.0, 0.5]), np.array([0.4, 0.0, 1.2]))]
-    demo = interpolate_waypoints(ways)
+    demo = interpolate_waypoints([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 0.0, 0.5]],
+                                 [[0.0, 0.0, 0.0], [0.0, 0.0, 1.2], [0.4, 0.0, 1.2]])
     model = fit_lwr(demo, p=20)
     traj = rollout(model)
     for v in traj.orientations[::10]:
@@ -171,10 +163,8 @@ def test_rollout_rotations_stay_proper_3d():
 
 
 def test_smoothness_no_new_jerk_spikes():
-    ways = [PoseWaypoint(np.array([0.0, 0.0]), np.array([0.0])),
-            PoseWaypoint(np.array([1.0, 0.0]), np.array([np.pi / 2])),
-            PoseWaypoint(np.array([1.0, 1.0]), np.array([np.pi / 2]))]
-    demo = interpolate_waypoints(ways)
+    demo = interpolate_waypoints([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+                                 [[0.0], [np.pi / 2], [np.pi / 2]])
     model = fit_lwr(demo, p=25)
     traj = rollout(model)
     acc_demo = np.max(np.abs(np.diff(demo.positions, 2, axis=0)))
@@ -825,24 +815,23 @@ def test_rollout_is_stable_under_one_ulp_waypoint_changes(monkeypatch):
         sampler.next()
     captured = []
 
-    def capture(waypoints):
-        captured.append(waypoints)
-        return interpolate_waypoints(waypoints)
+    def capture(positions, orientations):
+        captured.append((positions, orientations))
+        return interpolate_waypoints(positions, orientations)
 
     monkeypatch.setattr(pipeline, "interpolate_waypoints", capture)
     assert pipeline.plan(scenario_from_dict(sampler.next()), pre).success
-    waypoints, = captured
+    (waypoints, orientations), = captured
 
     def positions(ways):
-        return rollout(fit_lwr(interpolate_waypoints(ways))).positions
+        return rollout(fit_lwr(interpolate_waypoints(ways, orientations))).positions
 
     base = positions(waypoints)
     rng = np.random.default_rng(0)
     for trial in range(22):
-        toward = [np.full(3, [np.inf, -np.inf][trial]) if trial < 2
-                  else np.where(rng.random(3) < 0.5, np.inf, -np.inf) for _ in waypoints]
-        moved = positions([PoseWaypoint(np.nextafter(w.position, d), w.orientation)
-                           for w, d in zip(waypoints, toward)])
+        toward = (np.full(waypoints.shape, [np.inf, -np.inf][trial]) if trial < 2
+                  else np.where(rng.random(waypoints.shape) < 0.5, np.inf, -np.inf))
+        moved = positions(np.nextafter(waypoints, toward))
         assert moved.shape == base.shape
         assert np.max(np.abs(moved - base)) <= 1e-9
 

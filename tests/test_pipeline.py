@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import load_bench_scenes
+from oracles import load_bench_scenes, whole_box_terminals
 from sqplan import roadmap
 from sqplan.cli import EXIT_OK, main
 from sqplan.clearance import trajectory_collides
-from sqplan.geometry import Superquadric, box_gaps, inside_outside, stack_shapes
+from sqplan.geometry import Superquadric, inside_outside
 from sqplan.pipeline import NO_FEASIBLE_PASSAGE, plan, precompute
 from sqplan.roadmap import MERGE_TOL
 from sqplan.scenario import (BENCHMARK_NAMES, Scenario, compute_metrics, generate_benchmark,
@@ -142,7 +142,7 @@ def test_terminals_on_one_node_go_straight_from_start_to_goal(name, tmp_path):
         scn.start, scn.goal = RigidPose.create(a), RigidPose.create(b)
         result = plan(scn, pre)
         assert result.success and len(result.path) == 1
-        assert len(result.waypoints) == 2 + k
+        assert len(result.waypoints[0]) == 2 + k
         # a zero-length demonstration is moved 1e-9 m off the start per axis
         assert np.allclose(result.trajectory.positions[0], a, rtol=0.0, atol=1e-12)
         assert np.allclose(result.trajectory.positions[-1], b, rtol=0.0, atol=2e-9)
@@ -272,19 +272,6 @@ def test_every_perfbench_patch_point_resolves(monkeypatch):
     finally:
         tracer.unpatch()
     assert all(getattr(module, attr) is original for module, attr, original in patched)
-
-
-def whole_box_terminals(scenario, count, rng):
-    """count points drawn uniformly in the world box, keeping those where the
-    robot's bounding sphere clears every wall and every obstacle's box."""
-    r = scenario.robot.bounding_radius()
-    shapes = stack_shapes(scenario.obstacles)
-    points = []
-    while len(points) < count:
-        p = rng.uniform(scenario.world_lo, scenario.world_hi, size=(64, scenario.dim))
-        walls = np.minimum(p - scenario.world_lo, scenario.world_hi - p).min(axis=1)
-        points.extend(p[(walls > r) & (box_gaps(p, shapes).min(axis=0) > r)])
-    return points[:count]
 
 
 @pytest.mark.parametrize("name", [

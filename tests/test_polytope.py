@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import newell_normal, reference_clip_polyhedron
+from oracles import compact_polyhedron, newell_normal, reference_clip_polyhedron
 from sqplan.polytope import (GEOM_TOL, box_polygon, box_polyhedron, box_side_tag,
-                             clip_polygon, clip_polyhedron, compact_polyhedron,
-                             polyhedron_edges)
+                             clip_polygon, clip_polyhedron, polyhedron_edges)
 
 
 def euler_characteristic(n_vertices, faces):
@@ -18,10 +17,12 @@ def box_outward(side):
 
 
 def assert_valid_polyhedron(verts, faces, outward):
-    """Closed (V - E + F = 2, two faces at every edge), and every face planar
-    and convex. A cut face turns counter-clockwise seen from outside, about
-    outward[tag]; a box side clockwise, as box_polyhedron winds it."""
-    pts, faces = compact_polyhedron(verts, faces)
+    """Every vertex used by a face, closed (V - E + F = 2, two faces at every
+    edge), and every face planar and convex. A cut face turns
+    counter-clockwise seen from outside, about outward[tag]; a box side
+    clockwise, as box_polyhedron winds it."""
+    pts = np.asarray(verts)
+    assert sorted({i for loop, _ in faces for i in loop}) == list(range(len(pts)))
     assert euler_characteristic(len(pts), faces) == 2
     assert all(len(tags) == 2 for tags in polyhedron_edges(faces).values())
     for loop, tag in faces:
@@ -36,18 +37,17 @@ def assert_valid_polyhedron(verts, faces, outward):
 
 
 def clip_as_reference(verts, faces, n, b, tag):
-    """clip_polyhedron, checked against the boundary-walk reference: the same
-    vertices and kept faces, and the same cut face up to where it starts,
-    which is its least vertex id. The reference's early returns test unused
-    vertices too: it can keep no face where the clip is empty, and call a
-    clip changed that keeps every face. Returns the clip's result."""
+    """clip_polyhedron, checked against the boundary-walk reference with the
+    vertices no face uses dropped: the same vertices and kept faces, and the
+    same cut face up to where it starts, which is its least vertex id.
+    Returns the clip's result."""
     got_v, got_f, changed = clip_polyhedron(verts, faces, n, b, tag)
     want_v, want_f, _ = reference_clip_polyhedron(verts, faces, n, b, tag)
     if got_v is None:
-        # an unused vertex on the kept side made the reference keep no face
-        assert changed and (want_v is None or want_f == [])
+        assert changed and want_v is None
         return got_v, got_f, changed
-    assert np.array_equal(np.array(got_v), np.array(want_v))
+    want_v, want_f = compact_polyhedron(want_v, want_f)
+    assert np.array_equal(got_v, want_v)
     assert [f for f in got_f if f[1] != tag] == [f for f in want_f if f[1] != tag]
     got_cut = [loop for loop, t in got_f if t == tag]
     want_cut = [loop for loop, t in want_f if t == tag]
@@ -109,13 +109,12 @@ def test_clip_polyhedron_halfspace():
     v, f, changed = clip_polyhedron(verts, faces, np.array([0.0, 0.0, -1.0]),
                                     -1.0, 3)
     assert changed
-    pts, f = compact_polyhedron(v, f)
-    assert euler_characteristic(len(pts), f) == 2
-    assert np.all(pts[:, 2] <= 1.0 + 1e-9)
+    assert euler_characteristic(len(v), f) == 2
+    assert np.all(v[:, 2] <= 1.0 + 1e-9)
     assert any(tag == 3 for _, tag in f)
     # cut face area is 2x2
     cut = next(loop for loop, tag in f if tag == 3)
-    poly = pts[cut][:, :2]
+    poly = v[cut][:, :2]
     assert np.isclose(abs(polygon_area(poly)), 4.0)
 
 
@@ -124,8 +123,7 @@ def test_clip_polyhedron_corner_cut_euler():
     n = -np.ones(3) / np.sqrt(3.0)
     v, f, changed = clip_polyhedron(verts, faces, n, float(n @ [0.5, 0.0, 0.0]), 1)
     assert changed
-    pts, f = compact_polyhedron(v, f)
-    assert euler_characteristic(len(pts), f) == 2
+    assert euler_characteristic(len(v), f) == 2
 
 
 def test_clip_polyhedron_random_sequence_stays_valid():
@@ -143,8 +141,7 @@ def test_clip_polyhedron_random_sequence_stays_valid():
             verts, faces = v, f
             outward[100 + k] = -n
             assert_valid_polyhedron(verts, faces, outward)
-            pts, _ = compact_polyhedron(verts, faces)
-            assert np.all(pts @ n >= b - 1e-7)
+            assert np.all(verts @ n >= b - 1e-7)
 
 
 SQRT14 = np.sqrt(14.0)
@@ -166,9 +163,12 @@ def test_clip_polyhedron_degenerate_planes(n, b, on_plane, cut_points):
     verts, faces = box_polyhedron([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     v, f, changed = clip_as_reference(verts, faces, n, b, 7)
     assert changed
+    # the box vertices kept, renumbered in order, then the cut points
+    kept = [i for i in range(8) if verts[i] @ n - b >= -GEOM_TOL]
+    on_plane = [kept.index(i) for i in on_plane]
     cut = next(loop for loop, tag in f if tag == 7)
-    assert sorted(cut) == on_plane + list(range(8, 8 + cut_points))
-    assert len(v) == 8 + cut_points
+    assert sorted(cut) == on_plane + list(range(len(kept), len(kept) + cut_points))
+    assert len(v) == len(kept) + cut_points
     assert all(abs(v[i] @ n - b) <= 1e-15 for i in on_plane)
     outward = {box_side_tag(s): box_outward(s) for s in range(6)}
     outward[7] = -n
@@ -176,11 +176,13 @@ def test_clip_polyhedron_degenerate_planes(n, b, on_plane, cut_points):
 
 
 def test_clip_polyhedron_unused_vertices_decide_nothing():
-    # the corner cut leaves vertex 0 in the list, used by no face
-    verts, faces = box_polyhedron([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    # the corner cut returns no unused vertex: box vertex 0, which it cuts
+    # away, is dropped, the others renumbered in order, then the 2 cut points
+    box, faces = box_polyhedron([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     n = np.array([1.0, 2.0, 3.0]) / SQRT14
-    verts, faces, _ = clip_polyhedron(verts, faces, n, 1.0 / SQRT14, 7)
-    assert all(0 not in loop for loop, _ in faces)
+    verts, faces, _ = clip_polyhedron(box, faces, n, 1.0 / SQRT14, 7)
+    assert sorted({i for loop, _ in faces for i in loop}) == list(range(9))
+    assert len(verts) == 9 and np.array_equal(verts[1:7], box[2:])
     # a plane that only vertex 0 is behind keeps every face and adds none
     m = np.ones(3) / np.sqrt(3.0)
     v, f, changed = clip_as_reference(verts, faces, m, 0.2 / np.sqrt(3.0), 8)

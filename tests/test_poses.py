@@ -4,7 +4,7 @@ import pytest
 from oracles import robot_pose_at
 from sqplan.geometry import Superquadric
 from sqplan.poses import frame_3d, heading_2d, plan_poses, robot_rotations
-from sqplan.roadmap import RoadmapGraph
+from sqplan.roadmap import Edge
 from sqplan.rotations import exp_so3, rot2d
 from sqplan.voronoi import Hyperplane
 
@@ -66,52 +66,53 @@ def bisector(normal, gap):
     return Hyperplane(n, 0.0, 0, 1, 0.5 * gap * n, -0.5 * gap * n)
 
 
-def line_graph_2d(points, kinds=None):
-    ids = list(range(len(points)))
-    g = RoadmapGraph.create(points, ["cell"] * len(points), list(zip(ids, ids[1:])),
-                            ["cell"] * (len(ids) - 1) if kinds is None else kinds)
-    return g, ids
+def line_path(points, kinds=None, faces=None):
+    """The node array of a path through the points, and the Edge rows it
+    takes between them (cell edges without bisector faces by default)."""
+    nodes = np.array(points, dtype=float)
+    n = len(nodes) - 1
+    kinds = ["cell"] * n if kinds is None else kinds
+    faces = [()] * n if faces is None else faces
+    return nodes, [Edge(k, k + 1, float(np.linalg.norm(nodes[k + 1] - nodes[k])), kind,
+                        tuple(f)) for k, (kind, f) in enumerate(zip(kinds, faces))]
 
 
 def test_plan_poses_2d_straight():
-    robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
-    g, ids = line_graph_2d([[0.0, 0.0], [1.0, 0.0]])
-    ways = plan_poses(ids, g, robot, [])
-    assert len(ways) == 2
-    assert all(np.isclose(w.orientation[0], 0.0) for w in ways)
+    nodes, edges = line_path([[0.0, 0.0], [1.0, 0.0]])
+    positions, orientations = plan_poses(nodes, edges, [])
+    assert np.array_equal(positions, nodes)
+    assert orientations.shape == (2, 1)
+    assert np.allclose(orientations, 0.0)
 
 
 def test_plan_poses_2d_l_shape():
-    robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
-    g, ids = line_graph_2d([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    ways = plan_poses(ids, g, robot, [])
-    assert np.isclose(ways[0].orientation[0], 0.0)
-    assert np.isclose(ways[1].orientation[0], np.pi / 2.0)
-    assert np.isclose(ways[2].orientation[0], np.pi / 2.0)
+    positions, orientations = plan_poses(*line_path([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), [])
+    assert orientations.shape == (3, 1)
+    assert np.allclose(orientations[:, 0], [0.0, np.pi / 2.0, np.pi / 2.0])
 
 
 def test_plan_poses_2d_stub_inherits_cell_heading():
     # stub, cell, stub: the connective segments take the cell heading
-    robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
-    g, ids = line_graph_2d([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]],
-                           kinds=["stub", "cell", "stub"])
-    ways = plan_poses(ids, g, robot, [])
-    assert all(np.isclose(w.orientation[0], 0.0) for w in ways)
+    nodes, edges = line_path([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]],
+                             kinds=["stub", "cell", "stub"])
+    _, orientations = plan_poses(nodes, edges, [])
+    assert orientations.shape == (4, 1)
+    assert np.allclose(orientations, 0.0)
 
 
 def test_plan_poses_3d_aligns_short_axis_with_face_normal():
     robot = Superquadric.create([1.0, 1.0], [0.3, 0.5, 0.9], [0.0, 0.0, 0.0])
     normal = np.array([1.0, 0.0, 0.0])
-    g = RoadmapGraph.create([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ["cell"] * 2, [(0, 1)],
-                            ["cell"], [[0]])
-    ways = plan_poses([0, 1], g, robot, [bisector(normal, 0.4)])
-    for w in ways:
-        assert np.linalg.norm(w.orientation) <= np.pi + 1e-12
-        r = exp_so3(w.orientation)
+    nodes, edges = line_path([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], faces=[[0]])
+    positions, orientations = plan_poses(nodes, edges, [bisector(normal, 0.4)])
+    assert np.array_equal(positions, nodes) and orientations.shape == (2, 3)
+    for p, o in zip(positions, orientations):
+        assert np.linalg.norm(o) <= np.pi + 1e-12
+        r = exp_so3(o)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-9)
         assert np.allclose(r[:, 2], normal, atol=1e-9)  # r3 = face normal
         assert np.allclose(r[:, 0], [0.0, 1.0, 0.0], atol=1e-9)  # r1 = travel
-        posed = robot_pose_at(robot, w.position, w.orientation)
+        posed = robot_pose_at(robot, p, o)
         rm = posed.pose.matrix
         # shortest local axis (axes ascending) ends up on the face normal
         assert np.allclose(np.abs(rm[:, 0] @ normal), 1.0, atol=1e-9)
@@ -121,25 +122,21 @@ def test_plan_poses_3d_aligns_short_axis_with_face_normal():
 
 
 def test_plan_poses_3d_takes_the_widest_gap_face_ties_to_the_lowest_id():
-    robot = Superquadric.create([1.0, 1.0], [0.3, 0.5, 0.9], [0.0, 0.0, 0.0])
     x, z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
     for faces, planes, want in (([0, 1], [bisector(x, 0.4), bisector(z, 0.6)], z),
                                 ([1, 0], [bisector(x, 0.6), bisector(z, 0.6)], x)):
-        g = RoadmapGraph.create([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ["cell"] * 2, [(0, 1)],
-                                ["cell"], [faces])
-        for w in plan_poses([0, 1], g, robot, planes):
-            assert np.allclose(exp_so3(w.orientation)[:, 2], want, atol=1e-9)
+        nodes, edges = line_path([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], faces=[faces])
+        for o in plan_poses(nodes, edges, planes)[1]:
+            assert np.allclose(exp_so3(o)[:, 2], want, atol=1e-9)
 
 
 def test_plan_poses_3d_continuity_no_flip():
-    robot = Superquadric.create([1.0, 1.0], [0.3, 0.5, 0.9], [0.0, 0.0, 0.0])
-    pts = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0, 0.0]]
-    ids = [0, 1, 2]
     # second face normal stored with flipped sign; continuity must unflip it
-    g = RoadmapGraph.create(pts, ["cell"] * 3, [(0, 1), (1, 2)], ["cell"] * 2, [[0], [1]])
-    ways = plan_poses(ids, g, robot, [bisector([0.0, 0.0, 1.0], 0.4),
-                                      bisector([0.0, 0.0, -1.0], 0.4)])
-    r3s = [exp_so3(w.orientation)[:, 2] for w in ways]
+    nodes, edges = line_path([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0, 0.0]],
+                             faces=[[0], [1]])
+    _, orientations = plan_poses(nodes, edges, [bisector([0.0, 0.0, 1.0], 0.4),
+                                                bisector([0.0, 0.0, -1.0], 0.4)])
+    r3s = [exp_so3(o)[:, 2] for o in orientations]
     for k in range(len(r3s) - 1):
         assert r3s[k] @ r3s[k + 1] > 0.0
 
@@ -171,7 +168,5 @@ def test_robot_rotations_match_robot_pose_at(dim):
 
 
 def test_plan_poses_requires_two_nodes():
-    robot = Superquadric.create([1.0], [0.02, 0.06], [0.0, 0.0])
-    g, ids = line_graph_2d([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        plan_poses([ids[0]], g, robot, [])
+        plan_poses(np.zeros((1, 2)), [], [])

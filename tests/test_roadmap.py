@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (DictGraph, load_bench_scenes, per_edge_project_terminal,
-                     reference_build_graph, segment_clear)
+                     reference_build_graph, segment_clear, whole_box_terminals)
 from sqplan import pipeline, roadmap
 from sqplan.geometry import EPS_MAX, EPS_MIN, Superquadric, inside_outside
 from sqplan.roadmap import (EDGE_SAMPLES, INSIDE_TOL, RoadmapGraph, build_graph,
@@ -14,10 +14,19 @@ from sqplan.scenario import BENCHMARK_NAMES, generate_benchmark, scenario_from_d
 from sqplan.voronoi import build_diagram
 
 
-def path_length(graph, path):
+def edge_rows(graph):
+    """{(u, v): Edge} for both orders of each row, by a search of every row
+    of graph.edges; a second row joining the same two nodes fails."""
+    rows = {}
+    for k, (u, v) in enumerate(graph.edges.tolist()):
+        assert (u, v) not in rows
+        rows[u, v] = rows[v, u] = graph.edge(k)
+    return rows
+
+
+def path_length(rows, path):
     """Summed weights of the edges joining consecutive path nodes."""
-    return float(sum(graph.edge_between(path[k], path[k + 1]).weight
-                     for k in range(len(path) - 1)))
+    return float(sum(rows[path[k], path[k + 1]].weight for k in range(len(path) - 1)))
 
 
 def neighbours(graph, u):
@@ -73,16 +82,15 @@ def test_edges_avoid_expanded_obstacles():
 
 def brute_force_shortest(graph, start, goal):
     n = len(graph.nodes)
+    rows = edge_rows(graph)
     best = (np.inf, None)
     for perm_len in range(1, n + 1):
         for perm in itertools.permutations(range(n), perm_len):
             if perm[0] != start or perm[-1] != goal:
                 continue
-            ok = all(graph.edge_between(perm[k], perm[k + 1]) is not None
-                     for k in range(len(perm) - 1))
-            if not ok:
+            if not all((perm[k], perm[k + 1]) in rows for k in range(len(perm) - 1)):
                 continue
-            length = path_length(graph, list(perm))
+            length = path_length(rows, list(perm))
             if length < best[0] - 1e-12:
                 best = (length, list(perm))
     return best
@@ -93,21 +101,44 @@ def test_dijkstra_matches_brute_force():
     nodes = [rng.uniform(0.0, 1.0, 2) for _ in range(7)]
     edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.uniform() < 0.45]
     g = RoadmapGraph.create(nodes, ["cell"] * 7, edges, ["cell"] * len(edges))
+    rows = edge_rows(g)
     for start, goal in [(0, 6), (1, 5), (2, 4)]:
         got = shortest_path(g, start, goal)
         want_len, want = brute_force_shortest(g, start, goal)
         if want is None:
             assert got is None
         else:
-            assert got is not None
-            assert np.isclose(path_length(g, got), want_len, atol=1e-12)
+            path, taken = got
+            assert taken == [rows[path[k], path[k + 1]] for k in range(len(path) - 1)]
+            assert np.isclose(path_length(rows, path), want_len, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_shortest_path_returns_the_edge_rows_it_took(name):
+    # 20 whole-box queries: each Edge the path took is the row of the query
+    # graph joining its two nodes, found by a search of every row
+    scn = generate_benchmark(name)
+    pre = pipeline.precompute(scn)
+    points = whole_box_terminals(scn, 40, np.random.default_rng(7))
+    taken_total = 0
+    for start, goal in zip(points[0::2], points[1::2]):
+        graph, a = project_terminal(start, pre.graph)
+        graph, b = project_terminal(goal, graph)
+        found = shortest_path(graph, a, b)
+        if found is None:
+            continue
+        path, taken = found
+        rows = edge_rows(graph)
+        assert taken == [rows[path[k], path[k + 1]] for k in range(len(path) - 1)]
+        taken_total += len(taken)
+    assert taken_total >= 20
 
 
 def test_shortest_path_unreachable():
     g = RoadmapGraph.create([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]], ["cell"] * 3,
                             [(0, 1)], ["cell"])
     assert shortest_path(g, 0, 2) is None
-    assert shortest_path(g, 0, 1) == [0, 1]
+    assert shortest_path(g, 0, 1) == ([0, 1], [g.edge(0)])
 
 
 def test_project_terminal_splits_edge():
@@ -121,7 +152,7 @@ def test_project_terminal_splits_edge():
     # original edge replaced by two halves plus the stub
     kinds = sorted(e.kind for e in g.live_edges())
     assert kinds == ["cell", "cell", "stub"]
-    assert shortest_path(g, 0, term) == [0, proj, term]
+    assert shortest_path(g, 0, term)[0] == [0, proj, term]
 
 
 def test_project_terminal_reuses_existing_node():
