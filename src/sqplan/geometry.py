@@ -173,8 +173,19 @@ def box_gaps(points, shapes: ShapeArrays) -> np.ndarray:
     lies inside that box, so this is a lower bound of the distance to it."""
     pts = np.asarray(points, dtype=float)
     dim = pts.shape[-1]
-    local = np.abs((pts - shapes.pos.reshape(-1, 1, dim)) @ shapes.rot.reshape(-1, dim, dim))
-    return np.linalg.norm(np.maximum(local - shapes.axes.reshape(-1, 1, dim), 0.0), axis=2)
+    # component-major (shapes, dim, points), so every elementwise step runs
+    # along the points, not along a length-dim axis, and in place: a fresh
+    # temporary of this size costs more than the arithmetic on it
+    gap = np.ascontiguousarray(pts.T)[None] - shapes.pos.reshape(-1, dim, 1)
+    gap = np.swapaxes(shapes.rot.reshape(-1, dim, dim), 1, 2) @ gap
+    np.abs(gap, out=gap)
+    gap -= shapes.axes.reshape(-1, dim, 1)
+    np.maximum(gap, 0.0, out=gap)
+    gap *= gap
+    sq = gap[:, 0]
+    for c in range(1, dim):  # summed in np.linalg.norm's order
+        sq += gap[:, c]
+    return np.sqrt(sq)
 
 
 def surface_point(sq: Superquadric, angles) -> np.ndarray:

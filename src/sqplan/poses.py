@@ -5,7 +5,11 @@ normal to the bisector face that generated the current edge, which is the
 direction the passage constrains. `plan_poses` maps the path's node
 positions and the Edge rows Dijkstra took to orientation arrays, and
 `robot_rotations` maps those to the robot's rotations: both halves of the
-axis convention. Roadmap and diagram types are imported for type checking
+axis convention. In 3D the frames are built over the whole path at once:
+the travel axes, the binormals and the rotation vectors
+(`rotations.log_so3_batch`) come from array passes, and a loop over the
+segments only chooses each segment's normal, since that choice reads the
+previous segment's. Roadmap and diagram types are imported for type checking
 only, so that the roadmap can import `clearance`, which imports this module.
 """
 
@@ -16,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 # exp_so3 is not used here; perfbench's traced run patches this name
-from .rotations import exp_so3, exp_so3_batch, log_so3  # noqa: F401
+from .rotations import exp_so3, exp_so3_batch, log_so3_batch  # noqa: F401
 
 if TYPE_CHECKING:
     from .roadmap import Edge
@@ -39,27 +43,6 @@ def heading_2d(v_i, v_next) -> float:
     return float(np.arctan2(d[1], d[0]))
 
 
-def frame_3d(v_i, v_next, face_normal) -> np.ndarray:
-    """Rotation whose columns are (travel, binormal, face normal).
-
-    The face normal is re-orthogonalized against the travel direction, so a
-    slightly skewed clipped face still yields a proper rotation.
-    """
-    d = np.asarray(v_next, dtype=float) - np.asarray(v_i, dtype=float)
-    nd = np.linalg.norm(d)
-    if nd == 0.0:
-        raise ValueError("zero-length segment has no frame")
-    r1 = d / nd
-    n = np.asarray(face_normal, dtype=float)
-    r3 = n - (n @ r1) * r1
-    nr3 = np.linalg.norm(r3)
-    if nr3 < PARALLEL_TOL:
-        raise ValueError("face normal is parallel to the travel direction")
-    r3 = r3 / nr3
-    r2 = np.cross(r3, r1)
-    return np.column_stack([r1, r2, r3])
-
-
 def robot_rotations(dim: int, orientations: np.ndarray) -> np.ndarray:
     """(N, dim, dim) robot rotations: longest axis along travel, shortest on the normal.
 
@@ -77,12 +60,17 @@ def robot_rotations(dim: int, orientations: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
+def _rejection(n: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, float]:
+    """n's component normal to the unit vector r1, and its norm."""
+    proj = n - (n @ r1) * r1
+    return proj, np.sqrt(proj @ proj)
+
+
 def _fallback_normal(r1: np.ndarray) -> np.ndarray:
-    k = int(np.argmin(np.abs(r1)))
     e = np.zeros(3)
-    e[k] = 1.0
-    n = e - (e @ r1) * r1
-    return n / np.linalg.norm(n)
+    e[np.argmin(np.abs(r1))] = 1.0
+    proj, norm = _rejection(e, r1)
+    return proj / norm
 
 
 def _segment_normal(edge: Edge, hyperplanes: list[Hyperplane]) -> np.ndarray | None:
@@ -124,27 +112,30 @@ def plan_poses(nodes: np.ndarray, edges: list[Edge],
                 thetas[k] = thetas[prev if prev is not None else nxt]
         return positions, np.array(thetas + thetas[-1:])[:, None]
 
+    d = np.diff(positions, axis=0)
+    # d.d as a matmul rounds like np.linalg.norm of a single vector
+    r1 = d / np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
     raw = [_segment_normal(e, hyperplanes) for e in edges]
     first = next((n for n in raw if n is not None), None)
-    rotations = []
+    r3 = np.empty_like(r1)
     prev_r3 = None
     for k in range(n_seg):
-        d = positions[k + 1] - positions[k]
-        r1 = d / np.linalg.norm(d)
         n = raw[k]
         if n is None:
             n = prev_r3 if prev_r3 is not None else first
             if n is None:
-                n = _fallback_normal(r1)
+                n = _fallback_normal(r1[k])
         if prev_r3 is not None and n @ prev_r3 < 0.0:
             n = -n
-        proj = n - (n @ r1) * r1
-        if np.linalg.norm(proj) < PARALLEL_TOL:
-            n = _fallback_normal(r1) if prev_r3 is None else prev_r3
-            proj = n - (n @ r1) * r1
-            if np.linalg.norm(proj) < PARALLEL_TOL:
-                n = _fallback_normal(r1)
-        r = frame_3d(positions[k], positions[k + 1], n)
-        prev_r3 = r[:, 2]
-        rotations.append(log_so3(r))
-    return positions, np.array(rotations + rotations[-1:])
+        proj, norm = _rejection(n, r1[k])
+        if norm < PARALLEL_TOL:
+            proj, norm = _rejection(_fallback_normal(r1[k]) if prev_r3 is None else prev_r3,
+                                    r1[k])
+            if norm < PARALLEL_TOL:
+                proj, norm = _rejection(_fallback_normal(r1[k]), r1[k])
+        # the normal re-orthogonalised against the travel axis, which the
+        # next segment's choice reads
+        prev_r3 = r3[k] = proj / norm
+    # frames with columns (travel, binormal, normal)
+    rotvecs = log_so3_batch(np.stack([r1, np.cross(r3, r1), r3], axis=2))
+    return positions, np.concatenate([rotvecs, rotvecs[-1:]])

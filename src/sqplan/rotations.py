@@ -1,4 +1,10 @@
-"""Rotation utilities: 2D rotations and the SO(3) exponential/logarithm."""
+"""Rotation utilities: 2D rotations and the SO(3) exponential/logarithm.
+
+The SO(3) maps work on stacks: `exp_so3_batch` maps (N, 3) rotation vectors
+to (N, 3, 3) matrices by Rodrigues' formula and `log_so3_batch` maps them
+back by quaternion extraction, checking every matrix of the stack.
+`exp_so3` and `log_so3` are their one-row front ends.
+"""
 
 from __future__ import annotations
 
@@ -33,44 +39,54 @@ def exp_so3_batch(rotvecs: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
-def _check_rotation(r: np.ndarray, tol: float) -> None:
-    if r.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
-    if np.max(np.abs(r @ r.T - np.eye(3))) > tol:
+def _check_rotations(r: np.ndarray, tol: float) -> None:
+    if r.ndim != 3 or r.shape[1:] != (3, 3):
+        raise ValueError(f"expected 3x3 matrices, got shape {r.shape}")
+    if np.max(np.abs(r @ np.swapaxes(r, 1, 2) - np.eye(3)), initial=0.0) > tol:
         raise ValueError("matrix is not orthonormal within tolerance")
-    if abs(np.linalg.det(r) - 1.0) > tol:
+    if np.any(np.abs(np.linalg.det(r) - 1.0) > tol):
         raise ValueError("matrix is not a proper rotation (det != +1)")
 
 
 def log_so3(r: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Rotation vector of a proper rotation matrix, magnitude in [0, pi].
+    """Rotation vector of one proper rotation matrix, the one-row log_so3_batch."""
+    return log_so3_batch(np.asarray(r, dtype=float)[None], tol)[0]
 
-    Uses quaternion extraction with a branch on the largest diagonal
-    element, which stays well-conditioned for angles near 0 and near pi.
+
+def log_so3_batch(r: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """Rotation vectors of an (N, 3, 3) stack of proper rotation matrices,
+    (N, 3), magnitudes in [0, pi]; ValueError if any matrix is not one.
+
+    Uses quaternion extraction from the symmetric matrix K of the
+    quaternion's outer product, 4 q q^T = K, taken from the row of K's
+    largest diagonal element: the trace row when the trace exceeds every
+    diagonal element of r, else the row of r's largest one. That row stays
+    well-conditioned for angles near 0 and near pi.
     """
     r = np.asarray(r, dtype=float)
-    _check_rotation(r, tol)
-    t = np.trace(r)
-    if t > r[0, 0] and t > r[1, 1] and t > r[2, 2]:
-        s = np.sqrt(t + 1.0) * 2.0
-        qw = 0.25 * s
-        qv = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / s
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(max(r[i, i] - r[j, j] - r[k, k] + 1.0, 0.0)) * 2.0
-        qw = (r[k, j] - r[j, k]) / s
-        qv = np.empty(3)
-        qv[i] = 0.25 * s
-        qv[j] = (r[j, i] + r[i, j]) / s
-        qv[k] = (r[k, i] + r[i, k]) / s
-    if qw < 0.0:  # keep the short arc so the angle lands in [0, pi]
-        qw, qv = -qw, -qv
-    n = np.linalg.norm(qv)
-    if n < 1e-12:
-        return np.zeros(3)
-    theta = 2.0 * np.arctan2(n, qw)
-    return (theta / n) * qv
+    _check_rotations(r, tol)
+    rows = np.arange(len(r))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    t = diag[:, 0] + diag[:, 1] + diag[:, 2]
+    # K's diagonal: 1 + trace, then 1 + r_ii - r_jj - r_kk with j, k after i
+    k_diag = np.concatenate([t[:, None], diag - diag[:, [1, 2, 0]] - diag[:, [2, 0, 1]]],
+                            axis=1) + 1.0
+    k = np.empty((len(r), 4, 4))
+    k[:, 1:, 1:] = r + np.swapaxes(r, 1, 2)
+    k[:, 0, 1:] = k[:, 1:, 0] = (r - np.swapaxes(r, 1, 2))[:, [2, 0, 1], [1, 2, 0]]
+    on_trace = np.all(t[:, None] > diag, axis=1)
+    row = np.where(on_trace, 0, 1 + np.argmax(diag, axis=1))
+    s = np.sqrt(np.maximum(k_diag[rows, row], 0.0)) * 2.0
+    q = k[rows, row] / s[:, None]  # (qw, qx, qy, qz)
+    q[rows, row] = 0.25 * s
+    q[q[:, 0] < 0.0] *= -1.0  # keep the short arc so the angle lands in [0, pi]
+    qw, qv = q[:, 0], q[:, 1:]
+    # qv.qv as a matmul rounds like np.linalg.norm of a single vector
+    n = np.sqrt(qv[:, None, :] @ qv[:, :, None])[:, 0, 0]
+    out = np.zeros((len(r), 3))
+    turned = n >= 1e-12
+    out[turned] = (2.0 * np.arctan2(n[turned], qw[turned]) / n[turned])[:, None] * qv[turned]
+    return out
 
 
 def canonical_rotvec(rotvec: np.ndarray) -> np.ndarray:

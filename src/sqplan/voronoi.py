@@ -13,6 +13,7 @@ cell is the world box clipped by its halfspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,8 +60,10 @@ class Hyperplane:
     witness_i: np.ndarray
     witness_j: np.ndarray
 
-    @property
+    @cached_property
     def witness_distance(self) -> float:
+        """Gap between the two witnesses, computed once: `poses` reads it
+        for every bisector face of every path edge of every plan."""
         return float(np.linalg.norm(self.witness_i - self.witness_j))
 
     def oriented(self, cluster_id: int):

@@ -24,6 +24,13 @@ as two matmuls per block.
 `hat` and `reference_exp_so3` are Rodrigues' formula on one rotation
 vector, as `rotations.exp_so3` computed it before it became the one-row
 case of `exp_so3_batch`.
+`reference_log_so3` is the quaternion extraction on one matrix, as
+`rotations.log_so3` computed it before it became the one-row case of
+`log_so3_batch`. `frame_3d` is one segment's frame and
+`reference_plan_poses_3d` the 3D pose planning that built one frame and
+took one logarithm per segment, before `poses.plan_poses` built them as
+arrays. `reference_box_gaps` is `geometry.box_gaps` laid out point-major,
+(shapes, points, dim), with the norm over the last axis.
 `with_pose` moves a shape to another pose, and `robot_pose_at` poses the
 robot at one waypoint through a `RigidPose`: the reference that
 `poses.robot_rotations` is compared against.
@@ -52,7 +59,7 @@ from sqplan.geometry import (RigidPose, Superquadric, box_gaps, expand, inside_o
                              inside_outside_local, stack_pairs, stack_shapes,
                              support_points, surface_samples)
 from sqplan.polytope import GEOM_TOL
-from sqplan.poses import _AXIS_CONVENTION, robot_rotations
+from sqplan.poses import _AXIS_CONVENTION, PARALLEL_TOL, _segment_normal, robot_rotations
 from sqplan.proximity import (_FACE_SIZE, _FACES, MAX_ITER, OVERLAP_TOL, REL_TOL,
                               TOUCH_TOL, ClosestPair, PairArrays, _combine, _dot,
                               _nearest_face, closest_pair_arrays, overlaps)
@@ -84,6 +91,107 @@ def reference_exp_so3(rotvec: np.ndarray) -> np.ndarray:
         return np.eye(3) + k + 0.5 * (k @ k)
     k = hat(v / theta)
     return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+
+
+def reference_log_so3(r: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """Rotation vector of one proper rotation matrix, magnitude in [0, pi],
+    by quaternion extraction with a branch on the largest diagonal element."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
+    if np.max(np.abs(r @ r.T - np.eye(3))) > tol:
+        raise ValueError("matrix is not orthonormal within tolerance")
+    if abs(np.linalg.det(r) - 1.0) > tol:
+        raise ValueError("matrix is not a proper rotation (det != +1)")
+    t = np.trace(r)
+    if t > r[0, 0] and t > r[1, 1] and t > r[2, 2]:
+        s = np.sqrt(t + 1.0) * 2.0
+        qw = 0.25 * s
+        qv = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / s
+    else:
+        i = int(np.argmax(np.diag(r)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = np.sqrt(max(r[i, i] - r[j, j] - r[k, k] + 1.0, 0.0)) * 2.0
+        qw = (r[k, j] - r[j, k]) / s
+        qv = np.empty(3)
+        qv[i] = 0.25 * s
+        qv[j] = (r[j, i] + r[i, j]) / s
+        qv[k] = (r[k, i] + r[i, k]) / s
+    if qw < 0.0:  # keep the short arc so the angle lands in [0, pi]
+        qw, qv = -qw, -qv
+    n = np.linalg.norm(qv)
+    if n < 1e-12:
+        return np.zeros(3)
+    theta = 2.0 * np.arctan2(n, qw)
+    return (theta / n) * qv
+
+
+def frame_3d(v_i, v_next, face_normal) -> np.ndarray:
+    """Rotation whose columns are (travel, binormal, face normal).
+
+    The face normal is re-orthogonalized against the travel direction, so a
+    slightly skewed clipped face still yields a proper rotation.
+    """
+    d = np.asarray(v_next, dtype=float) - np.asarray(v_i, dtype=float)
+    nd = np.linalg.norm(d)
+    if nd == 0.0:
+        raise ValueError("zero-length segment has no frame")
+    r1 = d / nd
+    n = np.asarray(face_normal, dtype=float)
+    r3 = n - (n @ r1) * r1
+    nr3 = np.linalg.norm(r3)
+    if nr3 < PARALLEL_TOL:
+        raise ValueError("face normal is parallel to the travel direction")
+    r3 = r3 / nr3
+    r2 = np.cross(r3, r1)
+    return np.column_stack([r1, r2, r3])
+
+
+def _fallback_normal(r1: np.ndarray) -> np.ndarray:
+    k = int(np.argmin(np.abs(r1)))
+    e = np.zeros(3)
+    e[k] = 1.0
+    n = e - (e @ r1) * r1
+    return n / np.linalg.norm(n)
+
+
+def reference_plan_poses_3d(nodes, edges, hyperplanes) -> np.ndarray:
+    """(n, 3) orientations of the robot at the n nodes of a 3D path, one
+    frame and one logarithm per segment."""
+    positions = np.asarray(nodes, dtype=float)
+    raw = [_segment_normal(e, hyperplanes) for e in edges]
+    first = next((n for n in raw if n is not None), None)
+    rotations = []
+    prev_r3 = None
+    for k in range(len(edges)):
+        d = positions[k + 1] - positions[k]
+        r1 = d / np.linalg.norm(d)
+        n = raw[k]
+        if n is None:
+            n = prev_r3 if prev_r3 is not None else first
+            if n is None:
+                n = _fallback_normal(r1)
+        if prev_r3 is not None and n @ prev_r3 < 0.0:
+            n = -n
+        proj = n - (n @ r1) * r1
+        if np.linalg.norm(proj) < PARALLEL_TOL:
+            n = _fallback_normal(r1) if prev_r3 is None else prev_r3
+            proj = n - (n @ r1) * r1
+            if np.linalg.norm(proj) < PARALLEL_TOL:
+                n = _fallback_normal(r1)
+        r = frame_3d(positions[k], positions[k + 1], n)
+        prev_r3 = r[:, 2]
+        rotations.append(reference_log_so3(r))
+    return np.array(rotations + rotations[-1:])
+
+
+def reference_box_gaps(points, shapes) -> np.ndarray:
+    """(shapes, points) distances from points to each shape's posed box,
+    computed point-major."""
+    pts = np.asarray(points, dtype=float)
+    dim = pts.shape[-1]
+    local = np.abs((pts - shapes.pos.reshape(-1, 1, dim)) @ shapes.rot.reshape(-1, dim, dim))
+    return np.linalg.norm(np.maximum(local - shapes.axes.reshape(-1, 1, dim), 0.0), axis=2)
 
 
 def with_pose(shape: Superquadric, pose: RigidPose) -> Superquadric:

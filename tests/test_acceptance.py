@@ -16,11 +16,12 @@ from sqplan.cli import main
 from sqplan.dmp import DMPModel, PoseTrajectory, fit_lwr, rollout
 from sqplan.geometry import RigidPose, Superquadric, inside_outside, surface_samples
 from sqplan.pipeline import NO_FEASIBLE_PASSAGE, plan
-from sqplan.poses import frame_3d
+from sqplan.poses import plan_poses
 from sqplan.proximity import closest_pair
-from sqplan.rotations import exp_so3, log_so3
+from sqplan.roadmap import Edge
+from sqplan.rotations import exp_so3, exp_so3_batch, log_so3
 from sqplan.scenario import Scenario, compute_metrics, generate_benchmark
-from sqplan.voronoi import build_diagram
+from sqplan.voronoi import Hyperplane, build_diagram
 
 BENCH_2D = ("narrow2d", "t_block", "u_block")
 BENCH_3D = ("pillars3d", "moderate3d", "dense3d")
@@ -239,19 +240,27 @@ def test_criterion_08_rotation_correctness():
     worst = 0.0
     for v in axes * angles:
         worst = max(worst, float(np.linalg.norm(log_so3(exp_so3(v)) - v)))
+    # the pose frames of a random 500-segment path, one bisector face per
+    # segment: travel along r1, the face normal re-orthogonalised on r3
+    # (up to the sign that keeps consecutive normals from flipping)
+    nodes = np.cumsum(rng.normal(size=(501, 3)), axis=0)
+    normals = rng.normal(size=(500, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    planes = [Hyperplane(n, 0.0, 0, 1, np.zeros(3), np.zeros(3)) for n in normals]
+    edges = [Edge(k, k + 1, 1.0, "cell", (k,)) for k in range(500)]
     worst_frame = 0.0
-    for _ in range(500):
-        a, b, n = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        if np.linalg.norm(np.cross(b - a, n)) < 1e-3:
-            continue
-        r = frame_3d(a, b, n)
+    for k, r in enumerate(exp_so3_batch(plan_poses(nodes, edges, planes)[1][:-1])):
+        travel = (nodes[k + 1] - nodes[k]) / np.linalg.norm(nodes[k + 1] - nodes[k])
+        normal = normals[k] - (normals[k] @ travel) * travel
+        normal /= np.linalg.norm(normal)
         worst_frame = max(worst_frame,
                           float(np.max(np.abs(r @ r.T - np.eye(3)))),
-                          abs(float(np.linalg.det(r)) - 1.0))
+                          abs(float(np.linalg.det(r)) - 1.0),
+                          float(np.max(np.abs(r[:, 0] - travel))),
+                          float(np.max(np.abs(np.abs(r[:, 2] @ normal) - 1.0))))
     ok = worst <= 1e-9 and worst_frame <= 1e-9
     report(8, "rotation correctness", ok,
-           f"roundtrip={worst:.2e}, frame orthonormality={worst_frame:.2e}")
+           f"roundtrip={worst:.2e}, frame error={worst_frame:.2e}")
 
 
 def test_criterion_09_dmp_convergence(bench):

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from oracles import closest_pairs, robot_pose_at
+from oracles import closest_pairs, reference_box_gaps, robot_pose_at
 from sqplan.geometry import (EPS_MAX, EPS_MIN, RigidPose, Superquadric,
                              box_gaps, expand, inside_outside, signed_pow,
                              stack_shapes, surface_point, surface_samples)
@@ -153,6 +153,26 @@ def test_box_gaps_is_the_distance_to_the_posed_box():
     assert np.array_equal(box_gaps([[0.5, 0.5, 0.5], [3.0, 0.0, 0.0]], stack_shapes([ball])),
                           [[0.0, 2.0]])
     assert box_gaps(np.zeros((5, 3)), stack_shapes([])).shape == (0, 5)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_shapes", [0, 1, 16])
+def test_box_gaps_equals_the_point_major_reference(dim, n_shapes):
+    # bit for bit, from one point to a thousand, points inside the boxes
+    # and outside them
+    rng = np.random.default_rng([dim, n_shapes])
+    shapes = stack_shapes([
+        Superquadric.create(rng.uniform(0.1, 2.0, dim - 1), np.sort(rng.uniform(0.2, 1.5, dim)),
+                            rng.uniform(-2.0, 2.0, dim), rng.normal(size=1 if dim == 2 else 3))
+        for _ in range(n_shapes)])
+    gaps = []
+    for n_points in (1, 2, 7, 64, 1000):
+        points = rng.uniform(-3.0, 3.0, size=(n_points, dim))
+        got = box_gaps(points, shapes)
+        assert got.shape == (n_shapes, n_points)
+        assert np.array_equal(got, reference_box_gaps(points, shapes))
+        gaps.extend(got.ravel())
+    assert n_shapes == 0 or (min(gaps) == 0.0 and max(gaps) > 0.0)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

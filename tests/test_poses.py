@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import robot_pose_at
+from oracles import frame_3d, load_bench_scenes, reference_plan_poses_3d, robot_pose_at
 from sqplan.geometry import Superquadric
-from sqplan.poses import frame_3d, heading_2d, plan_poses, robot_rotations
-from sqplan.roadmap import Edge
+from sqplan.pipeline import precompute
+from sqplan.poses import heading_2d, plan_poses, robot_rotations
+from sqplan.roadmap import Edge, project_terminal, shortest_path
 from sqplan.rotations import exp_so3, rot2d
+from sqplan.scenario import generate_benchmark, scenario_from_dict
 from sqplan.voronoi import Hyperplane
 
 
@@ -170,3 +172,46 @@ def test_robot_rotations_match_robot_pose_at(dim):
 def test_plan_poses_requires_two_nodes():
     with pytest.raises(ValueError):
         plan_poses(np.zeros((1, 2)), [], [])
+
+
+def roadmap_path(scn, pre):
+    """The path nodes, the Edge rows between them and the hyperplanes of one
+    query, as `pipeline.plan` hands them to `plan_poses`."""
+    graph, start = project_terminal(scn.start.position, pre.graph)
+    graph, goal = project_terminal(scn.goal.position, graph)
+    path, edges = shortest_path(graph, start, goal)
+    return graph.nodes[path], edges, pre.diagram.hyperplanes
+
+
+def assert_matches_reference(nodes, edges, hyperplanes):
+    positions, orientations = plan_poses(nodes, edges, hyperplanes)
+    assert np.array_equal(positions, nodes)
+    assert np.array_equal(orientations, reference_plan_poses_3d(nodes, edges, hyperplanes))
+
+
+@pytest.mark.parametrize("name", ["pillars3d", "moderate3d", "dense3d"])
+def test_plan_poses_equals_the_per_segment_reference_on_benchmarks(name):
+    scn = generate_benchmark(name)
+    assert_matches_reference(*roadmap_path(scn, precompute(scn)))
+
+
+@pytest.mark.parametrize("scene", ["pillars", "field-1-8", "field-2-8", "field-2-16",
+                                   "field-4-16"])
+def test_plan_poses_equals_the_per_segment_reference_on_query_streams(scene):
+    # the first 20 seed-1001 queries of perfbench's streams; every stream's
+    # paths take edges without a bisector face (inherited normals), and on
+    # fields (2, 8), (2, 16) and (4, 16) whole paths without one (fallback
+    # normals)
+    bench = load_bench_scenes()
+    if scene == "pillars":
+        data, regions = bench.pillars(), bench.pillar_regions()
+    else:
+        data, regions = bench.random_field(*map(int, scene.split("-")[1:])), bench.field_regions()
+    pre = precompute(scenario_from_dict(data))
+    sampler = bench.QuerySampler(data, regions, 1001)
+    faceless = 0
+    for _ in range(20):
+        nodes, edges, hyperplanes = roadmap_path(scenario_from_dict(sampler.next()), pre)
+        assert_matches_reference(nodes, edges, hyperplanes)
+        faceless += sum(not e.faces for e in edges)
+    assert faceless > 0
